@@ -98,18 +98,16 @@ class BandedFactor:
         return self.banded.storage_entries
 
 
-class WoodburyFactor:
-    """Constrained dual coefficient operator acting on free-index vectors."""
+class WoodburyFactor(DenseFactor):
+    """Customized mass factor on free indices: its solve is the constrained
+    dual coefficient operator, applied through the Woodbury updates."""
 
     def __init__(self, constrained):
+        super().__init__(np.linalg.inv(constrained.dense_free()))
         self.constrained = constrained
-        self.n = constrained.n_free
 
-    def matvec(self, x):
+    def solve(self, x):
         return self.constrained.apply_free(x)
-
-    def todense(self):
-        return self.constrained.dense_free()
 
     @property
     def storage_entries(self):
@@ -226,6 +224,7 @@ class DiscreteSystem:
         self._duals = None
         self._cduals = None
         self._weight1d = None
+        self._kernels = {}
 
     # -- index bookkeeping ---------------------------------------------------
 
@@ -407,55 +406,41 @@ def _galerkin_factors(system):
     return factors
 
 
+def _mass_factors(system):
+    """Free-index per-direction factors of the system's Kronecker mass; each
+    factor's ``todense`` is the mass factor and its ``solve`` the inverse."""
+    kind = system.mass_kind
+    if kind == "galerkin_consistent":
+        return galerkin_gram_operator(system).factors
+    if kind == "customized":
+        return [WoodburyFactor(cd) for cd in system.constrained_duals]
+    if kind == "rowsum_lumped":
+        diags = [G.rowsums()[slice(*system.free_range(k))]
+                 for k, G in enumerate(_galerkin_factors(system))]
+        if any(np.min(d) <= 0.0 for d in diags):
+            raise NumericalError("non-positive rowsum in lumped mass")
+        return [DiagonalFactor(d) for d in diags]
+    raise ValueError(f"mass kind {kind!r} has no factored solve")
+
+
 def mass_operator(system):
     """Build the mass operator of the system's kind, Dirichlet included."""
     kind = system.mass_kind
-    ranges = [system.free_range(k) for k in range(system.ndim)]
-
-    if kind == "galerkin_consistent":
-        full = _galerkin_factors(system)
-        factors = [BandedFactor(G.submatrix(lo, hi)) if not G.periodic else BandedFactor(G)
-                   for G, (lo, hi) in zip(full, ranges)]
-        op = KroneckerOperator(factors)
-        return MassOperator(kind, op.apply, op.solve, storage=op.storage_entries)
-
     if kind == "petrov_consistent":
         factors = []
         for k, dual in enumerate(system.duals):
             C = dual.S.to_dense() @ dual.G.to_dense()
-            lo, hi = ranges[k]
+            lo, hi = system.free_range(k)
             factors.append(DenseFactor(C[lo:hi, lo:hi]))
         op = KroneckerOperator(factors)
         return MassOperator(kind, op.apply, None, storage=op.storage_entries)
 
-    if kind == "customized":
-        solve_factors = [WoodburyFactor(cd) for cd in system.constrained_duals]
-        solve_op = KroneckerOperator(solve_factors)
-        apply_factors = [DenseFactor(np.linalg.inv(f.todense())) for f in solve_factors]
-        apply_op = KroneckerOperator(apply_factors)
-        return MassOperator(
-            kind, apply_op.apply, solve_op.apply, storage=solve_op.storage_entries
-        )
-
+    op = KroneckerOperator(_mass_factors(system))
+    diag = None
     if kind == "rowsum_lumped":
-        full = _galerkin_factors(system)
-        diags = []
-        for G, (lo, hi) in zip(full, ranges):
-            rs = G.rowsums()
-            diags.append(rs[lo:hi])
-        if any(np.min(d) <= 0.0 for d in diags):
-            raise NumericalError("non-positive rowsum in lumped mass")
-        factors = [DiagonalFactor(d) for d in diags]
-        op = KroneckerOperator(factors)
-        return MassOperator(
-            kind,
-            op.apply,
-            op.solve,
-            diag=diags[0] if system.ndim == 1 else np.outer(diags[0], diags[1]),
-            storage=op.storage_entries,
-        )
-
-    raise ValueError(f"unknown mass kind {kind!r}")
+        diags = [f.diag for f in op.factors]
+        diag = diags[0] if system.ndim == 1 else np.outer(diags[0], diags[1])
+    return MassOperator(kind, op.apply, op.solve, diag=diag, storage=op.storage_entries)
 
 
 # ---------------------------------------------------------------------------
@@ -468,6 +453,89 @@ def _test_mode(system, override=None):
     return "dual" if system.mass_kind in ("customized", "petrov_consistent") else "standard"
 
 
+class _StiffnessKernel:
+    """Per-axis evaluation matrices and fused pointwise coefficient grids of
+    one stiffness form, applied to full coefficient grids.
+
+    The 2D grids are stored transposed, ``(nq2, nq1)``, which is the layout
+    the sparse products return: ``B_ij = W A_ij`` (``W A_ij / c`` in dual
+    mode) and, in dual mode, ``R_k = -W (c_x A_1k + c_y A_2k) / c^2`` for the
+    term the gradient of 1/c adds to the test function.
+    """
+
+    def __init__(self, system, mode):
+        self.dual = mode == "dual"
+        self.ndim = system.ndim
+        pts = system.stiffness_points
+        if self.ndim == 1:
+            xq, wq, _, D = system.tables(0, pts)
+            self.D1, self.D1T = D, D.T.tocsr()
+            scale = system.kappa / system.rho if self.dual else system.kappa
+            self.w = scale * wq
+            self.macs = 2 * D.nnz
+            self.quad_points = len(xq)
+            return
+        _, _, E1, D1 = system.tables(0, pts)
+        _, _, E2, D2 = system.tables(1, pts)
+        self.E1, self.D1, self.E2, self.D2 = E1, D1, E2, D2
+        self.E1T, self.D1T, self.E2T, self.D2T = (
+            M.T.tocsr() for M in (E1, D1, E2, D2)
+        )
+        g = system.geometry_grids(pts)
+        W = g["W"] / g["c"] if self.dual else g["W"]
+        self.B11, self.B12, self.B22 = (
+            np.ascontiguousarray((W * g[name]).T) for name in ("A11", "A12", "A22")
+        )
+        if self.dual:
+            Wc2 = -g["W"] / g["c"] ** 2
+            self.R1 = np.ascontiguousarray((Wc2 * (g["cx"] * g["A11"] + g["cy"] * g["A12"])).T)
+            self.R2 = np.ascontiguousarray((Wc2 * (g["cx"] * g["A12"] + g["cy"] * g["A22"])).T)
+        (nq1, n1), (nq2, n2) = E1.shape, E2.shape
+        self.macs = D1.nnz * n2 + E2.nnz * nq1 + E1.nnz * n2 + D2.nnz * nq1
+        if self.dual:
+            self.macs += (D1.nnz + 2 * E1.nnz) * nq2 + (2 * E2.nnz + D2.nnz) * n1
+        else:
+            self.macs += (D1.nnz + E1.nnz) * nq2 + (E2.nnz + D2.nnz) * n1
+        self.quad_points = nq1 * nq2
+
+    def apply(self, full):
+        if self.ndim == 1:
+            return self.D1T @ (self.w * (self.D1 @ full))
+        UX = self.E2 @ (self.D1 @ full).T
+        UY = self.D2 @ (self.E1 @ full).T
+        q1 = self.B11 * UX
+        q1 += self.B12 * UY
+        if self.dual:
+            q0 = self.R1 * UX
+            q0 += self.R2 * UY
+        # q2 = B12 UX + B22 UY, built in the buffers of UX and UY
+        UX *= self.B12
+        UY *= self.B22
+        UY += UX
+        rest = self.D2T @ UY
+        if self.dual:
+            rest += self.E2T @ q0
+        return self.D1T @ (self.E2T @ q1).T + self.E1T @ rest.T
+
+
+def _stiffness_kernel(system, mode):
+    """The system's cached stiffness kernel for a test mode."""
+    key = (mode, system.stiffness_points)
+    kernel = system._kernels.get(key)
+    if kernel is None:
+        kernel = system._kernels[key] = _StiffnessKernel(system, mode)
+    return kernel
+
+
+def _stiffness_full(system, full_grid, mode):
+    """Stiffness action on a full coefficient grid, constrained slots included."""
+    kernel = _stiffness_kernel(system, mode)
+    system.counters["stiffness_applies"] += 1
+    system.counters["mac_ops"] += kernel.macs
+    system.counters["quad_points"] += kernel.quad_points
+    return kernel.apply(full_grid)
+
+
 def stiffness_apply(system, d_free, test_mode=None):
     """Matrix-free action of the stiffness form on a free coefficient grid.
 
@@ -477,54 +545,7 @@ def stiffness_apply(system, d_free, test_mode=None):
     through sparse evaluation matrices.
     """
     mode = _test_mode(system, test_mode)
-    full = system.inject(d_free)
-    system.counters["stiffness_applies"] += 1
-
-    if system.ndim == 1:
-        xq, wq, E, D = system.tables(0, system.stiffness_points)
-        du = D @ full
-        q = system.kappa * du
-        if mode == "dual":
-            q = q / system.rho
-        out = D.T @ (wq * q)
-        system.counters["mac_ops"] += 2 * D.nnz
-        system.counters["quad_points"] += len(xq)
-        return system.extract(out)
-
-    xq1, wq1, E1, D1 = system.tables(0, system.stiffness_points)
-    xq2, wq2, E2, D2 = system.tables(1, system.stiffness_points)
-    g = system.geometry_grids(system.stiffness_points)
-    n2 = system.spaces[1].dimension
-    nq1, nq2 = len(xq1), len(xq2)
-
-    def right_apply(mat, sp_op):
-        # mat (a, n) times sparse (m, n)^T -> (a, m)
-        return (sp_op @ mat.T).T
-
-    UX = right_apply(D1 @ full, E2)
-    UY = right_apply(E1 @ full, D2)
-    macs = D1.nnz * n2 + E2.nnz * nq1 + E1.nnz * n2 + D2.nnz * nq1
-
-    flux1 = g["A11"] * UX + g["A12"] * UY
-    flux2 = g["A12"] * UX + g["A22"] * UY
-    W = g["W"]
-    if mode == "dual":
-        c = g["c"]
-        q1 = W * flux1 / c
-        q2 = W * flux2 / c
-        q0 = -W * (g["cx"] * flux1 + g["cy"] * flux2) / c**2
-        out = D1.T @ right_apply(q1, E2.T) + E1.T @ right_apply(q2, D2.T)
-        out += E1.T @ right_apply(q0, E2.T)
-        macs += (D1.nnz + 2 * E1.nnz) * nq2 + (2 * E2.nnz + D2.nnz) * system.spaces[0].dimension
-    else:
-        q1 = W * flux1
-        q2 = W * flux2
-        out = D1.T @ right_apply(q1, E2.T) + E1.T @ right_apply(q2, D2.T)
-        macs += (D1.nnz + E1.nnz) * nq2 + (E2.nnz + D2.nnz) * system.spaces[0].dimension
-
-    system.counters["mac_ops"] += macs
-    system.counters["quad_points"] += nq1 * nq2
-    return system.extract(out)
+    return system.extract(_stiffness_full(system, system.inject(d_free), mode))
 
 
 def assembled_stiffness_1d(system, test_mode=None):
@@ -600,18 +621,6 @@ def load_vector(system, f=None, neumann=None, lift=None, lift_accel=None, test_m
         m_term = _parametric_mass_full(system, np.asarray(lift_accel, float), mode)
         out = out - system.extract(m_term)
     return out
-
-
-def _stiffness_full(system, full_grid, mode):
-    # stiffness_apply injects zeros at constrained slots; for a lift the
-    # constrained coefficients matter, so lift the constraints temporarily
-    dirichlet = system.dirichlet
-    system.dirichlet = [(False, False)] * system.ndim
-    try:
-        res = stiffness_apply(system, full_grid, test_mode=mode)
-    finally:
-        system.dirichlet = dirichlet
-    return res
 
 
 def _parametric_mass_full(system, full_grid, mode):

@@ -84,14 +84,24 @@ class RunConfig:
             problems.append(f"space dimension n={self.n} too small for degree {self.degree}")
         if any(m <= 0 for m in self.n_elems):
             problems.append("mesh counts must be positive")
-        if any(m <= 0 for m in self.n_values):
-            problems.append("project dimensions must be positive")
-        if self.mass_kind not in RUN_MASS_KINDS + ("all", "petrov_consistent"):
+        if any(m <= self.degree for m in self.n_values):
+            problems.append(f"project dimensions must exceed the degree {self.degree}")
+        if self.mass_kind not in RUN_MASS_KINDS + ("all",):
             problems.append(f"unknown mass kind {self.mass_kind!r}")
         if self.rk_scheme not in ("auto", "rk2", "rk4", "rk6"):
             problems.append(f"unknown rk scheme {self.rk_scheme!r}")
         if self.angular_factor <= 0:
             problems.append("angular_factor must be positive")
+        elif self.experiment == "annulus":
+            # the periodic angular space and its dual band both need more
+            # than twice their halfwidth in elements
+            band = max(self.degree, self.degree + 1 if self.beta is None else self.beta)
+            too_coarse = [m for m in self.n_elems if self.angular_factor * m <= 2 * band]
+            if too_coarse:
+                problems.append(
+                    f"n_elems {too_coarse} too coarse: angular_factor * n_elems must "
+                    f"exceed {2 * band} at degree {self.degree}"
+                )
         if problems:
             raise ConfigError("; ".join(problems))
         return self

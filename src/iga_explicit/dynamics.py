@@ -232,10 +232,11 @@ def max_frequency(system, outlier=None, tol=1e-8, max_iterations=5000, seed=0):
     """
     from .assembly import mass_operator, stiffness_apply
 
-    mass = mass_operator(system)
     shape = system.free_shape
 
     if outlier is None:
+        mass = mass_operator(system)
+
         def apply_fn(vec):
             d = vec.reshape(shape)
             return mass.solve(stiffness_apply(system, d)).ravel()
@@ -244,7 +245,7 @@ def max_frequency(system, outlier=None, tol=1e-8, max_iterations=5000, seed=0):
         omega, _ = power_max_frequency(apply_fn, n, tol, max_iterations, seed)
         return omega
 
-    reduced_mass = outlier.reduce_mass(system, mass)
+    reduced_mass = outlier.reduce_mass(system)
 
     def apply_fn(vec):
         d_red = outlier.unflatten(vec)
@@ -355,44 +356,21 @@ class OutlierConstraint:
     def unflatten(self, vec):
         return vec.reshape(self.shape_reduced)
 
-    def reduce_mass(self, system, mass=None):
-        """Reduced-mass solve (T^T M T)^{-1}, direction 0 dense, others intact."""
-        red = self.T.T @ self.direction0_mass_dense(system) @ self.T
-        inv = np.linalg.inv(red)
+    def reduce_mass(self, system):
+        """Reduced-mass solve (T^T M0 T)^{-1} (x) M1^{-1}: direction 0 dense,
+        the other direction's factor built once here."""
+        from .assembly import _mass_factors
+
+        factors = _mass_factors(system)
+        inv = np.linalg.inv(self.T.T @ factors[0].todense() @ self.T)
 
         def solve_reduced(reduced_grid):
             out = np.tensordot(inv, reduced_grid, axes=(1, 0))
-            return self._other_direction_solve(system, out)
+            for f in factors[1:]:
+                out = f.solve(out.T).T
+            return out
 
         return solve_reduced
-
-    def direction0_mass_dense(self, system):
-        from .assembly import _galerkin_factors
-
-        kind = system.mass_kind
-        lo, hi = system.free_range(0)
-        if kind == "galerkin_consistent":
-            return _galerkin_factors(system)[0].submatrix(lo, hi).to_dense()
-        if kind == "customized":
-            return np.linalg.inv(system.constrained_duals[0].dense_free())
-        if kind == "rowsum_lumped":
-            return np.diag(_galerkin_factors(system)[0].rowsums()[lo:hi])
-        raise ValueError(f"outlier reduction unsupported for {kind}")
-
-    def _other_direction_solve(self, system, grid):
-        if system.ndim == 1:
-            return grid
-        from .assembly import _galerkin_factors
-
-        kind = system.mass_kind
-        if kind == "galerkin_consistent":
-            return _galerkin_factors(system)[1].solve(grid.T).T
-        if kind == "customized":
-            return system.constrained_duals[1].apply_free(grid.T).T
-        if kind == "rowsum_lumped":
-            rs = _galerkin_factors(system)[1].rowsums()
-            return grid / rs[None, :]
-        raise ValueError(f"outlier reduction unsupported for {kind}")
 
 
 def outlier_removal(system):

@@ -181,27 +181,46 @@ def dense_stiffness_oracle(system, mode):
                             ]
                         )
                     )
-            for t in range(len(idx)):
-                if mode == "dual":
-                    gt = grads[t] / c - vals[t] * gc / c**2
-                else:
-                    gt = grads[t]
-                for u in range(len(idx)):
-                    K[idx[t], idx[u]] += w * gt @ A @ grads[u]
+            # the p+1 angular functions at a point are distinct, so idx holds
+            # no repeated index and the fancy-indexed update is exact
+            grads = np.array(grads)
+            if mode == "dual":
+                tests = grads / c - np.outer(vals, gc) / c**2
+            else:
+                tests = grads
+            K[np.ix_(idx, idx)] += w * tests @ A @ grads.T
     return K
+
+
+def oracle_apply(system, K, d):
+    full = system.inject(d)
+    return system.extract((K @ grid_to_vec(full)).reshape(system.full_shape, order="F"))
 
 
 @pytest.mark.parametrize("mode", ["standard", "dual"])
 def test_stiffness_2d_matches_dense_oracle(mode):
-    system = make_system_2d(p=2, nel1=3, nel2=8, dirichlet_radial=True)
-    K = dense_stiffness_oracle(system, mode)
     rng = np.random.default_rng(5)
+    for p in (2, 3, 5):
+        # the angular direction needs more than 2p elements
+        systems = [make_system_2d(p=p, nel1=3, nel2=2 * p + 2, dirichlet_radial=dirichlet)
+                   for dirichlet in (True, False)]
+        K = dense_stiffness_oracle(systems[0], mode)  # the full grid's operator
+        for system in systems:
+            d = rng.normal(size=system.free_shape)
+            ref = oracle_apply(system, K, d)
+            out = stiffness_apply(system, d, test_mode=mode)
+            assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref)), (p, system.dirichlet)
+
+
+def test_stiffness_kernel_follows_a_changed_quadrature_order():
+    system = make_system_2d(p=2, nel1=3, nel2=6)
+    rng = np.random.default_rng(8)
     d = rng.normal(size=system.free_shape)
-    full = system.inject(d)
-    ref_full = (K @ grid_to_vec(full)).reshape(system.full_shape, order="F")
-    ref = system.extract(ref_full)
-    out = stiffness_apply(system, d, test_mode=mode)
-    assert np.max(np.abs(out - ref)) <= 1e-10 * max(1.0, np.max(np.abs(ref)))
+    stiffness_apply(system, d)
+    system.stiffness_points += 2
+    ref = oracle_apply(system, dense_stiffness_oracle(system, "dual"), d)
+    out = stiffness_apply(system, d)
+    assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_manufactured_eigenfunction_residual_decays():

@@ -1,6 +1,8 @@
 """Config parsing, experiment drivers, CSV output, and exit codes."""
 
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -178,6 +180,28 @@ def test_main_exit_codes(tmp_path):
               "--output_dir", out])
         == 3
     )
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["stability", "--mass_kind", "petrov_consistent"],
+        ["annulus", "--n_elems", "4", "--degree", "3"],
+        ["annulus", "--n_elems", "6", "--degree", "2", "--beta", "6"],
+        ["project", "--n_values", "3"],
+    ],
+)
+def test_main_rejects_bad_input_without_traceback(tmp_path, args):
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "iga_explicit.cli", *args, "--output_dir", str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("configuration error:")
 
 
 def test_main_unknown_experiment_rejected():

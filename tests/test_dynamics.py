@@ -221,6 +221,52 @@ def test_outlier_removal_increases_critical_dt(p):
     assert critical_dt(PAPER_CMAX["rk4"], w_red) > critical_dt(PAPER_CMAX["rk4"], w_full)
 
 
+@pytest.mark.parametrize("kind", ["galerkin_consistent", "customized", "rowsum_lumped"])
+def test_outlier_reduced_solve_is_factored_once(kind, monkeypatch):
+    from iga_explicit import assembly, dualbasis
+    from iga_explicit.geometry import annulus_map
+    from iga_explicit.splinecore import PERIODIC
+
+    p, n_r = 3, 8
+    system = DiscreteSystem(
+        [uniform_space(n_r, p), uniform_space(2 * n_r, p, boundary_kind=PERIODIC)],
+        geometry=annulus_map(2.0, 5.0), mass_kind=kind,
+        dirichlet=[(True, True), (False, False)], dual_halfwidth=(p, p + 1),
+    )
+    con = outlier_removal(system)
+    lo, hi = system.free_range(0)
+    if kind == "customized":
+        M0, M1 = (np.linalg.inv(cd.dense_free()) for cd in system.constrained_duals)
+    else:
+        G0 = grammian(system.spaces[0], weight=system.radial_weight(),
+                      points_per_element=system.mass_points)
+        G1 = grammian(system.spaces[1], points_per_element=system.mass_points)
+        if kind == "galerkin_consistent":
+            M0, M1 = G0.to_dense()[lo:hi, lo:hi], G1.to_dense()
+        else:
+            M0, M1 = np.diag(G0.rowsums()[lo:hi]), np.diag(G1.rowsums())
+    T = con.T
+    # (T^T M0 T)^{-1} (x) M1^{-1} on column-major flattened reduced grids
+    ref_op = np.kron(np.linalg.inv(M1), np.linalg.inv(T.T @ M0 @ T))
+
+    solve = con.reduce_mass(system)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return grammian(*args, **kwargs)
+
+    monkeypatch.setattr(dualbasis, "grammian", counting)
+    monkeypatch.setattr(assembly, "grammian", counting)
+    rng = np.random.default_rng(3)
+    for _ in range(10):
+        y = rng.normal(size=con.shape_reduced)
+        ref = (ref_op @ y.reshape(-1, order="F")).reshape(y.shape, order="F")
+        out = solve(y)
+        assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert calls == []
+
+
 def test_outlier_requires_dirichlet():
     space = uniform_space(20, 3)
     system = DiscreteSystem([space], mass_kind="customized")
