@@ -10,7 +10,6 @@ behind the ``iga-explicit`` command line tool.
 from .assembly import (
     DiscreteSystem,
     KroneckerOperator,
-    apply_dirichlet,
     load_vector,
     mass_operator,
     project_initial,
@@ -43,7 +42,7 @@ from .dynamics import (
 )
 from .errors import ConfigError, NumericalError
 from .geometry import GeometryMap, annulus_map, identity_map, weight_field
-from .quadrature import QuadratureRule, gauss_rule, integrate_1d
+from .quadrature import QuadratureRule, gauss_rule
 from .splinecore import (
     BasisEval,
     KnotVector,

@@ -1,35 +1,59 @@
 """Discrete operators on tensor-product spline patches.
 
-Mass matrices in their four variants (Galerkin-consistent, Petrov-consistent,
-customized with explicitly sparse inverse, rowsum-lumped) all keep a
-per-direction Kronecker factorization; the stiffness action is evaluated
-matrix-free with sum factorization through per-direction sparse evaluation
-matrices. Dirichlet constraints are imposed separately per side of the patch
-by restricting the univariate factors; the customized mass keeps its
-factorization through per-factor Woodbury-constrained operators.
+Every tensor-product operation is one per-axis contraction, ``along_axis``,
+applied an axis at a time (sum factorization): the Kronecker mass apply and
+solve, moments and loads against the B-splines, and field values for error
+norms. The mass forms of a system are built on first use and cached on it:
+the b-form Grammians of each test mode (``gram_factors``), and for each mass
+kind (Galerkin-consistent, Petrov-consistent, customized with explicitly
+sparse inverse, rowsum-lumped) its free-index per-direction factors together
+with the factors that project its initial data (``mass_form``). Dirichlet sides are imposed by restricting the univariate factors to
+the free indices; the customized mass keeps its factorization through
+per-factor Woodbury-constrained operators. The stiffness action is evaluated
+matrix-free through per-direction sparse evaluation matrices.
 """
 
 from __future__ import annotations
+
+from functools import reduce
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 
 from .banded import BandedSymmetricMatrix
-from .dualbasis import ConstrainedDual, approximate_dual, constrain_dual, grammian
+from .dualbasis import approximate_dual, constrain_dual, grammian
 from .errors import NumericalError
 from .geometry import _det2, _inv2, weight_field
 from .quadrature import element_quadrature
 from .splinecore import eval_basis
 
-MASS_KINDS = ("galerkin_consistent", "petrov_consistent", "customized", "rowsum_lumped")
+# mass kind -> the test functions of its b-form: the B-splines divided by the
+# weight c ("dual") or the B-splines themselves ("standard")
+MASS_KINDS = {
+    "galerkin_consistent": "standard",
+    "petrov_consistent": "dual",
+    "customized": "dual",
+    "rowsum_lumped": "standard",
+}
+
+
+def along_axis(op, grid, k):
+    """Apply a per-axis operator along axis ``k`` of a coefficient grid.
+
+    ``op`` acts on arrays whose first axis is the contracted one: a matrix
+    product, or a factor's ``matvec`` or ``solve``. One operator per axis,
+    applied in turn, is sum factorization (Antolin et al., CMAME 284, 2015).
+    """
+    return op(grid.swapaxes(0, k)).swapaxes(0, k)
 
 
 # ---------------------------------------------------------------------------
-# univariate operator factors
+# univariate operator factors (BandedSymmetricMatrix is one as it is)
 
 
 class DenseFactor:
-    """Dense univariate factor (used for products like S G and small oracles)."""
+    """Dense univariate factor; apply only (the Petrov mass has no solve)."""
 
     def __init__(self, mat):
         self.mat = np.asarray(mat, dtype=float)
@@ -39,11 +63,11 @@ class DenseFactor:
         x = np.asarray(x, dtype=float)
         return (self.mat @ x.reshape(self.n, -1)).reshape((self.mat.shape[0],) + x.shape[1:])
 
-    def todense(self):
-        return self.mat
+    def solve(self, x):
+        raise NumericalError("a dense mass factor has no solve path")
 
-    def restricted(self, lo, hi):
-        return DenseFactor(self.mat[lo:hi, lo:hi])
+    def to_dense(self):
+        return self.mat
 
     @property
     def storage_entries(self):
@@ -63,39 +87,12 @@ class DiagonalFactor:
         x = np.asarray(x, dtype=float)
         return (x.reshape(self.n, -1) / self.diag[:, None]).reshape(x.shape)
 
-    def todense(self):
+    def to_dense(self):
         return np.diag(self.diag)
-
-    def restricted(self, lo, hi):
-        return DiagonalFactor(self.diag[lo:hi])
 
     @property
     def storage_entries(self):
         return self.n
-
-
-class BandedFactor:
-    """Adapter presenting a BandedSymmetricMatrix as an operator factor."""
-
-    def __init__(self, banded):
-        self.banded = banded
-        self.n = banded.n
-
-    def matvec(self, x):
-        return self.banded.matvec(x)
-
-    def solve(self, x):
-        return self.banded.solve(x)
-
-    def todense(self):
-        return self.banded.to_dense()
-
-    def restricted(self, lo, hi):
-        return BandedFactor(self.banded.submatrix(lo, hi))
-
-    @property
-    def storage_entries(self):
-        return self.banded.storage_entries
 
 
 class WoodburyFactor(DenseFactor):
@@ -117,45 +114,32 @@ class WoodburyFactor(DenseFactor):
 
 
 class KroneckerOperator:
-    """Tensor-product operator factor2 (x) factor1 acting on coefficient grids.
+    """Tensor-product operator whose factor k acts along axis k of a grid.
 
-    Grids are indexed (i1, i2); flattening with column-major order corresponds
-    to the Kronecker product kron(dense(factor2), dense(factor1)).
+    Flattening grids in column-major order turns the operator into the
+    Kronecker product kron(factors[-1], ..., factors[0]).
     """
 
     def __init__(self, factors):
         self.factors = list(factors)
 
-    @property
-    def factor1(self):
-        return self.factors[0]
-
-    @property
-    def factor2(self):
-        return self.factors[1]
-
-    @property
-    def shape_grid(self):
-        return tuple(f.n for f in self.factors)
+    def _sweep(self, method, grid):
+        out = np.asarray(grid, dtype=float)
+        for k, f in enumerate(self.factors):
+            out = along_axis(getattr(f, method), out, k)
+        return out
 
     def apply(self, grid):
-        grid = np.asarray(grid, dtype=float)
-        out = self.factors[0].matvec(grid)
-        if len(self.factors) == 2:
-            out = self.factors[1].matvec(out.T).T
-        return out
+        return self._sweep("matvec", grid)
 
     def solve(self, grid):
-        grid = np.asarray(grid, dtype=float)
-        out = self.factors[0].solve(grid)
-        if len(self.factors) == 2:
-            out = self.factors[1].solve(out.T).T
-        return out
+        return self._sweep("solve", grid)
 
     def to_dense(self):
-        if len(self.factors) == 1:
-            return self.factors[0].todense()
-        return np.kron(self.factors[1].todense(), self.factors[0].todense())
+        shape = tuple(f.n for f in self.factors)
+        n = int(np.prod(shape))
+        columns = self.apply(np.eye(n).reshape(shape + (n,), order="F"))
+        return columns.reshape(n, n, order="F")
 
     @property
     def storage_entries(self):
@@ -165,10 +149,6 @@ class KroneckerOperator:
 def grid_to_vec(grid):
     """Column-major flattening consistent with the Kronecker convention."""
     return np.asarray(grid).reshape(-1, order="F")
-
-
-def vec_to_grid(vec, shape):
-    return np.asarray(vec).reshape(shape, order="F")
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +203,8 @@ class DiscreteSystem:
         self._geom_cache = {}
         self._duals = None
         self._cduals = None
-        self._weight1d = None
+        self._grams = {}  # test mode -> Grammians (gram_factors)
+        self._mass_forms = {}  # mass kind -> MassForm (mass_form)
         self._kernels = {}
 
     # -- index bookkeeping ---------------------------------------------------
@@ -306,14 +287,38 @@ class DiscreteSystem:
         self._tables[key] = entry
         return entry
 
+    def quadrature_grid(self, points_per_element):
+        """Tensor quadrature weights W, det(F) and the weight c = det(F) rho
+        on the quadrature grid (det(F) = 1 and c = rho without a map)."""
+        W = reduce(np.multiply.outer,
+                   [self.tables(k, points_per_element)[1] for k in range(self.ndim)])
+        if self.geometry is None:
+            return W, 1.0, self.rho
+        g = self.geometry_grids(points_per_element)
+        return W, g["det"], g["c"]
+
+    def evaluate(self, func, points_per_element, physical=False):
+        """Values of a callable on the tensor quadrature grid: at the mapped
+        points with ``physical`` and a geometry map, else the parametric ones.
+
+        One-dimensional callables are called point by point, because
+        vectorized ``x**q`` can round differently from scalar evaluation.
+        """
+        xs = [self.tables(k, points_per_element)[0] for k in range(self.ndim)]
+        if self.ndim == 1:
+            return np.array([func(x) for x in xs[0]])
+        if physical and self.geometry is not None:
+            g = self.geometry_grids(points_per_element)
+            return func(g["X"], g["Y"])
+        return func(*np.meshgrid(*xs, indexing="ij"))
+
     def geometry_grids(self, points_per_element):
         """Geometry factors at the tensor quadrature grid of a 2D system."""
         if points_per_element in self._geom_cache:
             return self._geom_cache[points_per_element]
         xq1, wq1, _, _ = self.tables(0, points_per_element)
         xq2, wq2, _, _ = self.tables(1, points_per_element)
-        X1 = xq1[:, None] * np.ones((1, len(xq2)))
-        X2 = np.ones((len(xq1), 1)) * xq2[None, :]
+        X1, X2 = np.meshgrid(xq1, xq2, indexing="ij")
         if self.geometry is None:
             raise ValueError("geometry grids require a 2D system with a map")
         geo = self.geometry
@@ -347,16 +352,14 @@ class DiscreteSystem:
         return grids
 
     def radial_weight(self):
-        """Separable part c1(x1) of the weight field (c2 must be constant 1).
+        """Separable part c1(x1) of the weight field (c2 must be constant 1);
+        the constant density without a map, None for a unit density.
 
         The supported geometry maps have weights depending on x1 only; this is
         verified on a sample grid.
         """
-        if self._weight1d is not None:
-            return self._weight1d
         if self.geometry is None:
-            self._weight1d = None
-            return None
+            return (lambda x: self.rho) if self.rho != 1.0 else None
         c_fn, _ = weight_field(self.geometry)
         xs = np.linspace(0.0, 1.0, 17)
         X1, X2 = np.meshgrid(xs, xs, indexing="ij")
@@ -364,83 +367,93 @@ class DiscreteSystem:
         sep = vals[:, :1] * np.ones((1, len(xs)))
         if np.max(np.abs(vals - sep)) > 1e-10 * np.max(np.abs(vals)):
             raise NumericalError("weight field is not separable; unsupported geometry")
-        self._weight1d = lambda x: float(c_fn(np.asarray(x, float), 0.0))
-        return self._weight1d
+        return lambda x: float(c_fn(np.asarray(x, float), 0.0))
 
 
 # ---------------------------------------------------------------------------
-# mass operators
+# mass forms
 
 
-class MassOperator:
-    """Kronecker-factorized mass with ``apply`` and ``solve`` in free indices."""
+class MassForm(NamedTuple):
+    """Free-index per-direction factors of one mass kind."""
 
-    def __init__(self, kind, kron_apply, kron_solve=None, diag=None, storage=0):
-        self.kind = kind
-        self._apply = kron_apply
-        self._solve = kron_solve
-        self.diag = diag
-        self.storage_entries = storage
-
-    def apply(self, grid):
-        return self._apply(grid)
-
-    def solve(self, grid):
-        if self._solve is None:
-            raise NumericalError(f"mass kind {self.kind} has no solve path")
-        return self._solve(grid)
+    mode: str  # test functions of the b-form: "dual" (B/c) or "standard" (B)
+    factors: list  # the mass: matvec, solve (except Petrov), to_dense
+    projection: list  # solved against the moments of the initial data
+    diag: np.ndarray | None  # lumped diagonal grid (rowsum_lumped only)
 
 
-def _galerkin_factors(system):
-    """Per-direction Grammian factors of the geometry-weighted Galerkin mass."""
-    factors = []
-    for k, space in enumerate(system.spaces):
-        weight = None
-        if k == 0:
-            if system.geometry is not None:
-                weight = system.radial_weight()
-            elif system.rho != 1.0:
-                weight = lambda x: system.rho
-        G = grammian(space, weight=weight, points_per_element=system.mass_points)
-        factors.append(G)
-    return factors
+def gram_factors(system, mode):
+    """Per-direction Grammians b(test_i, B_j) of a test mode on the full
+    space, built once per system.
+
+    The weight c cancels against the dual test functions B/c, which leaves
+    the parametric Grammians the dual bases are built from; the B-splines
+    themselves see the separable weight c1(x1) in direction 0.
+    """
+    if mode not in system._grams:
+        if mode == "dual":
+            grams = [dual.G for dual in system.duals]
+        else:
+            weights = [system.radial_weight()] + [None] * (system.ndim - 1)
+            grams = [grammian(space, weight=w, points_per_element=system.mass_points)
+                     for space, w in zip(system.spaces, weights)]
+        system._grams[mode] = grams
+    return system._grams[mode]
 
 
-def _mass_factors(system):
-    """Free-index per-direction factors of the system's Kronecker mass; each
-    factor's ``todense`` is the mass factor and its ``solve`` the inverse."""
-    kind = system.mass_kind
-    if kind == "galerkin_consistent":
-        return galerkin_gram_operator(system).factors
-    if kind == "customized":
-        return [WoodburyFactor(cd) for cd in system.constrained_duals]
+def mass_form(system, kind=None):
+    """A mass kind's free-index factors and initial projection, built once
+    per system; the kind defaults to the system's own.
+
+    Galerkin-consistent: the restricted geometry-weighted Grammians, which
+    also project. Rowsum-lumped: diagonals of their full rowsums, which
+    project too, as an explicit production code would. Customized: the
+    Woodbury-constrained dual operators. Petrov-consistent: the dense
+    restricted products C = S G (apply only). The dual-weighted kinds project
+    with the restricted parametric Grammians, where the dual coefficients
+    cancel.
+    """
+    kind = kind or system.mass_kind
+    if kind in system._mass_forms:
+        return system._mass_forms[kind]
+    mode = MASS_KINDS[kind]
+    grams = gram_factors(system, mode)
+    free = [slice(*system.free_range(k)) for k in range(system.ndim)]
+    diag = None
     if kind == "rowsum_lumped":
-        diags = [G.rowsums()[slice(*system.free_range(k))]
-                 for k, G in enumerate(_galerkin_factors(system))]
-        if any(np.min(d) <= 0.0 for d in diags):
+        rowsums = [G.rowsums()[f] for G, f in zip(grams, free)]
+        if any(np.min(d) <= 0.0 for d in rowsums):
             raise NumericalError("non-positive rowsum in lumped mass")
-        return [DiagonalFactor(d) for d in diags]
-    raise ValueError(f"mass kind {kind!r} has no factored solve")
+        factors = projection = [DiagonalFactor(d) for d in rowsums]
+        diag = KroneckerOperator(factors).apply(np.ones(system.free_shape))
+    else:
+        projection = [G if G.periodic else G.submatrix(f.start, f.stop)
+                      for G, f in zip(grams, free)]
+        if kind == "galerkin_consistent":
+            factors = projection
+        elif kind == "customized":
+            factors = [WoodburyFactor(cd) for cd in system.constrained_duals]
+        else:
+            factors = [DenseFactor(d.product_dense[f, f]) for d, f in zip(system.duals, free)]
+    system._mass_forms[kind] = MassForm(mode, factors, projection, diag)
+    return system._mass_forms[kind]
+
+
+class MassOperator(KroneckerOperator):
+    """Kronecker-factorized mass of one kind acting on free coefficient grids;
+    ``diag`` is the lumped diagonal grid of the rowsum-lumped kind."""
+
+    def __init__(self, kind, factors, diag=None):
+        super().__init__(factors)
+        self.kind = kind
+        self.diag = diag
 
 
 def mass_operator(system):
-    """Build the mass operator of the system's kind, Dirichlet included."""
-    kind = system.mass_kind
-    if kind == "petrov_consistent":
-        factors = []
-        for k, dual in enumerate(system.duals):
-            C = dual.S.to_dense() @ dual.G.to_dense()
-            lo, hi = system.free_range(k)
-            factors.append(DenseFactor(C[lo:hi, lo:hi]))
-        op = KroneckerOperator(factors)
-        return MassOperator(kind, op.apply, None, storage=op.storage_entries)
-
-    op = KroneckerOperator(_mass_factors(system))
-    diag = None
-    if kind == "rowsum_lumped":
-        diags = [f.diag for f in op.factors]
-        diag = diags[0] if system.ndim == 1 else np.outer(diags[0], diags[1])
-    return MassOperator(kind, op.apply, op.solve, diag=diag, storage=op.storage_entries)
+    """The mass operator of the system's kind, Dirichlet included."""
+    form = mass_form(system)
+    return MassOperator(system.mass_kind, form.factors, form.diag)
 
 
 # ---------------------------------------------------------------------------
@@ -448,9 +461,7 @@ def mass_operator(system):
 
 
 def _test_mode(system, override=None):
-    if override is not None:
-        return override
-    return "dual" if system.mass_kind in ("customized", "petrov_consistent") else "standard"
+    return override or MASS_KINDS[system.mass_kind]
 
 
 class _StiffnessKernel:
@@ -575,6 +586,30 @@ def assembled_stiffness_1d(system, test_mode=None):
 # load vector and initial data
 
 
+def _integrate(system, integrand, pts):
+    """Integrals of a quadrature-grid integrand (weights included) against
+    every tensor B-spline of the full space."""
+    for k in reversed(range(system.ndim)):
+        E = system.tables(k, pts)[2]
+        integrand = along_axis(E.T.__matmul__, integrand, k)
+    return integrand
+
+
+def moments(system, func_param, mode, points_per_element=None):
+    """Moment grid b(test_i, v) of a field v given on parametric coordinates.
+
+    The weight c cancels against the dual test functions B/c (``mode='dual'``),
+    leaving the parametric moments <B_i, v>; the B-splines themselves
+    (``'standard'``) give <B_i, c v>.
+    """
+    pts = points_per_element or (max(s.degree for s in system.spaces) + 2)
+    W, _, c = system.quadrature_grid(pts)
+    vals = system.evaluate(func_param, pts)
+    if mode == "standard":
+        vals = vals * c
+    return _integrate(system, W * vals, pts)
+
+
 def load_vector(system, f=None, neumann=None, lift=None, lift_accel=None, test_mode=None):
     """Assemble the load against the system's test functions on free indices.
 
@@ -583,159 +618,53 @@ def load_vector(system, f=None, neumann=None, lift=None, lift_accel=None, test_m
     are full coefficient grids of a Dirichlet lift g and its acceleration;
     their stiffness and mass contributions are subtracted.
     """
+    if neumann is not None and system.ndim != 1:
+        raise ValueError("Neumann data is supported on 1D systems only")
     mode = _test_mode(system, test_mode)
-
-    if system.ndim == 1:
-        space = system.spaces[0]
-        xq, wq, E, D = system.tables(0, system.stiffness_points)
-        vec = np.zeros(space.dimension)
-        if f is not None:
-            fv = np.array([f(x) for x in xq])
-            scale = 1.0 / system.rho if mode == "dual" else 1.0
-            vec += E.T @ (wq * fv * scale)
-        if neumann is not None:
-            h_left, h_right = neumann
-            scale = 1.0 / system.rho if mode == "dual" else 1.0
-            vec[0] += h_left * scale
-            vec[-1] += h_right * scale
-        out = system.extract(vec)
-    else:
-        if neumann is not None:
-            raise ValueError("Neumann data is supported on 1D systems only")
-        out = np.zeros(system.free_shape)
-        if f is not None:
-            pts = system.stiffness_points
-            _, _, E1, _ = system.tables(0, pts)
-            _, _, E2, _ = system.tables(1, pts)
-            g = system.geometry_grids(pts)
-            fv = f(g["X"], g["Y"])
-            field = fv * g["det"] / g["c"] if mode == "dual" else fv * g["det"]
-            integ = g["W"] * field
-            full = E1.T @ ((E2.T @ integ.T).T)
-            out += system.extract(full)
-
+    full = np.zeros(system.full_shape)
+    if f is not None:
+        pts = system.stiffness_points
+        W, det, c = system.quadrature_grid(pts)
+        field = system.evaluate(f, pts, physical=True) * det
+        full += _integrate(system, W * (field / c if mode == "dual" else field), pts)
+    if neumann is not None:
+        scale = 1.0 / system.rho if mode == "dual" else 1.0
+        full[0] += neumann[0] * scale
+        full[-1] += neumann[1] * scale
     if lift is not None:
-        k_term = _stiffness_full(system, np.asarray(lift, float), mode)
-        out = out - system.extract(k_term)
+        full -= _stiffness_full(system, np.asarray(lift, float), mode)
     if lift_accel is not None:
-        m_term = _parametric_mass_full(system, np.asarray(lift_accel, float), mode)
-        out = out - system.extract(m_term)
-    return out
+        full -= _parametric_mass_full(system, np.asarray(lift_accel, float), mode)
+    return system.extract(full)
 
 
 def _parametric_mass_full(system, full_grid, mode):
     """Mass term b(test, v) for a full grid v; geometry-free in dual mode."""
-    if mode == "dual":
-        factors = [BandedFactor(grammian(s, points_per_element=system.mass_points))
-                   for s in system.spaces]
-    else:
-        factors = [BandedFactor(G) for G in _galerkin_factors(system)]
-    op = KroneckerOperator(factors)
-    return op.apply(full_grid)
-
-
-def parametric_moments(system, func_param, points_per_element=None):
-    """Moment grid <B_i1 B_i2, v> with v given in parametric coordinates."""
-    pts = points_per_element or (max(s.degree for s in system.spaces) + 2)
-    if system.ndim == 1:
-        xq, wq, E, _ = system.tables(0, pts)
-        vals = np.array([func_param(x) for x in xq])
-        return E.T @ (wq * vals)
-    xq1, wq1, E1, _ = system.tables(0, pts)
-    xq2, wq2, E2, _ = system.tables(1, pts)
-    X1 = xq1[:, None] * np.ones((1, len(xq2)))
-    X2 = np.ones((len(xq1), 1)) * xq2[None, :]
-    vals = func_param(X1, X2)
-    integ = (wq1[:, None] * wq2[None, :]) * vals
-    return E1.T @ ((E2.T @ integ.T).T)
-
-
-def physical_moments(system, func_param, points_per_element=None):
-    """Moment grid weighted by c (the Galerkin b-form data for trial tests)."""
-    pts = points_per_element or (max(s.degree for s in system.spaces) + 2)
-    if system.ndim == 1:
-        xq, wq, E, _ = system.tables(0, pts)
-        vals = np.array([func_param(x) for x in xq]) * system.rho
-        return E.T @ (wq * vals)
-    xq1, wq1, E1, _ = system.tables(0, pts)
-    xq2, wq2, E2, _ = system.tables(1, pts)
-    g = system.geometry_grids(pts)
-    X1 = xq1[:, None] * np.ones((1, len(xq2)))
-    X2 = np.ones((len(xq1), 1)) * xq2[None, :]
-    vals = func_param(X1, X2) * g["c"]
-    integ = (wq1[:, None] * wq2[None, :]) * vals
-    return E1.T @ ((E2.T @ integ.T).T)
-
-
-def parametric_gram_operator(system):
-    """Restricted per-direction parametric Grammians with a Kronecker solve."""
-    factors = []
-    for k, space in enumerate(system.spaces):
-        G = grammian(space, points_per_element=system.mass_points)
-        if not space.periodic:
-            lo, hi = system.free_range(k)
-            G = G.submatrix(lo, hi)
-        factors.append(BandedFactor(G))
-    return KroneckerOperator(factors)
+    return KroneckerOperator(gram_factors(system, mode)).apply(full_grid)
 
 
 def project_initial(system, u0_param):
     """Initial coefficients from the method's own mass equations.
 
     ``u0_param`` is the initial field composed with the geometry map, i.e. a
-    callable on parametric coordinates. The dual-weighted kinds solve their
-    consistent projection once at setup, where the dual coefficients cancel
-    and the equations reduce to the parametric L2 projection (a banded
-    per-direction solve); the Galerkin-consistent kind projects in the
-    geometry-weighted metric. The rowsum-lumped kind stays fully lumped,
-    dividing by its diagonal as an explicit production code would; its
-    initial data is therefore only second-order accurate, consistent with
-    the accuracy of the method itself.
+    callable on parametric coordinates. Its moments against the kind's test
+    functions are solved with the kind's projection factors
+    (``mass_form``). The dual-weighted kinds solve their consistent
+    projection once at setup, where the dual coefficients cancel and the
+    equations reduce to the parametric L2 projection (a banded per-direction
+    solve); the Galerkin-consistent kind projects in the geometry-weighted
+    metric. The rowsum-lumped kind stays fully lumped, dividing by its
+    diagonal as an explicit production code would; its initial data is
+    therefore only second-order accurate, consistent with the accuracy of the
+    method itself.
     """
-    kind = system.mass_kind
-    if kind in ("customized", "petrov_consistent"):
-        m_free = system.extract(parametric_moments(system, u0_param))
-        return parametric_gram_operator(system).solve(m_free)
-    m_free = system.extract(physical_moments(system, u0_param))
-    if kind == "rowsum_lumped":
-        return mass_operator(system).solve(m_free)
-    return galerkin_gram_operator(system).solve(m_free)
-
-
-def galerkin_gram_operator(system):
-    """Restricted per-direction geometry-weighted Grammians (Kronecker)."""
-    factors = []
-    for k, G in enumerate(_galerkin_factors(system)):
-        if not G.periodic:
-            lo, hi = system.free_range(k)
-            G = G.submatrix(lo, hi)
-        factors.append(BandedFactor(G))
-    return KroneckerOperator(factors)
+    form = mass_form(system)
+    m_free = system.extract(moments(system, u0_param, form.mode))
+    return KroneckerOperator(form.projection).solve(m_free)
 
 
 # ---------------------------------------------------------------------------
-# Dirichlet restriction of operators and petrov mass oracle
-
-
-def apply_dirichlet(system, operand):
-    """Restrict an operator or grid to the system's free indices."""
-    if isinstance(operand, KroneckerOperator):
-        factors = []
-        for k, f in enumerate(operand.factors):
-            lo, hi = system.free_range(k)
-            if hasattr(f, "restricted"):
-                factors.append(f.restricted(lo, hi))
-            elif isinstance(f, BandedSymmetricMatrix):
-                factors.append(BandedFactor(f.submatrix(lo, hi)))
-            else:
-                raise ValueError("factor cannot be restricted")
-        return KroneckerOperator(factors)
-    if isinstance(operand, BandedSymmetricMatrix):
-        lo, hi = system.free_range(0)
-        return operand.submatrix(lo, hi)
-    if isinstance(operand, np.ndarray):
-        return system.extract(operand)
-    raise ValueError(f"cannot apply constraints to {type(operand)!r}")
+# petrov mass oracle
 
 
 def petrov_mass_dense(system, points_per_element=None):
@@ -748,11 +677,9 @@ def petrov_mass_dense(system, points_per_element=None):
     if system.ndim != 2:
         raise ValueError("petrov mass oracle is for 2D systems")
     pts = points_per_element or system.mass_points
-    _, wq1, E1, _ = system.tables(0, pts)
-    _, wq2, E2, _ = system.tables(1, pts)
-    g = system.geometry_grids(pts)
-    factor = system.rho * g["det"] / g["c"]
-    W = (wq1[:, None] * wq2[None, :]) * factor
+    E1, E2 = (system.tables(k, pts)[2] for k in range(2))
+    W, det, c = system.quadrature_grid(pts)
+    W = W * (system.rho * det / c)
     L1 = E1 @ system.duals[0].S.to_dense()  # columns are dual function values
     L2 = E2 @ system.duals[1].S.to_dense()
     E1d = E1.toarray()

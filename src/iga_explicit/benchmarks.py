@@ -7,6 +7,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .assembly import along_axis
+
 _SERIES_CUTOFF = 12.0
 
 
@@ -186,22 +188,14 @@ def l2_error(system, coeffs_free, exact_xy, points_per_element=None):
     pts = points_per_element or (p + 2)
     if pts < p + 2:
         raise ValueError("error quadrature needs at least degree+2 points")
-    full = system.inject(coeffs_free)
-    if system.ndim == 1:
-        xq, wq, E, _ = system.tables(0, pts)
-        uh = E @ full
-        ue = np.array([exact_xy(x) for x in xq])
-        num = np.sum(wq * (uh - ue) ** 2) * system.rho
-        den = np.sum(wq * ue**2) * system.rho
-    else:
-        _, wq1, E1, _ = system.tables(0, pts)
-        _, wq2, E2, _ = system.tables(1, pts)
-        g = system.geometry_grids(pts)
-        uh = (E2 @ (E1 @ full).T).T
-        ue = exact_xy(g["X"], g["Y"])
-        W = (wq1[:, None] * wq2[None, :]) * g["det"]
-        num = np.sum(W * (uh - ue) ** 2)
-        den = np.sum(W * ue**2)
+    uh = system.inject(coeffs_free)
+    for k in range(system.ndim):
+        uh = along_axis(system.tables(k, pts)[2].__matmul__, uh, k)
+    ue = system.evaluate(exact_xy, pts, physical=True)
+    W, det, _ = system.quadrature_grid(pts)
+    W = W * det
+    num = np.sum(W * (uh - ue) ** 2)
+    den = np.sum(W * ue**2)
     if den <= 0.0:
         raise ValueError("exact field has zero norm")
     return float(np.sqrt(num / den))

@@ -32,8 +32,6 @@ __all__ = [
     "approximate_dual",
     "constrain_dual",
     "quasi_project",
-    "dump_matrices",
-    "read_matrix",
 ]
 
 
@@ -412,37 +410,3 @@ def quasi_project(operator, f, weight=None, points_per_element=None):
     if isinstance(operator, ConstrainedDual):
         return operator.apply_full(m)
     return operator.apply(m)
-
-
-def dump_matrices(basis, directory):
-    """Debug dump of the Grammian, the dual coefficients, and their product."""
-    import os
-
-    os.makedirs(directory, exist_ok=True)
-    paths = {}
-    for name, mat in (
-        ("grammian", basis.G.to_dense()),
-        ("dual_coefficients", basis.S.to_dense()),
-        ("dual_grammian_product", basis.product_dense),
-    ):
-        path = os.path.join(directory, f"{name}.txt")
-        _write_matrix(path, mat)
-        paths[name] = path
-    return paths
-
-
-def _write_matrix(path, mat):
-    with open(path, "w") as fh:
-        fh.write(f"{mat.shape[0]} {mat.shape[1]}\n")
-        for row in mat:
-            fh.write(" ".join(repr(float(v)) for v in row) + "\n")
-
-
-def read_matrix(path):
-    with open(path) as fh:
-        header = fh.readline().split()
-        rows, cols = int(header[0]), int(header[1])
-        data = np.array([[float(v) for v in fh.readline().split()] for _ in range(rows)])
-    if data.shape != (rows, cols):
-        raise ValueError("matrix file shape mismatch")
-    return data

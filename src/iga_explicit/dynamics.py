@@ -356,21 +356,36 @@ class OutlierConstraint:
     def unflatten(self, vec):
         return vec.reshape(self.shape_reduced)
 
-    def reduce_mass(self, system):
-        """Reduced-mass solve (T^T M0 T)^{-1} (x) M1^{-1}: direction 0 dense,
-        the other direction's factor built once here."""
-        from .assembly import _mass_factors
+    def _reduced_solve(self, factors):
+        """Solve with (T^T F0 T) (x) F1 on reduced grids; the dense inverse of
+        the direction-0 block is formed once, here."""
+        from .assembly import along_axis
 
-        factors = _mass_factors(system)
-        inv = np.linalg.inv(self.T.T @ factors[0].todense() @ self.T)
+        inv = np.linalg.inv(self.T.T @ factors[0].to_dense() @ self.T)
 
-        def solve_reduced(reduced_grid):
-            out = np.tensordot(inv, reduced_grid, axes=(1, 0))
-            for f in factors[1:]:
-                out = f.solve(out.T).T
+        def solve(reduced_grid):
+            out = along_axis(inv.__matmul__, reduced_grid, 0)
+            for k in range(1, len(factors)):
+                out = along_axis(factors[k].solve, out, k)
             return out
 
-        return solve_reduced
+        return solve
+
+    def reduce_mass(self, system):
+        """Reduced-mass solve (T^T M0 T)^{-1} (x) M1^{-1}."""
+        from .assembly import mass_form
+
+        return self._reduced_solve(mass_form(system).factors)
+
+    def project_initial(self, system, u0_param):
+        """Reduced initial data y of the system's own projection: with P the
+        kind's projection factors and m the moments of ``u0_param`` against
+        its test functions, (T^T P0 T) (x) P1 y = T^T m."""
+        from .assembly import mass_form, moments
+
+        form = mass_form(system)
+        m_free = system.extract(moments(system, u0_param, form.mode))
+        return self._reduced_solve(form.projection)(self.restrict(m_free))
 
 
 def outlier_removal(system):

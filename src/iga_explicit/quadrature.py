@@ -1,4 +1,4 @@
-"""Gauss-Legendre rules and element-wise integration drivers."""
+"""Gauss-Legendre rules, element quadrature points, and moment vectors."""
 
 from __future__ import annotations
 
@@ -72,26 +72,6 @@ def element_quadrature(space, points_per_element):
     xq = (0.5 * (hi - lo) * (rule.nodes[None, :] + 1.0) + lo).ravel()
     wq = (0.5 * (hi - lo) * rule.weights[None, :]).ravel()
     return xq, wq
-
-
-def integrate_1d(space, integrand, points_per_element=None, max_deriv=0):
-    """Accumulate sum_q w_q * integrand(x_q, basis_eval_q) over all elements.
-
-    The integrand may return a scalar or an ndarray of fixed shape; the
-    weighted contributions are summed. The default rule uses degree+1 points
-    per element (exact for products of two basis functions).
-    """
-    if points_per_element is None:
-        points_per_element = space.degree + 1
-    xq, wq = element_quadrature(space, points_per_element)
-    total = None
-    for x, w in zip(xq, wq):
-        ev = eval_basis(space, x, max_deriv=max_deriv)
-        val = integrand(x, ev)
-        contrib = w * np.asarray(val, dtype=float)
-        total = contrib if total is None else total + contrib
-    total = np.asarray(total)
-    return total if total.shape else float(total)
 
 
 def moments(space, f, weight=None, points_per_element=None):

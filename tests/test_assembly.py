@@ -1,25 +1,25 @@
 """Kronecker operators, mass variants, matrix-free stiffness, Dirichlet handling."""
 
+from functools import reduce
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from iga_explicit.assembly import (
-    BandedFactor,
-    DenseFactor,
     DiagonalFactor,
     DiscreteSystem,
     KroneckerOperator,
-    apply_dirichlet,
     assembled_stiffness_1d,
     grid_to_vec,
     load_vector,
     mass_operator,
-    parametric_moments,
+    moments,
     petrov_mass_dense,
     project_initial,
     stiffness_apply,
 )
+from iga_explicit.banded import BandedSymmetricMatrix
 from iga_explicit.dualbasis import grammian
 from iga_explicit.errors import NumericalError
 from iga_explicit.geometry import annulus_map, identity_map, weight_field
@@ -36,14 +36,23 @@ def make_system_2d(p=2, nel1=4, nel2=8, geometry="annulus", mass_kind="customize
                           kappa=kappa, dirichlet=d)
 
 
-def test_kron_apply_matches_dense():
+@pytest.mark.parametrize("method", ["apply", "solve"])
+@pytest.mark.parametrize("n_factors", [1, 2])
+def test_kron_apply_matches_dense(n_factors, method):
     rng = np.random.default_rng(0)
-    A1 = rng.normal(size=(5, 5))
-    A2 = rng.normal(size=(7, 7))
-    op = KroneckerOperator([DenseFactor(A1), DenseFactor(A2)])
-    grid = rng.normal(size=(5, 7))
-    ref = np.kron(A2, A1) @ grid_to_vec(grid)
-    out = grid_to_vec(op.apply(grid))
+    mats = []
+    for n in (5, 7)[:n_factors]:
+        A = rng.normal(size=(n, n))
+        mats.append(A @ A.T + n * np.eye(n))  # SPD with a full band
+    op = KroneckerOperator([BandedSymmetricMatrix.from_dense(A, len(A) - 1) for A in mats])
+    dense = reduce(lambda acc, A: np.kron(A, acc), mats[1:], mats[0])
+    assert np.max(np.abs(op.to_dense() - dense)) <= 1e-12 * np.max(np.abs(dense))
+    grid = rng.normal(size=tuple(len(A) for A in mats))
+    if method == "apply":
+        ref = dense @ grid_to_vec(grid)
+    else:
+        ref = np.linalg.solve(dense, grid_to_vec(grid))
+    out = grid_to_vec(getattr(op, method)(grid))
     assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
@@ -52,7 +61,7 @@ def test_kron_apply_banded_and_diag_factors():
     space = uniform_space(8, 2)
     G = grammian(space)
     d2 = rng.uniform(1.0, 2.0, size=6)
-    op = KroneckerOperator([BandedFactor(G), DiagonalFactor(d2)])
+    op = KroneckerOperator([G, DiagonalFactor(d2)])
     grid = rng.normal(size=(space.dimension, 6))
     ref = np.kron(np.diag(d2), G.to_dense()) @ grid_to_vec(grid)
     assert_allclose(grid_to_vec(op.apply(grid)), ref, atol=1e-12)
@@ -280,29 +289,12 @@ def test_load_neumann_2d_rejected():
         load_vector(system, neumann=(1.0, 0.0))
 
 
-def test_apply_dirichlet_identity_when_unconstrained():
-    system = make_system_2d(dirichlet_radial=False)
-    rng = np.random.default_rng(6)
-    op = KroneckerOperator([DenseFactor(rng.normal(size=(system.full_shape[0],) * 2)),
-                            DenseFactor(rng.normal(size=(system.full_shape[1],) * 2))])
-    res = apply_dirichlet(system, op)
-    assert_allclose(res.to_dense(), op.to_dense(), atol=0)
-
-
 def test_apply_dirichlet_dimensions():
     system = make_system_2d(p=2, nel1=4, nel2=8, dirichlet_radial=True)
     n1, n2 = system.full_shape
     assert system.free_shape == (n1 - 2, n2)
     grid = np.arange(n1 * n2, dtype=float).reshape(n1, n2)
-    assert apply_dirichlet(system, grid).shape == (n1 - 2, n2)
-
-
-def test_apply_dirichlet_banded_1d():
-    space = uniform_space(17, 2)  # N = 19, constrained interior 17... left only
-    system = DiscreteSystem([space], dirichlet=[(True, False)])
-    G = grammian(space)
-    sub = apply_dirichlet(system, G)
-    assert_allclose(sub.to_dense(), G.to_dense()[1:, 1:], atol=0)
+    assert system.extract(grid).shape == (n1 - 2, n2)
 
 
 def test_storage_scaling_sqrt_n():
@@ -356,7 +348,7 @@ def test_apply_deterministic():
 
 def test_parametric_moments_partition():
     system = make_system_2d(p=2, nel1=3, nel2=8, dirichlet_radial=False)
-    m = parametric_moments(system, lambda x1, x2: np.ones_like(x1))
+    m = moments(system, lambda x1, x2: np.ones_like(x1), "dual")
     assert m.sum() == pytest.approx(1.0, abs=1e-12)
 
 

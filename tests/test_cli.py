@@ -174,9 +174,9 @@ def test_main_exit_codes(tmp_path):
     bad_cfg = tmp_path / "bad.cfg"
     bad_cfg.write_text("degree = 9\n")
     assert main(["spectrum", "--config", str(bad_cfg), "--output_dir", out]) == 2
-    # infeasible dual bandwidth request: numerical failure
+    # a dual bandwidth whose coefficient matrix is not SPD: numerical failure
     assert (
-        main(["project", "--degree", "2", "--n_values", "8", "--beta", "9",
+        main(["project", "--degree", "2", "--n_values", "8", "--beta", "4",
               "--output_dir", out])
         == 3
     )
@@ -187,8 +187,13 @@ def test_main_exit_codes(tmp_path):
     [
         ["stability", "--mass_kind", "petrov_consistent"],
         ["annulus", "--n_elems", "4", "--degree", "3"],
-        ["annulus", "--n_elems", "6", "--degree", "2", "--beta", "6"],
+        ["annulus", "--n_elems", "4", "--degree", "2", "--beta", "4"],
         ["project", "--n_values", "3"],
+        ["project", "--degree", "3", "--n_values", "10", "--beta", "-1"],
+        ["project", "--degree", "3", "--n_values", "10", "--beta", "1"],
+        ["project", "--degree", "3", "--n_values", "10", "--beta", "7"],
+        ["project", "--degree", "2", "--n_values", "8", "--beta", "9"],
+        ["spectrum", "--degree", "2", "--n", "20", "--mass_kind", "customized"],
     ],
 )
 def test_main_rejects_bad_input_without_traceback(tmp_path, args):

@@ -8,11 +8,9 @@ from oracle_utils import gauss_panels, naive_all_values, spline_l2_error
 from iga_explicit.dualbasis import (
     approximate_dual,
     constrain_dual,
-    dump_matrices,
     exact_dual_coeffs,
     grammian,
     quasi_project,
-    read_matrix,
 )
 from iga_explicit.quadrature import moments
 from iga_explicit.splinecore import PERIODIC, make_space, monomial_coefficients, uniform_space
@@ -231,15 +229,3 @@ def test_constraining_periodic_rejected():
     dual = approximate_dual(space)
     with pytest.raises(ValueError):
         constrain_dual(dual, left=True)
-
-
-def test_dump_and_read_roundtrip(tmp_path):
-    space = uniform_space(6, 2)
-    dual = approximate_dual(space)
-    paths = dump_matrices(dual, tmp_path)
-    for name, dense in (
-        ("grammian", dual.G.to_dense()),
-        ("dual_coefficients", dual.S.to_dense()),
-        ("dual_grammian_product", dual.product_dense),
-    ):
-        assert_allclose(read_matrix(paths[name]), dense, atol=0)

@@ -221,18 +221,43 @@ def test_outlier_removal_increases_critical_dt(p):
     assert critical_dt(PAPER_CMAX["rk4"], w_red) > critical_dt(PAPER_CMAX["rk4"], w_full)
 
 
-@pytest.mark.parametrize("kind", ["galerkin_consistent", "customized", "rowsum_lumped"])
-def test_outlier_reduced_solve_is_factored_once(kind, monkeypatch):
-    from iga_explicit import assembly, dualbasis
+RUN_KINDS = ["galerkin_consistent", "customized", "rowsum_lumped"]
+
+
+def membrane_system(kind):
+    """An annulus system with the membrane run's Dirichlet sides and dual widths."""
     from iga_explicit.geometry import annulus_map
     from iga_explicit.splinecore import PERIODIC
 
     p, n_r = 3, 8
-    system = DiscreteSystem(
+    return DiscreteSystem(
         [uniform_space(n_r, p), uniform_space(2 * n_r, p, boundary_kind=PERIODIC)],
         geometry=annulus_map(2.0, 5.0), mass_kind=kind,
         dirichlet=[(True, True), (False, False)], dual_halfwidth=(p, p + 1),
     )
+
+
+def membrane_field(x1, x2):
+    return np.sin(np.pi * x1) * np.cos(4.0 * np.pi * x2)
+
+
+def count_grammian_calls(monkeypatch):
+    from iga_explicit import assembly, dualbasis
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return grammian(*args, **kwargs)
+
+    monkeypatch.setattr(dualbasis, "grammian", counting)
+    monkeypatch.setattr(assembly, "grammian", counting)
+    return calls
+
+
+@pytest.mark.parametrize("kind", RUN_KINDS)
+def test_outlier_reduced_solve_is_factored_once(kind, monkeypatch):
+    system = membrane_system(kind)
     con = outlier_removal(system)
     lo, hi = system.free_range(0)
     if kind == "customized":
@@ -250,14 +275,7 @@ def test_outlier_reduced_solve_is_factored_once(kind, monkeypatch):
     ref_op = np.kron(np.linalg.inv(M1), np.linalg.inv(T.T @ M0 @ T))
 
     solve = con.reduce_mass(system)
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return grammian(*args, **kwargs)
-
-    monkeypatch.setattr(dualbasis, "grammian", counting)
-    monkeypatch.setattr(assembly, "grammian", counting)
+    calls = count_grammian_calls(monkeypatch)
     rng = np.random.default_rng(3)
     for _ in range(10):
         y = rng.normal(size=con.shape_reduced)
@@ -265,6 +283,39 @@ def test_outlier_reduced_solve_is_factored_once(kind, monkeypatch):
         out = solve(y)
         assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
     assert calls == []
+
+
+@pytest.mark.parametrize("kind", RUN_KINDS)
+def test_mass_forms_are_built_once_per_system(kind, monkeypatch):
+    from iga_explicit.assembly import mass_operator, project_initial
+
+    system = membrane_system(kind)
+    con = outlier_removal(system)
+    mass_operator(system)
+    calls = count_grammian_calls(monkeypatch)
+    mass_operator(system)
+    project_initial(system, membrane_field)
+    max_frequency(system, tol=1e-4)
+    con.reduce_mass(system)
+    max_frequency(system, outlier=con, tol=1e-4)
+    con.project_initial(system, membrane_field)
+    assert calls == []
+
+
+def test_lumped_outlier_projection_uses_the_reduced_lumped_mass():
+    from iga_explicit.assembly import moments
+
+    system = membrane_system("rowsum_lumped")
+    con = outlier_removal(system)
+    y = con.project_initial(system, membrane_field)
+    lo, hi = system.free_range(0)
+    D0 = grammian(system.spaces[0], weight=system.radial_weight(),
+                  points_per_element=system.mass_points).rowsums()[lo:hi]
+    D1 = grammian(system.spaces[1], points_per_element=system.mass_points).rowsums()
+    # (T^T D0 T (x) D1) y = T^T m with m the c-weighted moments of the field
+    lhs = con.restrict(np.outer(D0, D1) * con.prolong(y))
+    rhs = con.restrict(system.extract(moments(system, membrane_field, "standard")))
+    assert np.max(np.abs(lhs - rhs)) <= 1e-12 * np.max(np.abs(rhs))
 
 
 def test_outlier_requires_dirichlet():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from iga_explicit.quadrature import element_quadrature, gauss_rule, integrate_1d, moments
+from iga_explicit.quadrature import element_quadrature, gauss_rule, moments
 from iga_explicit.splinecore import uniform_space
 
 
@@ -57,33 +57,33 @@ def test_rule_bounds():
         gauss_rule(65)
 
 
+def integrate(space, f):
+    """Element-wise quadrature with degree+1 points per element."""
+    xq, wq = element_quadrature(space, space.degree + 1)
+    return float(np.sum(wq * f(xq)))
+
+
 def test_integrate_constant():
     space = uniform_space(5, 2)
-    assert integrate_1d(space, lambda x, ev: 1.0) == pytest.approx(1.0, abs=1e-14)
+    assert integrate(space, np.ones_like) == pytest.approx(1.0, abs=1e-14)
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4])
 def test_integrate_monomial_exact(p):
     space = uniform_space(3, p)
-    val = integrate_1d(space, lambda x, ev: x ** (2 * p))
+    val = integrate(space, lambda x: x ** (2 * p))
     assert val == pytest.approx(1.0 / (2 * p + 1), abs=1e-14)
 
 
 def test_integrate_sine():
     space = uniform_space(8, 3)
-    val = integrate_1d(space, lambda x, ev: np.sin(np.pi * x))
+    val = integrate(space, lambda x: np.sin(np.pi * x))
     assert val == pytest.approx(2.0 / np.pi, abs=1e-10)
 
 
 def test_integrate_vector_accumulation():
     space = uniform_space(6, 2)
-
-    def basis_integrals(x, ev):
-        out = np.zeros(space.dimension)
-        out[ev.indices] = ev.values[0]
-        return out
-
-    vec = integrate_1d(space, basis_integrals)
+    vec = moments(space, lambda x: 1.0, points_per_element=3)
     assert vec.shape == (space.dimension,)
     assert vec.sum() == pytest.approx(1.0, abs=1e-13)
 
