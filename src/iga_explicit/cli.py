@@ -111,6 +111,19 @@ class RunConfig:
                     f"n_elems {too_coarse} too coarse: angular_factor * n_elems must "
                     f"exceed {2 * band} at degree {self.degree}"
                 )
+        if self.degree >= 3 and (self.outlier_removed or self.experiment == "stability"):
+            # the end constraints act on the p free functions at each end of
+            # direction 0 (stability always computes the outlier case)
+            free = {
+                "spectrum": [self.n - 2],
+                "stability": [self.n - 2],
+                "annulus": [m + self.degree - 2 for m in self.n_elems],
+            }.get(self.experiment, [])
+            if any(f < 2 * self.degree for f in free):
+                problems.append(
+                    f"outlier removal needs {2 * self.degree} free functions in direction 0 "
+                    f"at degree {self.degree} (got {min(free)})"
+                )
         if problems:
             raise ConfigError("; ".join(problems))
         return self
@@ -230,11 +243,13 @@ def _base_metadata(config, system=None, extra=None):
 # spectrum
 
 
-def string_spectra(p, n_dim, beta=None, outlier_removed=False):
+def string_spectra(p, n_dim, beta=None, outlier_choices=(False,)):
     """Dense string frequencies for the three mass kinds.
 
-    Returns (system, {kind: frequencies}) with Dirichlet ends imposed and an
-    optional outlier-removal basis transformation applied to all kinds.
+    Returns (system, {outlier_removed: {kind: frequencies}}) with Dirichlet
+    ends imposed; the system, its dual, stiffness and masses are built once
+    for all ``outlier_choices``, and an outlier-removal basis transformation
+    applies to all kinds where the choice is True.
     """
     space = uniform_space(n_dim - p, p)
     system = DiscreteSystem(
@@ -242,21 +257,26 @@ def string_spectra(p, n_dim, beta=None, outlier_removed=False):
     )
     lo, hi = system.free_range(0)
     K = assembled_stiffness_1d(system, test_mode="standard").to_dense()[lo:hi, lo:hi]
-    T = OutlierConstraint(system).T if outlier_removed else None
-    freqs = {}
-    for kind in RUN_MASS_KINDS:
-        M = mass_form(system, kind).factors[0].to_dense()
-        if T is not None:
-            res = eigensolve(T.T @ K @ T, T.T @ M @ T, kind, True)
+    masses = {kind: mass_form(system, kind).factors[0].to_dense() for kind in RUN_MASS_KINDS}
+    spectra = {}
+    for outlier_removed in outlier_choices:
+        if outlier_removed:
+            T = OutlierConstraint(system).T
+            reduce = lambda A: T.T @ A @ T
         else:
-            res = eigensolve(K, M, kind, False)
-        freqs[kind] = res.frequencies
-    return system, freqs
+            reduce = lambda A: A
+        K_red = reduce(K)
+        spectra[outlier_removed] = {
+            kind: eigensolve(K_red, reduce(M), kind, outlier_removed).frequencies
+            for kind, M in masses.items()
+        }
+    return system, spectra
 
 
 def run_spectrum(config):
     p = config.degree
-    system, freqs = string_spectra(p, config.n, config.beta, config.outlier_removed)
+    system, spectra = string_spectra(p, config.n, config.beta, (config.outlier_removed,))
+    freqs = spectra[config.outlier_removed]
     n_modes = len(freqs["galerkin_consistent"])
     k = np.arange(1, n_modes + 1)
     exact = string_frequencies(k)
@@ -342,10 +362,7 @@ def run_stability(config):
     c_paper = PAPER_CMAX[scheme]
     c_computed = stability_limit(TABLEAUS[scheme])
     rows = []
-    system = None
-    spectra = {}
-    for outlier in (False, True):
-        system, spectra[outlier] = string_spectra(p, config.n, config.beta, outlier)
+    system, spectra = string_spectra(p, config.n, config.beta, (False, True))
     base_dt = critical_dt(c_paper, float(spectra[False]["galerkin_consistent"][-1]))
     for outlier in (False, True):
         for kind in config.kinds():
@@ -418,16 +435,13 @@ def annulus_run_single(sol, p, n_r, n_theta, kind, scheme, dt_fraction,
     if outlier_removed and p >= 3:
         outlier = OutlierConstraint(system)
 
-    # the timestep bound tolerates a loose frequency estimate; the dense top
-    # edge of the 2D spectrum makes the operator-level default impractical
-    omega_tol = 1e-6
     t0 = time.perf_counter()
     if outlier is None:
-        omega_max = max_frequency(system, tol=omega_tol)
+        omega_max = max_frequency(system)
         rhs = lambda d: -mass.solve(stiffness_apply(system, d))
         d0 = project_initial(system, u0_param)
     else:
-        omega_max = max_frequency(system, outlier=outlier, tol=omega_tol)
+        omega_max = max_frequency(system, outlier=outlier)
         reduced_solve = outlier.reduce_mass(system)
         rhs = lambda y: -reduced_solve(
             outlier.restrict(stiffness_apply(system, outlier.prolong(y)))

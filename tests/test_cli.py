@@ -135,9 +135,17 @@ def test_run_spectrum_outlier_reduces_rows(tmp_path):
     assert len(body) - 1 == 36  # two extra end constraints
 
 
-def test_run_stability_ratios(tmp_path):
+def test_run_stability_ratios(tmp_path, monkeypatch):
+    from iga_explicit import assembly
+
+    duals = []
+    build = assembly.approximate_dual
+    monkeypatch.setattr(assembly, "approximate_dual",
+                        lambda *args, **kwargs: duals.append(args) or build(*args, **kwargs))
     cfg = build_config("stability", {}, {"degree": 3, "n": 60, "output_dir": str(tmp_path)})
     path = run_stability(cfg)
+    # one string system serves the runs with and without outlier removal
+    assert len(duals) == 1
     _, body = split_csv(path)
     header = body[0].split(",")
     rows = [dict(zip(header, l.split(","))) for l in body[1:]]
@@ -194,6 +202,12 @@ def test_main_exit_codes(tmp_path):
         ["project", "--degree", "3", "--n_values", "10", "--beta", "7"],
         ["project", "--degree", "2", "--n_values", "8", "--beta", "9"],
         ["spectrum", "--degree", "2", "--n", "20", "--mass_kind", "customized"],
+        # outlier removal needs 2p free functions in direction 0
+        ["stability", "--degree", "3", "--n", "7"],
+        ["stability", "--degree", "5", "--n", "10"],
+        ["spectrum", "--degree", "5", "--n", "9", "--outlier_removed", "true"],
+        ["annulus", "--degree", "3", "--n_elems", "2", "--angular_factor", "8",
+         "--outlier_removed", "true"],
     ],
 )
 def test_main_rejects_bad_input_without_traceback(tmp_path, args):

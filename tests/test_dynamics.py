@@ -134,9 +134,13 @@ def test_linear_fem_dispersion():
 
 
 def test_power_iteration_diagonal():
-    K = np.diag(np.arange(1.0, 11.0))
-    omega, its = power_max_frequency(lambda v: K @ v, 10)
-    assert omega == pytest.approx(np.sqrt(10.0), rel=1e-6)
+    # n <= 2 is below ARPACK's minimum dimension
+    for n in (1, 2, 10):
+        K = np.diag(np.arange(1.0, n + 1.0))
+        omega, applies = power_max_frequency(lambda v: K @ v, n)
+        assert omega == pytest.approx(np.sqrt(n), rel=1e-9)
+        assert omega >= np.sqrt(n)
+        assert applies >= n
 
 
 def test_power_iteration_matches_dense_string():
@@ -224,12 +228,11 @@ def test_outlier_removal_increases_critical_dt(p):
 RUN_KINDS = ["galerkin_consistent", "customized", "rowsum_lumped"]
 
 
-def membrane_system(kind):
+def membrane_system(kind, p=3, n_r=8):
     """An annulus system with the membrane run's Dirichlet sides and dual widths."""
     from iga_explicit.geometry import annulus_map
     from iga_explicit.splinecore import PERIODIC
 
-    p, n_r = 3, 8
     return DiscreteSystem(
         [uniform_space(n_r, p), uniform_space(2 * n_r, p, boundary_kind=PERIODIC)],
         geometry=annulus_map(2.0, 5.0), mass_kind=kind,
@@ -326,10 +329,45 @@ def test_outlier_requires_dirichlet():
 
 
 def test_power_iteration_nonconvergence_reports_quotients():
-    # two nearly equal leading eigenvalues, tiny iteration budget
-    A = np.diag([1.0, 1.0 - 1e-12, 0.5])
-    with pytest.raises(NumericalError, match="Rayleigh"):
-        power_max_frequency(lambda v: A @ v, 3, tol=1e-16, max_iterations=4, block=1)
+    # an evenly spread spectrum and one restart cycle: the top Ritz value is
+    # far from its eigenvalue when the budget runs out
+    A = np.diag(np.linspace(0.0, 1.0, 200))
+    with pytest.raises(NumericalError, match="Ritz estimate"):
+        power_max_frequency(lambda v: A @ v, 200, max_iterations=1)
+
+
+def dense_omega(system, outlier=None):
+    """sqrt(max |eig|) of M^{-1} K (or its outlier-reduced form), formed
+    column by column from the matrix-free operators."""
+    from iga_explicit.assembly import mass_operator, stiffness_apply
+
+    if outlier is None:
+        solve, shape = mass_operator(system).solve, system.free_shape
+        restrict = prolong = lambda grid: grid
+    else:
+        solve, shape = outlier.reduce_mass(system), outlier.shape_reduced
+        restrict, prolong = outlier.restrict, outlier.prolong
+    n = int(np.prod(shape))
+    columns = np.column_stack([
+        solve(restrict(stiffness_apply(system, prolong(e.reshape(shape))))).ravel()
+        for e in np.eye(n)
+    ])
+    return float(np.sqrt(np.max(np.abs(np.linalg.eigvals(columns)))))
+
+
+@pytest.mark.parametrize(
+    "p,n_r,kind,outlier",
+    [(p, n_r, kind, False) for p in (3, 5) for n_r in (8, 16) for kind in RUN_KINDS]
+    + [(p, 8, kind, True) for p in (3, 5) for kind in ("galerkin_consistent", "customized")],
+)
+def test_max_frequency_bounds_the_dense_oracle(p, n_r, kind, outlier):
+    system = membrane_system(kind, p, n_r)
+    con = outlier_removal(system) if outlier else None
+    omega = max_frequency(system, outlier=con)
+    exact = dense_omega(system, con)
+    # never an underestimate, which would give an unstable timestep
+    assert omega >= exact
+    assert omega <= exact * (1.0 + 1e-8)
 
 
 def test_rk_step_rejects_nonpositive_dt():
