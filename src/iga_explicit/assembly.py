@@ -7,10 +7,11 @@ norms. The mass forms of a system are built on first use and cached on it:
 the b-form Grammians of each test mode (``gram_factors``), and for each mass
 kind (Galerkin-consistent, Petrov-consistent, customized with explicitly
 sparse inverse, rowsum-lumped) its free-index per-direction factors together
-with the factors that project its initial data (``mass_form``). Dirichlet sides are imposed by restricting the univariate factors to
-the free indices; the customized mass keeps its factorization through
-per-factor Woodbury-constrained operators. The stiffness action is evaluated
-matrix-free through per-direction sparse evaluation matrices.
+with the factors that project its initial data (``mass_form``). Dirichlet
+sides are imposed by restricting the univariate factors to the free indices;
+the customized mass keeps a banded inverse there, the Schur complement
+S_ff - S_fc S_cc^{-1} S_cf of the constrained dual. The stiffness action is
+evaluated matrix-free through per-direction sparse evaluation matrices.
 """
 
 from __future__ import annotations
@@ -95,22 +96,27 @@ class DiagonalFactor:
         return self.n
 
 
-class WoodburyFactor(DenseFactor):
-    """Customized mass factor on free indices: its solve is the constrained
-    dual coefficient operator, applied through the Woodbury updates."""
+class InverseFactor:
+    """Factor given by its banded inverse: the customized mass, whose inverse
+    is the constrained dual coefficient matrix. The solve is a banded matvec
+    and the apply a banded Cholesky solve."""
 
-    def __init__(self, constrained):
-        super().__init__(np.linalg.inv(constrained.dense_free()))
-        self.constrained = constrained
+    def __init__(self, inverse):
+        self.inverse = inverse
+        self.n = inverse.n
+
+    def matvec(self, x):
+        return self.inverse.solve(x)
 
     def solve(self, x):
-        return self.constrained.apply_free(x)
+        return self.inverse.matvec(x)
+
+    def to_dense(self):
+        return self.inverse.solve(np.eye(self.n))
 
     @property
     def storage_entries(self):
-        base = self.constrained.parent.S.storage_entries
-        extra = sum(Z.size + W.size + 4 for (Z, W, _) in self.constrained._updates)
-        return base + extra
+        return self.inverse.storage_entries
 
 
 class KroneckerOperator:
@@ -187,6 +193,11 @@ class DiscreteSystem:
         self.mass_kind = mass_kind
         self.kappa = float(kappa)
         self.rho = float(geometry.rho) if geometry is not None else float(rho)
+        if np.ndim(dual_halfwidth) and len(dual_halfwidth) != len(self.spaces):
+            raise ValueError(
+                f"dual_halfwidth has {len(dual_halfwidth)} entries for "
+                f"{len(self.spaces)} directions"
+            )
         self.dual_halfwidth = dual_halfwidth
         if dirichlet is None:
             dirichlet = [(False, False)] * len(self.spaces)
@@ -247,7 +258,7 @@ class DiscreteSystem:
     def duals(self):
         if self._duals is None:
             hw = self.dual_halfwidth
-            if hw is None or np.ndim(hw) == 0:
+            if np.ndim(hw) == 0:
                 hw = [hw] * len(self.spaces)
             self._duals = [
                 approximate_dual(s, halfwidth=h) for s, h in zip(self.spaces, hw)
@@ -409,10 +420,10 @@ def mass_form(system, kind=None):
     Galerkin-consistent: the restricted geometry-weighted Grammians, which
     also project. Rowsum-lumped: diagonals of their full rowsums, which
     project too, as an explicit production code would. Customized: the
-    Woodbury-constrained dual operators. Petrov-consistent: the dense
-    restricted products C = S G (apply only). The dual-weighted kinds project
-    with the restricted parametric Grammians, where the dual coefficients
-    cancel.
+    inverses of the constrained dual coefficient matrices. Petrov-consistent:
+    the dense restricted products C = S G (apply only). The dual-weighted
+    kinds project with the restricted parametric Grammians, where the dual
+    coefficients cancel.
     """
     kind = kind or system.mass_kind
     if kind in system._mass_forms:
@@ -433,7 +444,7 @@ def mass_form(system, kind=None):
         if kind == "galerkin_consistent":
             factors = projection
         elif kind == "customized":
-            factors = [WoodburyFactor(cd) for cd in system.constrained_duals]
+            factors = [InverseFactor(cd.S) for cd in system.constrained_duals]
         else:
             factors = [DenseFactor(d.product_dense[f, f]) for d, f in zip(system.duals, free)]
     system._mass_forms[kind] = MassForm(mode, factors, projection, diag)

@@ -157,12 +157,6 @@ class ManufacturedSolution:
             * np.cos(self.angular_wavenumber * np.asarray(theta))
         )
 
-    def initial_value(self, r, theta):
-        return self.value(r, theta, 0.0)
-
-    def initial_velocity(self, r, theta):
-        return np.zeros_like(np.asarray(r, dtype=float))
-
 
 def annulus_solution():
     """The benchmark field: J_4 radial profile between its 2nd and 4th zeros."""

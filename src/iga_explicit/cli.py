@@ -335,8 +335,7 @@ def run_project(config):
                 dirichlet=[(dl, dr)],
                 dual_halfwidth=config.beta,
             )
-            dual = system.duals[0]
-            op = constrain_dual(dual, left=dl, right=dr) if (dl or dr) else dual
+            op = constrain_dual(system.duals[0], left=dl, right=dr)
             coeffs_full = quasi_project(op, f)
             err = l2_error(system, system.extract(coeffs_full), f)
             constrained = {

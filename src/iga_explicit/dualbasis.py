@@ -7,9 +7,10 @@ monomial coefficient vectors up to the polynomial degree. It is symmetric
 positive definite (verified, not imposed), has local support, and every row of
 the product C = S G sums to one, so rowsum lumping of C yields the identity.
 
-Homogeneous boundary constraints are realized through rank-two Woodbury
-updates of the inverse, one per constrained end, without ever forming the
-inverse of S densely.
+Homogeneous boundary constraints keep the dual banded: the inverse of S^{-1}
+restricted to the free indices is the Schur complement
+S_ff - S_fc S_cc^{-1} S_cf, whose correction stays inside the band of S near
+each constrained end, so the inverse of S is never formed.
 """
 
 from __future__ import annotations
@@ -93,15 +94,15 @@ class ApproximateDualBasis:
 def approximate_dual(space, halfwidth=None, feasibility_tol=1e-9):
     """Construct the approximate dual coefficient matrix for a space.
 
-    The half-bandwidth defaults to the degree and is escalated up to twice the
-    degree if the duality constraints are infeasible at the requested width.
-    SPD-ness is verified by Cholesky after construction and reported as an
-    error if violated.
+    The half-bandwidth defaults to the degree, may not be below it, and is
+    escalated up to twice the degree if the duality constraints are infeasible
+    at the requested width. SPD-ness is verified by Cholesky after
+    construction and reported as an error if violated.
     """
     p = space.degree
     base = p if halfwidth is None else int(halfwidth)
     if base < p:
-        base = p
+        raise ValueError(f"dual halfwidth {base} is below the degree {p}")
     G = grammian(space)
     last_residual = None
     for hw in range(base, 2 * p + 1):
@@ -307,91 +308,44 @@ def _fact(k):
 class ConstrainedDual:
     """Dual coefficient operator with homogeneous end constraints.
 
-    Realizes the inverse of the submatrix of S^{-1} with constrained rows and
-    columns removed, applied through one rank-two Woodbury update per
-    constrained end. Applying the operator to a full moment vector returns
-    full-length coefficients with zeros in the constrained slots.
+    Holds the inverse of the submatrix of S^{-1} on the free indices f. By the
+    block-inverse identity this is the Schur complement
+    S_ff - S_fc S_cc^{-1} S_cf of the constrained block c, one or two ends.
+    S_fc is nonzero only within the halfwidth of an end, so the correction
+    stays inside the band of S_ff. Without constraints the view holds S.
     """
 
     def __init__(self, parent, left=False, right=False):
         if parent.space.periodic and (left or right):
             raise ValueError("cannot constrain a periodic direction")
-        self.parent = parent
-        self.left = bool(left)
-        self.right = bool(right)
         self.space = parent.space
-        n = parent.space.dimension
-        self.n = n
-        self._updates = []  # (Z, W, Cinv) per constrained end, applied in order
-
         S = parent.S
-        cleared = []
-        sides = ([0] if self.left else []) + ([n - 1] if self.right else [])
-        for k in sides:
-            ek = np.zeros(n)
-            ek[k] = 1.0
-            # column k of the matrix currently being updated: the inverse of S
-            # with previously cleared rows/columns zeroed off the diagonal
-            g = S.solve(ek)
-            for done in cleared:
-                g[done] = 0.0
-            u1 = g.copy()
-            u1[k] = 0.0
-            U = np.stack([u1, -ek], axis=1)
-            V = np.stack([-ek, u1], axis=1)
-            Z = self._apply_chain(U)
-            W = self._apply_chain(V)
-            C = np.eye(2) + V.T @ Z
-            if abs(np.linalg.det(C)) < 1e-300:
-                raise NumericalError("singular capacitance matrix in boundary update")
-            self._updates.append((Z, W, np.linalg.inv(C)))
-            cleared.append(k)
+        n = S.n
+        lo, hi = (1 if left else 0), (n - 1 if right else n)
+        self.free_slice = slice(lo, hi)
+        constrained = [k for k, on in ((0, left), (n - 1, right)) if on]
+        if not constrained:
+            self.S = S
+            return
+        unit = np.zeros((n, len(constrained)))
+        unit[constrained, range(len(constrained))] = 1.0
+        columns = S.matvec(unit)
+        S_fc = columns[lo:hi]
+        X = np.linalg.solve(columns[constrained], S_fc.T).T  # S_fc S_cc^{-1}
+        self.S = S.submatrix(lo, hi)
+        m = hi - lo
+        for d in range(self.S.halfwidth + 1):
+            self.S.bands[d, : m - d] -= np.einsum("ia,ia->i", X[: m - d], S_fc[d:])
 
-    def _apply_chain(self, x):
-        y = self.parent.S.matvec(x)
-        for Z, W, Cinv in self._updates:
-            y = y - Z @ (Cinv @ (W.T @ x))
-        return y
-
-    @property
-    def constrained_indices(self):
-        out = []
-        if self.left:
-            out.append(0)
-        if self.right:
-            out.append(self.n - 1)
-        return out
-
-    @property
-    def free_slice(self):
-        lo = 1 if self.left else 0
-        hi = self.n - 1 if self.right else self.n
-        return slice(lo, hi)
-
-    @property
-    def n_free(self):
-        s = self.free_slice
-        return s.stop - s.start
-
-    def apply_full(self, x):
-        """Apply to a full-length moment vector; constrained entries are zeroed."""
+    def apply(self, x):
+        """Apply to a full-length moment vector; constrained entries are zero."""
         x = np.asarray(x, dtype=float)
-        y = self._apply_chain(x.reshape(self.n, -1)).reshape(x.shape)
-        for k in self.constrained_indices:
-            y[k] = 0.0
+        y = np.zeros(x.shape)
+        y[self.free_slice] = self.S.matvec(x[self.free_slice])
         return y
-
-    def apply_free(self, x):
-        """Apply the restricted inverse to free-length data (vector or columns)."""
-        x = np.asarray(x, dtype=float)
-        shape = (self.n,) + x.shape[1:]
-        full = np.zeros(shape)
-        full[self.free_slice] = x
-        y = self.apply_full(full)
-        return y[self.free_slice]
 
     def dense_free(self):
-        return self.apply_free(np.eye(self.n_free))
+        return self.S.to_dense()
 
 
 def constrain_dual(basis, left=False, right=False):
@@ -405,8 +359,5 @@ def quasi_project(operator, f, weight=None, points_per_element=None):
     ``operator`` is an ApproximateDualBasis or a ConstrainedDual; with the
     latter, constrained coefficients are zeroed (homogeneous end values).
     """
-    space = operator.space
-    m = moments(space, f, weight=weight, points_per_element=points_per_element)
-    if isinstance(operator, ConstrainedDual):
-        return operator.apply_full(m)
+    m = moments(operator.space, f, weight=weight, points_per_element=points_per_element)
     return operator.apply(m)

@@ -83,7 +83,7 @@ def test_criterion_2_quasi_projection_exactness():
                 coeffs = quasi_project(con, f)
                 err = spline_l2_error(space, coeffs, f, n_panels=64, n_pts=6)
                 assert err <= 1e-10, f"constrained reproduction {err:.2e} (p={p})"
-            # Woodbury operator equals the dense submatrix-inverse oracle
+            # the constrained dual equals the dense submatrix-inverse oracle
             Ghat = np.linalg.inv(dual.S.to_dense())
             for dl, dr in ((True, False), (False, True), (True, True)):
                 lo = 1 if dl else 0
@@ -91,7 +91,7 @@ def test_criterion_2_quasi_projection_exactness():
                 oracle = np.linalg.inv(Ghat[lo:hi, lo:hi])
                 got = constrain_dual(dual, left=dl, right=dr).dense_free()
                 dev = float(np.max(np.abs(got - oracle)))
-                assert dev <= 1e-10 * np.max(np.abs(oracle)), f"woodbury {dev:.2e}"
+                assert dev <= 1e-10 * np.max(np.abs(oracle)), f"constrained dual {dev:.2e}"
         elapsed = time.perf_counter() - t0
         assert elapsed < 5.0, f"runtime {elapsed:.1f}s over budget"
 

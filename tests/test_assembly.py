@@ -92,23 +92,31 @@ def test_petrov_mass_rowsums_one():
     assert np.max(np.abs(M.apply(ones) - 1.0)) <= 1e-12
 
 
-def test_customized_solve_matches_dense_kron_oracle():
-    # N1 = N2 = 12
-    s1 = uniform_space(10, 2)
-    s2 = uniform_space(12, 2, boundary_kind=PERIODIC)
-    system = DiscreteSystem([s1, s2], geometry=annulus_map(1.0, 2.0), mass_kind="customized")
+@pytest.mark.parametrize("dirichlet_radial", [False, True])
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_customized_solve_matches_dense_kron_oracle(p, dirichlet_radial):
+    system = DiscreteSystem([uniform_space(10, p), uniform_space(12, p, boundary_kind=PERIODIC)],
+                            geometry=annulus_map(1.0, 2.0), mass_kind="customized",
+                            dirichlet=[(dirichlet_radial,) * 2, (False, False)])
     mass = mass_operator(system)
-    S1 = system.duals[0].S.to_dense()
-    S2 = system.duals[1].S.to_dense()
-    Ghat = np.kron(np.linalg.inv(S2), np.linalg.inv(S1))
+    # the solve is the Kronecker product of the inverses of inv(S_k)[f, f]
+    blocks = []
+    for k, dual in enumerate(system.duals):
+        f = slice(*system.free_range(k))
+        blocks.append(np.linalg.inv(np.linalg.inv(dual.S.to_dense())[f, f]))
+    oracle = np.kron(blocks[1], blocks[0])
     rng = np.random.default_rng(2)
-    f = rng.normal(size=(12, 12))
-    ref = np.linalg.solve(Ghat, grid_to_vec(f))
-    out = grid_to_vec(mass.solve(f))
+    grid = rng.normal(size=system.free_shape)
+    ref = oracle @ grid_to_vec(grid)
+    out = grid_to_vec(mass.solve(grid))
     assert np.max(np.abs(out - ref)) <= 1e-9 * np.max(np.abs(ref))
     # the apply path is the inverse of the solve path
-    back = grid_to_vec(mass.apply(mass.solve(f)))
-    assert_allclose(back, grid_to_vec(f), atol=1e-9)
+    back = grid_to_vec(mass.apply(mass.solve(grid)))
+    assert_allclose(back, grid_to_vec(grid), atol=1e-9)
+    # the factors store band entries only, no dense inverse
+    for factor, n, dual in zip(mass.factors, system.free_shape, system.duals):
+        assert factor.storage_entries == (min(dual.halfwidth, n - 1) + 1) * n
+        assert all(np.size(v) <= factor.storage_entries for v in vars(factor).values())
 
 
 def test_galerkin_mass_spd_and_solve():
@@ -295,6 +303,15 @@ def test_apply_dirichlet_dimensions():
     assert system.free_shape == (n1 - 2, n2)
     grid = np.arange(n1 * n2, dtype=float).reshape(n1, n2)
     assert system.extract(grid).shape == (n1 - 2, n2)
+
+
+@pytest.mark.parametrize("ndim,halfwidths", [(2, (3,)), (2, (3, 3, 3)), (1, (3, 4))],
+                         ids=["2d-short", "2d-long", "1d-long"])
+def test_dual_halfwidth_length_must_match_the_directions(ndim, halfwidths):
+    spaces = [uniform_space(8, 3), uniform_space(16, 3, boundary_kind=PERIODIC)][:ndim]
+    geometry = annulus_map(1.0, 2.0) if ndim == 2 else None
+    with pytest.raises(ValueError, match="dual_halfwidth"):
+        DiscreteSystem(spaces, geometry=geometry, dual_halfwidth=halfwidths)
 
 
 def test_storage_scaling_sqrt_n():

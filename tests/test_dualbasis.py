@@ -1,4 +1,4 @@
-"""Grammian, exact and approximate dual bases, Woodbury constraints, quasi-projection."""
+"""Grammian, exact and approximate dual bases, end constraints, quasi-projection."""
 
 import numpy as np
 import pytest
@@ -135,7 +135,13 @@ def test_unconstrained_view_equals_plain_apply():
     view = constrain_dual(dual)
     rng = np.random.default_rng(9)
     x = rng.normal(size=space.dimension)
-    assert_allclose(view.apply_full(x), dual.apply(x), atol=0)
+    assert_allclose(view.apply(x), dual.apply(x), atol=0)
+
+
+@pytest.mark.parametrize("degree", [2, 3, 5])
+def test_halfwidth_below_degree_rejected(degree):
+    with pytest.raises(ValueError, match="below the degree"):
+        approximate_dual(uniform_space(10, degree), halfwidth=degree - 1)
 
 
 @pytest.mark.parametrize("left,right", [(True, False), (False, True), (True, True)])
