@@ -10,7 +10,6 @@ behind the ``iga-explicit`` command line tool.
 from .assembly import (
     DiscreteSystem,
     KroneckerOperator,
-    load_vector,
     mass_operator,
     project_initial,
     stiffness_apply,

@@ -2,16 +2,24 @@
 
 Every tensor-product operation is one per-axis contraction, ``along_axis``,
 applied an axis at a time (sum factorization): the Kronecker mass apply and
-solve, moments and loads against the B-splines, and field values for error
-norms. The mass forms of a system are built on first use and cached on it:
-the b-form Grammians of each test mode (``gram_factors``), and for each mass
-kind (Galerkin-consistent, Petrov-consistent, customized with explicitly
+solve, the stiffness apply, moments against the B-splines, and field values
+for error norms. The mass forms of a system are built on first use and cached
+on it: the b-form Grammians of each test mode (``gram_factors``), and for each
+mass kind (Galerkin-consistent, Petrov-consistent, customized with explicitly
 sparse inverse, rowsum-lumped) its free-index per-direction factors together
 with the factors that project its initial data (``mass_form``). Dirichlet
 sides are imposed by restricting the univariate factors to the free indices;
 the customized mass keeps a banded inverse there, the Schur complement
-S_ff - S_fc S_cc^{-1} S_cf of the constrained dual. The stiffness action is
-evaluated matrix-free through per-direction sparse evaluation matrices.
+S_ff - S_fc S_cc^{-1} S_cf of the constrained dual.
+
+The stiffness is a short sum of Kronecker products of sparse 1D factors
+(low-rank Galerkin stiffness: Mantzaflaris, Juettler, Khoromskij and Langer,
+CMAME 316, 2017). Each coefficient grid of the form is separated by fully
+pivoted cross approximation until no residual entry exceeds 1e-13 of the
+largest coefficient. On the identity and annulus maps this gives 2 terms for
+B-spline test functions and 3 for the dual ones B/c; a map whose grids do not
+separate only adds terms. A 1D system has one term of one factor, its
+assembled stiffness.
 """
 
 from __future__ import annotations
@@ -22,7 +30,6 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from .banded import BandedSymmetricMatrix
 from .dualbasis import approximate_dual, constrain_dual, grammian
 from .errors import NumericalError
 from .geometry import _det2, _inv2, weight_field
@@ -209,7 +216,7 @@ class DiscreteSystem:
         self.mass_points = mass_points or (p_max + 1)
         self.stiffness_points = stiffness_points or (p_max + 2)
 
-        self.counters = {"stiffness_applies": 0, "mac_ops": 0, "quad_points": 0}
+        self.counters = {"stiffness_applies": 0, "mac_ops": 0}
         self._tables = {}
         self._geom_cache = {}
         self._duals = None
@@ -327,9 +334,8 @@ class DiscreteSystem:
         """Geometry factors at the tensor quadrature grid of a 2D system."""
         if points_per_element in self._geom_cache:
             return self._geom_cache[points_per_element]
-        xq1, wq1, _, _ = self.tables(0, points_per_element)
-        xq2, wq2, _, _ = self.tables(1, points_per_element)
-        X1, X2 = np.meshgrid(xq1, xq2, indexing="ij")
+        X1, X2 = np.meshgrid(*(self.tables(k, points_per_element)[0] for k in range(2)),
+                             indexing="ij")
         if self.geometry is None:
             raise ValueError("geometry grids require a 2D system with a map")
         geo = self.geometry
@@ -346,18 +352,13 @@ class DiscreteSystem:
         c = c_fn(X1, X2)
         grad_c = grad_c_fn(X1, X2)
         XY = geo.value(X1, X2)
-        W = wq1[:, None] * wq2[None, :]
         grids = {
-            "A11": A11,
-            "A12": A12,
-            "A22": A22,
+            "A": [[A11, A12], [A12, A22]],
             "det": det,
             "c": c,
-            "cx": grad_c[0],
-            "cy": grad_c[1],
+            "grad_c": grad_c,
             "X": XY[0],
             "Y": XY[1],
-            "W": W,
         }
         self._geom_cache[points_per_element] = grids
         return grids
@@ -475,69 +476,93 @@ def _test_mode(system, override=None):
     return override or MASS_KINDS[system.mass_kind]
 
 
-class _StiffnessKernel:
-    """Per-axis evaluation matrices and fused pointwise coefficient grids of
-    one stiffness form, applied to full coefficient grids.
+# cross approximation stops once every residual entry is at most this
+# fraction of the largest coefficient of the form
+SEPARATION_TOL = 1e-13
 
-    The 2D grids are stored transposed, ``(nq2, nq1)``, which is the layout
-    the sparse products return: ``B_ij = W A_ij`` (``W A_ij / c`` in dual
-    mode) and, in dual mode, ``R_k = -W (c_x A_1k + c_y A_2k) / c^2`` for the
-    term the gradient of 1/c adds to the test function.
+
+def _stiffness_form(system, mode):
+    """The stiffness form as (coefficient grid, test pattern, trial pattern)
+    entries on the quadrature grid; a pattern holds one flag per axis, 1 for
+    the derivative table and 0 for the values.
+
+    The entries are ``W A_ab`` (``W A_ab / c`` in dual mode) between the
+    derivatives along axes a and b, with A = kappa det(F) F^{-1} F^{-T}
+    (kappa I without a map). In dual mode the gradient of 1/c adds
+    ``R_b = -W sum_a c_a A_ab / c^2`` between values and derivatives along b.
+    """
+    pts = system.stiffness_points
+    W, _, c = system.quadrature_grid(pts)
+    axes = range(system.ndim)
+    if system.geometry is None:
+        A, grad_c = system.kappa * np.eye(system.ndim), np.zeros(system.ndim)
+    else:
+        g = system.geometry_grids(pts)
+        A, grad_c = g["A"], g["grad_c"]
+    derivative = np.eye(system.ndim, dtype=int)  # row a: the derivative along axis a
+    scale = W / c if mode == "dual" else W
+    form = [(scale * A[a][b], derivative[a], derivative[b]) for a in axes for b in axes]
+    if mode == "dual":
+        values = np.zeros(system.ndim, dtype=int)
+        form += [(-W / c**2 * sum(grad_c[a] * A[a][b] for a in axes), values, derivative[b])
+                 for b in axes]
+    return form
+
+
+def _separate(grid, bound):
+    """Terms (u, v) with grid = sum u (x) v up to ``bound`` in every entry,
+    by fully pivoted cross approximation over the first axis and the rest.
+
+    Each step takes the largest residual entry (i, j) and subtracts the
+    outer product of residual column j and residual row i / R[i, j], which
+    zeros that row and column. A one-axis grid is a single column, whose row
+    factor is exactly 1.
+    """
+    R = np.array(grid, dtype=float).reshape(len(grid), -1)
+    terms = []
+    for _ in range(min(R.shape) + 1):
+        i, j = np.unravel_index(np.argmax(np.abs(R)), R.shape)
+        if abs(R[i, j]) <= bound:
+            return terms
+        u, v = R[:, j].copy(), R[i] / R[i, j]
+        R -= np.outer(u, v)
+        terms.append((u, v))
+    raise NumericalError("stiffness coefficient grid did not separate")
+
+
+class _StiffnessKernel:
+    """The stiffness form of one test mode as a short sum of Kronecker
+    products, applied to full coefficient grids.
+
+    Each coefficient grid of the form is separated into sum_t u_t (x) v_t
+    (``_separate``), and each term contributes the per-axis factors
+    X_k^T diag(u) Y_k, with X_k and Y_k the value or derivative tables of
+    its test and trial patterns. The supported maps give 2 terms in standard
+    mode and 3 in dual mode; a non-separable map only adds terms.
     """
 
     def __init__(self, system, mode):
-        self.dual = mode == "dual"
-        self.ndim = system.ndim
-        pts = system.stiffness_points
-        if self.ndim == 1:
-            xq, wq, _, D = system.tables(0, pts)
-            self.D1, self.D1T = D, D.T.tocsr()
-            scale = system.kappa / system.rho if self.dual else system.kappa
-            self.w = scale * wq
-            self.macs = 2 * D.nnz
-            self.quad_points = len(xq)
-            return
-        _, _, E1, D1 = system.tables(0, pts)
-        _, _, E2, D2 = system.tables(1, pts)
-        self.E1, self.D1, self.E2, self.D2 = E1, D1, E2, D2
-        self.E1T, self.D1T, self.E2T, self.D2T = (
-            M.T.tocsr() for M in (E1, D1, E2, D2)
-        )
-        g = system.geometry_grids(pts)
-        W = g["W"] / g["c"] if self.dual else g["W"]
-        self.B11, self.B12, self.B22 = (
-            np.ascontiguousarray((W * g[name]).T) for name in ("A11", "A12", "A22")
-        )
-        if self.dual:
-            Wc2 = -g["W"] / g["c"] ** 2
-            self.R1 = np.ascontiguousarray((Wc2 * (g["cx"] * g["A11"] + g["cy"] * g["A12"])).T)
-            self.R2 = np.ascontiguousarray((Wc2 * (g["cx"] * g["A12"] + g["cy"] * g["A22"])).T)
-        (nq1, n1), (nq2, n2) = E1.shape, E2.shape
-        self.macs = D1.nnz * n2 + E2.nnz * nq1 + E1.nnz * n2 + D2.nnz * nq1
-        if self.dual:
-            self.macs += (D1.nnz + 2 * E1.nnz) * nq2 + (2 * E2.nnz + D2.nnz) * n1
-        else:
-            self.macs += (D1.nnz + E1.nnz) * nq2 + (E2.nnz + D2.nnz) * n1
-        self.quad_points = nq1 * nq2
+        # per axis: the value and derivative tables (E, D)
+        tables = [system.tables(k, system.stiffness_points)[2:] for k in range(system.ndim)]
+        form = _stiffness_form(system, mode)
+        bound = SEPARATION_TOL * max(np.max(np.abs(grid)) for grid, _, _ in form)
+        self.terms = [
+            tuple((X[test].T @ X[trial].multiply(u[:, None])).tocsr()
+                  for X, test, trial, u in zip(tables, test_pattern, trial_pattern, vecs))
+            for grid, test_pattern, trial_pattern in form
+            for vecs in _separate(grid, bound)
+        ]
+        N = int(np.prod(system.full_shape))
+        self.macs = sum(A.nnz * (N // A.shape[0]) for term in self.terms for A in term)
 
     def apply(self, full):
-        if self.ndim == 1:
-            return self.D1T @ (self.w * (self.D1 @ full))
-        UX = self.E2 @ (self.D1 @ full).T
-        UY = self.D2 @ (self.E1 @ full).T
-        q1 = self.B11 * UX
-        q1 += self.B12 * UY
-        if self.dual:
-            q0 = self.R1 * UX
-            q0 += self.R2 * UY
-        # q2 = B12 UX + B22 UY, built in the buffers of UX and UY
-        UX *= self.B12
-        UY *= self.B22
-        UY += UX
-        rest = self.D2T @ UY
-        if self.dual:
-            rest += self.E2T @ q0
-        return self.D1T @ (self.E2T @ q1).T + self.E1T @ rest.T
+        out = np.zeros(full.shape)
+        for term in self.terms:
+            y = full
+            for k, A in enumerate(term):
+                y = along_axis(A.__matmul__, y, k)
+            out += y
+        return out
 
 
 def _stiffness_kernel(system, mode):
@@ -549,61 +574,31 @@ def _stiffness_kernel(system, mode):
     return kernel
 
 
-def _stiffness_full(system, full_grid, mode):
-    """Stiffness action on a full coefficient grid, constrained slots included."""
-    kernel = _stiffness_kernel(system, mode)
-    system.counters["stiffness_applies"] += 1
-    system.counters["mac_ops"] += kernel.macs
-    system.counters["quad_points"] += kernel.quad_points
-    return kernel.apply(full_grid)
-
-
 def stiffness_apply(system, d_free, test_mode=None):
     """Matrix-free action of the stiffness form on a free coefficient grid.
 
     With ``test_mode='dual'`` the test functions are B_i / c (the gradient is
     expanded as grad(B)/c - B grad(c)/c^2); with ``'standard'`` they are the
-    B-splines themselves. Sum factorization sweeps one direction at a time
-    through sparse evaluation matrices.
+    B-splines themselves. Each Kronecker term of the cached kernel is one
+    sweep of sparse per-axis factors.
     """
-    mode = _test_mode(system, test_mode)
-    return system.extract(_stiffness_full(system, system.inject(d_free), mode))
+    kernel = _stiffness_kernel(system, _test_mode(system, test_mode))
+    system.counters["stiffness_applies"] += 1
+    system.counters["mac_ops"] += kernel.macs
+    return system.extract(kernel.apply(system.inject(d_free)))
 
 
 def assembled_stiffness_1d(system, test_mode=None):
-    """Banded assembled stiffness for 1D systems (oracle and spectrum path)."""
+    """Sparse assembled stiffness of a 1D system: the one factor of its
+    kernel's single term, on the full space (oracle and spectrum path)."""
     if system.ndim != 1:
         raise ValueError("assembled path is one-dimensional")
-    mode = _test_mode(system, test_mode)
-    space = system.spaces[0]
-    p = space.degree
-    xq, wq = element_quadrature(space, system.stiffness_points)
-    n = space.dimension
-    K = BandedSymmetricMatrix(n, min(p, n - 1), periodic=space.periodic)
-    scale = system.kappa / (system.rho if mode == "dual" else 1.0)
-    for x, w in zip(xq, wq):
-        ev = eval_basis(space, x, max_deriv=1)
-        der = ev.values[1]
-        idx = ev.indices
-        for a in range(len(idx)):
-            for b in range(a, len(idx)):
-                if not space.periodic and idx[a] > idx[b]:
-                    continue
-                K.add_at(idx[a], idx[b], scale * w * der[a] * der[b])
-    return K
+    (factor,), = _stiffness_kernel(system, _test_mode(system, test_mode)).terms
+    return factor
 
 
 # ---------------------------------------------------------------------------
-# load vector and initial data
-
-
-def _integrate(system, integrand, pts):
-    """Integrals of a quadrature-grid integrand (weights included) against
-    every tensor B-spline of the full space."""
-    for k in reversed(range(system.ndim)):
-        E = system.tables(k, pts)[2]
-        integrand = along_axis(E.T.__matmul__, integrand, k)
-    return integrand
+# initial data
 
 
 def moments(system, func_param, mode, points_per_element=None):
@@ -618,40 +613,10 @@ def moments(system, func_param, mode, points_per_element=None):
     vals = system.evaluate(func_param, pts)
     if mode == "standard":
         vals = vals * c
-    return _integrate(system, W * vals, pts)
-
-
-def load_vector(system, f=None, neumann=None, lift=None, lift_accel=None, test_mode=None):
-    """Assemble the load against the system's test functions on free indices.
-
-    ``f`` is a callable on physical coordinates. ``neumann`` supplies endpoint
-    flux values (h_left, h_right) for 1D systems. ``lift`` and ``lift_accel``
-    are full coefficient grids of a Dirichlet lift g and its acceleration;
-    their stiffness and mass contributions are subtracted.
-    """
-    if neumann is not None and system.ndim != 1:
-        raise ValueError("Neumann data is supported on 1D systems only")
-    mode = _test_mode(system, test_mode)
-    full = np.zeros(system.full_shape)
-    if f is not None:
-        pts = system.stiffness_points
-        W, det, c = system.quadrature_grid(pts)
-        field = system.evaluate(f, pts, physical=True) * det
-        full += _integrate(system, W * (field / c if mode == "dual" else field), pts)
-    if neumann is not None:
-        scale = 1.0 / system.rho if mode == "dual" else 1.0
-        full[0] += neumann[0] * scale
-        full[-1] += neumann[1] * scale
-    if lift is not None:
-        full -= _stiffness_full(system, np.asarray(lift, float), mode)
-    if lift_accel is not None:
-        full -= _parametric_mass_full(system, np.asarray(lift_accel, float), mode)
-    return system.extract(full)
-
-
-def _parametric_mass_full(system, full_grid, mode):
-    """Mass term b(test, v) for a full grid v; geometry-free in dual mode."""
-    return KroneckerOperator(gram_factors(system, mode)).apply(full_grid)
+    out = W * vals
+    for k in reversed(range(system.ndim)):
+        out = along_axis(system.tables(k, pts)[2].T.__matmul__, out, k)
+    return out
 
 
 def project_initial(system, u0_param):

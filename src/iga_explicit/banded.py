@@ -106,9 +106,13 @@ class BandedSymmetricMatrix:
         n = self.n
         for d in range(1, self.halfwidth + 1):
             if self.periodic:
+                # entries (i, i + d mod n), then their mirrors; the last d
+                # rows of the band wrap around
                 bd = self.bands[d][:, None]
-                y += bd * np.roll(flat, -d, axis=0)
-                y += np.roll(bd * flat, d, axis=0)
+                y[: n - d] += bd[: n - d] * flat[d:]
+                y[n - d :] += bd[n - d :] * flat[:d]
+                y[d:] += bd[: n - d] * flat[: n - d]
+                y[:d] += bd[n - d :] * flat[n - d :]
             else:
                 bd = self.bands[d, : n - d][:, None]
                 y[: n - d] += bd * flat[d:]

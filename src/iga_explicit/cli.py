@@ -256,7 +256,7 @@ def string_spectra(p, n_dim, beta=None, outlier_choices=(False,)):
         [space], mass_kind="customized", dirichlet=[(True, True)], dual_halfwidth=beta
     )
     lo, hi = system.free_range(0)
-    K = assembled_stiffness_1d(system, test_mode="standard").to_dense()[lo:hi, lo:hi]
+    K = assembled_stiffness_1d(system, test_mode="standard").toarray()[lo:hi, lo:hi]
     masses = {kind: mass_form(system, kind).factors[0].to_dense() for kind in RUN_MASS_KINDS}
     spectra = {}
     for outlier_removed in outlier_choices:

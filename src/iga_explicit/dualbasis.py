@@ -24,6 +24,10 @@ from .errors import NumericalError
 from .quadrature import element_quadrature, moments
 from .splinecore import eval_basis, greville
 
+# largest constraint residual, relative to the largest right-hand side, at
+# which the clamped duality constraints count as satisfied
+FEASIBILITY_TOL = 1e-9
+
 __all__ = [
     "BandedSymmetricMatrix",
     "ApproximateDualBasis",
@@ -91,41 +95,28 @@ class ApproximateDualBasis:
         return self.S.to_dense() @ self.G.to_dense()
 
 
-def approximate_dual(space, halfwidth=None, feasibility_tol=1e-9):
+def approximate_dual(space, halfwidth=None):
     """Construct the approximate dual coefficient matrix for a space.
 
-    The half-bandwidth defaults to the degree, may not be below it, and is
-    escalated up to twice the degree if the duality constraints are infeasible
-    at the requested width. SPD-ness is verified by Cholesky after
-    construction and reported as an error if violated.
+    The half-bandwidth defaults to the degree and may not be below it.
+    Duality constraints that are infeasible at that width, and a result that
+    is not SPD (checked by Cholesky), are reported as errors.
     """
     p = space.degree
-    base = p if halfwidth is None else int(halfwidth)
-    if base < p:
-        raise ValueError(f"dual halfwidth {base} is below the degree {p}")
+    hw = p if halfwidth is None else int(halfwidth)
+    if hw < p:
+        raise ValueError(f"dual halfwidth {hw} is below the degree {p}")
     G = grammian(space)
-    last_residual = None
-    for hw in range(base, 2 * p + 1):
-        if space.periodic:
-            S = _periodic_dual(space, G, hw)
-        else:
-            S = _clamped_dual(space, G, hw, feasibility_tol)
-        if S is None:
-            last_residual = hw
-            continue
-        if not S.is_spd():
-            raise NumericalError(
-                "approximate dual coefficient matrix is not SPD "
-                f"(halfwidth {hw}, smallest eigenvalue {S.smallest_eigenvalue():.3e})"
-            )
-        return ApproximateDualBasis(space, S, hw, G)
-    raise NumericalError(
-        f"duality constraints infeasible up to halfwidth {2 * p} "
-        f"(last attempt {last_residual})"
-    )
+    S = _periodic_dual(space, G, hw) if space.periodic else _clamped_dual(space, G, hw)
+    if not S.is_spd():
+        raise NumericalError(
+            "approximate dual coefficient matrix is not SPD "
+            f"(halfwidth {hw}, smallest eigenvalue {S.smallest_eigenvalue():.3e})"
+        )
+    return ApproximateDualBasis(space, S, hw, G)
 
 
-def _clamped_dual(space, G, hw, tol):
+def _clamped_dual(space, G, hw):
     """Constrained Frobenius minimizer over symmetric banded matrices.
 
     The duality constraints are assembled per row in the local polynomial
@@ -234,8 +225,11 @@ def _clamped_dual(space, G, hw, tol):
         if np.max(np.abs(dr)) < 5e-15 * scale:
             break
         s_opt = s_opt + pinv_apply(dr)
-    if np.max(np.abs(A @ s_opt - rhs)) > tol * scale:
-        return None
+    residual = np.max(np.abs(A @ s_opt - rhs))
+    if residual > FEASIBILITY_TOL * scale:
+        raise NumericalError(
+            f"duality constraints infeasible at halfwidth {hw} (residual {residual:.3e})"
+        )
 
     null_mask = sv < 1e-14 * sig0
     Z = Vt[null_mask].T
@@ -286,7 +280,7 @@ def _periodic_dual(space, G, hw):
     try:
         stencil = np.linalg.solve(C, r) / hbar
     except np.linalg.LinAlgError:
-        return None
+        raise NumericalError(f"periodic duality conditions singular at halfwidth {hw}") from None
 
     theta = 2.0 * np.pi * np.arange(n) / n
     shat = (mult_s[:, None] * stencil[:, None] * np.cos(np.outer(d_s, theta))).sum(0)

@@ -30,13 +30,15 @@ def test_dense_roundtrip(periodic):
 
 @pytest.mark.parametrize("periodic", [False, True])
 def test_matvec_matches_dense(periodic):
-    A = random_banded_dense(11, 3, periodic, seed=1)
-    B = BandedSymmetricMatrix.from_dense(A, 3, periodic=periodic)
-    rng = np.random.default_rng(2)
-    x = rng.normal(size=11)
-    assert_allclose(B.matvec(x), A @ x, atol=1e-13)
-    X = rng.normal(size=(11, 4))
-    assert_allclose(B.matvec(X), A @ X, atol=1e-13)
+    # n = 7 at halfwidth 3 is the tightest periodic band: 2 * halfwidth = n - 1
+    for n, hw in ((11, 3), (7, 3)):
+        A = random_banded_dense(n, hw, periodic, seed=1)
+        B = BandedSymmetricMatrix.from_dense(A, hw, periodic=periodic)
+        rng = np.random.default_rng(2)
+        x = rng.normal(size=n)
+        assert_allclose(B.matvec(x), A @ x, atol=1e-13)
+        X = rng.normal(size=(n, 4))
+        assert_allclose(B.matvec(X), A @ X, atol=1e-13)
 
 
 def test_add_at_periodic_wrap():

@@ -12,6 +12,7 @@ from iga_explicit.dualbasis import (
     grammian,
     quasi_project,
 )
+from iga_explicit.errors import NumericalError
 from iga_explicit.quadrature import moments
 from iga_explicit.splinecore import PERIODIC, make_space, monomial_coefficients, uniform_space
 
@@ -142,6 +143,15 @@ def test_unconstrained_view_equals_plain_apply():
 def test_halfwidth_below_degree_rejected(degree):
     with pytest.raises(ValueError, match="below the degree"):
         approximate_dual(uniform_space(10, degree), halfwidth=degree - 1)
+
+
+def test_infeasible_constraints_raise_at_the_requested_halfwidth(monkeypatch):
+    # a negative tolerance makes every constraint residual count as infeasible
+    from iga_explicit import dualbasis
+
+    monkeypatch.setattr(dualbasis, "FEASIBILITY_TOL", -1.0)
+    with pytest.raises(NumericalError, match="infeasible at halfwidth 4"):
+        approximate_dual(uniform_space(10, 3), halfwidth=4)
 
 
 @pytest.mark.parametrize("left,right", [(True, False), (False, True), (True, True)])

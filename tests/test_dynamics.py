@@ -38,7 +38,7 @@ def string_dense_matrices(system):
     space = system.spaces[0]
     lo, hi = system.free_range(0)
     G = grammian(space)
-    K = assembled_stiffness_1d(system, test_mode="standard").to_dense()[lo:hi, lo:hi]
+    K = assembled_stiffness_1d(system, test_mode="standard").toarray()[lo:hi, lo:hi]
     M_cons = G.to_dense()[lo:hi, lo:hi]
     M_lump = np.diag(G.rowsums()[lo:hi])
     M_cust = np.linalg.inv(system.constrained_duals[0].dense_free())
