@@ -14,11 +14,12 @@ S_ff - S_fc S_cc^{-1} S_cf of the constrained dual.
 
 The stiffness is a short sum of Kronecker products of sparse 1D factors
 (low-rank Galerkin stiffness: Mantzaflaris, Juettler, Khoromskij and Langer,
-CMAME 316, 2017). Each coefficient grid of the form is separated by fully
-pivoted cross approximation until no residual entry exceeds 1e-13 of the
+CMAME 316, 2017). The coefficient grids of the form that share their
+patterns on every axis but the first are separated together by fully
+pivoted cross approximation, until no residual entry exceeds 1e-13 of the
 largest coefficient. On the identity and annulus maps this gives 2 terms for
-B-spline test functions and 3 for the dual ones B/c; a map whose grids do not
-separate only adds terms. A 1D system has one term of one factor, its
+both the B-spline test functions and the dual ones B/c; a map whose grids do
+not separate only adds terms. A 1D system has one term of one factor, its
 assembled stiffness.
 """
 
@@ -284,24 +285,19 @@ class DiscreteSystem:
     # -- tabulation ------------------------------------------------------------
 
     def tables(self, k, points_per_element):
-        """Quadrature points, weights, and sparse value/derivative matrices."""
+        """Quadrature points, weights, the sparse value matrix E, and the
+        batched basis evaluation (``eval_basis``, first derivatives included)
+        it is built from."""
         key = (k, points_per_element)
         if key in self._tables:
             return self._tables[key]
         space = self.spaces[k]
         xq, wq = element_quadrature(space, points_per_element)
-        rows, cols, vdat, ddat = [], [], [], []
-        for i, x in enumerate(xq):
-            ev = eval_basis(space, x, max_deriv=1)
-            for l, j in enumerate(ev.indices):
-                rows.append(i)
-                cols.append(int(j))
-                vdat.append(ev.values[0, l])
-                ddat.append(ev.values[1, l])
-        shape = (len(xq), space.dimension)
-        E = sp.coo_matrix((vdat, (rows, cols)), shape=shape).tocsr()
-        D = sp.coo_matrix((ddat, (rows, cols)), shape=shape).tocsr()
-        entry = (xq, wq, E, D)
+        ev = eval_basis(space, xq, max_deriv=1)
+        rows = np.repeat(np.arange(len(xq)), space.degree + 1)
+        E = sp.coo_matrix((ev.values[:, 0].ravel(), (rows, ev.indices.ravel())),
+                          shape=(len(xq), space.dimension)).tocsr()
+        entry = (xq, wq, E, ev)
         self._tables[key] = entry
         return entry
 
@@ -530,29 +526,51 @@ def _separate(grid, bound):
     raise NumericalError("stiffness coefficient grid did not separate")
 
 
+def _factor(ev, n, parts):
+    """Sum over ``parts`` (test, trial, u) of X^T diag(u) Y as one n x n CSR
+    matrix, X and Y the test and trial tables (0 values, 1 derivatives) of
+    the batched evaluation ``ev`` at the quadrature points: one COO build."""
+    vals = ev.values
+    data = sum(vals[:, test, :, None] * (u[:, None, None] * vals[:, trial, None, :])
+               for test, trial, u in parts)
+    rows, cols = np.broadcast_arrays(ev.indices[:, :, None], ev.indices[:, None, :])
+    A = sp.csr_matrix((data.ravel(), (rows.ravel(), cols.ravel())), shape=(n, n))
+    A.eliminate_zeros()
+    return A
+
+
 class _StiffnessKernel:
     """The stiffness form of one test mode as a short sum of Kronecker
     products, applied to full coefficient grids.
 
-    Each coefficient grid of the form is separated into sum_t u_t (x) v_t
-    (``_separate``), and each term contributes the per-axis factors
-    X_k^T diag(u) Y_k, with X_k and Y_k the value or derivative tables of
-    its test and trial patterns. The supported maps give 2 terms in standard
-    mode and 3 in dual mode; a non-separable map only adds terms.
+    The entries of the form that share their test and trial patterns on
+    every axis but the first are stacked along that axis and separated
+    together (``_separate``), so each term sum_e u_e (x) v shares its other
+    factor X^T diag(v) Y, while its first factor sums X_e^T diag(u_e) Y_e
+    over the entries. The supported maps give 2 terms in both test modes; a
+    non-separable map only adds terms.
     """
 
     def __init__(self, system, mode):
-        # per axis: the value and derivative tables (E, D)
-        tables = [system.tables(k, system.stiffness_points)[2:] for k in range(system.ndim)]
+        pts = system.stiffness_points
+        evs = [system.tables(k, pts)[3] for k in range(system.ndim)]
+        ns = system.full_shape
         form = _stiffness_form(system, mode)
         bound = SEPARATION_TOL * max(np.max(np.abs(grid)) for grid, _, _ in form)
-        self.terms = [
-            tuple((X[test].T @ X[trial].multiply(u[:, None])).tocsr()
-                  for X, test, trial, u in zip(tables, test_pattern, trial_pattern, vecs))
-            for grid, test_pattern, trial_pattern in form
-            for vecs in _separate(grid, bound)
-        ]
-        N = int(np.prod(system.full_shape))
+        groups = {}
+        for grid, test, trial in form:
+            key = (tuple(test[1:]), tuple(trial[1:]))
+            groups.setdefault(key, []).append((grid, test[0], trial[0]))
+        self.terms = []
+        for (tests, trials), entries in groups.items():
+            stacked = np.concatenate([grid for grid, _, _ in entries])
+            for u, v in _separate(stacked, bound):
+                parts = [(t, r, u_e) for (_, t, r), u_e in
+                         zip(entries, u.reshape(len(entries), -1))]
+                rest = [_factor(ev, n, [(t, r, v)])
+                        for ev, n, t, r in zip(evs[1:], ns[1:], tests, trials)]
+                self.terms.append((_factor(evs[0], ns[0], parts), *rest))
+        N = int(np.prod(ns))
         self.macs = sum(A.nnz * (N // A.shape[0]) for term in self.terms for A in term)
 
     def apply(self, full):

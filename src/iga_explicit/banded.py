@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
 
 from .errors import NumericalError
 
@@ -18,6 +19,9 @@ class BandedSymmetricMatrix:
 
     For clamped (non-periodic) storage, ``bands[d, i]`` is meaningful for
     ``i < n - d``; the trailing entries of each diagonal are kept at zero.
+
+    ``matvec``, ``to_dense`` and ``rowsums`` go through one CSR form, built on
+    first use; the SPD solves use a banded Cholesky factor.
     """
 
     def __init__(self, n, halfwidth, periodic=False, bands=None):
@@ -41,6 +45,7 @@ class BandedSymmetricMatrix:
                 raise ValueError("bands array has wrong shape")
         self.bands = bands
         self._chol = None
+        self._csr = None
 
     @classmethod
     def from_dense(cls, dense, halfwidth, periodic=False):
@@ -61,63 +66,37 @@ class BandedSymmetricMatrix:
             self.n, self.halfwidth, periodic=self.periodic, bands=self.bands.copy()
         )
 
-    def add_at(self, i, j, value):
-        """Accumulate ``value`` at entry ``(i, j)``; the mirrored entry is implied."""
-        self._chol = None
-        if self.periodic:
-            d = (j - i) % self.n
-            if d <= self.halfwidth:
-                self.bands[d, i] += value
-                return
-            d2 = (i - j) % self.n
-            if d2 <= self.halfwidth:
-                self.bands[d2, j] += value
-                return
-            raise IndexError("entry outside band")
-        if j < i:
-            i, j = j, i
-        d = j - i
-        if d > self.halfwidth:
-            raise IndexError("entry outside band")
-        self.bands[d, i] += value
+    def _sparse(self):
+        """The full matrix in CSR form, periodic wrap included, built on first
+        use. Building it makes ``bands`` read-only, so an edit after that
+        fails loudly instead of leaving a stale cache."""
+        if self._csr is None:
+            n = self.n
+            d = np.arange(self.halfwidth + 1)[:, None]
+            rows = np.broadcast_to(np.arange(n), self.bands.shape)
+            cols = rows + d
+            if self.periodic:
+                cols = cols % n
+                stored = np.ones(self.bands.shape, dtype=bool)
+            else:
+                stored = cols < n
+            mirror = stored & (d > 0)
+            self._csr = sp.csr_matrix(
+                (np.concatenate([self.bands[stored], self.bands[mirror]]),
+                 (np.concatenate([rows[stored], cols[mirror]]),
+                  np.concatenate([cols[stored], rows[mirror]]))),
+                shape=(n, n),
+            )
+            self.bands.flags.writeable = False
+        return self._csr
 
     def to_dense(self):
-        n = self.n
-        dense = np.zeros((n, n))
-        for d in range(self.halfwidth + 1):
-            if self.periodic:
-                rows = np.arange(n)
-                cols = (rows + d) % n
-                dense[rows, cols] += self.bands[d]
-                if d > 0:
-                    dense[cols, rows] += self.bands[d]
-            else:
-                rows = np.arange(n - d)
-                dense[rows, rows + d] = self.bands[d, : n - d]
-                if d > 0:
-                    dense[rows + d, rows] = self.bands[d, : n - d]
-        return dense
+        return self._sparse().toarray()
 
     def matvec(self, x):
         """Product with a vector, or with a matrix along its first axis."""
         x = np.asarray(x, dtype=float)
-        flat = x.reshape(self.n, -1)
-        y = self.bands[0][:, None] * flat
-        n = self.n
-        for d in range(1, self.halfwidth + 1):
-            if self.periodic:
-                # entries (i, i + d mod n), then their mirrors; the last d
-                # rows of the band wrap around
-                bd = self.bands[d][:, None]
-                y[: n - d] += bd[: n - d] * flat[d:]
-                y[n - d :] += bd[n - d :] * flat[:d]
-                y[d:] += bd[: n - d] * flat[: n - d]
-                y[:d] += bd[n - d :] * flat[n - d :]
-            else:
-                bd = self.bands[d, : n - d][:, None]
-                y[: n - d] += bd * flat[d:]
-                y[d:] += bd * flat[: n - d]
-        return y.reshape(x.shape)
+        return (self._sparse() @ x.reshape(self.n, -1)).reshape(x.shape)
 
     def rowsums(self):
         return self.matvec(np.ones(self.n))

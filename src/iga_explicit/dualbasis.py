@@ -46,25 +46,22 @@ def grammian(space, weight=None, points_per_element=None):
     if points_per_element is None:
         points_per_element = p + 1 if weight is None else p + 2
     xq, wq = element_quadrature(space, points_per_element)
+    if weight is not None:
+        wx = [weight(x) for x in xq]
+        for x, v in zip(xq, wx):
+            if v <= 0.0:
+                raise ValueError(f"non-positive weight {v} at quadrature point {x}")
+        wq = wq * np.array(wx)
     n = space.dimension
     hw = min(p, n - 1) if not space.periodic else p
-    G = BandedSymmetricMatrix(n, hw, periodic=space.periodic)
-    for x, w in zip(xq, wq):
-        if weight is not None:
-            wx = weight(x)
-            if wx <= 0.0:
-                raise ValueError(f"non-positive weight {wx} at quadrature point {x}")
-            w = w * wx
-        ev = eval_basis(space, x)
-        vals = ev.values[0]
-        idx = ev.indices
-        for a in range(len(idx)):
-            for b in range(a, len(idx)):
-                ia, ib = idx[a], idx[b]
-                if not space.periodic and ia > ib:
-                    continue
-                G.add_at(ia, ib, w * vals[a] * vals[b])
-    return G
+    # every pair a <= b of the functions alive at a point adds to band b - a
+    # of row indices[a]; np.add.at sums in the order of a loop over points
+    ev = eval_basis(space, xq)
+    vals = ev.values[:, 0]
+    a, b = np.triu_indices(p + 1)
+    bands = np.zeros((hw + 1, n))
+    np.add.at(bands, (b - a, ev.indices[:, a]), wq[:, None] * vals[:, a] * vals[:, b])
+    return BandedSymmetricMatrix(n, hw, periodic=space.periodic, bands=bands)
 
 
 def exact_dual_coeffs(space, cap=512):
@@ -136,13 +133,9 @@ def _clamped_dual(space, G, hw):
 
     # flattened quadrature tabulation (exact for degree-2p integrands)
     xq, wq = element_quadrature(space, p + 1)
-    nq = len(xq)
-    vals = np.zeros((nq, p + 1))
-    firsts = np.zeros(nq, dtype=int)
-    for k in range(nq):
-        ev = eval_basis(space, xq[k])
-        vals[k] = ev.values[0]
-        firsts[k] = ev.first_index
+    ev = eval_basis(space, xq)
+    vals = ev.values[:, 0]
+    firsts = ev.first_index
 
     # unique symmetric band entries (i, i+d), d = 0..hw
     entry_id = {}

@@ -79,11 +79,11 @@ def moments(space, f, weight=None, points_per_element=None):
     if points_per_element is None:
         points_per_element = space.degree + 2
     xq, wq = element_quadrature(space, points_per_element)
+    # the callables see one point at a time, as scalar code would call them
+    scale = wq * np.array([f(x) for x in xq])
+    if weight is not None:
+        scale *= np.array([weight(x) for x in xq])
+    ev = eval_basis(space, xq)
     out = np.zeros(space.dimension)
-    for x, w in zip(xq, wq):
-        ev = eval_basis(space, x)
-        scale = w * f(x)
-        if weight is not None:
-            scale *= weight(x)
-        out[ev.indices] += scale * ev.values[0]
+    np.add.at(out, ev.indices, scale[:, None] * ev.values[:, 0])
     return out

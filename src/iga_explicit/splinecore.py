@@ -152,18 +152,18 @@ def uniform_space(n_elements, degree, a=0.0, b=1.0, boundary_kind=CLAMPED):
     return make_space(np.linspace(a, b, n_elements + 1), degree, None, boundary_kind)
 
 
-def _find_span(knots, degree, x):
-    lo = degree
-    hi = len(knots) - degree - 2
-    mu = int(np.searchsorted(knots, x, side="right")) - 1
-    return min(max(mu, lo), hi)
-
-
 def _ders_basis(knots, p, mu, x, nd):
-    """All non-vanishing B-splines and derivatives up to order nd at x (span mu)."""
-    ndu = np.empty((p + 1, p + 1))
-    left = np.empty(p + 1)
-    right = np.empty(p + 1)
+    """All non-vanishing B-splines and derivatives up to order nd at the
+    points x (spans mu), as an array (len(x), nd + 1, p + 1).
+
+    The recurrence (Piegl and Tiller, The NURBS Book, Alg. A2.3) runs on all
+    points at once; its control flow depends on p and nd only, so each point
+    gets the same operations in the same order as if evaluated alone.
+    """
+    m = len(x)
+    ndu = np.empty((p + 1, p + 1, m))
+    left = np.empty((p + 1, m))
+    right = np.empty((p + 1, m))
     ndu[0, 0] = 1.0
     for j in range(1, p + 1):
         left[j] = x - knots[mu + 1 - j]
@@ -176,9 +176,9 @@ def _ders_basis(knots, p, mu, x, nd):
             saved = left[j - r] * temp
         ndu[j, j] = saved
 
-    ders = np.zeros((nd + 1, p + 1))
-    ders[0, :] = ndu[:, p]
-    a = np.empty((2, p + 1))
+    ders = np.zeros((nd + 1, p + 1, m))
+    ders[0] = ndu[:, p]
+    a = np.empty((2, p + 1, m))
     for r in range(p + 1):
         s1, s2 = 0, 1
         a[0, 0] = 1.0
@@ -202,47 +202,50 @@ def _ders_basis(knots, p, mu, x, nd):
 
     fac = float(p)
     for k in range(1, nd + 1):
-        ders[k, :] *= fac
+        ders[k] *= fac
         fac *= p - k
-    return ders
+    return np.ascontiguousarray(ders.transpose(2, 0, 1))
 
 
 def eval_basis(space, x, max_deriv=0):
-    """Evaluate the non-vanishing basis functions and derivatives at ``x``."""
+    """Evaluate the non-vanishing basis functions and derivatives at ``x``.
+
+    ``x`` is a point or a 1-D array of points. An array gives one BasisEval
+    whose fields carry a leading point axis: ``first_index`` (m,),
+    ``values`` (m, max_deriv + 1, p + 1) and ``indices`` (m, p + 1). Every
+    point gets the same arithmetic either way. A clamped space rejects points
+    more than 1e-12 outside its domain, naming the first such point.
+    """
     p = space.degree
     if max_deriv > p:
         raise ValueError("max_deriv exceeds the polynomial degree")
     knots = space.knot_vector.knots
     a, b = space.domain
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
     if space.periodic:
         length = b - a
-        xw = a + (x - a) % length
-        if xw >= b:  # guard against float wrap landing on b
-            xw -= length
+        xs = a + (xs - a) % length
+        xs = np.where(xs >= b, xs - length, xs)  # guard against float wrap landing on b
         n_el = space.n_elements
-        h = length / n_el
-        k = min(int((xw - a) / h), n_el - 1)
-        mu = k + p
-        values = _ders_basis(knots, p, mu, xw, max_deriv) if p > 0 else _deg0(max_deriv)
-        indices = (k + np.arange(p + 1)) % space.dimension
-        return BasisEval(int(k % space.dimension), values, indices)
-
-    if x < a - 1e-12 or x > b + 1e-12:
-        raise ValueError(f"evaluation point {x} outside domain [{a}, {b}]")
-    x = min(max(x, a), b)
-    mu = _find_span(knots, p, x)
-    if p > 0:
-        values = _ders_basis(knots, p, mu, x, max_deriv)
+        k = np.minimum(((xs - a) / (length / n_el)).astype(int), n_el - 1)
     else:
-        values = _deg0(max_deriv)
-    first = mu - p
-    return BasisEval(first, values, first + np.arange(p + 1))
-
-
-def _deg0(max_deriv):
-    values = np.zeros((max_deriv + 1, 1))
-    values[0, 0] = 1.0
-    return values
+        outside = (xs < a - 1e-12) | (xs > b + 1e-12)
+        if outside.any():
+            raise ValueError(f"evaluation point {xs[outside][0]} outside domain [{a}, {b}]")
+        xs = np.minimum(np.maximum(xs, a), b)
+        span = np.searchsorted(knots, xs, side="right") - 1
+        k = np.clip(span, p, len(knots) - p - 2) - p
+    # index of the first function alive at each point; only periodic ones wrap
+    first = k % space.dimension
+    indices = (k[:, None] + np.arange(p + 1)) % space.dimension
+    if p > 0:
+        values = _ders_basis(knots, p, k + p, xs, max_deriv)
+    else:
+        values = np.zeros((len(xs), max_deriv + 1, 1))
+        values[:, 0, 0] = 1.0
+    if np.ndim(x) == 0:
+        return BasisEval(int(first[0]), values[0], indices[0])
+    return BasisEval(first, values, indices)
 
 
 def greville(space):
@@ -273,9 +276,7 @@ def monomial_coefficients(space, q):
     if q == 0:
         return np.ones(n)
     g = greville(space)
+    ev = eval_basis(space, g)
     ab = np.zeros((2 * p + 1, n))
-    for i, x in enumerate(g):
-        ev = eval_basis(space, x)
-        for l, j in enumerate(ev.indices):
-            ab[p + i - j, j] += ev.values[0, l]
+    ab[p + np.arange(n)[:, None] - ev.indices, ev.indices] += ev.values[:, 0]
     return solve_banded((p, p), ab, g**q)

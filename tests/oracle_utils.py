@@ -1,11 +1,15 @@
 """Independent oracles used across the test suite.
 
-Everything here deliberately avoids the package's own evaluation and
-integration code paths: naive recursive Cox-de Boor evaluation and composite
-Gauss panels built directly on numpy's Legendre module.
+The oracles of values and integrals deliberately avoid the package's own
+evaluation and integration code paths: naive recursive Cox-de Boor evaluation
+and composite Gauss panels built directly on numpy's Legendre module. The
+point-loop oracles at the end do use the package's scalar evaluation and
+quadrature rules: they check that the batched assembly sums the same terms in
+the same order, so their results must agree bit for bit.
 """
 
 import numpy as np
+import scipy.sparse as sp
 
 
 def naive_bspline(x, k, i, t):
@@ -60,3 +64,43 @@ def spline_l2_error(space, coeffs, f, n_panels=200, n_pts=8):
     err2 = gauss_panels(lambda x: (eval_spline(space, coeffs, x) - f(x)) ** 2, a, b, n_panels, n_pts)
     ref2 = gauss_panels(lambda x: f(x) ** 2, a, b, n_panels, n_pts)
     return np.sqrt(err2 / ref2) if ref2 > 0 else np.sqrt(err2)
+
+
+def loop_grammian_bands(space, weight=None, points_per_element=None):
+    """Band storage of the Grammian of ``dualbasis.grammian``, accumulated
+    one quadrature point and one pair of basis functions at a time."""
+    from iga_explicit.quadrature import element_quadrature
+    from iga_explicit.splinecore import eval_basis
+
+    p, n = space.degree, space.dimension
+    if points_per_element is None:
+        points_per_element = p + 1 if weight is None else p + 2
+    hw = p if space.periodic else min(p, n - 1)
+    bands = np.zeros((hw + 1, n))
+    for x, w in zip(*element_quadrature(space, points_per_element)):
+        if weight is not None:
+            w = w * weight(x)
+        ev = eval_basis(space, x)
+        for a in range(p + 1):
+            for b in range(a, p + 1):
+                bands[b - a, ev.indices[a]] += w * ev.values[0, a] * ev.values[0, b]
+    return bands
+
+
+def loop_tables(space, points_per_element):
+    """Value and derivative matrices of ``DiscreteSystem.tables``, one
+    quadrature point at a time."""
+    from iga_explicit.quadrature import element_quadrature
+    from iga_explicit.splinecore import eval_basis
+
+    xq, _ = element_quadrature(space, points_per_element)
+    rows, cols, vdat, ddat = [], [], [], []
+    for i, x in enumerate(xq):
+        ev = eval_basis(space, x, max_deriv=1)
+        for l, j in enumerate(ev.indices):
+            rows.append(i)
+            cols.append(int(j))
+            vdat.append(ev.values[0, l])
+            ddat.append(ev.values[1, l])
+    shape = (len(xq), space.dimension)
+    return [sp.coo_matrix((dat, (rows, cols)), shape=shape).tocsr() for dat in (vdat, ddat)]

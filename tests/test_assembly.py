@@ -5,11 +5,13 @@ from functools import reduce
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from oracle_utils import loop_tables
 
 from iga_explicit.assembly import (
     DiagonalFactor,
     DiscreteSystem,
     KroneckerOperator,
+    _stiffness_kernel,
     assembled_stiffness_1d,
     grid_to_vec,
     mass_operator,
@@ -64,6 +66,19 @@ def test_kron_apply_banded_and_diag_factors():
     grid = rng.normal(size=(space.dimension, 6))
     ref = np.kron(np.diag(d2), G.to_dense()) @ grid_to_vec(grid)
     assert_allclose(grid_to_vec(op.apply(grid)), ref, atol=1e-12)
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])
+def test_tables_match_point_loop(degree):
+    system = make_system_2d(p=degree, nel1=5, nel2=12)
+    for k, space in enumerate(system.spaces):
+        for pts in (degree + 1, degree + 2):
+            E, ev = system.tables(k, pts)[2:]
+            E_loop, D_loop = loop_tables(space, pts)
+            assert np.array_equal(E.toarray(), E_loop.toarray())
+            D = np.zeros(D_loop.shape)
+            D[np.arange(len(D))[:, None], ev.indices] = ev.values[:, 1]
+            assert np.array_equal(D, D_loop.toarray())
 
 
 def test_petrov_mass_geometry_independent():
@@ -245,6 +260,17 @@ def test_stiffness_2d_matches_dense_oracle(mode):
             ref = oracle_apply(system, K, d)
             out = stiffness_apply(system, d, test_mode=mode)
             assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref)), (p, system.dirichlet)
+
+
+@pytest.mark.parametrize("geometry", ["annulus", "identity"])
+def test_stiffness_has_two_kronecker_terms_in_both_modes(geometry):
+    # the dual mode's (d/dx1, d/dx1) entry and the gradient-of-1/c entry share
+    # their factor along x2, so they are separated together into one term
+    for p in (3, 5):
+        system = make_system_2d(p=p, nel1=8, nel2=16, geometry=geometry)
+        for mode in ("standard", "dual"):
+            stiffness_apply(system, np.zeros(system.free_shape), test_mode=mode)
+            assert len(_stiffness_kernel(system, mode).terms) == 2, (p, mode)
 
 
 def test_stiffness_kernel_follows_a_changed_quadrature_order():

@@ -5,7 +5,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from iga_explicit.banded import BandedSymmetricMatrix
+from iga_explicit.dualbasis import approximate_dual, constrain_dual
 from iga_explicit.errors import NumericalError
+from iga_explicit.splinecore import uniform_space
 
 
 def random_banded_dense(n, hw, periodic, seed, spd=False):
@@ -39,14 +41,40 @@ def test_matvec_matches_dense(periodic):
         assert_allclose(B.matvec(x), A @ x, atol=1e-13)
         X = rng.normal(size=(n, 4))
         assert_allclose(B.matvec(X), A @ X, atol=1e-13)
+        assert_allclose(B.to_dense(), A, atol=0)
+        assert_allclose(B.rowsums(), A.sum(axis=1), atol=1e-13)
 
 
-def test_add_at_periodic_wrap():
-    B = BandedSymmetricMatrix(6, 1, periodic=True)
-    B.add_at(0, 5, 2.5)
-    dense = B.to_dense()
-    assert dense[0, 5] == 2.5
-    assert dense[5, 0] == 2.5
+def test_bands_are_frozen_once_applied():
+    A = random_banded_dense(9, 2, False, seed=8)
+    B = BandedSymmetricMatrix.from_dense(A, 2)
+    B.bands[0, 0] += 1.0  # edits before the first apply are seen
+    A[0, 0] += 1.0
+    assert_allclose(B.matvec(np.eye(9)), A, atol=0)
+    with pytest.raises(ValueError):
+        B.bands[0, 0] = 0.0
+
+
+def test_submatrix_and_constrained_dual_apply_like_dense():
+    A = random_banded_dense(12, 3, False, seed=9)
+    B = BandedSymmetricMatrix.from_dense(A, 3)
+    B.matvec(np.ones(12))  # the parent's cache must not leak into the restriction
+    sub = B.submatrix(2, 10)
+    X = np.random.default_rng(10).normal(size=(8, 3))
+    assert_allclose(sub.matvec(X), A[2:10, 2:10] @ X, atol=1e-13)
+
+    # the constrained dual edits the bands of its restriction after submatrix
+    dual = approximate_dual(uniform_space(14, 3))
+    cd = constrain_dual(dual, left=True, right=True)
+    dense = cd.S.to_dense()
+    S = dual.S.to_dense()
+    c = [0, -1]
+    schur = S[1:-1, 1:-1] - S[1:-1][:, c] @ np.linalg.solve(S[np.ix_(c, c)], S[c][:, 1:-1])
+    scale = np.abs(S).max()
+    assert_allclose(dense, schur, atol=1e-12 * scale)
+    x = np.random.default_rng(11).normal(size=dense.shape[0])
+    assert_allclose(cd.S.matvec(x), dense @ x, atol=1e-13 * scale)
+    assert_allclose(cd.S.rowsums(), dense.sum(axis=1), atol=1e-13 * scale)
 
 
 @pytest.mark.parametrize("periodic", [False, True])

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from oracle_utils import gauss_panels, naive_all_values, spline_l2_error
+from oracle_utils import gauss_panels, loop_grammian_bands, naive_all_values, spline_l2_error
 
 from iga_explicit.dualbasis import (
     approximate_dual,
@@ -36,6 +36,26 @@ def test_grammian_spd_and_symmetric():
     dense = G.to_dense()
     assert np.array_equal(dense, dense.T)
     assert G.is_spd()
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, 3, 4, 5])
+@pytest.mark.parametrize("kind", ["clamped", PERIODIC])
+def test_grammian_matches_point_loop(degree, kind):
+    space = uniform_space(13, degree, boundary_kind=kind)
+
+    def weight(x):
+        return 1.0 + 0.5 * np.sin(3.0 * x)
+
+    assert np.array_equal(grammian(space).bands, loop_grammian_bands(space))
+    assert np.array_equal(grammian(space, weight=weight).bands,
+                          loop_grammian_bands(space, weight=weight))
+
+
+def test_grammian_names_the_first_non_positive_weight():
+    space = uniform_space(4, 2)
+    # one midpoint per element: 0.125, 0.375, 0.625, 0.875
+    with pytest.raises(ValueError, match=r"non-positive weight -1\.0 at quadrature point 0\.625$"):
+        grammian(space, weight=lambda x: 1.0 if x < 0.5 else -1.0, points_per_element=1)
 
 
 def test_exact_dual_degree0():
@@ -217,6 +237,26 @@ def test_quasi_projection_convergence_rate():
         errs.append(spline_l2_error(space, coeffs, lambda x: np.sin(np.pi * x)))
     slopes = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
     assert min(slopes) >= 3.8
+
+
+P5_DRIFT = (
+    "the p=5 clamped dual is numerically undetermined: the equilibrated constraint "
+    "matrix has singular values at the 1e-14 null threshold of the SVD construction, "
+    "and at n=160 its interior rows drift far from the periodic stencil"
+)
+
+
+@pytest.mark.parametrize("degree, n", [
+    (2, 60), (3, 60), (4, 60), (5, 60),
+    pytest.param(5, 160, marks=pytest.mark.xfail(strict=True, reason=P5_DRIFT)),
+])
+def test_clamped_dual_interior_matches_periodic_stencil(degree, n):
+    S = approximate_dual(uniform_space(n, degree)).S.to_dense()
+    stencil = approximate_dual(uniform_space(n, degree, boundary_kind=PERIODIC)).S.bands[:, 0]
+    mid = S.shape[0] // 2
+    row = S[mid, mid - degree : mid + degree + 1]
+    want = np.concatenate([stencil[:0:-1], stencil])
+    assert np.max(np.abs(row - want)) <= 1e-6 * np.max(np.abs(want))
 
 
 def test_periodic_dual_spd_and_rowsum():

@@ -136,6 +136,38 @@ def test_eval_outside_domain_raises():
         eval_basis(space, 1.5)
 
 
+BATCH_SPACES = (
+    [(f"clamped-p{p}", uniform_space(7, p)) for p in range(6)]
+    + [(f"periodic-p{p}", uniform_space(11, p, boundary_kind=PERIODIC)) for p in range(6)]
+    + [("nonuniform-p3", make_space([0, 0.3, 0.55, 1], 3)),
+       ("regularity1-p3", make_space([0, 0.25, 0.5, 0.75, 1], 3, regularity=1))]
+)
+
+
+@pytest.mark.parametrize("space", [s for _, s in BATCH_SPACES], ids=[i for i, _ in BATCH_SPACES])
+def test_eval_basis_array_matches_scalar(space):
+    a, b = space.domain
+    xs = [a, b, *space.breakpoints, *np.random.default_rng(13).uniform(a, b, 40)]
+    if space.periodic:
+        # points outside the period, and points whose wrap lands on b
+        xs += [a - 0.3, b + 0.7, 3 * b, -1e-17, a - 1e-17 * (b - a)]
+    xs = np.array(xs)
+    for d in range(space.degree + 1):
+        batch = eval_basis(space, xs, max_deriv=d)
+        assert batch.values.shape == (len(xs), d + 1, space.degree + 1)
+        for i, x in enumerate(xs):
+            ev = eval_basis(space, x, max_deriv=d)
+            assert batch.first_index[i] == ev.first_index
+            assert np.array_equal(batch.indices[i], ev.indices)
+            assert np.array_equal(batch.values[i], ev.values)
+    if not space.periodic:
+        with pytest.raises(ValueError) as scalar:
+            eval_basis(space, b + 0.5)
+        with pytest.raises(ValueError) as batched:
+            eval_basis(space, np.array([a, 0.5 * (a + b), b + 0.5, b + 1.0]))
+        assert str(batched.value) == str(scalar.value)
+
+
 def test_right_end_closed():
     space = uniform_space(4, 2)
     ev = eval_basis(space, 1.0)
