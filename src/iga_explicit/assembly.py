@@ -3,14 +3,16 @@
 Every tensor-product operation is one per-axis contraction, ``along_axis``,
 applied an axis at a time (sum factorization): the Kronecker mass apply and
 solve, the stiffness apply, moments against the B-splines, and field values
-for error norms. The mass forms of a system are built on first use and cached
-on it: the b-form Grammians of each test mode (``gram_factors``), and for each
-mass kind (Galerkin-consistent, Petrov-consistent, customized with explicitly
-sparse inverse, rowsum-lumped) its free-index per-direction factors together
-with the factors that project its initial data (``mass_form``). Dirichlet
-sides are imposed by restricting the univariate factors to the free indices;
-the customized mass keeps a banded inverse there, the Schur complement
-S_ff - S_fc S_cc^{-1} S_cf of the constrained dual.
+for error norms. The masses of a system are built on first use and cached on
+it: the b-form Grammians of each test mode (``gram_factors``), and for each
+run kind (Galerkin-consistent, customized with explicitly sparse inverse,
+rowsum-lumped) one ``MassOperator`` of free-index per-direction factors that
+also carries its initial projection (``mass_operator``). The Petrov mass is
+kept only as the dense oracles ``ApproximateDualBasis.product_dense`` and
+``petrov_mass_dense``. Dirichlet sides are imposed by restricting the
+univariate factors to the free indices; the customized mass keeps a banded
+inverse there, the Schur complement S_ff - S_fc S_cc^{-1} S_cf of the
+constrained dual. Outlier removal turns a factor F0 into T^T F0 T.
 
 The stiffness is a short sum of Kronecker products of sparse 1D factors
 (low-rank Galerkin stiffness: Mantzaflaris, Juettler, Khoromskij and Langer,
@@ -26,7 +28,6 @@ assembled stiffness.
 from __future__ import annotations
 
 from functools import reduce
-from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -41,7 +42,6 @@ from .splinecore import eval_basis
 # weight c ("dual") or the B-splines themselves ("standard")
 MASS_KINDS = {
     "galerkin_consistent": "standard",
-    "petrov_consistent": "dual",
     "customized": "dual",
     "rowsum_lumped": "standard",
 }
@@ -62,25 +62,19 @@ def along_axis(op, grid, k):
 
 
 class DenseFactor:
-    """Dense univariate factor; apply only (the Petrov mass has no solve)."""
+    """Dense univariate factor whose inverse is formed once, here: the
+    outlier-reduced direction-0 factor T^T F0 T."""
 
     def __init__(self, mat):
         self.mat = np.asarray(mat, dtype=float)
+        self.inv = np.linalg.inv(self.mat)
         self.n = self.mat.shape[0]
 
     def matvec(self, x):
-        x = np.asarray(x, dtype=float)
-        return (self.mat @ x.reshape(self.n, -1)).reshape((self.mat.shape[0],) + x.shape[1:])
+        return (self.mat @ x.reshape(self.n, -1)).reshape(x.shape)
 
     def solve(self, x):
-        raise NumericalError("a dense mass factor has no solve path")
-
-    def to_dense(self):
-        return self.mat
-
-    @property
-    def storage_entries(self):
-        return self.mat.size
+        return (self.inv @ x.reshape(self.n, -1)).reshape(x.shape)
 
 
 class DiagonalFactor:
@@ -223,7 +217,7 @@ class DiscreteSystem:
         self._duals = None
         self._cduals = None
         self._grams = {}  # test mode -> Grammians (gram_factors)
-        self._mass_forms = {}  # mass kind -> MassForm (mass_form)
+        self._masses = {}  # mass kind -> MassOperator (mass_operator)
         self._kernels = {}
 
     # -- index bookkeeping ---------------------------------------------------
@@ -379,16 +373,7 @@ class DiscreteSystem:
 
 
 # ---------------------------------------------------------------------------
-# mass forms
-
-
-class MassForm(NamedTuple):
-    """Free-index per-direction factors of one mass kind."""
-
-    mode: str  # test functions of the b-form: "dual" (B/c) or "standard" (B)
-    factors: list  # the mass: matvec, solve (except Petrov), to_dense
-    projection: list  # solved against the moments of the initial data
-    diag: np.ndarray | None  # lumped diagonal grid (rowsum_lumped only)
+# masses
 
 
 def gram_factors(system, mode):
@@ -410,66 +395,51 @@ def gram_factors(system, mode):
     return system._grams[mode]
 
 
-def mass_form(system, kind=None):
-    """A mass kind's free-index factors and initial projection, built once
-    per system; the kind defaults to the system's own.
+class MassOperator(KroneckerOperator):
+    """Kronecker-factorized mass of one kind acting on free coefficient grids.
+
+    ``mode`` names the test functions of its b-form: "dual" (B/c) or
+    "standard" (B). ``projection`` is the KroneckerOperator whose solve,
+    against the moments of the initial data, projects that data.
+    """
+
+    def __init__(self, mode, factors, projection):
+        super().__init__(factors)
+        self.mode = mode
+        self.projection = projection
+
+
+def mass_operator(system, kind=None):
+    """The free-index mass of a kind, Dirichlet included, built once per
+    system; the kind defaults to the system's own.
 
     Galerkin-consistent: the restricted geometry-weighted Grammians, which
     also project. Rowsum-lumped: diagonals of their full rowsums, which
     project too, as an explicit production code would. Customized: the
-    inverses of the constrained dual coefficient matrices. Petrov-consistent:
-    the dense restricted products C = S G (apply only). The dual-weighted
-    kinds project with the restricted parametric Grammians, where the dual
-    coefficients cancel.
+    inverses of the constrained dual coefficient matrices, projecting with
+    the restricted parametric Grammians, where the dual coefficients cancel.
     """
     kind = kind or system.mass_kind
-    if kind in system._mass_forms:
-        return system._mass_forms[kind]
-    mode = MASS_KINDS[kind]
-    grams = gram_factors(system, mode)
-    free = [slice(*system.free_range(k)) for k in range(system.ndim)]
-    diag = None
-    if kind == "rowsum_lumped":
-        rowsums = [G.rowsums()[f] for G, f in zip(grams, free)]
-        if any(np.min(d) <= 0.0 for d in rowsums):
-            raise NumericalError("non-positive rowsum in lumped mass")
-        factors = projection = [DiagonalFactor(d) for d in rowsums]
-        diag = KroneckerOperator(factors).apply(np.ones(system.free_shape))
-    else:
-        projection = [G if G.periodic else G.submatrix(f.start, f.stop)
-                      for G, f in zip(grams, free)]
-        if kind == "galerkin_consistent":
-            factors = projection
-        elif kind == "customized":
-            factors = [InverseFactor(cd.S) for cd in system.constrained_duals]
+    if kind not in system._masses:
+        mode = MASS_KINDS[kind]
+        grams = gram_factors(system, mode)
+        free = [slice(*system.free_range(k)) for k in range(system.ndim)]
+        if kind == "rowsum_lumped":
+            rowsums = [G.rowsums()[f] for G, f in zip(grams, free)]
+            if any(np.min(d) <= 0.0 for d in rowsums):
+                raise NumericalError("non-positive rowsum in lumped mass")
+            factors = projection = [DiagonalFactor(d) for d in rowsums]
         else:
-            factors = [DenseFactor(d.product_dense[f, f]) for d, f in zip(system.duals, free)]
-    system._mass_forms[kind] = MassForm(mode, factors, projection, diag)
-    return system._mass_forms[kind]
-
-
-class MassOperator(KroneckerOperator):
-    """Kronecker-factorized mass of one kind acting on free coefficient grids;
-    ``diag`` is the lumped diagonal grid of the rowsum-lumped kind."""
-
-    def __init__(self, kind, factors, diag=None):
-        super().__init__(factors)
-        self.kind = kind
-        self.diag = diag
-
-
-def mass_operator(system):
-    """The mass operator of the system's kind, Dirichlet included."""
-    form = mass_form(system)
-    return MassOperator(system.mass_kind, form.factors, form.diag)
+            projection = [G if G.periodic else G.submatrix(f.start, f.stop)
+                          for G, f in zip(grams, free)]
+            factors = projection if kind == "galerkin_consistent" else [
+                InverseFactor(cd.S) for cd in system.constrained_duals]
+        system._masses[kind] = MassOperator(mode, factors, KroneckerOperator(projection))
+    return system._masses[kind]
 
 
 # ---------------------------------------------------------------------------
 # matrix-free stiffness
-
-
-def _test_mode(system, override=None):
-    return override or MASS_KINDS[system.mass_kind]
 
 
 # cross approximation stops once every residual entry is at most this
@@ -600,7 +570,7 @@ def stiffness_apply(system, d_free, test_mode=None):
     B-splines themselves. Each Kronecker term of the cached kernel is one
     sweep of sparse per-axis factors.
     """
-    kernel = _stiffness_kernel(system, _test_mode(system, test_mode))
+    kernel = _stiffness_kernel(system, test_mode or MASS_KINDS[system.mass_kind])
     system.counters["stiffness_applies"] += 1
     system.counters["mac_ops"] += kernel.macs
     return system.extract(kernel.apply(system.inject(d_free)))
@@ -611,7 +581,7 @@ def assembled_stiffness_1d(system, test_mode=None):
     kernel's single term, on the full space (oracle and spectrum path)."""
     if system.ndim != 1:
         raise ValueError("assembled path is one-dimensional")
-    (factor,), = _stiffness_kernel(system, _test_mode(system, test_mode)).terms
+    (factor,), = _stiffness_kernel(system, test_mode or MASS_KINDS[system.mass_kind]).terms
     return factor
 
 
@@ -637,24 +607,29 @@ def moments(system, func_param, mode, points_per_element=None):
     return out
 
 
-def project_initial(system, u0_param):
+def project_initial(system, u0_param, outlier=None):
     """Initial coefficients from the method's own mass equations.
 
     ``u0_param`` is the initial field composed with the geometry map, i.e. a
     callable on parametric coordinates. Its moments against the kind's test
-    functions are solved with the kind's projection factors
-    (``mass_form``). The dual-weighted kinds solve their consistent
-    projection once at setup, where the dual coefficients cancel and the
-    equations reduce to the parametric L2 projection (a banded per-direction
-    solve); the Galerkin-consistent kind projects in the geometry-weighted
-    metric. The rowsum-lumped kind stays fully lumped, dividing by its
-    diagonal as an explicit production code would; its initial data is
-    therefore only second-order accurate, consistent with the accuracy of the
-    method itself.
+    functions are solved with the kind's projection (``mass_operator``). The
+    dual-weighted kind solves its consistent projection once at setup, where
+    the dual coefficients cancel and the equations reduce to the parametric
+    L2 projection (a banded per-direction solve); the Galerkin-consistent
+    kind projects in the geometry-weighted metric. The rowsum-lumped kind
+    stays fully lumped, dividing by its diagonal as an explicit production
+    code would; its initial data is therefore only second-order accurate,
+    consistent with the accuracy of the method itself.
+
+    With an ``OutlierConstraint`` the result is the reduced initial data y
+    of the same projection P: (T^T P0 T) (x) P1 y = T^T m, with m the
+    moments.
     """
-    form = mass_form(system)
-    m_free = system.extract(moments(system, u0_param, form.mode))
-    return KroneckerOperator(form.projection).solve(m_free)
+    mass = mass_operator(system)
+    m_free = system.extract(moments(system, u0_param, mass.mode))
+    if outlier is None:
+        return mass.projection.solve(m_free)
+    return outlier.reduce(mass.projection).solve(outlier.restrict(m_free))
 
 
 # ---------------------------------------------------------------------------

@@ -61,11 +61,6 @@ class BandedSymmetricMatrix:
                 out.bands[d, : n - d] = dense[np.arange(n - d), np.arange(d, n)]
         return out
 
-    def copy(self):
-        return BandedSymmetricMatrix(
-            self.n, self.halfwidth, periodic=self.periodic, bands=self.bands.copy()
-        )
-
     def _sparse(self):
         """The full matrix in CSR form, periodic wrap included, built on first
         use. Building it makes ``bands`` read-only, so an edit after that

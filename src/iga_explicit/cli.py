@@ -27,8 +27,8 @@ import numpy as np
 
 from .assembly import (
     DiscreteSystem,
+    MASS_KINDS,
     assembled_stiffness_1d,
-    mass_form,
     mass_operator,
     project_initial,
     stiffness_apply,
@@ -37,6 +37,7 @@ from .benchmarks import annulus_solution, l2_error, string_frequencies
 # grammian is not called here; perfbench traces it under this module's name
 from .dualbasis import constrain_dual, grammian, quasi_project  # noqa: F401
 from .dynamics import (
+    EIGENSOLVE_MAX_N,
     PAPER_CMAX,
     TABLEAUS,
     DynamicState,
@@ -45,6 +46,7 @@ from .dynamics import (
     eigensolve,
     max_frequency,
     rk_step,
+    run_space,
     stability_limit,
 )
 from .errors import ConfigError, NumericalError
@@ -52,7 +54,7 @@ from .splinecore import PERIODIC, uniform_space
 from .geometry import annulus_map
 
 EXPERIMENTS = ("spectrum", "annulus", "project", "stability")
-RUN_MASS_KINDS = ("galerkin_consistent", "customized", "rowsum_lumped")
+RUN_MASS_KINDS = tuple(MASS_KINDS)
 # mass_kind value -> the kinds a run covers
 KIND_SELECTIONS = {"all": RUN_MASS_KINDS, **{kind: (kind,) for kind in RUN_MASS_KINDS}}
 
@@ -84,6 +86,11 @@ class RunConfig:
             problems.append(f"dt_fraction must be in (0, 1] (got {self.dt_fraction})")
         if self.n <= self.degree + 2:
             problems.append(f"space dimension n={self.n} too small for degree {self.degree}")
+        elif self.experiment in ("spectrum", "stability") and self.n - 2 > EIGENSOLVE_MAX_N:
+            problems.append(
+                f"space dimension n={self.n} too large: the dense eigensolver takes at "
+                f"most {EIGENSOLVE_MAX_N} free functions, n - 2"
+            )
         if any(m <= 0 for m in self.n_elems):
             problems.append("mesh counts must be positive")
         if any(m <= self.degree for m in self.n_values):
@@ -257,7 +264,8 @@ def string_spectra(p, n_dim, beta=None, outlier_choices=(False,)):
     )
     lo, hi = system.free_range(0)
     K = assembled_stiffness_1d(system, test_mode="standard").toarray()[lo:hi, lo:hi]
-    masses = {kind: mass_form(system, kind).factors[0].to_dense() for kind in RUN_MASS_KINDS}
+    masses = {kind: mass_operator(system, kind).factors[0].to_dense()
+              for kind in RUN_MASS_KINDS}
     spectra = {}
     for outlier_removed in outlier_choices:
         if outlier_removed:
@@ -311,9 +319,12 @@ def run_spectrum(config):
 def run_project(config):
     p = config.degree
     rows = []
-    system = None
     for n_dim in config.n_values:
-        space = uniform_space(n_dim - p, p)
+        # one unconstrained system (and dual) per dimension: quasi_project
+        # returns zeros at the constrained slots of each target
+        system = DiscreteSystem(
+            [uniform_space(n_dim - p, p)], mass_kind="customized", dual_halfwidth=config.beta
+        )
         targets = []
         for q in range(p + 1):
             targets.append((f"x^{q}", lambda x, q=q: x**q, (False, False)))
@@ -329,15 +340,8 @@ def run_project(config):
         targets.append(("sin(pi x)", lambda x: np.sin(np.pi * x), (False, False)))
         targets.append(("sin(pi x)", lambda x: np.sin(np.pi * x), (True, True)))
         for name, f, (dl, dr) in targets:
-            system = DiscreteSystem(
-                [space],
-                mass_kind="customized",
-                dirichlet=[(dl, dr)],
-                dual_halfwidth=config.beta,
-            )
             op = constrain_dual(system.duals[0], left=dl, right=dr)
-            coeffs_full = quasi_project(op, f)
-            err = l2_error(system, system.extract(coeffs_full), f)
+            err = l2_error(system, quasi_project(op, f), f)
             constrained = {
                 (False, False): "none",
                 (True, False): "left",
@@ -423,29 +427,18 @@ def annulus_run_single(sol, p, n_r, n_theta, kind, scheme, dt_fraction,
     if beta is None:
         beta = (p, p + 1)
     system = _annulus_system(sol, p, n_r, n_theta, kind, beta)
-    mass = mass_operator(system)
+    outlier = OutlierConstraint(system) if outlier_removed and p >= 3 else None
+    solve, restrict, prolong, shape = run_space(system, outlier)
     dr = sol.outer_radius - sol.inner_radius
 
     def u0_param(x1, x2):
         r = sol.inner_radius + dr * x1
         return sol.radial(r) * np.cos(sol.angular_wavenumber * 2.0 * np.pi * x2)
 
-    outlier = None
-    if outlier_removed and p >= 3:
-        outlier = OutlierConstraint(system)
-
     t0 = time.perf_counter()
-    if outlier is None:
-        omega_max = max_frequency(system)
-        rhs = lambda d: -mass.solve(stiffness_apply(system, d))
-        d0 = project_initial(system, u0_param)
-    else:
-        omega_max = max_frequency(system, outlier=outlier)
-        reduced_solve = outlier.reduce_mass(system)
-        rhs = lambda y: -reduced_solve(
-            outlier.restrict(stiffness_apply(system, outlier.prolong(y)))
-        )
-        d0 = outlier.project_initial(system, u0_param)
+    omega_max = max_frequency(system, outlier=outlier)
+    rhs = lambda d: -solve(restrict(stiffness_apply(system, prolong(d))))
+    d0 = project_initial(system, u0_param, outlier)
 
     period = sol.period
     dt_crit = critical_dt(PAPER_CMAX[scheme], omega_max)
@@ -467,7 +460,7 @@ def annulus_run_single(sol, p, n_r, n_theta, kind, scheme, dt_fraction,
     if unstable:
         err = float("inf")
     else:
-        d_final = outlier.prolong(state.d) if outlier is not None else state.d
+        d_final = prolong(state.d)
 
         def exact(X, Y):
             r = np.hypot(X, Y)
@@ -476,7 +469,6 @@ def annulus_run_single(sol, p, n_r, n_theta, kind, scheme, dt_fraction,
 
         err = l2_error(system, d_final, exact)
     wall = time.perf_counter() - t0
-    n_free = system.n_free if outlier is None else outlier.n_reduced
     return {
         "system": system,
         "p": p,
@@ -484,11 +476,11 @@ def annulus_run_single(sol, p, n_r, n_theta, kind, scheme, dt_fraction,
         "n_theta": n_theta,
         "kind": kind,
         "scheme": scheme,
-        "outlier_removed": outlier is not None,
+        "outlier_removed": bool(outlier),
         "omega_max": omega_max,
         "dt": dt,
         "steps": steps,
-        "sqrt_dofs": float(np.sqrt(n_free)),
+        "sqrt_dofs": float(np.sqrt(np.prod(shape))),
         "l2_rel_error": err,
         "wall_seconds": wall,
         "unstable": unstable,

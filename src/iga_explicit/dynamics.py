@@ -10,6 +10,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg
 
+from . import assembly
 from .errors import NumericalError
 from .splinecore import eval_basis
 
@@ -26,6 +27,7 @@ __all__ = [
     "stability_limit",
     "critical_dt",
     "power_max_frequency",
+    "run_space",
     "max_frequency",
     "eigensolve",
     "outlier_removal",
@@ -108,6 +110,9 @@ TABLEAUS = {"rk2": RK2, "rk4": RK4, "rk6": RK6}
 # Run-time defaults for the critical-timestep constant; the computed
 # imaginary-axis limits are logged alongside (they differ for rk4: 2.828).
 PAPER_CMAX = {"rk2": 2.0, "rk4": 2.785, "rk6": 3.387}
+
+# the dense eigensolver's largest problem
+EIGENSOLVE_MAX_N = 2000
 
 # Krylov basis size of the omega_max estimate (ARPACK's ncv; scipy's default
 # for one eigenvalue)
@@ -248,6 +253,17 @@ def power_max_frequency(apply_fn, n, tol=1e-10, max_iterations=1000, seed=0):
     return float(np.sqrt(np.abs(lam[0]) * (1.0 + tol))), applies
 
 
+def run_space(system, outlier=None):
+    """The mass solve, restriction, prolongation and state grid shape of a
+    run: the system's own mass on free grids, or with an OutlierConstraint
+    its reduced mass on reduced grids."""
+    if outlier is None:
+        identity = lambda grid: grid
+        return assembly.mass_operator(system).solve, identity, identity, system.free_shape
+    return (outlier.reduce_mass(system), outlier.restrict, outlier.prolong,
+            outlier.shape_reduced)
+
+
 def max_frequency(system, outlier=None, tol=1e-10, max_iterations=1000, seed=0):
     """Maximum discrete frequency of a system, matrix-free (see
     ``power_max_frequency``).
@@ -255,25 +271,13 @@ def max_frequency(system, outlier=None, tol=1e-10, max_iterations=1000, seed=0):
     The operator is the mass solve composed with the stiffness action of the
     system's mass kind; an optional OutlierConstraint reduces the space first.
     """
-    from .assembly import mass_operator, stiffness_apply
+    solve, restrict, prolong, shape = run_space(system, outlier)
 
-    if outlier is None:
-        mass = mass_operator(system)
-        shape = system.free_shape
+    def apply_fn(vec):
+        d = prolong(vec.reshape(shape))
+        return solve(restrict(assembly.stiffness_apply(system, d))).ravel()
 
-        def apply_fn(vec):
-            return mass.solve(stiffness_apply(system, vec.reshape(shape))).ravel()
-
-        n = system.n_free
-    else:
-        reduced_mass = outlier.reduce_mass(system)
-
-        def apply_fn(vec):
-            d = outlier.prolong(outlier.unflatten(vec))
-            return reduced_mass(outlier.restrict(stiffness_apply(system, d))).ravel()
-
-        n = outlier.n_reduced
-    omega, _ = power_max_frequency(apply_fn, n, tol, max_iterations, seed)
+    omega, _ = power_max_frequency(apply_fn, int(np.prod(shape)), tol, max_iterations, seed)
     return omega
 
 
@@ -285,18 +289,14 @@ class SpectrumResult:
     mass_kind: str = ""
     outlier_removed: bool = False
 
-    @property
-    def mode_count(self):
-        return len(self.frequencies)
-
 
 def eigensolve(K, M, mass_kind="", outlier_removed=False):
     """Frequencies of K phi = omega^2 M phi for dense symmetric K, SPD M."""
     K = np.asarray(K, dtype=float)
     M = np.asarray(M, dtype=float)
     n = K.shape[0]
-    if n > 2000:
-        raise ValueError("dense eigensolver capped at N=2000")
+    if n > EIGENSOLVE_MAX_N:
+        raise ValueError(f"dense eigensolver capped at N={EIGENSOLVE_MAX_N}")
     try:
         np.linalg.cholesky(M)
     except np.linalg.LinAlgError:
@@ -344,7 +344,6 @@ class OutlierConstraint:
                 space, b, lo, m, p, K, left=False
             )
         self.T = T
-        self.shape_full = system.free_shape
         self.shape_reduced = (T.shape[1],) + tuple(system.free_shape[1:])
 
     def _end_block(self, space, x_end, lo, m, p, K, left):
@@ -376,36 +375,15 @@ class OutlierConstraint:
     def unflatten(self, vec):
         return vec.reshape(self.shape_reduced)
 
-    def _reduced_solve(self, factors):
-        """Solve with (T^T F0 T) (x) F1 on reduced grids; the dense inverse of
-        the direction-0 block is formed once, here."""
-        from .assembly import along_axis
-
-        inv = np.linalg.inv(self.T.T @ factors[0].to_dense() @ self.T)
-
-        def solve(reduced_grid):
-            out = along_axis(inv.__matmul__, reduced_grid, 0)
-            for k in range(1, len(factors)):
-                out = along_axis(factors[k].solve, out, k)
-            return out
-
-        return solve
+    def reduce(self, op):
+        """The Kronecker operator (T^T F0 T) (x) F1 on reduced grids of a
+        free-index Kronecker operator F0 (x) F1."""
+        reduced = assembly.DenseFactor(self.T.T @ op.factors[0].to_dense() @ self.T)
+        return assembly.KroneckerOperator([reduced, *op.factors[1:]])
 
     def reduce_mass(self, system):
         """Reduced-mass solve (T^T M0 T)^{-1} (x) M1^{-1}."""
-        from .assembly import mass_form
-
-        return self._reduced_solve(mass_form(system).factors)
-
-    def project_initial(self, system, u0_param):
-        """Reduced initial data y of the system's own projection: with P the
-        kind's projection factors and m the moments of ``u0_param`` against
-        its test functions, (T^T P0 T) (x) P1 y = T^T m."""
-        from .assembly import mass_form, moments
-
-        form = mass_form(system)
-        m_free = system.extract(moments(system, u0_param, form.mode))
-        return self._reduced_solve(form.projection)(self.restrict(m_free))
+        return self.reduce(assembly.mass_operator(system)).solve
 
 
 def outlier_removal(system):

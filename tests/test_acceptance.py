@@ -104,12 +104,8 @@ def test_criterion_3_petrov_mass_geometry_independence():
             uniform_space(8, p),
             uniform_space(16, p, boundary_kind=PERIODIC),
         ]
-        sys_ann = DiscreteSystem(
-            spaces(), geometry=annulus_map(2.0, 5.0), mass_kind="petrov_consistent"
-        )
-        sys_id = DiscreteSystem(
-            spaces(), geometry=identity_map(), mass_kind="petrov_consistent"
-        )
+        sys_ann = DiscreteSystem(spaces(), geometry=annulus_map(2.0, 5.0))
+        sys_id = DiscreteSystem(spaces(), geometry=identity_map())
         M_ann = petrov_mass_dense(sys_ann)
         M_id = petrov_mass_dense(sys_id)
         dev = float(np.max(np.abs(M_ann - M_id)))

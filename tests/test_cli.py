@@ -82,11 +82,19 @@ def test_overrides_beat_file_values():
     assert cfg.degree == 5
 
 
-def test_run_project_exactness_and_determinism(tmp_path):
+def test_run_project_exactness_and_determinism(tmp_path, monkeypatch):
+    from iga_explicit import assembly
+
+    duals = []
+    build = assembly.approximate_dual
+    monkeypatch.setattr(assembly, "approximate_dual",
+                        lambda *args, **kwargs: duals.append(args) or build(*args, **kwargs))
     cfg = build_config(
         "project", {}, {"degree": 2, "n_values": (10, 20), "output_dir": str(tmp_path / "a")}
     )
     path_a = run_project(cfg)
+    # one dual per dimension serves every target and its end constraints
+    assert len(duals) == len(cfg.n_values)
     meta, body = split_csv(path_a)
     assert body[0] == "function,p,N,constrained,l2_error"
     # monomial rows at the 1e-10 floor
@@ -208,6 +216,9 @@ def test_main_exit_codes(tmp_path):
         ["spectrum", "--degree", "5", "--n", "9", "--outlier_removed", "true"],
         ["annulus", "--degree", "3", "--n_elems", "2", "--angular_factor", "8",
          "--outlier_removed", "true"],
+        # the dense eigensolver takes at most 2000 free functions, n - 2
+        ["spectrum", "--n", "2003"],
+        ["stability", "--n", "2003"],
     ],
 )
 def test_main_rejects_bad_input_without_traceback(tmp_path, args):

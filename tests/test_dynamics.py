@@ -20,6 +20,7 @@ from iga_explicit.dynamics import (
     outlier_removal,
     power_max_frequency,
     rk_step,
+    run_space,
     stability_limit,
 )
 from iga_explicit.errors import NumericalError
@@ -301,23 +302,32 @@ def test_mass_forms_are_built_once_per_system(kind, monkeypatch):
     max_frequency(system, tol=1e-4)
     con.reduce_mass(system)
     max_frequency(system, outlier=con, tol=1e-4)
-    con.project_initial(system, membrane_field)
+    project_initial(system, membrane_field, con)
     assert calls == []
 
 
-def test_lumped_outlier_projection_uses_the_reduced_lumped_mass():
-    from iga_explicit.assembly import moments
+@pytest.mark.parametrize("kind", RUN_KINDS)
+def test_outlier_projection_uses_the_reduced_projection(kind):
+    from iga_explicit.assembly import moments, project_initial
 
-    system = membrane_system("rowsum_lumped")
+    system = membrane_system(kind)
     con = outlier_removal(system)
-    y = con.project_initial(system, membrane_field)
+    y = project_initial(system, membrane_field, con)
     lo, hi = system.free_range(0)
-    D0 = grammian(system.spaces[0], weight=system.radial_weight(),
-                  points_per_element=system.mass_points).rowsums()[lo:hi]
-    D1 = grammian(system.spaces[1], points_per_element=system.mass_points).rowsums()
-    # (T^T D0 T (x) D1) y = T^T m with m the c-weighted moments of the field
-    lhs = con.restrict(np.outer(D0, D1) * con.prolong(y))
-    rhs = con.restrict(system.extract(moments(system, membrane_field, "standard")))
+    # each kind's own projection factors P0, P1 and moment test functions
+    if kind == "customized":
+        weight, mode = None, "dual"
+    else:
+        weight, mode = system.radial_weight(), "standard"
+    G0 = grammian(system.spaces[0], weight=weight, points_per_element=system.mass_points)
+    G1 = grammian(system.spaces[1], points_per_element=system.mass_points)
+    if kind == "rowsum_lumped":
+        P0, P1 = np.diag(G0.rowsums()[lo:hi]), np.diag(G1.rowsums())
+    else:
+        P0, P1 = G0.to_dense()[lo:hi, lo:hi], G1.to_dense()
+    # (T^T P0 T (x) P1) y = T^T m with m the moments of the field
+    lhs = con.restrict(P0 @ con.prolong(y) @ P1.T)
+    rhs = con.restrict(system.extract(moments(system, membrane_field, mode)))
     assert np.max(np.abs(lhs - rhs)) <= 1e-12 * np.max(np.abs(rhs))
 
 
@@ -339,14 +349,9 @@ def test_power_iteration_nonconvergence_reports_quotients():
 def dense_omega(system, outlier=None):
     """sqrt(max |eig|) of M^{-1} K (or its outlier-reduced form), formed
     column by column from the matrix-free operators."""
-    from iga_explicit.assembly import mass_operator, stiffness_apply
+    from iga_explicit.assembly import stiffness_apply
 
-    if outlier is None:
-        solve, shape = mass_operator(system).solve, system.free_shape
-        restrict = prolong = lambda grid: grid
-    else:
-        solve, shape = outlier.reduce_mass(system), outlier.shape_reduced
-        restrict, prolong = outlier.restrict, outlier.prolong
+    solve, restrict, prolong, shape = run_space(system, outlier)
     n = int(np.prod(shape))
     columns = np.column_stack([
         solve(restrict(stiffness_apply(system, prolong(e.reshape(shape))))).ravel()
