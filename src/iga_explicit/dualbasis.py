@@ -7,6 +7,13 @@ monomial coefficient vectors up to the polynomial degree. It is symmetric
 positive definite (verified, not imposed), has local support, and every row of
 the product C = S G sums to one, so rowsum lumping of C yields the identity.
 
+On a clamped direction S comes from one thin SVD of the equilibrated
+constraint matrix. When the knots are symmetric under x -> a + b - x, that
+matrix commutes with the mirror of basis functions, band entries and signed
+constraints, so the SVD runs on its mirror-even and mirror-odd halves. The
+split is taken only when the measured coupling of the halves is round-off
+(at most 1e-12 of the largest entry); asymmetric meshes use one block.
+
 Homogeneous boundary constraints keep the dual banded: the inverse of S^{-1}
 restricted to the free indices is the Schur complement
 S_ff - S_fc S_cc^{-1} S_cf, whose correction stays inside the band of S near
@@ -15,7 +22,9 @@ each constrained end, so the inverse of S is never formed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -27,6 +36,8 @@ from .splinecore import eval_basis, greville
 # largest constraint residual, relative to the largest right-hand side, at
 # which the clamped duality constraints count as satisfied
 FEASIBILITY_TOL = 1e-9
+# cap on the iterative refinement of the filtered pseudo-inverse solution
+REFINEMENT_STEPS = 30
 
 __all__ = [
     "BandedSymmetricMatrix",
@@ -82,6 +93,13 @@ class ApproximateDualBasis:
     S: BandedSymmetricMatrix
     halfwidth: int
     G: BandedSymmetricMatrix
+    # how the clamped construction went (empty for periodic directions):
+    # mirror_split and block_shapes of the constraint SVD, mirror_coupling
+    # (largest coupling entry relative to max|A|), null_directions below the
+    # 1e-14 threshold, min_kept_sv_rel (smallest kept singular value over the
+    # largest), refinement_steps and refinement_capped, and
+    # constraint_residual (max-norm, relative to the right-hand side scale)
+    diagnostics: Mapping = field(default_factory=lambda: MappingProxyType({}), compare=False)
 
     def apply(self, x):
         return self.S.matvec(x)
@@ -104,13 +122,16 @@ def approximate_dual(space, halfwidth=None):
     if hw < p:
         raise ValueError(f"dual halfwidth {hw} is below the degree {p}")
     G = grammian(space)
-    S = _periodic_dual(space, G, hw) if space.periodic else _clamped_dual(space, G, hw)
+    if space.periodic:
+        S, diagnostics = _periodic_dual(space, G, hw), {}
+    else:
+        S, diagnostics = _clamped_dual(space, G, hw)
     if not S.is_spd():
         raise NumericalError(
             "approximate dual coefficient matrix is not SPD "
             f"(halfwidth {hw}, smallest eigenvalue {S.smallest_eigenvalue():.3e})"
         )
-    return ApproximateDualBasis(space, S, hw, G)
+    return ApproximateDualBasis(space, S, hw, G, MappingProxyType(diagnostics))
 
 
 def _clamped_dual(space, G, hw):
@@ -200,7 +221,13 @@ def _clamped_dual(space, G, hw):
     A /= rownorm[:, None]
     rhs /= rownorm
 
-    U, sv, Vt = np.linalg.svd(A, full_matrices=False)
+    # the mirror x -> a + b - x maps basis function i to n-1-i, band entry
+    # (i, d) to (n-1-i-d, d) and constraint (r, m) to (n-1-r, m) with sign
+    # (-1)^m, since the local monomial ((x - g_r)/h)^m changes sign
+    rr, mm = np.divmod(np.arange((p + 1) * n), p + 1)
+    row_mirror = (n - 1 - rr) * (p + 1) + mm
+    col_mirror = np.array([entry_id[(n - 1 - i - d, d)] for (i, d) in entry_id])
+    U, sv, Vt, split = _mirror_svd(A, row_mirror, (-1.0) ** mm, col_mirror)
     sig0 = sv[0]
     # Filtered pseudo-inverse: keeps genuinely tiny singular directions (the
     # constraint system is consistent but extremely graded), while the exact
@@ -213,11 +240,13 @@ def _clamped_dual(space, G, hw):
 
     s_opt = pinv_apply(rhs)
     scale = max(1.0, np.max(np.abs(rhs)))
-    for _ in range(30):
+    steps = 0
+    for _ in range(REFINEMENT_STEPS):
         dr = rhs - A @ s_opt
         if np.max(np.abs(dr)) < 5e-15 * scale:
             break
         s_opt = s_opt + pinv_apply(dr)
+        steps += 1
     residual = np.max(np.abs(A @ s_opt - rhs))
     if residual > FEASIBILITY_TOL * scale:
         raise NumericalError(
@@ -235,7 +264,102 @@ def _clamped_dual(space, G, hw):
     S = BandedSymmetricMatrix(n, hw)
     for (i, d), k in entry_id.items():
         S.bands[d, i] = s_opt[k] / hbar
-    return S
+    diagnostics = {
+        "mirror_split": len(split["block_shapes"]) > 1,
+        "block_shapes": split["block_shapes"],
+        "mirror_coupling": split["coupling"],
+        "null_directions": int(null_mask.sum()),
+        "min_kept_sv_rel": float(sv[~null_mask][-1] / sig0),
+        "refinement_steps": steps,
+        "refinement_capped": steps == REFINEMENT_STEPS,
+        "constraint_residual": float(residual / scale),
+    }
+    return S, diagnostics
+
+
+def _mirror_svd(A, row_mirror, row_sign, col_mirror):
+    """Thin SVD of A, block-diagonalized by a mirror symmetry when A has one.
+
+    The mirror acts on the rows by the signed permutation e_k -> s_k e_m(k)
+    and on the columns by a plain permutation. When A commutes with it, A is
+    block-diagonal in orthonormal bases of the mirror-even and mirror-odd
+    vectors, and the SVD runs on the two half-size blocks. The coupling
+    blocks are measured, not assumed zero; when they exceed 1e-12 max|A| (an
+    asymmetric mesh) A is decomposed as one block. Returns U, sv, Vt with the
+    singular values in descending order, and the block shapes and coupling.
+    """
+    rows = _mirror_maps(row_mirror, row_sign)
+    cols = _mirror_maps(col_mirror, np.ones(len(col_mirror)))
+    blocks, coupling = [], 0.0
+    for i, row_map in enumerate(rows):
+        R = _coords(row_map, A)
+        for j, col_map in enumerate(cols):
+            B = _coords(col_map, R.T).T
+            if i == j:
+                blocks.append((row_map, col_map, B))
+            else:
+                coupling = max(coupling, np.abs(B).max(initial=0.0))
+    coupling /= np.abs(A).max()
+    # the blocks must return as many singular triplets as one SVD of A
+    (re, ce), (ro, co) = [B.shape for _, _, B in blocks]
+    if coupling > 1e-12 or (re - ce) * (ro - co) < 0:
+        # the even maps of the trivial mirror, which fixes every index
+        blocks = [(*[_mirror_maps(np.arange(k), np.ones(k))[0] for k in A.shape], A)]
+    svds = [np.linalg.svd(B, full_matrices=False) for _, _, B in blocks]
+    sv = np.concatenate([s for _, s, _ in svds])
+    order = np.argsort(-sv, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    # filled in descending order of sv; U in C order as np.linalg.svd returns
+    # it, so that an unsplit A gives bit-identical results downstream
+    U = np.empty((A.shape[0], len(sv)))
+    Vt = np.empty((len(sv), A.shape[1]))
+    first = 0
+    for (row_map, col_map, _), (u, s, vt) in zip(blocks, svds):
+        at = rank[first : first + len(s)]
+        first += len(s)
+        U[:, at] = _expand(row_map, u, A.shape[0])
+        Vt[at] = _expand(col_map, vt.T, A.shape[1]).T
+    shapes = [B.shape for _, _, B in blocks]
+    return U, sv[order], Vt, {"block_shapes": shapes, "coupling": coupling}
+
+
+def _mirror_maps(mirror, sign):
+    """Orthonormal coordinates of the +1 and -1 eigenvectors of the signed
+    involution e_k -> sign_k e_mirror(k), as index maps (a, b, wa, wb) whose
+    coordinate j is wa_j x[a_j] + wb_j x[b_j]: a pair k < mirror(k) gives
+    (x_k +- sign_k x_mirror(k)) / sqrt(2), a fixed point gives x_k to the
+    eigenvalue sign_k."""
+    k = np.arange(len(mirror))
+    lead = k[k < mirror]
+    half = np.full(len(lead), np.sqrt(0.5))
+    maps = []
+    for parity in (1.0, -1.0):
+        single = k[(k == mirror) & (sign == parity)]
+        maps.append((np.concatenate([lead, single]), np.concatenate([mirror[lead], single]),
+                     np.concatenate([half, np.ones(len(single))]),
+                     np.concatenate([parity * sign[lead] * half, np.zeros(len(single))])))
+    return maps
+
+
+def _coords(m, X):
+    """Coordinates of the columns of X in the basis of an index map."""
+    a, b, wa, wb = m
+    out = X[a]
+    out *= wa[:, None]
+    part = X[b]
+    part *= wb[:, None]
+    out += part
+    return out
+
+
+def _expand(m, Y, n):
+    """Length-n vectors with the columns of Y as coordinates in an index map."""
+    a, b, wa, wb = m
+    X = np.zeros((n, Y.shape[1]))
+    X[a] += wa[:, None] * Y
+    X[b] += wb[:, None] * Y
+    return X
 
 
 def _periodic_dual(space, G, hw):

@@ -344,6 +344,7 @@ class OutlierConstraint:
                 space, b, lo, m, p, K, left=False
             )
         self.T = T
+        self._reduced = {}
         self.shape_reduced = (T.shape[1],) + tuple(system.free_shape[1:])
 
     def _end_block(self, space, x_end, lo, m, p, K, left):
@@ -377,9 +378,12 @@ class OutlierConstraint:
 
     def reduce(self, op):
         """The Kronecker operator (T^T F0 T) (x) F1 on reduced grids of a
-        free-index Kronecker operator F0 (x) F1."""
-        reduced = assembly.DenseFactor(self.T.T @ op.factors[0].to_dense() @ self.T)
-        return assembly.KroneckerOperator([reduced, *op.factors[1:]])
+        free-index Kronecker operator F0 (x) F1, built once per operator."""
+        if id(op) not in self._reduced:
+            reduced = assembly.DenseFactor(self.T.T @ op.factors[0].to_dense() @ self.T)
+            # the entry keeps op alive, so its id is not reused
+            self._reduced[id(op)] = (op, assembly.KroneckerOperator([reduced, *op.factors[1:]]))
+        return self._reduced[id(op)][1]
 
     def reduce_mass(self, system):
         """Reduced-mass solve (T^T M0 T)^{-1} (x) M1^{-1}."""

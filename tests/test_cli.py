@@ -251,7 +251,17 @@ def test_run_spectrum_full_size_first_row(tmp_path):
         assert float(first[col]) <= 1e-4
 
 
-def test_run_annulus_outlier_reduced_path(tmp_path):
+def test_run_annulus_outlier_reduced_path(tmp_path, monkeypatch):
+    from iga_explicit.assembly import DenseFactor
+
+    built = []
+    init = DenseFactor.__init__
+
+    def counting_init(self, mat):
+        built.append(np.shape(mat))
+        init(self, mat)
+
+    monkeypatch.setattr(DenseFactor, "__init__", counting_init)
     cfg = build_config(
         "annulus",
         {},
@@ -267,6 +277,9 @@ def test_run_annulus_outlier_reduced_path(tmp_path):
     # two radial end constraints removed from the dof count
     full = (8 + 3 - 2) * 16
     assert float(row["sqrt_dofs"]) == pytest.approx(np.sqrt(full - 2 * 16), rel=1e-12)
+    # one reduced radial mass, shared by the run and its ω_max estimate, and
+    # one reduced projection
+    assert built == [(7, 7), (7, 7)]
 
 
 def test_run_annulus_instability_flagged_not_crash(tmp_path, monkeypatch):

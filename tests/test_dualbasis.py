@@ -259,6 +259,74 @@ def test_clamped_dual_interior_matches_periodic_stencil(degree, n):
     assert np.max(np.abs(row - want)) <= 1e-6 * np.max(np.abs(want))
 
 
+def unsplit_svd(A, *mirror):
+    """The constraint SVD as one block, whatever the mirror symmetry."""
+    return (*np.linalg.svd(A, full_matrices=False),
+            {"block_shapes": [A.shape], "coupling": float("nan")})
+
+
+# (degree, dimension, tolerance). At p=5 and n=45, 60 the construction's own
+# round-off is larger: one against two BLAS threads moves S by 7e-11 and
+# 4.8e-9 there without any split, so those cases get 1e-9 and 1e-8.
+SPLIT_CASES = [(p, n, 1e-10) for p in range(1, 5) for n in (p + 2, 11, 20, 31, 45, 60)]
+SPLIT_CASES += [(5, n, 1e-10) for n in (7, 11, 20, 31)] + [(5, 45, 1e-9), (5, 60, 1e-8)]
+
+
+@pytest.mark.parametrize("degree, n, tol", SPLIT_CASES)
+def test_mirror_split_matches_one_block_svd(degree, n, tol, monkeypatch):
+    from iga_explicit import dualbasis
+
+    space = uniform_space(n - degree, degree)
+    split = approximate_dual(space)
+    assert split.diagnostics["mirror_split"]
+    assert sum(rows for rows, _ in split.diagnostics["block_shapes"]) == (degree + 1) * n
+    monkeypatch.setattr(dualbasis, "_mirror_svd", unsplit_svd)
+    whole = approximate_dual(space)
+    assert not whole.diagnostics["mirror_split"]
+    S, S1 = split.S.bands, whole.S.bands
+    assert np.max(np.abs(S - S1)) <= tol * np.max(np.abs(S1))
+
+
+def test_asymmetric_mesh_is_not_split_and_unchanged(monkeypatch):
+    from iga_explicit import dualbasis
+
+    space = make_space([0.0, 0.1, 0.35, 0.5, 0.8, 1.0], 3)
+    dual = approximate_dual(space)
+    assert not dual.diagnostics["mirror_split"]
+    assert dual.diagnostics["mirror_coupling"] > 1e-3
+    monkeypatch.setattr(dualbasis, "_mirror_svd", unsplit_svd)
+    assert np.array_equal(dual.S.bands, approximate_dual(space).S.bands)
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])
+def test_uniform_clamped_dual_is_persymmetric(degree):
+    for n in (degree + 2, degree + 3, 11, 20, 31, 60):
+        dual = approximate_dual(uniform_space(n - degree, degree))
+        S = dual.S.to_dense()
+        defect = np.max(np.abs(S - S[::-1, ::-1])) / np.max(np.abs(S))
+        # round-off amplified by the smallest kept singular value of the
+        # constraints: 2e-7 of the largest at p=4, n=31, 2e-9 at n=60
+        assert defect <= np.finfo(float).eps / dual.diagnostics["min_kept_sv_rel"]
+        if degree <= 4 and n <= 31:
+            assert defect <= 1e-12
+
+
+def test_dual_diagnostics_report_the_clamped_construction():
+    diag = approximate_dual(uniform_space(20, 3)).diagnostics
+    assert diag["mirror_split"] and diag["null_directions"] == 0
+    assert not diag["refinement_capped"] and diag["refinement_steps"] <= 2
+    assert diag["constraint_residual"] <= 1e-14
+    with pytest.raises(TypeError):
+        diag["null_directions"] = 1
+    # p=5, 160 elements: one singular value below the 1e-14 null threshold,
+    # the next kept at 2.6e-14, and the refinement runs to its cap
+    diag = approximate_dual(uniform_space(160, 5)).diagnostics
+    assert diag["null_directions"] == 1
+    assert 1e-14 <= diag["min_kept_sv_rel"] <= 1e-13
+    assert diag["refinement_capped"] and diag["refinement_steps"] == 30
+    assert approximate_dual(uniform_space(16, 3, boundary_kind=PERIODIC)).diagnostics == {}
+
+
 def test_periodic_dual_spd_and_rowsum():
     space = uniform_space(16, 3, boundary_kind=PERIODIC)
     dual = approximate_dual(space)
