@@ -2,10 +2,10 @@
 
 Every tensor-product operation is one per-axis contraction, ``along_axis``,
 applied an axis at a time (sum factorization): the Kronecker mass apply and
-solve, the stiffness apply, moments against the B-splines, and field values
-for error norms. The masses of a system are built on first use and cached on
-it: the b-form Grammians of each test mode (``gram_factors``), and for each
-run kind (Galerkin-consistent, customized with explicitly sparse inverse,
+solve, moments against the B-splines, and field values for error norms. The
+masses of a system are built on first use and cached on it: the b-form
+Grammians of each test mode (``gram_factors``), and for each run kind
+(Galerkin-consistent, customized with explicitly sparse inverse,
 rowsum-lumped) one ``MassOperator`` of free-index per-direction factors that
 also carries its initial projection (``mass_operator``). The Petrov mass is
 kept only as the dense oracles ``ApproximateDualBasis.product_dense`` and
@@ -21,7 +21,9 @@ patterns on every axis but the first are separated together by fully
 pivoted cross approximation, until no residual entry exceeds 1e-13 of the
 largest coefficient. On the identity and annulus maps this gives 2 terms for
 both the B-spline test functions and the dual ones B/c; a map whose grids do
-not separate only adds terms. A 1D system has one term of one factor, its
+not separate only adds terms. The kernel stacks the factors of all terms
+into two sparse matrices, so an apply is two sparse products whatever the
+number of terms. A 1D system has one term, whose axis-0 factor is its
 assembled stiffness.
 """
 
@@ -76,6 +78,14 @@ class DenseFactor:
     def solve(self, x):
         return (self.inv @ x.reshape(self.n, -1)).reshape(x.shape)
 
+    def to_dense(self):
+        return self.mat.copy()
+
+    @property
+    def storage_entries(self):
+        """The matrix and its inverse."""
+        return self.mat.size + self.inv.size
+
 
 class DiagonalFactor:
     def __init__(self, diag):
@@ -101,7 +111,7 @@ class DiagonalFactor:
 class InverseFactor:
     """Factor given by its banded inverse: the customized mass, whose inverse
     is the constrained dual coefficient matrix. The solve is a banded matvec
-    and the apply a banded Cholesky solve."""
+    and the apply a product with the inverse the banded matrix caches."""
 
     def __init__(self, inverse):
         self.inverse = inverse
@@ -114,7 +124,7 @@ class InverseFactor:
         return self.inverse.matvec(x)
 
     def to_dense(self):
-        return self.inverse.solve(np.eye(self.n))
+        return self.inverse.dense_inverse().copy()
 
     @property
     def storage_entries(self):
@@ -169,7 +179,7 @@ class DiscreteSystem:
     ``spaces`` holds one (1D problems) or two univariate spline spaces.
     ``dirichlet`` gives per-direction (left, right) flags; periodic directions
     cannot be constrained. The wave-speed-squared coefficient ``kappa``
-    multiplies the stiffness form.
+    multiplies the stiffness form and must be positive.
     """
 
     def __init__(
@@ -194,6 +204,8 @@ class DiscreteSystem:
         self.geometry = geometry
         self.mass_kind = mass_kind
         self.kappa = float(kappa)
+        if not self.kappa > 0.0:
+            raise ValueError(f"kappa must be positive, got {kappa!r}")
         self.rho = float(geometry.rho) if geometry is not None else float(rho)
         if np.ndim(dual_halfwidth) and len(dual_halfwidth) != len(self.spaces):
             raise ValueError(
@@ -496,61 +508,83 @@ def _separate(grid, bound):
     raise NumericalError("stiffness coefficient grid did not separate")
 
 
-def _factor(ev, n, parts):
-    """Sum over ``parts`` (test, trial, u) of X^T diag(u) Y as one n x n CSR
-    matrix, X and Y the test and trial tables (0 values, 1 derivatives) of
-    the batched evaluation ``ev`` at the quadrature points: one COO build."""
+def _entries(ev, parts):
+    """COO entries (data, rows, cols) of the sum over ``parts`` (test, trial,
+    u) of X^T diag(u) Y, X and Y the test and trial tables (0 values, 1
+    derivatives) of the batched evaluation ``ev`` at the quadrature points;
+    the CSR build sums the duplicates."""
     vals = ev.values
     data = sum(vals[:, test, :, None] * (u[:, None, None] * vals[:, trial, None, :])
                for test, trial, u in parts)
     rows, cols = np.broadcast_arrays(ev.indices[:, :, None], ev.indices[:, None, :])
-    A = sp.csr_matrix((data.ravel(), (rows.ravel(), cols.ravel())), shape=(n, n))
+    return data.ravel(), rows.ravel(), cols.ravel()
+
+
+def _stacked_csr(blocks, shape, row_step, col_step):
+    """One CSR matrix from the COO entries of its blocks, block t shifted by
+    t row_step rows and t col_step columns."""
+    data, rows, cols = (np.concatenate(x) for x in zip(*blocks))
+    block = np.repeat(np.arange(len(blocks)), [len(d) for d, _, _ in blocks])
+    A = sp.csr_matrix((data, (rows + block * row_step, cols + block * col_step)), shape=shape)
     A.eliminate_zeros()
     return A
 
 
 class _StiffnessKernel:
     """The stiffness form of one test mode as a short sum of Kronecker
-    products, applied to full coefficient grids.
+    products, A_t along axis 0 and B_t along the rest, applied to full
+    coefficient grids.
 
     The entries of the form that share their test and trial patterns on
     every axis but the first are stacked along that axis and separated
-    together (``_separate``), so each term sum_e u_e (x) v shares its other
-    factor X^T diag(v) Y, while its first factor sums X_e^T diag(u_e) Y_e
-    over the entries. The supported maps give 2 terms in both test modes; a
-    non-separable map only adds terms.
+    together (``_separate``), so each term sum_e u_e (x) v shares its
+    trailing factor B_t, the product over the other axes of X^T diag(v) Y,
+    while its axis-0 factor A_t sums X_e^T diag(u_e) Y_e over the entries.
+    The supported maps give 2 terms in both test modes; a non-separable map
+    only adds terms.
+
+    A grid is viewed as (n0, m), m the product of the trailing dimensions
+    (1 in 1D, where B_t is the scalar 1). The kernel holds ``inner``, the
+    B_t stacked vertically (T m x m), and ``outer``, the A_t side by side
+    (n0 x T n0), so an apply is one sparse product per matrix.
     """
 
     def __init__(self, system, mode):
         pts = system.stiffness_points
         evs = [system.tables(k, pts)[3] for k in range(system.ndim)]
-        ns = system.full_shape
+        n0, *rest = system.full_shape
+        self.m = m = int(np.prod(rest))
         form = _stiffness_form(system, mode)
         bound = SEPARATION_TOL * max(np.max(np.abs(grid)) for grid, _, _ in form)
         groups = {}
         for grid, test, trial in form:
             key = (tuple(test[1:]), tuple(trial[1:]))
             groups.setdefault(key, []).append((grid, test[0], trial[0]))
-        self.terms = []
+        outer, inner = [], []
         for (tests, trials), entries in groups.items():
             stacked = np.concatenate([grid for grid, _, _ in entries])
             for u, v in _separate(stacked, bound):
-                parts = [(t, r, u_e) for (_, t, r), u_e in
-                         zip(entries, u.reshape(len(entries), -1))]
-                rest = [_factor(ev, n, [(t, r, v)])
-                        for ev, n, t, r in zip(evs[1:], ns[1:], tests, trials)]
-                self.terms.append((_factor(evs[0], ns[0], parts), *rest))
-        N = int(np.prod(ns))
-        self.macs = sum(A.nnz * (N // A.shape[0]) for term in self.terms for A in term)
+                outer.append(_entries(evs[0], [(t, r, u_e) for (_, t, r), u_e in
+                                               zip(entries, u.reshape(len(entries), -1))]))
+                # a system has one trailing axis at most
+                trailing = (np.ones(1), np.zeros(1, dtype=int), np.zeros(1, dtype=int))
+                for ev, t, r in zip(evs[1:], tests, trials):
+                    trailing = _entries(ev, [(t, r, v)])
+                inner.append(trailing)
+        self.n_terms = len(outer)
+        self.outer = _stacked_csr(outer, (n0, self.n_terms * n0), 0, n0)
+        self.inner = _stacked_csr(inner, (self.n_terms * m, m), m, 0)
+        # multiply-adds of the per-axis factors; the scalar 1 of 1D is free
+        self.macs = self.outer.nnz * m + (self.inner.nnz * n0 if rest else 0)
 
     def apply(self, full):
-        out = np.zeros(full.shape)
-        for term in self.terms:
-            y = full
-            for k, A in enumerate(term):
-                y = along_axis(A.__matmul__, y, k)
-            out += y
-        return out
+        """sum_t A_t X B_t^T for the (n0, m) view X of a full grid: the B_t
+        act on X^T at once, and the stacked results, transposed to (T n0, m),
+        meet the A_t in one product."""
+        n0, m = len(full), self.m
+        y = self.inner @ full.reshape(n0, m).T
+        return (self.outer @ y.reshape(-1, m, n0).transpose(0, 2, 1).reshape(-1, m)
+                ).reshape(full.shape)
 
 
 def _stiffness_kernel(system, mode):
@@ -567,8 +601,8 @@ def stiffness_apply(system, d_free, test_mode=None):
 
     With ``test_mode='dual'`` the test functions are B_i / c (the gradient is
     expanded as grad(B)/c - B grad(c)/c^2); with ``'standard'`` they are the
-    B-splines themselves. Each Kronecker term of the cached kernel is one
-    sweep of sparse per-axis factors.
+    B-splines themselves. The cached kernel applies all its Kronecker terms
+    in two sparse products.
     """
     kernel = _stiffness_kernel(system, test_mode or MASS_KINDS[system.mass_kind])
     system.counters["stiffness_applies"] += 1
@@ -577,12 +611,11 @@ def stiffness_apply(system, d_free, test_mode=None):
 
 
 def assembled_stiffness_1d(system, test_mode=None):
-    """Sparse assembled stiffness of a 1D system: the one factor of its
-    kernel's single term, on the full space (oracle and spectrum path)."""
+    """Sparse assembled stiffness of a 1D system: its kernel's single axis-0
+    factor, on the full space (oracle and spectrum path)."""
     if system.ndim != 1:
         raise ValueError("assembled path is one-dimensional")
-    (factor,), = _stiffness_kernel(system, test_mode or MASS_KINDS[system.mass_kind]).terms
-    return factor
+    return _stiffness_kernel(system, test_mode or MASS_KINDS[system.mass_kind]).outer
 
 
 # ---------------------------------------------------------------------------

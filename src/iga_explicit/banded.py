@@ -21,7 +21,9 @@ class BandedSymmetricMatrix:
     ``i < n - d``; the trailing entries of each diagonal are kept at zero.
 
     ``matvec``, ``to_dense`` and ``rowsums`` go through one CSR form, built on
-    first use; the SPD solves use a banded Cholesky factor.
+    first use. The first SPD solve factors the matrix by Cholesky (banded, or
+    dense for periodic storage), which certifies that it is SPD, and forms the
+    dense inverse from the factor; every solve is then one matrix product.
     """
 
     def __init__(self, n, halfwidth, periodic=False, bands=None):
@@ -46,6 +48,7 @@ class BandedSymmetricMatrix:
         self.bands = bands
         self._chol = None
         self._csr = None
+        self._inv = None
 
     @classmethod
     def from_dense(cls, dense, halfwidth, periodic=False):
@@ -134,16 +137,25 @@ class BandedSymmetricMatrix:
             ) from None
         return self._chol
 
+    def dense_inverse(self):
+        """The inverse as a read-only dense array, formed from the Cholesky
+        factor on first use. The matrices solved with are 1D factors of a few
+        hundred rows at most, where one product with the inverse beats the
+        column-by-column triangular solves of LAPACK."""
+        if self._inv is None:
+            kind, fac = self._factorize()
+            eye = np.eye(self.n)
+            if kind == "dense":
+                self._inv = scipy.linalg.cho_solve(fac, eye)
+            else:
+                self._inv = scipy.linalg.cho_solve_banded((fac, False), eye)
+            self._inv.flags.writeable = False
+        return self._inv
+
     def solve(self, b):
         """SPD solve; ``b`` may be a vector or a matrix of columns."""
-        kind, fac = self._factorize()
         b = np.asarray(b, dtype=float)
-        flat = b.reshape(self.n, -1)
-        if kind == "dense":
-            y = scipy.linalg.cho_solve(fac, flat)
-        else:
-            y = scipy.linalg.cho_solve_banded((fac, False), flat)
-        return y.reshape(b.shape)
+        return (self.dense_inverse() @ b.reshape(self.n, -1)).reshape(b.shape)
 
     def is_spd(self):
         try:

@@ -130,6 +130,61 @@ def test_customized_solve_matches_dense_kron_oracle(p, dirichlet_radial):
         assert all(np.size(v) <= factor.storage_entries for v in vars(factor).values())
 
 
+@pytest.mark.parametrize("dirichlet_radial", [False, True])
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_banded_solves_match_dense_kron_oracle(p, dirichlet_radial):
+    # the Galerkin mass and both projections solve through the inverses that
+    # the clamped radial and the periodic angular Grammians cache
+    rng = np.random.default_rng(12)
+    for kind in ("galerkin_consistent", "customized"):
+        system = make_system_2d(p=p, nel1=10, nel2=12, mass_kind=kind,
+                                dirichlet_radial=dirichlet_radial)
+        mass = mass_operator(system)
+        operators = [mass.projection] + ([mass] if kind == "galerkin_consistent" else [])
+        for op in operators:
+            G0, G1 = (f.to_dense() for f in op.factors)
+            oracle = np.linalg.inv(np.kron(G1, G0))
+            for _ in range(2):  # the first solve forms the inverses, the second reuses them
+                grid = rng.normal(size=system.free_shape)
+                ref = oracle @ grid_to_vec(grid)
+                out = grid_to_vec(op.solve(grid))
+                assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref)), kind
+
+
+def test_mass_inverses_are_formed_on_the_first_solve():
+    system = make_system_2d(p=3, nel1=6, nel2=12, mass_kind="galerkin_consistent")
+    mass = mass_operator(system)
+    assert all(f._inv is None for f in mass.factors)
+    mass.solve(np.ones(system.free_shape))
+    assert all(f._inv is not None for f in mass.factors)
+
+
+def test_inverse_factor_to_dense_is_a_copy_of_the_inverse():
+    system = make_system_2d(p=3, nel1=8, nel2=16)
+    for factor, cd in zip(mass_operator(system).factors, system.constrained_duals):
+        dense = factor.to_dense()
+        S = cd.S.to_dense()
+        ref = np.linalg.solve(S, np.eye(len(S)))
+        assert np.max(np.abs(dense - ref)) <= 1e-13 * np.max(np.abs(ref))
+        dense[:] = 0.0  # the caller owns the copy
+        assert_allclose(factor.matvec(np.eye(len(S))), ref, rtol=0, atol=1e-13 * np.abs(ref).max())
+
+
+def test_outlier_reduced_operator_reports_dense_and_storage():
+    from iga_explicit.dynamics import OutlierConstraint
+
+    system = make_system_2d(p=3, nel1=8, nel2=16)
+    outlier = OutlierConstraint(system)
+    mass = mass_operator(system)
+    reduced = outlier.reduce(mass)
+    T = outlier.T
+    F0 = reduced.factors[0]
+    assert np.array_equal(F0.to_dense(), T.T @ mass.factors[0].to_dense() @ T)
+    assert reduced.storage_entries == 2 * T.shape[1] ** 2 + mass.factors[1].storage_entries
+    oracle = np.kron(mass.factors[1].to_dense(), F0.to_dense())
+    assert_allclose(reduced.to_dense(), oracle, rtol=0, atol=1e-12 * np.abs(oracle).max())
+
+
 def test_galerkin_mass_spd_and_solve():
     system = make_system_2d(p=2, nel1=4, nel2=8, mass_kind="galerkin_consistent")
     mass = mass_operator(system)
@@ -267,7 +322,55 @@ def test_stiffness_has_two_kronecker_terms_in_both_modes(geometry):
         system = make_system_2d(p=p, nel1=8, nel2=16, geometry=geometry)
         for mode in ("standard", "dual"):
             stiffness_apply(system, np.zeros(system.free_shape), test_mode=mode)
-            assert len(_stiffness_kernel(system, mode).terms) == 2, (p, mode)
+            assert _stiffness_kernel(system, mode).n_terms == 2, (p, mode)
+
+
+def per_term_stiffness(kernel):
+    """Dense sum over the kernel's terms of kron(B_t, A_t), the column-major
+    operator of A_t along axis 0 and B_t along the rest, cut out of the
+    stacked matrices."""
+    n0, m = kernel.outer.shape[0], kernel.m
+    A = kernel.outer.toarray().reshape(n0, kernel.n_terms, n0)
+    B = kernel.inner.toarray().reshape(kernel.n_terms, m, m)
+    return sum(np.kron(B[t], A[:, t]) for t in range(kernel.n_terms))
+
+
+@pytest.mark.parametrize("mode", ["standard", "dual"])
+@pytest.mark.parametrize("ndim", [1, 2])
+def test_stacked_kernel_matches_per_term_sum_and_dense_stiffness(ndim, mode):
+    rng = np.random.default_rng(9)
+    if ndim == 1:
+        system = DiscreteSystem([uniform_space(12, 3)], kappa=1.7, rho=2.5)
+        dense = dense_stiffness_oracle_1d(system, mode)
+    else:
+        system = make_system_2d(p=3, nel1=3, nel2=8, dirichlet_radial=False)
+        dense = dense_stiffness_oracle(system, mode)
+    kernel = _stiffness_kernel(system, mode)
+    assert kernel.n_terms == (1 if ndim == 1 else 2)
+    summed = per_term_stiffness(kernel)
+    assert np.max(np.abs(summed - dense)) <= 1e-12 * np.max(np.abs(dense))
+    full = rng.normal(size=system.full_shape)
+    out = grid_to_vec(kernel.apply(full))
+    for ref in (summed @ grid_to_vec(full), dense @ grid_to_vec(full)):
+        assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("geometry", ["annulus", "identity"])
+def test_kernel_macs_are_the_per_axis_factor_count(geometry):
+    # sum over terms and axes of nnz(factor) N / n: 4544 on this mesh, 149
+    # for the clamped 1D space and 140 for the periodic one
+    system = make_system_2d(p=3, nel1=8, nel2=16, geometry=geometry)
+    spaces_1d = [uniform_space(20, 3), uniform_space(20, 3, boundary_kind=PERIODIC)]
+    for mode in ("standard", "dual"):
+        kernel = _stiffness_kernel(system, mode)
+        n1, n2 = system.full_shape
+        assert kernel.macs == kernel.outer.nnz * n2 + kernel.inner.nnz * n1 == 4544
+        for space, macs in zip(spaces_1d, (149, 140)):
+            system_1d = DiscreteSystem([space], dirichlet=[(not space.periodic,) * 2])
+            assert _stiffness_kernel(system_1d, mode).macs == macs
+            system_1d.counters["mac_ops"] = 0
+            stiffness_apply(system_1d, np.zeros(system_1d.free_shape), test_mode=mode)
+            assert system_1d.counters["mac_ops"] == macs
 
 
 def test_stiffness_kernel_follows_a_changed_quadrature_order():
@@ -325,6 +428,12 @@ def test_dual_halfwidth_length_must_match_the_directions(ndim, halfwidths):
     geometry = annulus_map(1.0, 2.0) if ndim == 2 else None
     with pytest.raises(ValueError, match="dual_halfwidth"):
         DiscreteSystem(spaces, geometry=geometry, dual_halfwidth=halfwidths)
+
+
+@pytest.mark.parametrize("kappa", [0.0, -1.0, float("nan")])
+def test_non_positive_kappa_is_rejected(kappa):
+    with pytest.raises(ValueError, match="kappa"):
+        DiscreteSystem([uniform_space(8, 3)], kappa=kappa)
 
 
 def test_storage_scaling_sqrt_n():
