@@ -25,6 +25,19 @@ not separate only adds terms. The kernel stacks the factors of all terms
 into two sparse matrices, so an apply is two sparse products whatever the
 number of terms. A 1D system has one term, whose axis-0 factor is its
 assembled stiffness.
+
+The mass is a Kronecker product F0 (x) F1 of per-direction factors, so the
+operator of an explicit run is a Kronecker sum too: M^{-1} K =
+sum_t (F0^{-1} A_t) (x) (F1^{-1} B_t), held in the same stacked layout
+(``mass_inverse_stiffness``), which makes a right-hand side two products
+with no separate mass solve (sum factorization carried through the mass).
+
+``system.counters`` counts operator work. ``stiffness_applies`` adds 1 per
+``stiffness_apply`` call and per run-operator apply (``dynamics.RunOperator``)
+alike. ``mac_ops`` adds each call's multiply-adds: the stiffness kernel's
+full-space factor count for ``stiffness_apply``, and the stored entries of
+the fused factors (nonzeros, or the whole array when dense) times the length
+of the other axis for a run-operator apply.
 """
 
 from __future__ import annotations
@@ -60,7 +73,10 @@ def along_axis(op, grid, k):
 
 
 # ---------------------------------------------------------------------------
-# univariate operator factors (BandedSymmetricMatrix is one as it is)
+# univariate operator factors (BandedSymmetricMatrix is one as it is). Each
+# factor's ``inverse_matrix`` is the matrix its solve multiplies by, stored as
+# the solve stores it: dense for a dense inverse, CSR for a banded inverse or
+# a diagonal.
 
 
 class DenseFactor:
@@ -77,6 +93,9 @@ class DenseFactor:
 
     def solve(self, x):
         return (self.inv @ x.reshape(self.n, -1)).reshape(x.shape)
+
+    def inverse_matrix(self):
+        return self.inv
 
     def to_dense(self):
         return self.mat.copy()
@@ -100,6 +119,9 @@ class DiagonalFactor:
         x = np.asarray(x, dtype=float)
         return (x.reshape(self.n, -1) / self.diag[:, None]).reshape(x.shape)
 
+    def inverse_matrix(self):
+        return sp.diags(1.0 / self.diag, format="csr")
+
     def to_dense(self):
         return np.diag(self.diag)
 
@@ -122,6 +144,9 @@ class InverseFactor:
 
     def solve(self, x):
         return self.inverse.matvec(x)
+
+    def inverse_matrix(self):
+        return self.inverse.to_csr()
 
     def to_dense(self):
         return self.inverse.dense_inverse().copy()
@@ -231,6 +256,7 @@ class DiscreteSystem:
         self._grams = {}  # test mode -> Grammians (gram_factors)
         self._masses = {}  # mass kind -> MassOperator (mass_operator)
         self._kernels = {}
+        self._run_terms = {}  # stiffness_points -> run terms (dynamics.RunOperator)
 
     # -- index bookkeeping ---------------------------------------------------
 
@@ -530,10 +556,43 @@ def _stacked_csr(blocks, shape, row_step, col_step):
     return A
 
 
-class _StiffnessKernel:
-    """The stiffness form of one test mode as a short sum of Kronecker
-    products, A_t along axis 0 and B_t along the rest, applied to full
-    coefficient grids.
+def _stored(A):
+    """Stored entries of a dense or CSR matrix."""
+    return A.nnz if sp.issparse(A) else A.size
+
+
+class KroneckerSum:
+    """sum_t P_t (x) Q_t on coefficient grids, P_t along axis 0 and Q_t along
+    the rest.
+
+    A grid is viewed as X of shape (n0, m), m the product of the trailing
+    dimensions (1 in 1D, where each Q_t is the scalar 1 and ``trailing`` is
+    False). ``outer`` holds the P_t side by side (n0 x T n0) and ``inner``
+    the Q_t stacked vertically (T m x m), each a dense array or CSR matrix,
+    so an apply is two products whatever the number of terms. ``macs``
+    counts the multiply-adds of one apply: the stored entries of ``outer``
+    times m, plus those of ``inner`` times n0 (the scalar 1 of 1D is free).
+    """
+
+    def __init__(self, outer, inner, trailing):
+        self.outer, self.inner = outer, inner
+        self.m = inner.shape[1]
+        self.n_terms = inner.shape[0] // self.m
+        self.macs = _stored(outer) * self.m + (_stored(inner) * outer.shape[0] if trailing else 0)
+
+    def apply(self, grid):
+        """sum_t P_t X Q_t^T: the Q_t act on X^T at once, and the stacked
+        results, transposed to (T n0, m), meet the P_t in one product."""
+        n0, m = len(grid), self.m
+        y = self.inner @ grid.reshape(n0, m).T
+        return (self.outer @ y.reshape(-1, m, n0).transpose(0, 2, 1).reshape(-1, m)
+                ).reshape(grid.shape)
+
+
+class _StiffnessKernel(KroneckerSum):
+    """The stiffness form of one test mode on full coefficient grids, as a
+    short sum of Kronecker products, A_t along axis 0 and B_t along the rest,
+    held in two CSR matrices (``KroneckerSum``).
 
     The entries of the form that share their test and trial patterns on
     every axis but the first are stacked along that axis and separated
@@ -541,19 +600,15 @@ class _StiffnessKernel:
     trailing factor B_t, the product over the other axes of X^T diag(v) Y,
     while its axis-0 factor A_t sums X_e^T diag(u_e) Y_e over the entries.
     The supported maps give 2 terms in both test modes; a non-separable map
-    only adds terms.
-
-    A grid is viewed as (n0, m), m the product of the trailing dimensions
-    (1 in 1D, where B_t is the scalar 1). The kernel holds ``inner``, the
-    B_t stacked vertically (T m x m), and ``outer``, the A_t side by side
-    (n0 x T n0), so an apply is one sparse product per matrix.
+    only adds terms. ``free`` is the same sum restricted to the free rows and
+    columns, which acts on free grids without zero padding.
     """
 
     def __init__(self, system, mode):
         pts = system.stiffness_points
         evs = [system.tables(k, pts)[3] for k in range(system.ndim)]
         n0, *rest = system.full_shape
-        self.m = m = int(np.prod(rest))
+        m = int(np.prod(rest))
         form = _stiffness_form(system, mode)
         bound = SEPARATION_TOL * max(np.max(np.abs(grid)) for grid, _, _ in form)
         groups = {}
@@ -571,20 +626,26 @@ class _StiffnessKernel:
                 for ev, t, r in zip(evs[1:], tests, trials):
                     trailing = _entries(ev, [(t, r, v)])
                 inner.append(trailing)
-        self.n_terms = len(outer)
-        self.outer = _stacked_csr(outer, (n0, self.n_terms * n0), 0, n0)
-        self.inner = _stacked_csr(inner, (self.n_terms * m, m), m, 0)
-        # multiply-adds of the per-axis factors; the scalar 1 of 1D is free
-        self.macs = self.outer.nnz * m + (self.inner.nnz * n0 if rest else 0)
+        n_terms = len(outer)
+        super().__init__(_stacked_csr(outer, (n0, n_terms * n0), 0, n0),
+                         _stacked_csr(inner, (n_terms * m, m), m, 0), trailing=bool(rest))
+        self.free_ranges = [system.free_range(k) for k in range(system.ndim)]
+        self._free = None
 
-    def apply(self, full):
-        """sum_t A_t X B_t^T for the (n0, m) view X of a full grid: the B_t
-        act on X^T at once, and the stacked results, transposed to (T n0, m),
-        meet the A_t in one product."""
-        n0, m = len(full), self.m
-        y = self.inner @ full.reshape(n0, m).T
-        return (self.outer @ y.reshape(-1, m, n0).transpose(0, 2, 1).reshape(-1, m)
-                ).reshape(full.shape)
+    @property
+    def free(self):
+        """The sum on free grids, sliced out of ``outer`` and ``inner`` on
+        first use: the free rows and, within each term's block, the free
+        columns."""
+        if self._free is None:
+            blocks = np.arange(self.n_terms)[:, None]
+            (lo, hi), *rest = self.free_ranges
+            outer = self.outer[lo:hi][:, (blocks * self.outer.shape[0] + np.arange(lo, hi)).ravel()]
+            inner = self.inner
+            for lo, hi in rest:
+                inner = inner[(blocks * self.m + np.arange(lo, hi)).ravel()][:, lo:hi]
+            self._free = KroneckerSum(outer, inner, trailing=bool(rest))
+        return self._free
 
 
 def _stiffness_kernel(system, mode):
@@ -601,13 +662,14 @@ def stiffness_apply(system, d_free, test_mode=None):
 
     With ``test_mode='dual'`` the test functions are B_i / c (the gradient is
     expanded as grad(B)/c - B grad(c)/c^2); with ``'standard'`` they are the
-    B-splines themselves. The cached kernel applies all its Kronecker terms
-    in two sparse products.
+    B-splines themselves. The cached kernel's free restriction applies all
+    its Kronecker terms in two sparse products; the counters add one apply
+    and the kernel's full-space ``macs``.
     """
     kernel = _stiffness_kernel(system, test_mode or MASS_KINDS[system.mass_kind])
     system.counters["stiffness_applies"] += 1
     system.counters["mac_ops"] += kernel.macs
-    return system.extract(kernel.apply(system.inject(d_free)))
+    return kernel.free.apply(np.asarray(d_free, dtype=float))
 
 
 def assembled_stiffness_1d(system, test_mode=None):
@@ -616,6 +678,30 @@ def assembled_stiffness_1d(system, test_mode=None):
     if system.ndim != 1:
         raise ValueError("assembled path is one-dimensional")
     return _stiffness_kernel(system, test_mode or MASS_KINDS[system.mass_kind]).outer
+
+
+def mass_inverse_stiffness(system, mass, T=None):
+    """-M^{-1} K of the system's mass kind as a KroneckerSum on free grids,
+    or, with a reduction T along axis 0 (free = T reduced), on reduced grids,
+    where ``mass`` is the reduced operator.
+
+    With M = F0 (x) F1 and K = sum_t A_t (x) B_t on the free indices,
+    M^{-1} K = sum_t P_t (x) Q_t with P_t = F0^{-1} A_t (reduced:
+    (T^T F0 T)^{-1} T^T A_t T) and Q_t = F1^{-1} B_t. The sign is folded into
+    the P_t. Each product is stored as its factor's ``inverse_matrix``: dense
+    for a dense inverse, CSR for a banded inverse or a diagonal.
+    """
+    kernel = _stiffness_kernel(system, MASS_KINDS[system.mass_kind]).free
+    outer, inner = kernel.outer, kernel.inner
+    if T is not None:
+        n, r = T.shape
+        outer = ((T.T @ outer).reshape(r, kernel.n_terms, n) @ T).reshape(r, -1)
+    F0, *rest = mass.factors
+    for F1 in rest:
+        m, inv = kernel.m, F1.inverse_matrix()
+        blocks = [inv @ inner[t * m:(t + 1) * m] for t in range(kernel.n_terms)]
+        inner = sp.vstack(blocks, format="csr") if sp.issparse(inv) else np.vstack(blocks)
+    return KroneckerSum(-(F0.inverse_matrix() @ outer), inner, trailing=bool(rest))
 
 
 # ---------------------------------------------------------------------------

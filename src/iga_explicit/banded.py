@@ -64,7 +64,7 @@ class BandedSymmetricMatrix:
                 out.bands[d, : n - d] = dense[np.arange(n - d), np.arange(d, n)]
         return out
 
-    def _sparse(self):
+    def to_csr(self):
         """The full matrix in CSR form, periodic wrap included, built on first
         use. Building it makes ``bands`` read-only, so an edit after that
         fails loudly instead of leaving a stale cache."""
@@ -89,12 +89,12 @@ class BandedSymmetricMatrix:
         return self._csr
 
     def to_dense(self):
-        return self._sparse().toarray()
+        return self.to_csr().toarray()
 
     def matvec(self, x):
         """Product with a vector, or with a matrix along its first axis."""
         x = np.asarray(x, dtype=float)
-        return (self._sparse() @ x.reshape(self.n, -1)).reshape(x.shape)
+        return (self.to_csr() @ x.reshape(self.n, -1)).reshape(x.shape)
 
     def rowsums(self):
         return self.matvec(np.ones(self.n))
@@ -151,6 +151,10 @@ class BandedSymmetricMatrix:
                 self._inv = scipy.linalg.cho_solve_banded((fac, False), eye)
             self._inv.flags.writeable = False
         return self._inv
+
+    def inverse_matrix(self):
+        """The matrix a solve multiplies by: the dense inverse."""
+        return self.dense_inverse()
 
     def solve(self, b):
         """SPD solve; ``b`` may be a vector or a matrix of columns."""

@@ -18,6 +18,7 @@ metadata lines before the header row.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 import time
@@ -25,7 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import (
+# stiffness_apply and grammian are not called here; perfbench traces them
+# under this module's name
+from .assembly import (  # noqa: F401
     DiscreteSystem,
     MASS_KINDS,
     assembled_stiffness_1d,
@@ -34,7 +37,6 @@ from .assembly import (
     stiffness_apply,
 )
 from .benchmarks import annulus_solution, l2_error, string_frequencies
-# grammian is not called here; perfbench traces it under this module's name
 from .dualbasis import constrain_dual, grammian, quasi_project  # noqa: F401
 from .dynamics import (
     EIGENSOLVE_MAX_N,
@@ -417,6 +419,11 @@ def annulus_run_single(sol, p, n_r, n_theta, kind, scheme, dt_fraction,
                        outlier_removed=False, beta=None):
     """One explicit run over a full period; returns a result dict.
 
+    ``phases`` holds the seconds of setup (before the timed run), of the
+    omega_max estimate with its operator applies, of the initial projection,
+    of the stepping and of the error evaluation; ``counters`` is a copy of
+    the system's operator counters at the end of the run.
+
     The angular dual halfwidth defaults to degree+1: the coarse meshes of the
     membrane study put the initial field at the angular resolution limit,
     where one extra band keeps the customized-mass evolution within a factor
@@ -424,11 +431,12 @@ def annulus_run_single(sol, p, n_r, n_theta, kind, scheme, dt_fraction,
     radial direction keeps the default halfwidth, which is where the
     construction is SPD on all mesh sizes.
     """
+    t_setup = time.perf_counter()
     if beta is None:
         beta = (p, p + 1)
     system = _annulus_system(sol, p, n_r, n_theta, kind, beta)
     outlier = OutlierConstraint(system) if outlier_removed and p >= 3 else None
-    solve, restrict, prolong, shape = run_space(system, outlier)
+    run = run_space(system, outlier)
     dr = sol.outer_radius - sol.inner_radius
 
     def u0_param(x1, x2):
@@ -436,9 +444,12 @@ def annulus_run_single(sol, p, n_r, n_theta, kind, scheme, dt_fraction,
         return sol.radial(r) * np.cos(sol.angular_wavenumber * 2.0 * np.pi * x2)
 
     t0 = time.perf_counter()
+    applies = system.counters["stiffness_applies"]
     omega_max = max_frequency(system, outlier=outlier)
-    rhs = lambda d: -solve(restrict(stiffness_apply(system, prolong(d))))
+    applies = system.counters["stiffness_applies"] - applies
+    t_omega = time.perf_counter()
     d0 = project_initial(system, u0_param, outlier)
+    t_project = time.perf_counter()
 
     period = sol.period
     dt_crit = critical_dt(PAPER_CMAX[scheme], omega_max)
@@ -450,17 +461,18 @@ def annulus_run_single(sol, p, n_r, n_theta, kind, scheme, dt_fraction,
     unstable = False
     try:
         for step in range(steps):
-            state = rk_step(tableau, rhs, state, dt)
+            state = rk_step(tableau, run.apply, state, dt)
             if np.max(np.abs(state.d)) > 1e6 * init_scale:
                 unstable = True
                 break
     except NumericalError:
         unstable = True
+    t_step = time.perf_counter()
 
     if unstable:
         err = float("inf")
     else:
-        d_final = prolong(state.d)
+        d_final = run.prolong(state.d)
 
         def exact(X, Y):
             r = np.hypot(X, Y)
@@ -468,7 +480,7 @@ def annulus_run_single(sol, p, n_r, n_theta, kind, scheme, dt_fraction,
             return sol.value(r, th, period)
 
         err = l2_error(system, d_final, exact)
-    wall = time.perf_counter() - t0
+    t_end = time.perf_counter()
     return {
         "system": system,
         "p": p,
@@ -480,10 +492,19 @@ def annulus_run_single(sol, p, n_r, n_theta, kind, scheme, dt_fraction,
         "omega_max": omega_max,
         "dt": dt,
         "steps": steps,
-        "sqrt_dofs": float(np.sqrt(np.prod(shape))),
+        "sqrt_dofs": float(np.sqrt(run.n)),
         "l2_rel_error": err,
-        "wall_seconds": wall,
+        "wall_seconds": t_end - t0,
         "unstable": unstable,
+        "phases": {
+            "setup_s": t0 - t_setup,
+            "omega_s": t_omega - t0,
+            "omega_applies": applies,
+            "project_s": t_project - t_omega,
+            "stepping_s": t_step - t_project,
+            "error_s": t_end - t_step,
+        },
+        "counters": dict(system.counters),
     }
 
 
@@ -557,7 +578,26 @@ def run_annulus(config):
     )
     path = os.path.join(config.output_dir, f"annulus_p{p}_summary.csv")
     paths.append(write_csv(path, md, sum_header, sum_rows))
+    write_annulus_report(os.path.join(config.output_dir, f"annulus_p{p}_report.json"),
+                         all_results)
     return paths
+
+
+def write_annulus_report(path, results):
+    """Per-run omega_max, phases and operator counters of an annulus sweep,
+    as a JSON sidecar of its CSVs, which it leaves byte-identical. The
+    spectral abscissa and the amplitude drift are not computed yet; their
+    slots are null."""
+    runs = [{"n_elem_radial": res["n_r"], "n_elem_angular": res["n_theta"],
+             "mass_kind": res["kind"], "rk_scheme": res["scheme"],
+             "outlier_removed": res["outlier_removed"], "omega_max": res["omega_max"],
+             "steps": res["steps"], "phases": res["phases"], "counters": res["counters"],
+             "spectral_abscissa": None, "amplitude_drift": None}
+            for res in results]
+    with open(path, "w") as fh:
+        json.dump({"experiment": "annulus", "degree": results[0]["p"], "runs": runs},
+                  fh, indent=1)
+        fh.write("\n")
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ __all__ = [
     "stability_limit",
     "critical_dt",
     "power_max_frequency",
+    "RunOperator",
     "run_space",
     "max_frequency",
     "eigensolve",
@@ -198,12 +199,13 @@ def power_max_frequency(apply_fn, n, tol=1e-10, max_iterations=1000, seed=0):
     """Largest sqrt(|eigenvalue|) of a linear operator by implicitly restarted
     Arnoldi (ARPACK; Lehoucq, Sorensen and Yang 1998).
 
-    ``apply_fn`` realizes M^{-1} K on flattened coefficient vectors; the
-    result is the square root of its spectral radius, which stays meaningful
-    for the non-normal customized mass. The start vector is random: a
-    constant one stays inside the angular-wavenumber-0 modes of an annulus
-    and converges to a value 0.8% low. ``max_iterations`` bounds the Arnoldi
-    restart cycles. Returns ``(omega, applies)``.
+    ``apply_fn`` realizes M^{-1} K, or its negative, on flattened
+    coefficient vectors; the result is the square root of its spectral
+    radius, which stays meaningful for the non-normal customized mass. The
+    start vector is random: a constant one stays inside the
+    angular-wavenumber-0 modes of an annulus and converges to a value 0.8%
+    low. ``max_iterations`` bounds the Arnoldi restart cycles. Returns
+    ``(omega, applies)``.
 
     ARPACK accepts a Ritz value theta once its residual estimate is at most
     ``tol * |theta|``. For an operator normal in the residual's inner
@@ -253,31 +255,66 @@ def power_max_frequency(apply_fn, n, tol=1e-10, max_iterations=1000, seed=0):
     return float(np.sqrt(np.abs(lam[0]) * (1.0 + tol))), applies
 
 
+class RunOperator:
+    """The operator -M^{-1} K of an explicit run on its state grids: the free
+    grids of a system, or with an OutlierConstraint the reduced ones.
+
+    The mass is built with the operator; its Kronecker terms
+    (``assembly.mass_inverse_stiffness``) on the first apply, which in a run
+    is inside the omega_max estimate. The terms are cached per stiffness
+    quadrature order on the system, or on the constraint for a reduced run:
+    arrays only, so the cache closes no reference cycle. An apply is two
+    products and counts as one stiffness apply with the terms' own
+    multiply-adds. ``prolong`` maps a state grid to the free grid the error
+    is measured on.
+    """
+
+    def __init__(self, system, outlier=None):
+        self.system = system
+        self.outlier = outlier
+        mass = assembly.mass_operator(system)
+        if outlier is None:
+            self.mass, self.shape = mass, system.free_shape
+        else:
+            self.mass, self.shape = outlier.reduce(mass), outlier.shape_reduced
+
+    @property
+    def terms(self):
+        """The operator as an ``assembly.KroneckerSum``."""
+        cache = (self.system if self.outlier is None else self.outlier)._run_terms
+        key = self.system.stiffness_points
+        if key not in cache:
+            T = None if self.outlier is None else self.outlier.T
+            cache[key] = assembly.mass_inverse_stiffness(self.system, self.mass, T)
+        return cache[key]
+
+    @property
+    def n(self):
+        return int(np.prod(self.shape))
+
+    def apply(self, grid):
+        terms = self.terms
+        self.system.counters["stiffness_applies"] += 1
+        self.system.counters["mac_ops"] += terms.macs
+        return terms.apply(grid)
+
+    def prolong(self, grid):
+        return grid if self.outlier is None else self.outlier.prolong(grid)
+
+
 def run_space(system, outlier=None):
-    """The mass solve, restriction, prolongation and state grid shape of a
-    run: the system's own mass on free grids, or with an OutlierConstraint
-    its reduced mass on reduced grids."""
-    if outlier is None:
-        identity = lambda grid: grid
-        return assembly.mass_operator(system).solve, identity, identity, system.free_shape
-    return (outlier.reduce_mass(system), outlier.restrict, outlier.prolong,
-            outlier.shape_reduced)
+    """The run operator of a system, plain or reduced by an OutlierConstraint."""
+    return RunOperator(system, outlier)
 
 
 def max_frequency(system, outlier=None, tol=1e-10, max_iterations=1000, seed=0):
     """Maximum discrete frequency of a system, matrix-free (see
-    ``power_max_frequency``).
-
-    The operator is the mass solve composed with the stiffness action of the
-    system's mass kind; an optional OutlierConstraint reduces the space first.
+    ``power_max_frequency``), from the run operator of ``run_space``; an
+    optional OutlierConstraint reduces the space first.
     """
-    solve, restrict, prolong, shape = run_space(system, outlier)
-
-    def apply_fn(vec):
-        d = prolong(vec.reshape(shape))
-        return solve(restrict(assembly.stiffness_apply(system, d))).ravel()
-
-    omega, _ = power_max_frequency(apply_fn, int(np.prod(shape)), tol, max_iterations, seed)
+    run = run_space(system, outlier)
+    omega, _ = power_max_frequency(lambda vec: run.apply(vec.reshape(run.shape)).ravel(),
+                                   run.n, tol, max_iterations, seed)
     return omega
 
 
@@ -345,6 +382,7 @@ class OutlierConstraint:
             )
         self.T = T
         self._reduced = {}
+        self._run_terms = {}  # stiffness_points -> reduced run terms (RunOperator)
         self.shape_reduced = (T.shape[1],) + tuple(system.free_shape[1:])
 
     def _end_block(self, space, x_end, lo, m, p, K, left):

@@ -373,6 +373,17 @@ def test_kernel_macs_are_the_per_axis_factor_count(geometry):
             assert system_1d.counters["mac_ops"] == macs
 
 
+def test_free_kernel_is_sliced_on_the_first_apply():
+    system = DiscreteSystem([uniform_space(12, 3)], dirichlet=[(True, True)])
+    K = assembled_stiffness_1d(system)
+    kernel = _stiffness_kernel(system, "dual")
+    assert kernel._free is None  # the assembled path slices nothing
+    d = np.random.default_rng(2).normal(size=system.free_shape)
+    lo, hi = system.free_range(0)
+    assert np.array_equal(stiffness_apply(system, d), K[lo:hi, lo:hi] @ d)
+    assert (kernel.free.outer != K[lo:hi, lo:hi]).nnz == 0
+
+
 def test_stiffness_kernel_follows_a_changed_quadrature_order():
     system = make_system_2d(p=2, nel1=3, nel2=6)
     rng = np.random.default_rng(8)

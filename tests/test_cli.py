@@ -184,6 +184,50 @@ def test_run_annulus_smoke(tmp_path):
     assert sum_body[0].endswith("slope_vs_previous_mesh")
 
 
+# rows of `annulus --degree 3 --n_elems 8 --mass_kind all` before the run
+# operator fused the mass solve into the stiffness, without wall_seconds
+ANNULUS_P3_ROWS = [
+    "3,8,16,12.0,galerkin_consistent,rk4,False,0.02581173346135623,22,0.012464653064916715",
+    "3,8,16,12.0,customized,rk4,False,0.03340341977351983,17,0.013168610325408036",
+    "3,8,16,12.0,rowsum_lumped,rk2,False,0.04056129543927407,14,1.289817317502596",
+]
+
+
+def test_run_annulus_report_and_unchanged_csvs(tmp_path):
+    import json
+
+    from iga_explicit.dynamics import TABLEAUS
+
+    cfg = build_config("annulus", {}, {"degree": 3, "n_elems": (8,), "mass_kind": "all",
+                                       "output_dir": str(tmp_path)})
+    paths = run_annulus(cfg)
+    # every column but wall_seconds as before; the L2 errors up to round-off
+    for path in paths:
+        _, body = split_csv(path)
+        header = body[0].split(",")
+        wall = header.index("wall_seconds")
+        for line, want in zip(body[1:], ANNULUS_P3_ROWS):
+            row = line.split(",")
+            row.pop(wall)
+            *fields, err = want.split(",")
+            assert row[:len(fields)] == fields
+            assert float(row[len(fields)]) == pytest.approx(float(err), rel=1e-12)
+    with open(tmp_path / "annulus_p3_report.json") as fh:
+        report = json.load(fh)
+    assert report["degree"] == 3 and len(report["runs"]) == 3
+    for run, want in zip(report["runs"], ANNULUS_P3_ROWS):
+        assert run["mass_kind"] == want.split(",")[4]
+        assert run["spectral_abscissa"] is None and run["amplitude_drift"] is None
+        phases = run["phases"]
+        assert phases["omega_applies"] > 0
+        assert all(phases[k] > 0.0 for k in
+                   ("setup_s", "omega_s", "project_s", "stepping_s", "error_s"))
+        # the ω_max estimate, then one run-operator apply per stage and step
+        stages = TABLEAUS[run["rk_scheme"]].stages
+        assert run["counters"]["stiffness_applies"] == (
+            phases["omega_applies"] + stages * run["steps"])
+
+
 def test_main_exit_codes(tmp_path):
     out = str(tmp_path / "out")
     assert main(["project", "--degree", "2", "--n_values", "8", "--output_dir", out]) == 0

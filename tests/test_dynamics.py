@@ -346,17 +346,24 @@ def test_power_iteration_nonconvergence_reports_quotients():
         power_max_frequency(lambda v: A @ v, 200, max_iterations=1)
 
 
+def separate_rhs(system, outlier=None):
+    """The state shape and M^{-1} K of a run (or its outlier-reduced form)
+    from the separate stiffness apply and mass solve, not the run operator."""
+    from iga_explicit.assembly import mass_operator, stiffness_apply
+
+    if outlier is None:
+        return system.free_shape, lambda d: mass_operator(system).solve(stiffness_apply(system, d))
+    solve = outlier.reduce_mass(system)
+    return outlier.shape_reduced, lambda y: solve(
+        outlier.restrict(stiffness_apply(system, outlier.prolong(y))))
+
+
 def dense_omega(system, outlier=None):
     """sqrt(max |eig|) of M^{-1} K (or its outlier-reduced form), formed
-    column by column from the matrix-free operators."""
-    from iga_explicit.assembly import stiffness_apply
-
-    solve, restrict, prolong, shape = run_space(system, outlier)
+    column by column from the separate matrix-free operators."""
+    shape, rhs = separate_rhs(system, outlier)
     n = int(np.prod(shape))
-    columns = np.column_stack([
-        solve(restrict(stiffness_apply(system, prolong(e.reshape(shape))))).ravel()
-        for e in np.eye(n)
-    ])
+    columns = np.column_stack([rhs(e.reshape(shape)).ravel() for e in np.eye(n)])
     return float(np.sqrt(np.max(np.abs(np.linalg.eigvals(columns)))))
 
 
@@ -373,6 +380,73 @@ def test_max_frequency_bounds_the_dense_oracle(p, n_r, kind, outlier):
     # never an underestimate, which would give an unstable timestep
     assert omega >= exact
     assert omega <= exact * (1.0 + 1e-8)
+
+
+def assert_matches_separate_rhs(system, outlier):
+    run = run_space(system, outlier)
+    shape, rhs = separate_rhs(system, outlier)
+    assert run.shape == shape
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        x = rng.standard_normal(shape)
+        ref = -rhs(x)
+        assert np.max(np.abs(run.apply(x) - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("kind", RUN_KINDS)
+@pytest.mark.parametrize("n_r", [8, 16])
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_run_operator_matches_the_separate_rhs(p, n_r, kind):
+    system = membrane_system(kind, p, n_r)
+    for outlier in (None, outlier_removal(system)):
+        assert_matches_separate_rhs(system, outlier)
+
+
+@pytest.mark.parametrize("kind", RUN_KINDS)
+def test_run_operator_matches_the_separate_rhs_1d(kind):
+    system = string_system(5, 30, kind)
+    for outlier in (None, outlier_removal(system)):
+        assert_matches_separate_rhs(system, outlier)
+
+
+@pytest.mark.parametrize("kind", RUN_KINDS)
+def test_run_operator_storage_follows_the_factor(kind):
+    import scipy.sparse as sp
+
+    system = membrane_system(kind)
+    plain = run_space(system).terms
+    reduced = run_space(system, outlier_removal(system)).terms
+    # the Galerkin Grammians solve through dense inverses, the customized
+    # mass through its banded inverse and the lumped one through a diagonal
+    sparse = kind != "galerkin_consistent"
+    assert sp.issparse(plain.outer) == sparse and sp.issparse(plain.inner) == sparse
+    # the outlier-reduced factor T^T F0 T has a dense inverse
+    assert isinstance(reduced.outer, np.ndarray)
+    assert sp.issparse(reduced.inner) == sparse
+
+
+def test_run_terms_are_built_on_first_apply_and_kept():
+    system = membrane_system("customized")
+    outlier = outlier_removal(system)
+    runs = [run_space(system), run_space(system, outlier)]
+    assert system._kernels == {}  # nothing of the stiffness before an apply
+    max_frequency(system, tol=1e-4)
+    max_frequency(system, outlier=outlier, tol=1e-4)
+    for run in runs:
+        assert run.terms is run_space(system, run.outlier).terms
+
+
+@pytest.mark.parametrize("tableau", [RK2, RK4, RK6], ids=lambda t: t.name)
+@pytest.mark.parametrize("outlier", [False, True])
+def test_one_rk_step_counts_one_apply_per_stage(tableau, outlier):
+    system = membrane_system("galerkin_consistent")
+    run = run_space(system, outlier_removal(system) if outlier else None)
+    d = np.random.default_rng(4).standard_normal(run.shape)
+    state = DynamicState(d, np.zeros_like(d))
+    before = dict(system.counters)
+    rk_step(tableau, run.apply, state, 1e-3)
+    assert system.counters["stiffness_applies"] - before["stiffness_applies"] == tableau.stages
+    assert system.counters["mac_ops"] - before["mac_ops"] == tableau.stages * run.terms.macs
 
 
 def test_rk_step_rejects_nonpositive_dt():
