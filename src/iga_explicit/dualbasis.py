@@ -8,11 +8,13 @@ positive definite (verified, not imposed), has local support, and every row of
 the product C = S G sums to one, so rowsum lumping of C yields the identity.
 
 On a clamped direction S comes from one thin SVD of the equilibrated
-constraint matrix. When the knots are symmetric under x -> a + b - x, that
-matrix commutes with the mirror of basis functions, band entries and signed
-constraints, so the SVD runs on its mirror-even and mirror-odd halves. The
-split is taken only when the measured coupling of the halves is round-off
-(at most 1e-12 of the largest entry); asymmetric meshes use one block.
+constraint matrix, assembled for all rows at once. When the knots are
+symmetric under x -> a + b - x, that matrix commutes with the mirror of
+basis functions, band entries and signed constraints, so the SVD runs on
+its mirror-even and mirror-odd halves. The split is taken only when the
+measured coupling of the halves is round-off (at most 1e-12 of the largest
+entry); asymmetric meshes use one block. The objective then picks S in all
+of the constraints' null space.
 
 Homogeneous boundary constraints keep the dual banded: the inverse of S^{-1}
 restricted to the free indices is the Schur complement
@@ -22,6 +24,7 @@ each constrained end, so the inverse of S is never formed.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -146,75 +149,59 @@ def _clamped_dual(space, G, hw):
     """
     n = space.dimension
     p = space.degree
+    n_el = space.n_elements
     a, b = space.domain
-    hbar = (b - a) / space.n_elements
-    Gs = G.to_dense() / hbar
+    hbar = (b - a) / n_el
     grev = greville(space)
-    knots = space.knot_vector.knots
+    rows = np.arange(n)[:, None]
 
-    # flattened quadrature tabulation (exact for degree-2p integrands)
-    xq, wq = element_quadrature(space, p + 1)
-    ev = eval_basis(space, xq)
-    vals = ev.values[:, 0]
-    firsts = ev.first_index
+    # band entry (i, i + d) is unknown start[i] + d; column j = r - hw + t of
+    # row r's window is unknown ids[r, t] where it exists (inside)
+    counts = np.minimum(hw, n - 1 - rows[:, 0]) + 1
+    start = np.cumsum(counts) - counts
+    ns = int(counts.sum())
+    width = 2 * hw + 1
+    cols = rows - hw + np.arange(width)
+    inside = (cols >= 0) & (cols < n)
+    cols = np.clip(cols, 0, n - 1)
+    ids = start[np.minimum(rows, cols)] + np.abs(rows - cols)
 
-    # unique symmetric band entries (i, i+d), d = 0..hw
-    entry_id = {}
-    for i in range(n):
-        for d in range(0, min(hw, n - 1 - i) + 1):
-            entry_id[(i, d)] = len(entry_id)
-    ns = len(entry_id)
-
-    G2 = Gs @ Gs
-    H = np.zeros((ns, ns))
-    blin = np.zeros(ns)
-    row_ids = []
-    row_cols = []
-    for r in range(n):
-        J = np.arange(max(0, r - hw), min(n, r + hw + 1))
-        ids = np.array([entry_id[(min(r, j), abs(r - j))] for j in J])
-        row_ids.append(ids)
-        row_cols.append(J)
-        H[np.ix_(ids, ids)] += G2[np.ix_(J, J)]
-        blin[ids] += Gs[J, r]
-
-    pfact = _fact(p)
+    # moments of the local polynomials against the window columns, by the
+    # p+1 Gauss points (exact for degree 2p) of the elements whose first
+    # function lies in [r - hw - p, r + hw]; columns padded by p on each side
+    # take those elements' other functions, slots past the last element weigh 0
+    xq, wq = (v.reshape(n_el, p + 1) for v in element_quadrature(space, p + 1))
+    ev = eval_basis(space, xq.ravel())
+    first = ev.first_index[:: p + 1]
+    n_win = 2 * hw + p + 1
+    el = np.searchsorted(first, rows - hw - p) + np.arange(n_win)
+    live = el < n_el
+    el = np.minimum(el, n_el - 1)
+    live &= first[el] <= rows + hw
+    loc = (xq[el] - grev[:, None, None]) / hbar
+    powers = np.stack([loc**m for m in range(p + 1)], axis=-1)
+    at = np.clip(first[el] - rows + hw + p, 0, width + p - 1)[..., None] + np.arange(p + 1)
+    window = np.zeros((n, n_win, p + 1, width + 2 * p))
+    window[rows[..., None, None], np.arange(n_win)[:, None, None], np.arange(p + 1)[:, None],
+           at[:, :, None]] = (np.where(live[..., None], wq[el], 0.0)[..., None]
+                              * ev.values[:, 0].reshape(n_el, p + 1, p + 1)[el])
+    Mloc = powers.reshape(n, -1, p + 1).transpose(0, 2, 1) @ window.reshape(n, n_win * (p + 1), -1)
+    r_in, t_in = np.nonzero(inside)
     A = np.zeros(((p + 1) * n, ns))
-    rhs = np.zeros((p + 1) * n)
-    for r in range(n):
-        J = row_cols[r]
-        jlo, jhi = J[0], J[-1]
-        sel = np.nonzero((firsts >= jlo - p) & (firsts <= jhi))[0]
-        xs = xq[sel]
-        ws = wq[sel]
-        loc = (xs - grev[r]) / hbar
-        # moments of the local polynomials against the banded neighbors
-        Mloc = np.zeros((p + 1, len(J)))
-        powers = np.vstack([loc**m for m in range(p + 1)])
-        for jj, j in enumerate(J):
-            off = j - firsts[sel]
-            ok = (off >= 0) & (off <= p)
-            bj = np.where(ok, vals[sel, np.clip(off, 0, p)], 0.0)
-            Mloc[:, jj] = powers @ (ws * bj)
-        # de Boor-Fix coefficient of ((x - g_r)/h)^m for basis function r.
-        # psi is expanded around g_r (its roots cluster there), which keeps the
-        # coefficients h-scaled and avoids cancellation; then
-        # psi^(p-m)(g_r) = (p-m)! * [coefficient of u^(p-m)].
-        if p > 0:
-            cpoly = np.poly(knots[r + 1 : r + p + 1] - grev[r])
-        else:
-            cpoly = np.array([1.0])
-        for m in range(p + 1):
-            d_rm = (
-                (-1.0) ** m
-                * _fact(m)
-                * _fact(p - m)
-                / (pfact * hbar**m)
-                * cpoly[m]
-            )
-            row = r * (p + 1) + m
-            A[row, row_ids[r]] = Mloc[m] / hbar
-            rhs[row] = d_rm
+    A.reshape(n, p + 1, ns)[r_in, :, ids[r_in, t_in]] = Mloc[r_in, :, p + t_in] / hbar
+
+    # de Boor-Fix coefficient of ((x - g_r)/h)^m for basis function r.
+    # psi is expanded around g_r (its roots cluster there), which keeps the
+    # coefficients h-scaled and avoids cancellation; then
+    # psi^(p-m)(g_r) = (p-m)! * [coefficient of u^(p-m)], with the
+    # coefficients multiplied out root by root as np.poly does
+    roots = space.knot_vector.knots[rows + 1 + np.arange(p)] - grev[:, None]
+    cpoly = np.repeat(np.eye(1, p + 1), n, axis=0)
+    for k in range(p):
+        cpoly[:, 1 : k + 2] -= roots[:, k : k + 1] * cpoly[:, : k + 1]
+    m = np.arange(p + 1)
+    fact = np.array([math.factorial(k) for k in m], dtype=float)
+    rhs = ((-1.0) ** m * fact * fact[::-1] / (fact[p] * hbar**m) * cpoly).ravel()
 
     # equilibrate constraint rows so the residual filter acts on O(1) data
     rownorm = np.maximum(np.abs(A).max(axis=1), 1e-300)
@@ -226,7 +213,9 @@ def _clamped_dual(space, G, hw):
     # (-1)^m, since the local monomial ((x - g_r)/h)^m changes sign
     rr, mm = np.divmod(np.arange((p + 1) * n), p + 1)
     row_mirror = (n - 1 - rr) * (p + 1) + mm
-    col_mirror = np.array([entry_id[(n - 1 - i - d, d)] for (i, d) in entry_id])
+    entry_row = np.repeat(np.arange(n), counts)
+    entry_off = np.arange(ns) - start[entry_row]
+    col_mirror = start[n - 1 - entry_row - entry_off] + entry_off
     U, sv, Vt, split = _mirror_svd(A, row_mirror, (-1.0) ** mm, col_mirror)
     sig0 = sv[0]
     # Filtered pseudo-inverse: keeps genuinely tiny singular directions (the
@@ -253,22 +242,38 @@ def _clamped_dual(space, G, hw):
             f"duality constraints infeasible at halfwidth {hw} (residual {residual:.3e})"
         )
 
+    # null space: the singular directions below the threshold, and, when A
+    # has fewer rows than unknowns (hw > p), the complement of Vt's rows
     null_mask = sv < 1e-14 * sig0
     Z = Vt[null_mask].T
+    if len(sv) < ns:
+        Z = np.hstack([Z, np.linalg.qr(Vt.T, mode="complete")[0][:, len(sv):]])
     if Z.shape[1]:
-        Hred = Z.T @ H @ Z
-        gred = Z.T @ (blin - H @ s_opt)
-        y = np.linalg.solve(Hred, gred)
-        s_opt = s_opt + Z @ y
+        # with s = h S and F = G / h, ||S G - I||_F^2 / 2 is, up to a constant,
+        # the sum over rows r of s_r^T (F^2)_{J_r J_r} s_r / 2 - s_r^T F_{J_r r},
+        # s_r the row's unknowns on its window columns J_r. Gwin holds F on
+        # the window rows and the columns within p of them, zero outside F
+        near = rows - hw - p + np.arange(width + 2 * p)
+        j, k = cols[:, :, None], np.clip(near, 0, n - 1)[:, None, :]
+        off = np.minimum(abs(j - k), G.halfwidth + 1)  # past the band: a zero row
+        Gwin = np.vstack([G.bands, np.zeros(n)])[off, np.minimum(j, k)] / hbar
+        Gwin *= inside[..., None] & ((near >= 0) & (near < n))[:, None]
+        G2 = Gwin @ Gwin.transpose(0, 2, 1)
+        Zw = Z[ids]
+        ZwT = Zw.reshape(n * width, -1).T
+        blin = np.zeros(ns)
+        np.add.at(blin, ids[inside], Gwin[:, :, hw + p][inside])
+        gred = Z.T @ blin - ZwT @ (G2 @ s_opt[ids][..., None]).ravel()
+        Hred = ZwT @ (G2 @ Zw).reshape(n * width, -1)
+        s_opt = s_opt + Z @ np.linalg.solve(Hred, gred)
 
     S = BandedSymmetricMatrix(n, hw)
-    for (i, d), k in entry_id.items():
-        S.bands[d, i] = s_opt[k] / hbar
+    S.bands[entry_off, entry_row] = s_opt / hbar
     diagnostics = {
         "mirror_split": len(split["block_shapes"]) > 1,
         "block_shapes": split["block_shapes"],
         "mirror_coupling": split["coupling"],
-        "null_directions": int(null_mask.sum()),
+        "null_directions": int(Z.shape[1]),
         "min_kept_sv_rel": float(sv[~null_mask][-1] / sig0),
         "refinement_steps": steps,
         "refinement_capped": steps == REFINEMENT_STEPS,
@@ -383,11 +388,11 @@ def _periodic_dual(space, G, hw):
     hbar = (space.domain[1] - space.domain[0]) / space.n_elements
     gs = g / hbar
     g_taylor = np.array(
-        [(mult_g * gs * (-1.0) ** m * d_g ** (2 * m) / _fact(2 * m)).sum() for m in range(mc)]
+        [(mult_g * gs * (-1.0) ** m * d_g ** (2 * m) / math.factorial(2 * m)).sum() for m in range(mc)]
     )
     d_s = np.arange(hw + 1)
     mult_s = np.where(d_s == 0, 1.0, 2.0)
-    T = np.array([mult_s * (-1.0) ** m * d_s ** (2 * m) / _fact(2 * m) for m in range(mc)])
+    T = np.array([mult_s * (-1.0) ** m * d_s ** (2 * m) / math.factorial(2 * m) for m in range(mc)])
     C = np.zeros((mc, hw + 1))
     for m in range(mc):
         for a_ in range(m + 1):
@@ -407,13 +412,6 @@ def _periodic_dual(space, G, hw):
         )
     bands = np.tile(stencil[:, None], (1, n))
     return BandedSymmetricMatrix(n, hw, periodic=True, bands=bands)
-
-
-def _fact(k):
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
 
 
 class ConstrainedDual:

@@ -234,12 +234,18 @@ def test_main_exit_codes(tmp_path):
     bad_cfg = tmp_path / "bad.cfg"
     bad_cfg.write_text("degree = 9\n")
     assert main(["spectrum", "--config", str(bad_cfg), "--output_dir", out]) == 2
-    # a dual bandwidth whose coefficient matrix is not SPD: numerical failure
-    assert (
-        main(["project", "--degree", "2", "--n_values", "8", "--beta", "4",
-              "--output_dir", out])
-        == 3
-    )
+    # a dual halfwidth above the degree on a clamped space
+    assert main(["project", "--degree", "2", "--n_values", "8", "--beta", "4",
+                 "--output_dir", out]) == 0
+
+
+def test_main_reports_numerical_failure(tmp_path, monkeypatch):
+    # a negative tolerance makes every constraint residual count as infeasible
+    from iga_explicit import dualbasis
+
+    monkeypatch.setattr(dualbasis, "FEASIBILITY_TOL", -1.0)
+    assert main(["project", "--degree", "2", "--n_values", "8",
+                 "--output_dir", str(tmp_path)]) == 3
 
 
 @pytest.mark.parametrize(

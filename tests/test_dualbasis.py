@@ -174,6 +174,31 @@ def test_infeasible_constraints_raise_at_the_requested_halfwidth(monkeypatch):
         approximate_dual(uniform_space(10, 3), halfwidth=4)
 
 
+def frobenius_defect(dual):
+    return np.linalg.norm(dual.product_dense - np.eye(dual.space.dimension))
+
+
+@pytest.mark.parametrize("degree, halfwidth",
+                         [(p, b) for p in range(1, 6) for b in range(p + 1, 2 * p + 1)])
+def test_clamped_dual_above_the_degree_is_spd_and_reproduces(degree, halfwidth):
+    # wider than the degree, the constraint matrix has fewer rows than
+    # unknowns; the minimizer over its whole null space stays SPD, and its
+    # band contains the one of halfwidth p, so its objective is no larger
+    spaces = [uniform_space(n - degree, degree) for n in (degree + 3, 20, 31)]
+    spaces.append(make_space([0.0, 0.1, 0.35, 0.5, 0.8, 1.0], degree))
+    if degree >= 2:
+        spaces.append(make_space(np.linspace(0.0, 1.0, 9), degree, regularity=degree - 2))
+    for space in spaces:
+        dual = approximate_dual(space, halfwidth=halfwidth)
+        assert dual.S.is_spd()
+        for q in range(degree + 1):
+            c = monomial_coefficients(space, q)
+            residual = dual.S.matvec(dual.G.matvec(c)) - c
+            assert np.max(np.abs(residual)) <= 1e-12 * np.max(np.abs(c))
+        narrow = frobenius_defect(approximate_dual(space))
+        assert frobenius_defect(dual) <= narrow * (1.0 + 1e-10)
+
+
 @pytest.mark.parametrize("left,right", [(True, False), (False, True), (True, True)])
 @pytest.mark.parametrize("degree", [2, 3, 4])
 def test_woodbury_matches_dense_submatrix_inverse(degree, left, right):
@@ -324,6 +349,9 @@ def test_dual_diagnostics_report_the_clamped_construction():
     assert diag["null_directions"] == 1
     assert 1e-14 <= diag["min_kept_sv_rel"] <= 1e-13
     assert diag["refinement_capped"] and diag["refinement_steps"] == 30
+    # halfwidth 4 on 23 functions: 105 band entries against 92 constraints,
+    # so at least 13 null directions besides any small singular values
+    assert approximate_dual(uniform_space(20, 3), halfwidth=4).diagnostics["null_directions"] >= 13
     assert approximate_dual(uniform_space(16, 3, boundary_kind=PERIODIC)).diagnostics == {}
 
 
