@@ -42,7 +42,7 @@ of the other axis for a run-operator apply.
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 import scipy.sparse as sp
@@ -205,6 +205,10 @@ class DiscreteSystem:
     ``dirichlet`` gives per-direction (left, right) flags; periodic directions
     cannot be constrained. The wave-speed-squared coefficient ``kappa``
     multiplies the stiffness form and must be positive.
+
+    A system is fixed once built: its quadrature orders are read-only
+    properties, and what it builds on first use (duals, tables, geometry
+    grids, Grammians, masses, stiffness kernels) is cached on it once.
     """
 
     def __init__(
@@ -216,8 +220,6 @@ class DiscreteSystem:
         rho=1.0,
         dirichlet=None,
         dual_halfwidth=None,
-        mass_points=None,
-        stiffness_points=None,
     ):
         self.spaces = list(spaces)
         if len(self.spaces) not in (1, 2):
@@ -244,19 +246,13 @@ class DiscreteSystem:
         for space, (dl, dr) in zip(self.spaces, self.dirichlet):
             if space.periodic and (dl or dr):
                 raise ValueError("cannot constrain a periodic direction")
-        p_max = max(s.degree for s in self.spaces)
-        self.mass_points = mass_points or (p_max + 1)
-        self.stiffness_points = stiffness_points or (p_max + 2)
 
         self.counters = {"stiffness_applies": 0, "mac_ops": 0}
-        self._tables = {}
-        self._geom_cache = {}
-        self._duals = None
-        self._cduals = None
+        self._tables = {}  # axis -> tables
+        self._geom_cache = None
         self._grams = {}  # test mode -> Grammians (gram_factors)
         self._masses = {}  # mass kind -> MassOperator (mass_operator)
-        self._kernels = {}
-        self._run_terms = {}  # stiffness_points -> run terms (dynamics.RunOperator)
+        self._kernels = {}  # test mode -> _StiffnessKernel (_stiffness_kernel)
 
     # -- index bookkeeping ---------------------------------------------------
 
@@ -294,76 +290,75 @@ class DiscreteSystem:
 
     # -- dual bases ------------------------------------------------------------
 
-    @property
+    @cached_property
     def duals(self):
-        if self._duals is None:
-            hw = self.dual_halfwidth
-            if np.ndim(hw) == 0:
-                hw = [hw] * len(self.spaces)
-            self._duals = [
-                approximate_dual(s, halfwidth=h) for s, h in zip(self.spaces, hw)
-            ]
-        return self._duals
+        hw = self.dual_halfwidth
+        if np.ndim(hw) == 0:
+            hw = [hw] * len(self.spaces)
+        return [approximate_dual(s, halfwidth=h) for s, h in zip(self.spaces, hw)]
 
-    @property
+    @cached_property
     def constrained_duals(self):
-        if self._cduals is None:
-            self._cduals = [
-                constrain_dual(dual, left=dl, right=dr)
-                for dual, (dl, dr) in zip(self.duals, self.dirichlet)
-            ]
-        return self._cduals
+        return [constrain_dual(dual, left=dl, right=dr)
+                for dual, (dl, dr) in zip(self.duals, self.dirichlet)]
 
     # -- tabulation ------------------------------------------------------------
 
-    def tables(self, k, points_per_element):
+    @property
+    def mass_points(self):
+        """Gauss points per element of the Grammians: p_max + 1."""
+        return max(s.degree for s in self.spaces) + 1
+
+    @property
+    def stiffness_points(self):
+        """Gauss points per element of every other integral (stiffness,
+        moments, errors), the order of ``tables``: p_max + 2."""
+        return self.mass_points + 1
+
+    def tables(self, k):
         """Quadrature points, weights, the sparse value matrix E, and the
         batched basis evaluation (``eval_basis``, first derivatives included)
-        it is built from."""
-        key = (k, points_per_element)
-        if key in self._tables:
-            return self._tables[key]
+        it is built from, along axis k at ``stiffness_points``."""
+        if k in self._tables:
+            return self._tables[k]
         space = self.spaces[k]
-        xq, wq = element_quadrature(space, points_per_element)
+        xq, wq = element_quadrature(space, self.stiffness_points)
         ev = eval_basis(space, xq, max_deriv=1)
         rows = np.repeat(np.arange(len(xq)), space.degree + 1)
         E = sp.coo_matrix((ev.values[:, 0].ravel(), (rows, ev.indices.ravel())),
                           shape=(len(xq), space.dimension)).tocsr()
-        entry = (xq, wq, E, ev)
-        self._tables[key] = entry
-        return entry
+        self._tables[k] = (xq, wq, E, ev)
+        return self._tables[k]
 
-    def quadrature_grid(self, points_per_element):
+    def quadrature_grid(self):
         """Tensor quadrature weights W, det(F) and the weight c = det(F) rho
         on the quadrature grid (det(F) = 1 and c = rho without a map)."""
-        W = reduce(np.multiply.outer,
-                   [self.tables(k, points_per_element)[1] for k in range(self.ndim)])
+        W = reduce(np.multiply.outer, [self.tables(k)[1] for k in range(self.ndim)])
         if self.geometry is None:
             return W, 1.0, self.rho
-        g = self.geometry_grids(points_per_element)
+        g = self.geometry_grids()
         return W, g["det"], g["c"]
 
-    def evaluate(self, func, points_per_element, physical=False):
+    def evaluate(self, func, physical=False):
         """Values of a callable on the tensor quadrature grid: at the mapped
         points with ``physical`` and a geometry map, else the parametric ones.
 
         One-dimensional callables are called point by point, because
         vectorized ``x**q`` can round differently from scalar evaluation.
         """
-        xs = [self.tables(k, points_per_element)[0] for k in range(self.ndim)]
+        xs = [self.tables(k)[0] for k in range(self.ndim)]
         if self.ndim == 1:
             return np.array([func(x) for x in xs[0]])
         if physical and self.geometry is not None:
-            g = self.geometry_grids(points_per_element)
+            g = self.geometry_grids()
             return func(g["X"], g["Y"])
         return func(*np.meshgrid(*xs, indexing="ij"))
 
-    def geometry_grids(self, points_per_element):
+    def geometry_grids(self):
         """Geometry factors at the tensor quadrature grid of a 2D system."""
-        if points_per_element in self._geom_cache:
-            return self._geom_cache[points_per_element]
-        X1, X2 = np.meshgrid(*(self.tables(k, points_per_element)[0] for k in range(2)),
-                             indexing="ij")
+        if self._geom_cache is not None:
+            return self._geom_cache
+        X1, X2 = np.meshgrid(*(self.tables(k)[0] for k in range(2)), indexing="ij")
         if self.geometry is None:
             raise ValueError("geometry grids require a 2D system with a map")
         geo = self.geometry
@@ -388,7 +383,7 @@ class DiscreteSystem:
             "X": XY[0],
             "Y": XY[1],
         }
-        self._geom_cache[points_per_element] = grids
+        self._geom_cache = grids
         return grids
 
     def radial_weight(self):
@@ -495,13 +490,12 @@ def _stiffness_form(system, mode):
     (kappa I without a map). In dual mode the gradient of 1/c adds
     ``R_b = -W sum_a c_a A_ab / c^2`` between values and derivatives along b.
     """
-    pts = system.stiffness_points
-    W, _, c = system.quadrature_grid(pts)
+    W, _, c = system.quadrature_grid()
     axes = range(system.ndim)
     if system.geometry is None:
         A, grad_c = system.kappa * np.eye(system.ndim), np.zeros(system.ndim)
     else:
-        g = system.geometry_grids(pts)
+        g = system.geometry_grids()
         A, grad_c = g["A"], g["grad_c"]
     derivative = np.eye(system.ndim, dtype=int)  # row a: the derivative along axis a
     scale = W / c if mode == "dual" else W
@@ -605,8 +599,7 @@ class _StiffnessKernel(KroneckerSum):
     """
 
     def __init__(self, system, mode):
-        pts = system.stiffness_points
-        evs = [system.tables(k, pts)[3] for k in range(system.ndim)]
+        evs = [system.tables(k)[3] for k in range(system.ndim)]
         n0, *rest = system.full_shape
         m = int(np.prod(rest))
         form = _stiffness_form(system, mode)
@@ -630,31 +623,26 @@ class _StiffnessKernel(KroneckerSum):
         super().__init__(_stacked_csr(outer, (n0, n_terms * n0), 0, n0),
                          _stacked_csr(inner, (n_terms * m, m), m, 0), trailing=bool(rest))
         self.free_ranges = [system.free_range(k) for k in range(system.ndim)]
-        self._free = None
 
-    @property
+    @cached_property
     def free(self):
         """The sum on free grids, sliced out of ``outer`` and ``inner`` on
         first use: the free rows and, within each term's block, the free
         columns."""
-        if self._free is None:
-            blocks = np.arange(self.n_terms)[:, None]
-            (lo, hi), *rest = self.free_ranges
-            outer = self.outer[lo:hi][:, (blocks * self.outer.shape[0] + np.arange(lo, hi)).ravel()]
-            inner = self.inner
-            for lo, hi in rest:
-                inner = inner[(blocks * self.m + np.arange(lo, hi)).ravel()][:, lo:hi]
-            self._free = KroneckerSum(outer, inner, trailing=bool(rest))
-        return self._free
+        blocks = np.arange(self.n_terms)[:, None]
+        (lo, hi), *rest = self.free_ranges
+        outer = self.outer[lo:hi][:, (blocks * self.outer.shape[0] + np.arange(lo, hi)).ravel()]
+        inner = self.inner
+        for lo, hi in rest:
+            inner = inner[(blocks * self.m + np.arange(lo, hi)).ravel()][:, lo:hi]
+        return KroneckerSum(outer, inner, trailing=bool(rest))
 
 
 def _stiffness_kernel(system, mode):
     """The system's cached stiffness kernel for a test mode."""
-    key = (mode, system.stiffness_points)
-    kernel = system._kernels.get(key)
-    if kernel is None:
-        kernel = system._kernels[key] = _StiffnessKernel(system, mode)
-    return kernel
+    if mode not in system._kernels:
+        system._kernels[mode] = _StiffnessKernel(system, mode)
+    return system._kernels[mode]
 
 
 def stiffness_apply(system, d_free, test_mode=None):
@@ -708,21 +696,20 @@ def mass_inverse_stiffness(system, mass, T=None):
 # initial data
 
 
-def moments(system, func_param, mode, points_per_element=None):
+def moments(system, func_param, mode):
     """Moment grid b(test_i, v) of a field v given on parametric coordinates.
 
     The weight c cancels against the dual test functions B/c (``mode='dual'``),
     leaving the parametric moments <B_i, v>; the B-splines themselves
     (``'standard'``) give <B_i, c v>.
     """
-    pts = points_per_element or (max(s.degree for s in system.spaces) + 2)
-    W, _, c = system.quadrature_grid(pts)
-    vals = system.evaluate(func_param, pts)
+    W, _, c = system.quadrature_grid()
+    vals = system.evaluate(func_param)
     if mode == "standard":
         vals = vals * c
     out = W * vals
     for k in reversed(range(system.ndim)):
-        out = along_axis(system.tables(k, pts)[2].T.__matmul__, out, k)
+        out = along_axis(system.tables(k)[2].T.__matmul__, out, k)
     return out
 
 
@@ -755,7 +742,7 @@ def project_initial(system, u0_param, outlier=None):
 # petrov mass oracle
 
 
-def petrov_mass_dense(system, points_per_element=None):
+def petrov_mass_dense(system):
     """Dense Petrov mass assembled by quadrature with explicit geometry factors.
 
     Entries are b(dual_test_i / c, B_j) evaluated with the rho det(F) / c
@@ -764,9 +751,8 @@ def petrov_mass_dense(system, points_per_element=None):
     """
     if system.ndim != 2:
         raise ValueError("petrov mass oracle is for 2D systems")
-    pts = points_per_element or system.mass_points
-    E1, E2 = (system.tables(k, pts)[2] for k in range(2))
-    W, det, c = system.quadrature_grid(pts)
+    E1, E2 = (system.tables(k)[2] for k in range(2))
+    W, det, c = system.quadrature_grid()
     W = W * (system.rho * det / c)
     L1 = E1 @ system.duals[0].S.to_dense()  # columns are dual function values
     L2 = E2 @ system.duals[1].S.to_dense()

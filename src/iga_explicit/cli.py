@@ -18,6 +18,7 @@ metadata lines before the header row.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -60,6 +61,15 @@ RUN_MASS_KINDS = tuple(MASS_KINDS)
 # mass_kind value -> the kinds a run covers
 KIND_SELECTIONS = {"all": RUN_MASS_KINDS, **{kind: (kind,) for kind in RUN_MASS_KINDS}}
 
+# The largest inputs accepted, each with its peak RSS measured at the bound
+# (README). The clamped dual's dense constraint matrix grows with the square
+# of its dimension: the project dimensions and the annulus radial functions.
+# The periodic angular mass factors are inverted densely, and the quadrature
+# grids grow with the number of functions, radial times angular.
+DUAL_MAX_N = 500
+ANNULUS_MAX_ANGULAR = 2000
+ANNULUS_MAX_FUNCTIONS = 32768
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -97,6 +107,9 @@ class RunConfig:
             problems.append("mesh counts must be positive")
         if any(m <= self.degree for m in self.n_values):
             problems.append(f"project dimensions must exceed the degree {self.degree}")
+        elif self.experiment == "project" and max(self.n_values) > DUAL_MAX_N:
+            problems.append(f"project dimensions must be at most {DUAL_MAX_N} "
+                            f"(got {max(self.n_values)})")
         if self.mass_kind not in KIND_SELECTIONS:
             problems.append(f"unknown mass kind {self.mass_kind!r}")
         elif self.experiment == "spectrum" and self.mass_kind != "all":
@@ -119,6 +132,17 @@ class RunConfig:
                 problems.append(
                     f"n_elems {too_coarse} too coarse: angular_factor * n_elems must "
                     f"exceed {2 * band} at degree {self.degree}"
+                )
+            too_large = [m for m in self.n_elems
+                         if m + self.degree > DUAL_MAX_N
+                         or self.angular_factor * m > ANNULUS_MAX_ANGULAR
+                         or (m + self.degree) * self.angular_factor * m > ANNULUS_MAX_FUNCTIONS]
+            if too_large:
+                problems.append(
+                    f"n_elems {too_large} too large: at most {DUAL_MAX_N} radial functions "
+                    f"(n_elems + degree), {ANNULUS_MAX_ANGULAR} angular elements "
+                    f"(angular_factor * n_elems) and {ANNULUS_MAX_FUNCTIONS} functions in all "
+                    f"(their product)"
                 )
         if self.degree >= 3 and (self.outlier_removed or self.experiment == "stability"):
             # the end constraints act on the p free functions at each end of
@@ -144,6 +168,8 @@ class RunConfig:
 _BOOL_VALUES = {"true": True, "false": False, "1": True, "0": False,
                 "yes": True, "no": False}
 
+# the keys of a config file and the command-line flags
+CONFIG_KEYS = [k for k in RunConfig.__dataclass_fields__ if k != "experiment"]
 _INT_KEYS = {"degree", "n", "angular_factor", "beta"}
 _FLOAT_KEYS = {"dt_fraction"}
 _LIST_KEYS = {"n_elems", "n_values"}
@@ -191,8 +217,7 @@ def build_config(experiment, file_values=None, overrides=None):
     values = dict(file_values or {})
     values.update({k: v for k, v in (overrides or {}).items() if v is not None})
     values.pop("experiment", None)
-    known = set(RunConfig.__dataclass_fields__)
-    unknown = set(values) - known
+    unknown = set(values) - set(CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     try:
@@ -223,6 +248,13 @@ def write_csv(path, metadata, header, rows):
     return path
 
 
+@functools.cache
+def computed_cmax(scheme):
+    """Imaginary-axis stability limit of a scheme's tableau, unrounded;
+    computed once per process."""
+    return stability_limit(TABLEAUS[scheme])
+
+
 def _base_metadata(config, system=None, extra=None):
     md = {
         "experiment": config.experiment,
@@ -235,7 +267,7 @@ def _base_metadata(config, system=None, extra=None):
         "tableau_rk4": "classical 4-stage",
         "tableau_rk6": "Verner 8-stage",
         "cmax_paper": PAPER_CMAX,
-        "cmax_computed": {k: round(stability_limit(t), 6) for k, t in TABLEAUS.items()},
+        "cmax_computed": {k: round(computed_cmax(k), 6) for k in TABLEAUS},
     }
     if system is not None:
         md["dual_halfwidth"] = [d.halfwidth for d in system.duals]
@@ -277,7 +309,7 @@ def string_spectra(p, n_dim, beta=None, outlier_choices=(False,)):
             reduce = lambda A: A
         K_red = reduce(K)
         spectra[outlier_removed] = {
-            kind: eigensolve(K_red, reduce(M), kind, outlier_removed).frequencies
+            kind: eigensolve(K_red, reduce(M)).frequencies
             for kind, M in masses.items()
         }
     return system, spectra
@@ -365,7 +397,7 @@ def run_stability(config):
     p = config.degree
     scheme = config.rk_scheme if config.rk_scheme != "auto" else "rk4"
     c_paper = PAPER_CMAX[scheme]
-    c_computed = stability_limit(TABLEAUS[scheme])
+    c_computed = computed_cmax(scheme)
     rows = []
     system, spectra = string_spectra(p, config.n, config.beta, (False, True))
     base_dt = critical_dt(c_paper, float(spectra[False]["galerkin_consistent"][-1]))
@@ -445,7 +477,7 @@ def annulus_run_single(sol, p, n_r, n_theta, kind, scheme, dt_fraction,
 
     t0 = time.perf_counter()
     applies = system.counters["stiffness_applies"]
-    omega_max = max_frequency(system, outlier=outlier)
+    omega_max = max_frequency(run)
     applies = system.counters["stiffness_applies"] - applies
     t_omega = time.perf_counter()
     d0 = project_initial(system, u0_param, outlier)
@@ -613,29 +645,13 @@ def main(argv=None):
     for name in EXPERIMENTS:
         sp = sub.add_parser(name)
         sp.add_argument("--config", default=None, help="flat key=value config file")
-        sp.add_argument("--degree", type=int, default=None)
-        sp.add_argument("--n", type=int, default=None)
-        sp.add_argument("--n_elems", type=lambda v: tuple(int(x) for x in v.split(",")),
-                        default=None)
-        sp.add_argument("--angular_factor", type=int, default=None)
-        sp.add_argument("--n_values", type=lambda v: tuple(int(x) for x in v.split(",")),
-                        default=None)
-        sp.add_argument("--mass_kind", default=None)
-        sp.add_argument("--outlier_removed", type=lambda v: _convert("outlier_removed", v),
-                        default=None)
-        sp.add_argument("--rk_scheme", default=None)
-        sp.add_argument("--dt_fraction", type=float, default=None)
-        sp.add_argument("--beta", type=int, default=None)
-        sp.add_argument("--output_dir", default=None)
+        for key in CONFIG_KEYS:
+            sp.add_argument(f"--{key}", type=lambda v, k=key: _convert(k, v), default=None)
     args = parser.parse_args(argv)
 
     try:
         file_values = parse_config_file(args.config) if args.config else {}
-        overrides = {
-            k: getattr(args, k)
-            for k in RunConfig.__dataclass_fields__
-            if k != "experiment" and hasattr(args, k)
-        }
+        overrides = {k: getattr(args, k) for k in CONFIG_KEYS}
         config = build_config(args.experiment, file_values, overrides)
         runner = {
             "spectrum": run_spectrum,

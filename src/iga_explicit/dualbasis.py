@@ -462,11 +462,10 @@ def constrain_dual(basis, left=False, right=False):
     return ConstrainedDual(basis, left=left, right=right)
 
 
-def quasi_project(operator, f, weight=None, points_per_element=None):
+def quasi_project(operator, f):
     """Coefficients of the quasi-projection u_i = sum_j S_ij <f, B_j>.
 
     ``operator`` is an ApproximateDualBasis or a ConstrainedDual; with the
     latter, constrained coefficients are zeroed (homogeneous end values).
     """
-    m = moments(operator.space, f, weight=weight, points_per_element=points_per_element)
-    return operator.apply(m)
+    return operator.apply(moments(operator.space, f))

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -261,12 +262,11 @@ class RunOperator:
 
     The mass is built with the operator; its Kronecker terms
     (``assembly.mass_inverse_stiffness``) on the first apply, which in a run
-    is inside the omega_max estimate. The terms are cached per stiffness
-    quadrature order on the system, or on the constraint for a reduced run:
-    arrays only, so the cache closes no reference cycle. An apply is two
-    products and counts as one stiffness apply with the terms' own
-    multiply-adds. ``prolong`` maps a state grid to the free grid the error
-    is measured on.
+    is inside the omega_max estimate, and kept on the operator, so the
+    estimate and the stepping share them by passing the same operator. An
+    apply is two products and counts as one stiffness apply with the terms'
+    own multiply-adds. ``prolong`` maps a state grid to the free grid the
+    error is measured on.
     """
 
     def __init__(self, system, outlier=None):
@@ -278,15 +278,11 @@ class RunOperator:
         else:
             self.mass, self.shape = outlier.reduce(mass), outlier.shape_reduced
 
-    @property
+    @cached_property
     def terms(self):
         """The operator as an ``assembly.KroneckerSum``."""
-        cache = (self.system if self.outlier is None else self.outlier)._run_terms
-        key = self.system.stiffness_points
-        if key not in cache:
-            T = None if self.outlier is None else self.outlier.T
-            cache[key] = assembly.mass_inverse_stiffness(self.system, self.mass, T)
-        return cache[key]
+        T = None if self.outlier is None else self.outlier.T
+        return assembly.mass_inverse_stiffness(self.system, self.mass, T)
 
     @property
     def n(self):
@@ -307,12 +303,12 @@ def run_space(system, outlier=None):
     return RunOperator(system, outlier)
 
 
-def max_frequency(system, outlier=None, tol=1e-10, max_iterations=1000, seed=0):
-    """Maximum discrete frequency of a system, matrix-free (see
-    ``power_max_frequency``), from the run operator of ``run_space``; an
-    optional OutlierConstraint reduces the space first.
+def max_frequency(run, tol=1e-10, max_iterations=1000, seed=0):
+    """Maximum discrete frequency of a run operator (``run_space``: plain or
+    outlier-reduced), matrix-free (see ``power_max_frequency``). The
+    operator's terms are built here if no apply came first, and a run that
+    steps with the same operator reuses them.
     """
-    run = run_space(system, outlier)
     omega, _ = power_max_frequency(lambda vec: run.apply(vec.reshape(run.shape)).ravel(),
                                    run.n, tol, max_iterations, seed)
     return omega
@@ -323,11 +319,9 @@ class SpectrumResult:
     """Sorted nonnegative frequencies of a generalized eigenproblem."""
 
     frequencies: np.ndarray
-    mass_kind: str = ""
-    outlier_removed: bool = False
 
 
-def eigensolve(K, M, mass_kind="", outlier_removed=False):
+def eigensolve(K, M):
     """Frequencies of K phi = omega^2 M phi for dense symmetric K, SPD M."""
     K = np.asarray(K, dtype=float)
     M = np.asarray(M, dtype=float)
@@ -343,7 +337,7 @@ def eigensolve(K, M, mass_kind="", outlier_removed=False):
     if np.min(vals) < floor:
         raise NumericalError(f"negative eigenvalue {np.min(vals):.3e} in spectrum")
     freqs = np.sqrt(np.clip(vals, 0.0, None))
-    return SpectrumResult(np.sort(freqs), mass_kind, outlier_removed)
+    return SpectrumResult(np.sort(freqs))
 
 
 class OutlierConstraint:
@@ -381,8 +375,6 @@ class OutlierConstraint:
                 space, b, lo, m, p, K, left=False
             )
         self.T = T
-        self._reduced = {}
-        self._run_terms = {}  # stiffness_points -> reduced run terms (RunOperator)
         self.shape_reduced = (T.shape[1],) + tuple(system.free_shape[1:])
 
     def _end_block(self, space, x_end, lo, m, p, K, left):
@@ -416,12 +408,9 @@ class OutlierConstraint:
 
     def reduce(self, op):
         """The Kronecker operator (T^T F0 T) (x) F1 on reduced grids of a
-        free-index Kronecker operator F0 (x) F1, built once per operator."""
-        if id(op) not in self._reduced:
-            reduced = assembly.DenseFactor(self.T.T @ op.factors[0].to_dense() @ self.T)
-            # the entry keeps op alive, so its id is not reused
-            self._reduced[id(op)] = (op, assembly.KroneckerOperator([reduced, *op.factors[1:]]))
-        return self._reduced[id(op)][1]
+        free-index Kronecker operator F0 (x) F1; the caller owns it."""
+        reduced = assembly.DenseFactor(self.T.T @ op.factors[0].to_dense() @ self.T)
+        return assembly.KroneckerOperator([reduced, *op.factors[1:]])
 
     def reduce_mass(self, system):
         """Reduced-mass solve (T^T M0 T)^{-1} (x) M1^{-1}."""

@@ -74,15 +74,13 @@ def element_quadrature(space, points_per_element):
     return xq, wq
 
 
-def moments(space, f, weight=None, points_per_element=None):
-    """Vector of inner products <f, B_i> (optionally weighted) by quadrature."""
+def moments(space, f, points_per_element=None):
+    """Vector of inner products <f, B_i> by quadrature."""
     if points_per_element is None:
         points_per_element = space.degree + 2
     xq, wq = element_quadrature(space, points_per_element)
-    # the callables see one point at a time, as scalar code would call them
+    # the callable sees one point at a time, as scalar code would call it
     scale = wq * np.array([f(x) for x in xq])
-    if weight is not None:
-        scale *= np.array([weight(x) for x in xq])
     ev = eval_basis(space, xq)
     out = np.zeros(space.dimension)
     np.add.at(out, ev.indices, scale[:, None] * ev.values[:, 0])

@@ -269,6 +269,13 @@ def test_main_reports_numerical_failure(tmp_path, monkeypatch):
         # the dense eigensolver takes at most 2000 free functions, n - 2
         ["spectrum", "--n", "2003"],
         ["stability", "--n", "2003"],
+        # size rules: at most 500 radial functions or project dimensions (the
+        # clamped dual), 2000 angular elements and 32768 functions in all
+        ["annulus", "--degree", "3", "--n_elems", "8", "--angular_factor", "100000000"],
+        ["annulus", "--degree", "3", "--n_elems", "498", "--angular_factor", "1"],
+        ["annulus", "--degree", "2", "--n_elems", "8", "--angular_factor", "251"],
+        ["annulus", "--degree", "5", "--n_elems", "126", "--angular_factor", "2"],
+        ["project", "--n_values", "10,501"],
     ],
 )
 def test_main_rejects_bad_input_without_traceback(tmp_path, args):
@@ -330,6 +337,37 @@ def test_run_annulus_outlier_reduced_path(tmp_path, monkeypatch):
     # one reduced radial mass, shared by the run and its ω_max estimate, and
     # one reduced projection
     assert built == [(7, 7), (7, 7)]
+
+
+@pytest.mark.parametrize("outlier_removed", [False, True])
+def test_annulus_run_builds_its_run_operator_once(outlier_removed, monkeypatch):
+    # the ω_max estimate and the stepping share one set of run terms
+    from iga_explicit import assembly
+    from iga_explicit.benchmarks import annulus_solution
+    from iga_explicit.cli import annulus_run_single
+
+    built = []
+    build = assembly.mass_inverse_stiffness
+    monkeypatch.setattr(assembly, "mass_inverse_stiffness",
+                        lambda *args: built.append(args) or build(*args))
+    res = annulus_run_single(annulus_solution(), 3, 8, 16, "customized", "rk4", 0.5,
+                             outlier_removed)
+    assert res["outlier_removed"] == outlier_removed
+    assert res["steps"] > 0 and len(built) == 1
+
+
+def test_stability_limits_are_computed_once_per_process(tmp_path, monkeypatch):
+    import iga_explicit.cli as cli_mod
+
+    calls = []
+    limit = cli_mod.stability_limit
+    monkeypatch.setattr(cli_mod, "stability_limit",
+                        lambda tableau: calls.append(tableau.name) or limit(tableau))
+    cli_mod.computed_cmax.cache_clear()
+    for scheme in ("rk4", "rk6"):
+        run_stability(build_config("stability", {}, {"degree": 3, "n": 40, "rk_scheme": scheme,
+                                                     "output_dir": str(tmp_path)}))
+    assert sorted(calls) == ["rk2", "rk4", "rk6"]
 
 
 def test_run_annulus_instability_flagged_not_crash(tmp_path, monkeypatch):

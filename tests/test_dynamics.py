@@ -149,15 +149,15 @@ def test_power_iteration_matches_dense_string():
     K, masses = string_dense_matrices(system)
     M = masses["galerkin_consistent"]
     dense_max = eigensolve(K, M).frequencies[-1]
-    omega = max_frequency(system)
+    omega = max_frequency(run_space(system))
     assert omega == pytest.approx(dense_max, rel=1e-6)
 
 
 def test_max_frequency_customized_below_consistent():
     sys_cons = string_system(3, 40, "galerkin_consistent")
     sys_cust = string_system(3, 40, "customized")
-    w_cons = max_frequency(sys_cons)
-    w_cust = max_frequency(sys_cust)
+    w_cons = max_frequency(run_space(sys_cons))
+    w_cust = max_frequency(run_space(sys_cust))
     assert w_cust < w_cons
 
 
@@ -173,8 +173,8 @@ def test_outlier_constraint_counts(p, expected):
 def test_outlier_removal_reduces_max_frequency_p4():
     system = string_system(4, 40)
     con = outlier_removal(system)
-    w_full = max_frequency(system)
-    w_red = max_frequency(system, outlier=con)
+    w_full = max_frequency(run_space(system))
+    w_red = max_frequency(run_space(system, con))
     assert w_red < w_full
 
 
@@ -299,9 +299,9 @@ def test_mass_forms_are_built_once_per_system(kind, monkeypatch):
     calls = count_grammian_calls(monkeypatch)
     mass_operator(system)
     project_initial(system, membrane_field)
-    max_frequency(system, tol=1e-4)
+    max_frequency(run_space(system), tol=1e-4)
     con.reduce_mass(system)
-    max_frequency(system, outlier=con, tol=1e-4)
+    max_frequency(run_space(system, con), tol=1e-4)
     project_initial(system, membrane_field, con)
     assert calls == []
 
@@ -375,7 +375,7 @@ def dense_omega(system, outlier=None):
 def test_max_frequency_bounds_the_dense_oracle(p, n_r, kind, outlier):
     system = membrane_system(kind, p, n_r)
     con = outlier_removal(system) if outlier else None
-    omega = max_frequency(system, outlier=con)
+    omega = max_frequency(run_space(system, con))
     exact = dense_omega(system, con)
     # never an underestimate, which would give an unstable timestep
     assert omega >= exact
@@ -427,13 +427,13 @@ def test_run_operator_storage_follows_the_factor(kind):
 
 def test_run_terms_are_built_on_first_apply_and_kept():
     system = membrane_system("customized")
-    outlier = outlier_removal(system)
-    runs = [run_space(system), run_space(system, outlier)]
+    run = run_space(system, outlier_removal(system))
     assert system._kernels == {}  # nothing of the stiffness before an apply
-    max_frequency(system, tol=1e-4)
-    max_frequency(system, outlier=outlier, tol=1e-4)
-    for run in runs:
-        assert run.terms is run_space(system, run.outlier).terms
+    assert "terms" not in vars(run)
+    max_frequency(run, tol=1e-4)
+    terms = run.terms
+    run.apply(np.zeros(run.shape))
+    assert run.terms is terms
 
 
 @pytest.mark.parametrize("tableau", [RK2, RK4, RK6], ids=lambda t: t.name)
