@@ -49,7 +49,7 @@ import scipy.sparse as sp
 
 from .dualbasis import approximate_dual, constrain_dual, grammian
 from .errors import NumericalError
-from .geometry import _det2, _inv2, weight_field
+from .geometry import _det2, _inv2, weight_field, weight_gradient
 from .quadrature import element_quadrature
 from .splinecore import eval_basis
 
@@ -355,14 +355,19 @@ class DiscreteSystem:
         return func(*np.meshgrid(*xs, indexing="ij"))
 
     def geometry_grids(self):
-        """Geometry factors at the tensor quadrature grid of a 2D system."""
+        """Geometry factors at the tensor quadrature grid of a 2D system.
+
+        The map sees the two axes as (n1, 1) and (1, n2) operands and is
+        evaluated once: one Jacobian and one Jacobian gradient, from which
+        A, c = det(F) rho and its gradient all follow.
+        """
         if self._geom_cache is not None:
             return self._geom_cache
-        X1, X2 = np.meshgrid(*(self.tables(k)[0] for k in range(2)), indexing="ij")
         if self.geometry is None:
             raise ValueError("geometry grids require a 2D system with a map")
+        x1, x2 = self.tables(0)[0][:, None], self.tables(1)[0][None, :]
         geo = self.geometry
-        F = geo.jacobian(X1, X2)
+        F = geo.jacobian(x1, x2)
         det = _det2(F)
         if np.min(det) <= 0.0:
             raise NumericalError("non-positive Jacobian determinant at quadrature point")
@@ -371,15 +376,12 @@ class DiscreteSystem:
         A11 = self.kappa * det * (Finv[0, 0] ** 2 + Finv[0, 1] ** 2)
         A12 = self.kappa * det * (Finv[0, 0] * Finv[1, 0] + Finv[0, 1] * Finv[1, 1])
         A22 = self.kappa * det * (Finv[1, 0] ** 2 + Finv[1, 1] ** 2)
-        c_fn, grad_c_fn = weight_field(geo)
-        c = c_fn(X1, X2)
-        grad_c = grad_c_fn(X1, X2)
-        XY = geo.value(X1, X2)
+        XY = geo.value(x1, x2)
         grids = {
             "A": [[A11, A12], [A12, A22]],
             "det": det,
-            "c": c,
-            "grad_c": grad_c,
+            "c": det * geo.rho,
+            "grad_c": weight_gradient(geo.rho, det, Finv, geo.jacobian_gradient(x1, x2)),
             "X": XY[0],
             "Y": XY[1],
         }

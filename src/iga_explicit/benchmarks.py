@@ -17,22 +17,23 @@ def bessel_j(n, x):
 
     Uses the ascending series for small arguments and Miller's backward
     recurrence with J0-sum normalization for moderate and large arguments.
-    Accepts scalars or arrays.
+    Accepts scalars or arrays. Each distinct argument is evaluated once and
+    scattered back; the series cutoff, the Miller start index and its
+    rescaling depend only on the set of arguments, so this changes no value.
     """
     if n < 0:
         raise ValueError("order must be non-negative")
     x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x).copy()
     if np.any(x < 0):
         raise ValueError("argument must be non-negative")
-    out = np.empty_like(x)
-    small = x <= _SERIES_CUTOFF
+    xs, inverse = np.unique(x, return_inverse=True)
+    out = np.empty_like(xs)
+    small = xs <= _SERIES_CUTOFF
     if np.any(small):
-        out[small] = _bessel_series(n, x[small])
+        out[small] = _bessel_series(n, xs[small])
     if np.any(~small):
-        out[~small] = _bessel_miller(n, x[~small])
-    return float(out[0]) if scalar else out
+        out[~small] = _bessel_miller(n, xs[~small])
+    return float(out[0]) if x.ndim == 0 else out[inverse.reshape(x.shape)]
 
 
 def _bessel_series(n, x):
@@ -108,8 +109,7 @@ def bessel_zero(n, k, tol=1e-12):
                     if prev_v * vm <= 0.0:
                         hi = mid
                     else:
-                        lo = mid
-                        prev_v = bessel_j(n, lo)
+                        lo, prev_v = mid, vm
                     if hi - lo < tol:
                         break
                 return 0.5 * (lo + hi)

@@ -455,6 +455,8 @@ def annulus_run_single(sol, p, n_r, n_theta, kind, scheme, dt_fraction,
     omega_max estimate with its operator applies, of the initial projection,
     of the stepping and of the error evaluation; ``counters`` is a copy of
     the system's operator counters at the end of the run.
+    ``amplitude_drift`` is the largest max|d| over the steps relative to
+    max|d0|: about 1 for a stable run, above 1e6 for a flagged one.
 
     The angular dual halfwidth defaults to degree+1: the coarse meshes of the
     membrane study put the initial field at the angular resolution limit,
@@ -491,10 +493,13 @@ def annulus_run_single(sol, p, n_r, n_theta, kind, scheme, dt_fraction,
     init_scale = float(np.max(np.abs(d0))) + 1e-30
     tableau = TABLEAUS[scheme]
     unstable = False
+    peak = 0.0  # the largest max|d| after any step
     try:
         for step in range(steps):
             state = rk_step(tableau, run.apply, state, dt)
-            if np.max(np.abs(state.d)) > 1e6 * init_scale:
+            amplitude = float(np.max(np.abs(state.d)))
+            peak = max(peak, amplitude)
+            if amplitude > 1e6 * init_scale:
                 unstable = True
                 break
     except NumericalError:
@@ -528,6 +533,7 @@ def annulus_run_single(sol, p, n_r, n_theta, kind, scheme, dt_fraction,
         "l2_rel_error": err,
         "wall_seconds": t_end - t0,
         "unstable": unstable,
+        "amplitude_drift": peak / init_scale,
         "phases": {
             "setup_s": t0 - t_setup,
             "omega_s": t_omega - t0,
@@ -617,14 +623,14 @@ def run_annulus(config):
 
 def write_annulus_report(path, results):
     """Per-run omega_max, phases and operator counters of an annulus sweep,
-    as a JSON sidecar of its CSVs, which it leaves byte-identical. The
-    spectral abscissa and the amplitude drift are not computed yet; their
-    slots are null."""
+    as a JSON sidecar of its CSVs, which it leaves byte-identical, with each
+    run's amplitude drift. The spectral abscissa is not computed yet; its
+    slot is null."""
     runs = [{"n_elem_radial": res["n_r"], "n_elem_angular": res["n_theta"],
              "mass_kind": res["kind"], "rk_scheme": res["scheme"],
              "outlier_removed": res["outlier_removed"], "omega_max": res["omega_max"],
              "steps": res["steps"], "phases": res["phases"], "counters": res["counters"],
-             "spectral_abscissa": None, "amplitude_drift": None}
+             "spectral_abscissa": None, "amplitude_drift": res["amplitude_drift"]}
             for res in results]
     with open(path, "w") as fh:
         json.dump({"experiment": "annulus", "degree": results[0]["p"], "runs": runs},
@@ -665,6 +671,9 @@ def main(argv=None):
         return 2
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"resource failure: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
     paths = out if isinstance(out, list) else [out]
     for p in paths:

@@ -63,17 +63,19 @@ def annulus_map(a, b, rho=1.0):
     two_pi = 2.0 * np.pi
 
     def polar(x1, x2):
-        x1, x2 = np.broadcast_arrays(np.asarray(x1, float), np.asarray(x2, float))
-        return a + dr * x1, two_pi * x2
+        # r and theta on the operands as given; sin, cos and the radius are
+        # taken once per coordinate, only the outputs reach the full shape
+        r, th = a + dr * np.asarray(x1, float), two_pi * np.asarray(x2, float)
+        return r, th, np.broadcast_shapes(r.shape, th.shape)
 
     def value(x1, x2):
-        r, th = polar(x1, x2)
-        return np.stack([r * np.cos(th), r * np.sin(th)])
+        r, th, _ = polar(x1, x2)
+        return np.stack(np.broadcast_arrays(r * np.cos(th), r * np.sin(th)))
 
     def jacobian(x1, x2):
-        r, th = polar(x1, x2)
+        r, th, shape = polar(x1, x2)
         c, s = np.cos(th), np.sin(th)
-        F = np.empty((2, 2) + r.shape)
+        F = np.empty((2, 2) + shape)
         F[0, 0] = dr * c
         F[0, 1] = -two_pi * r * s
         F[1, 0] = dr * s
@@ -81,9 +83,9 @@ def annulus_map(a, b, rho=1.0):
         return F
 
     def jacobian_gradient(x1, x2):
-        r, th = polar(x1, x2)
+        r, th, shape = polar(x1, x2)
         c, s = np.cos(th), np.sin(th)
-        dF = np.zeros((2, 2, 2) + r.shape)
+        dF = np.zeros((2, 2, 2) + shape)
         # derivative with respect to x1 (radial)
         dF[0, 1, 0] = -two_pi * dr * s
         dF[1, 1, 0] = two_pi * dr * c
@@ -117,30 +119,32 @@ def weight_field(geo, sample_grid=64):
 
     def grad_c_fn(x1, x2):
         F = geo.jacobian(x1, x2)
-        dF = geo.jacobian_gradient(x1, x2)
         det = _det2(F)
-        Finv = _inv2(F, det)
-        out = np.empty((2,) + det.shape)
-        for k in range(2):
-            trace = (
-                Finv[0, 0] * dF[0, 0, k]
-                + Finv[0, 1] * dF[1, 0, k]
-                + Finv[1, 0] * dF[0, 1, k]
-                + Finv[1, 1] * dF[1, 1, k]
-            )
-            out[k] = rho * det * trace
-        return out
+        return weight_gradient(rho, det, _inv2(F, det), geo.jacobian_gradient(x1, x2))
 
     return c_fn, grad_c_fn
+
+
+def weight_gradient(rho, det, Finv, dF):
+    """The parametric gradient of c = det(F) rho by Jacobi's formula, from
+    det(F), F^{-1} and the Jacobian gradient dF at the same points."""
+    out = np.empty((2,) + det.shape)
+    for k in range(2):
+        trace = (
+            Finv[0, 0] * dF[0, 0, k]
+            + Finv[0, 1] * dF[1, 0, k]
+            + Finv[1, 0] * dF[0, 1, k]
+            + Finv[1, 1] * dF[1, 1, k]
+        )
+        out[k] = rho * det * trace
+    return out
 
 
 def _det2(F):
     return F[0, 0] * F[1, 1] - F[0, 1] * F[1, 0]
 
 
-def _inv2(F, det=None):
-    if det is None:
-        det = _det2(F)
+def _inv2(F, det):
     inv = np.empty_like(F)
     inv[0, 0] = F[1, 1] / det
     inv[0, 1] = -F[0, 1] / det

@@ -61,6 +61,28 @@ def test_bessel_vectorized_matches_scalar():
         assert vec[i] == pytest.approx(bessel_j(4, float(xi)), abs=1e-14)
 
 
+def test_bessel_repeated_arguments_match_distinct_values_exactly():
+    distinct = np.array([0.0, 0.7, 5.0, 12.0, 12.5, 17.6, 31.5, 59.0])
+    rng = np.random.default_rng(3)
+    grid = rng.permutation(np.tile(distinct, 7)).reshape(8, 7)
+    out = bessel_j(4, grid)
+    assert out.shape == grid.shape
+    assert np.array_equal(out, bessel_j(4, distinct)[np.searchsorted(distinct, grid)])
+
+
+def test_bessel_recurrence_sees_each_distinct_argument_once(monkeypatch):
+    from iga_explicit import benchmarks
+
+    miller = benchmarks._bessel_miller
+    seen = []
+    monkeypatch.setattr(benchmarks, "_bessel_miller",
+                        lambda n, x: seen.append(x.copy()) or miller(n, x))
+    radii = np.linspace(11.0, 17.7, 40)
+    bessel_j(4, np.add.outer(radii, np.zeros(64)))  # a radial profile on a polar grid
+    (args,) = seen
+    assert np.array_equal(args, radii[radii > 12.0])
+
+
 def test_bessel_zero_values():
     lam2 = bessel_zero(4, 2)
     lam4 = bessel_zero(4, 4)

@@ -1,5 +1,6 @@
 """Config parsing, experiment drivers, CSV output, and exit codes."""
 
+import json
 import os
 import subprocess
 import sys
@@ -194,8 +195,6 @@ ANNULUS_P3_ROWS = [
 
 
 def test_run_annulus_report_and_unchanged_csvs(tmp_path):
-    import json
-
     from iga_explicit.dynamics import TABLEAUS
 
     cfg = build_config("annulus", {}, {"degree": 3, "n_elems": (8,), "mass_kind": "all",
@@ -217,7 +216,9 @@ def test_run_annulus_report_and_unchanged_csvs(tmp_path):
     assert report["degree"] == 3 and len(report["runs"]) == 3
     for run, want in zip(report["runs"], ANNULUS_P3_ROWS):
         assert run["mass_kind"] == want.split(",")[4]
-        assert run["spectral_abscissa"] is None and run["amplitude_drift"] is None
+        assert run["spectral_abscissa"] is None
+        # stable runs: the amplitude stays of the order of the initial one
+        assert 0.5 < run["amplitude_drift"] < 2.0
         phases = run["phases"]
         assert phases["omega_applies"] > 0
         assert all(phases[k] > 0.0 for k in
@@ -289,6 +290,21 @@ def test_main_rejects_bad_input_without_traceback(tmp_path, args):
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("configuration error:")
+
+
+@pytest.mark.parametrize("message", ["Unable to allocate 1.21 GiB for an array", ""])
+def test_main_reports_memory_failure_without_traceback(tmp_path, monkeypatch, capsys, message):
+    import iga_explicit.cli as cli_mod
+
+    def exhausted(config):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli_mod, "run_spectrum", exhausted)
+    assert main(["spectrum", "--degree", "3", "--n", "40", "--output_dir", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("resource failure: ") and len(err.splitlines()) == 1
+    assert (message or "out of memory") in err
 
 
 def test_main_unknown_experiment_rejected():
@@ -387,6 +403,9 @@ def test_run_annulus_instability_flagged_not_crash(tmp_path, monkeypatch):
     header = body[0].split(",")
     row = dict(zip(header, body[1].split(",")))
     assert row["l2_rel_error"] == "inf"
+    with open(tmp_path / "annulus_p3_report.json") as fh:
+        (run,) = json.load(fh)["runs"]
+    assert run["amplitude_drift"] > 1e6
 
 
 def test_run_stability_single_kind(tmp_path):

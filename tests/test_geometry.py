@@ -4,7 +4,17 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from iga_explicit.geometry import _det2, annulus_map, identity_map, weight_field
+from iga_explicit.assembly import DiscreteSystem, project_initial, stiffness_apply
+from iga_explicit.benchmarks import l2_error
+from iga_explicit.geometry import (
+    GeometryMap,
+    _det2,
+    _inv2,
+    annulus_map,
+    identity_map,
+    weight_field,
+)
+from iga_explicit.splinecore import PERIODIC, uniform_space
 
 
 def fd_jacobian(geo, x1, x2, h=1e-6):
@@ -111,3 +121,74 @@ def test_vectorized_evaluation_shapes():
     assert geo.value(x1, x2).shape == (2, 4, 3)
     assert geo.jacobian(x1, x2).shape == (2, 2, 4, 3)
     assert geo.jacobian_gradient(x1, x2).shape == (2, 2, 2, 4, 3)
+
+
+def test_annulus_map_broadcasts_axis_operands_and_scalars():
+    geo = annulus_map(1.0, 2.0)
+    x1, x2 = np.linspace(0, 1, 4)[:, None], np.linspace(0, 1, 3)[None, :]
+    X1, X2 = np.meshgrid(x1[:, 0], x2[0], indexing="ij")
+    for fn, lead in ((geo.value, (2,)), (geo.jacobian, (2, 2)),
+                     (geo.jacobian_gradient, (2, 2, 2))):
+        assert fn(x1, x2).shape == lead + (4, 3)
+        assert np.array_equal(fn(x1, x2), fn(X1, X2))
+        assert fn(0.3, 0.7).shape == lead
+        assert fn(0.3, x2[0]).shape == lead + (3,)
+
+
+def annulus_system(p=3, n_r=8, geometry=None):
+    return DiscreteSystem(
+        [uniform_space(n_r, p), uniform_space(2 * n_r, p, boundary_kind=PERIODIC)],
+        geometry=geometry or annulus_map(2.0, 5.0, rho=1.3),
+        mass_kind="customized",
+        kappa=2.5,
+        dirichlet=[(True, True), (False, False)],
+    )
+
+
+@pytest.mark.parametrize("p, n_r", [(3, 8), (5, 16)])
+def test_geometry_grids_match_full_grid_evaluation_exactly(p, n_r):
+    system = annulus_system(p, n_r)
+    geo = system.geometry
+    g = system.geometry_grids()
+    X1, X2 = np.meshgrid(*(system.tables(k)[0] for k in range(2)), indexing="ij")
+    c_fn, grad_c_fn = weight_field(geo)
+    F = geo.jacobian(X1, X2)
+    det = _det2(F)
+    Finv = _inv2(F, det)
+    A = [[system.kappa * det * (Finv[a, 0] * Finv[b, 0] + Finv[a, 1] * Finv[b, 1])
+          for b in range(2)] for a in range(2)]
+    XY = geo.value(X1, X2)
+    want = {"det": det, "c": c_fn(X1, X2), "grad_c": grad_c_fn(X1, X2),
+            "X": XY[0], "Y": XY[1]}
+    for key, value in want.items():
+        assert np.array_equal(g[key], value), key
+    for a in range(2):
+        for b in range(2):
+            assert np.array_equal(g["A"][a][b], A[a][b]), (a, b)
+
+
+def test_map_is_evaluated_once_on_the_quadrature_grid():
+    geo = annulus_map(2.0, 5.0)
+    shapes = {"jacobian": [], "jacobian_gradient": []}
+
+    def counted(name):
+        fn = getattr(geo, name)
+
+        def wrapper(x1, x2):
+            shapes[name].append(np.broadcast_shapes(np.shape(x1), np.shape(x2)))
+            return fn(x1, x2)
+
+        return wrapper
+
+    system = annulus_system(geometry=GeometryMap(
+        geo.value, counted("jacobian"), counted("jacobian_gradient"), rho=geo.rho))
+    quad_shape = tuple(len(system.tables(k)[0]) for k in range(2))
+    # everything an annulus run evaluates on the quadrature grid
+    d = np.ones(system.free_shape)
+    for mode in ("dual", "standard"):
+        stiffness_apply(system, d, test_mode=mode)
+    u0 = lambda x1, x2: np.sin(np.pi * x1) * np.cos(2 * np.pi * x2)
+    project_initial(system, u0)
+    l2_error(system, d, lambda X, Y: np.hypot(X, Y))
+    for name, seen in shapes.items():
+        assert seen.count(quad_shape) == 1, name
