@@ -1,18 +1,26 @@
 """Discrete operators on tensor-product spline patches.
 
 Every tensor-product operation is one per-axis contraction, ``along_axis``,
-applied an axis at a time (sum factorization): the Kronecker mass apply and
-solve, moments against the B-splines, and field values for error norms. The
+applied an axis at a time (sum factorization): the Kronecker mass solve,
+moments against the B-splines, and field values for error norms. The
 masses of a system are built on first use and cached on it: the b-form
 Grammians of each test mode (``gram_factors``), and for each run kind
 (Galerkin-consistent, customized with explicitly sparse inverse,
 rowsum-lumped) one ``MassOperator`` of free-index per-direction factors that
-also carries its initial projection (``mass_operator``). The Petrov mass is
-kept only as the dense oracles ``ApproximateDualBasis.product_dense`` and
-``petrov_mass_dense``. Dirichlet sides are imposed by restricting the
-univariate factors to the free indices; the customized mass keeps a banded
-inverse there, the Schur complement S_ff - S_fc S_cc^{-1} S_cf of the
-constrained dual. Outlier removal turns a factor F0 into T^T F0 T.
+also carries its initial projection (``mass_operator``). An explicit scheme
+needs only M^{-1}, so every factor, projections included, is an
+``InverseFactor`` held as its inverse: a Grammian's dense inverse, the
+customized mass's banded dual coefficient matrix S_c, or a lumped diagonal's
+reciprocal. The Petrov mass is kept only as the dense oracles
+``ApproximateDualBasis.product_dense`` and ``petrov_mass_dense``. Dirichlet
+sides are imposed by restricting the univariate factors to the free indices;
+the customized mass keeps a banded inverse there, the Schur complement
+S_ff - S_fc S_cc^{-1} S_cf of the constrained dual. Outlier removal turns a factor F0 into T^T F0 T.
+
+A system's test functions follow from its mass kind (``MASS_KINDS``), read
+through the read-only ``DiscreteSystem.test_mode``: B/c for the customized
+kind, B for the others. The stiffness kernel (one per system), the moments
+and the initial projection all use it.
 
 The stiffness is a short sum of Kronecker products of sparse 1D factors
 (low-rank Galerkin stiffness: Mantzaflaris, Juettler, Khoromskij and Langer,
@@ -66,94 +74,46 @@ def along_axis(op, grid, k):
     """Apply a per-axis operator along axis ``k`` of a coefficient grid.
 
     ``op`` acts on arrays whose first axis is the contracted one: a matrix
-    product, or a factor's ``matvec`` or ``solve``. One operator per axis,
-    applied in turn, is sum factorization (Antolin et al., CMAME 284, 2015).
+    product, or a factor's ``solve``. One operator per axis, applied in
+    turn, is sum factorization (Antolin et al., CMAME 284, 2015).
     """
     return op(grid.swapaxes(0, k)).swapaxes(0, k)
 
 
 # ---------------------------------------------------------------------------
-# univariate operator factors (BandedSymmetricMatrix is one as it is). Each
-# factor's ``inverse_matrix`` is the matrix its solve multiplies by, stored as
-# the solve stores it: dense for a dense inverse, CSR for a banded inverse or
-# a diagonal.
-
-
-class DenseFactor:
-    """Dense univariate factor whose inverse is formed once, here: the
-    outlier-reduced direction-0 factor T^T F0 T."""
-
-    def __init__(self, mat):
-        self.mat = np.asarray(mat, dtype=float)
-        self.inv = np.linalg.inv(self.mat)
-        self.n = self.mat.shape[0]
-
-    def matvec(self, x):
-        return (self.mat @ x.reshape(self.n, -1)).reshape(x.shape)
-
-    def solve(self, x):
-        return (self.inv @ x.reshape(self.n, -1)).reshape(x.shape)
-
-    def inverse_matrix(self):
-        return self.inv
-
-    def to_dense(self):
-        return self.mat.copy()
-
-    @property
-    def storage_entries(self):
-        """The matrix and its inverse."""
-        return self.mat.size + self.inv.size
-
-
-class DiagonalFactor:
-    def __init__(self, diag):
-        self.diag = np.asarray(diag, dtype=float)
-        self.n = len(self.diag)
-
-    def matvec(self, x):
-        x = np.asarray(x, dtype=float)
-        return (self.diag[:, None] * x.reshape(self.n, -1)).reshape(x.shape)
-
-    def solve(self, x):
-        x = np.asarray(x, dtype=float)
-        return (x.reshape(self.n, -1) / self.diag[:, None]).reshape(x.shape)
-
-    def inverse_matrix(self):
-        return sp.diags(1.0 / self.diag, format="csr")
-
-    def to_dense(self):
-        return np.diag(self.diag)
-
-    @property
-    def storage_entries(self):
-        return self.n
+# univariate operator factors
 
 
 class InverseFactor:
-    """Factor given by its banded inverse: the customized mass, whose inverse
-    is the constrained dual coefficient matrix. The solve is a banded matvec
-    and the apply a product with the inverse the banded matrix caches."""
+    """Univariate mass or projection factor held as its inverse.
 
-    def __init__(self, inverse):
-        self.inverse = inverse
-        self.n = inverse.n
+    ``inverse`` and ``dense`` are zero-argument callables: the first gives the
+    matrix a solve multiplies by (dense, or CSR for a banded inverse or a
+    diagonal), formed on the first solve and kept; the second gives the
+    factor itself, for the dense oracles and spectra.
+    """
 
-    def matvec(self, x):
-        return self.inverse.solve(x)
+    def __init__(self, n, inverse, dense):
+        self.n = n
+        self._inverse, self._dense = inverse, dense
+
+    @cached_property
+    def inverse(self):
+        return self._inverse()
 
     def solve(self, x):
-        return self.inverse.matvec(x)
+        return (self.inverse @ x.reshape(self.n, -1)).reshape(x.shape)
 
     def inverse_matrix(self):
-        return self.inverse.to_csr()
+        return self.inverse
 
     def to_dense(self):
-        return self.inverse.dense_inverse().copy()
+        return self._dense()
 
     @property
     def storage_entries(self):
-        return self.inverse.storage_entries
+        """The stored entries of the inverse."""
+        return _stored(self.inverse)
 
 
 class KroneckerOperator:
@@ -166,23 +126,11 @@ class KroneckerOperator:
     def __init__(self, factors):
         self.factors = list(factors)
 
-    def _sweep(self, method, grid):
+    def solve(self, grid):
         out = np.asarray(grid, dtype=float)
         for k, f in enumerate(self.factors):
-            out = along_axis(getattr(f, method), out, k)
+            out = along_axis(f.solve, out, k)
         return out
-
-    def apply(self, grid):
-        return self._sweep("matvec", grid)
-
-    def solve(self, grid):
-        return self._sweep("solve", grid)
-
-    def to_dense(self):
-        shape = tuple(f.n for f in self.factors)
-        n = int(np.prod(shape))
-        columns = self.apply(np.eye(n).reshape(shape + (n,), order="F"))
-        return columns.reshape(n, n, order="F")
 
     @property
     def storage_entries(self):
@@ -206,9 +154,10 @@ class DiscreteSystem:
     cannot be constrained. The wave-speed-squared coefficient ``kappa``
     multiplies the stiffness form and must be positive.
 
-    A system is fixed once built: its quadrature orders are read-only
-    properties, and what it builds on first use (duals, tables, geometry
-    grids, Grammians, masses, stiffness kernels) is cached on it once.
+    A system is fixed once built: its test mode and quadrature orders are
+    read-only properties, and what it builds on first use (duals, tables,
+    geometry grids, Grammians, masses, the stiffness kernel) is cached on it
+    once.
     """
 
     def __init__(
@@ -252,7 +201,12 @@ class DiscreteSystem:
         self._geom_cache = None
         self._grams = {}  # test mode -> Grammians (gram_factors)
         self._masses = {}  # mass kind -> MassOperator (mass_operator)
-        self._kernels = {}  # test mode -> _StiffnessKernel (_stiffness_kernel)
+
+    @property
+    def test_mode(self):
+        """The test functions of the mass kind's b-form (``MASS_KINDS``):
+        "dual" (B/c) or "standard" (B)."""
+        return MASS_KINDS[self.mass_kind]
 
     # -- index bookkeeping ---------------------------------------------------
 
@@ -388,6 +342,11 @@ class DiscreteSystem:
         self._geom_cache = grids
         return grids
 
+    @cached_property
+    def stiffness_kernel(self):
+        """The stiffness form of the test mode as a ``_StiffnessKernel``."""
+        return _StiffnessKernel(self)
+
     def radial_weight(self):
         """Separable part c1(x1) of the weight field (c2 must be constant 1);
         the constant density without a map, None for a unit density.
@@ -433,14 +392,12 @@ def gram_factors(system, mode):
 class MassOperator(KroneckerOperator):
     """Kronecker-factorized mass of one kind acting on free coefficient grids.
 
-    ``mode`` names the test functions of its b-form: "dual" (B/c) or
-    "standard" (B). ``projection`` is the KroneckerOperator whose solve,
-    against the moments of the initial data, projects that data.
+    ``projection`` is the KroneckerOperator whose solve, against the moments
+    of the initial data, projects that data.
     """
 
-    def __init__(self, mode, factors, projection):
+    def __init__(self, factors, projection):
         super().__init__(factors)
-        self.mode = mode
         self.projection = projection
 
 
@@ -448,28 +405,33 @@ def mass_operator(system, kind=None):
     """The free-index mass of a kind, Dirichlet included, built once per
     system; the kind defaults to the system's own.
 
-    Galerkin-consistent: the restricted geometry-weighted Grammians, which
-    also project. Rowsum-lumped: diagonals of their full rowsums, which
-    project too, as an explicit production code would. Customized: the
-    inverses of the constrained dual coefficient matrices, projecting with
-    the restricted parametric Grammians, where the dual coefficients cancel.
+    Every factor is an ``InverseFactor``. Galerkin-consistent: the restricted
+    geometry-weighted Grammians, which also project, held as the dense
+    inverses their Cholesky factors give. Rowsum-lumped: diagonals of their
+    full rowsums, which project too, as an explicit production code would.
+    Customized: the constrained dual coefficient matrices S_c as CSR, which
+    are the inverses, projecting with the restricted parametric Grammians,
+    where the dual coefficients cancel.
     """
     kind = kind or system.mass_kind
     if kind not in system._masses:
-        mode = MASS_KINDS[kind]
-        grams = gram_factors(system, mode)
+        grams = gram_factors(system, MASS_KINDS[kind])
         free = [slice(*system.free_range(k)) for k in range(system.ndim)]
         if kind == "rowsum_lumped":
             rowsums = [G.rowsums()[f] for G, f in zip(grams, free)]
             if any(np.min(d) <= 0.0 for d in rowsums):
                 raise NumericalError("non-positive rowsum in lumped mass")
-            factors = projection = [DiagonalFactor(d) for d in rowsums]
+            factors = projection = [
+                InverseFactor(len(d), lambda d=d: sp.diags(1.0 / d, format="csr"),
+                              lambda d=d: np.diag(d)) for d in rowsums]
         else:
-            projection = [G if G.periodic else G.submatrix(f.start, f.stop)
+            restricted = [G if G.periodic else G.submatrix(f.start, f.stop)
                           for G, f in zip(grams, free)]
+            projection = [InverseFactor(G.n, G.dense_inverse, G.to_dense) for G in restricted]
             factors = projection if kind == "galerkin_consistent" else [
-                InverseFactor(cd.S) for cd in system.constrained_duals]
-        system._masses[kind] = MassOperator(mode, factors, KroneckerOperator(projection))
+                InverseFactor(cd.S.n, cd.S.to_csr, cd.S.dense_inverse)
+                for cd in system.constrained_duals]
+        system._masses[kind] = MassOperator(factors, KroneckerOperator(projection))
     return system._masses[kind]
 
 
@@ -482,10 +444,10 @@ def mass_operator(system, kind=None):
 SEPARATION_TOL = 1e-13
 
 
-def _stiffness_form(system, mode):
+def _stiffness_form(system):
     """The stiffness form as (coefficient grid, test pattern, trial pattern)
     entries on the quadrature grid; a pattern holds one flag per axis, 1 for
-    the derivative table and 0 for the values.
+    the derivative table and 0 for the values, for the system's test mode.
 
     The entries are ``W A_ab`` (``W A_ab / c`` in dual mode) between the
     derivatives along axes a and b, with A = kappa det(F) F^{-1} F^{-T}
@@ -499,10 +461,11 @@ def _stiffness_form(system, mode):
     else:
         g = system.geometry_grids()
         A, grad_c = g["A"], g["grad_c"]
+    dual = system.test_mode == "dual"
     derivative = np.eye(system.ndim, dtype=int)  # row a: the derivative along axis a
-    scale = W / c if mode == "dual" else W
+    scale = W / c if dual else W
     form = [(scale * A[a][b], derivative[a], derivative[b]) for a in axes for b in axes]
-    if mode == "dual":
+    if dual:
         values = np.zeros(system.ndim, dtype=int)
         form += [(-W / c**2 * sum(grad_c[a] * A[a][b] for a in axes), values, derivative[b])
                  for b in axes]
@@ -586,9 +549,9 @@ class KroneckerSum:
 
 
 class _StiffnessKernel(KroneckerSum):
-    """The stiffness form of one test mode on full coefficient grids, as a
-    short sum of Kronecker products, A_t along axis 0 and B_t along the rest,
-    held in two CSR matrices (``KroneckerSum``).
+    """The stiffness form of a system's test mode on full coefficient grids,
+    as a short sum of Kronecker products, A_t along axis 0 and B_t along the
+    rest, held in two CSR matrices (``KroneckerSum``).
 
     The entries of the form that share their test and trial patterns on
     every axis but the first are stacked along that axis and separated
@@ -600,11 +563,11 @@ class _StiffnessKernel(KroneckerSum):
     columns, which acts on free grids without zero padding.
     """
 
-    def __init__(self, system, mode):
+    def __init__(self, system):
         evs = [system.tables(k)[3] for k in range(system.ndim)]
         n0, *rest = system.full_shape
         m = int(np.prod(rest))
-        form = _stiffness_form(system, mode)
+        form = _stiffness_form(system)
         bound = SEPARATION_TOL * max(np.max(np.abs(grid)) for grid, _, _ in form)
         groups = {}
         for grid, test, trial in form:
@@ -640,34 +603,27 @@ class _StiffnessKernel(KroneckerSum):
         return KroneckerSum(outer, inner, trailing=bool(rest))
 
 
-def _stiffness_kernel(system, mode):
-    """The system's cached stiffness kernel for a test mode."""
-    if mode not in system._kernels:
-        system._kernels[mode] = _StiffnessKernel(system, mode)
-    return system._kernels[mode]
-
-
-def stiffness_apply(system, d_free, test_mode=None):
+def stiffness_apply(system, d_free):
     """Matrix-free action of the stiffness form on a free coefficient grid.
 
-    With ``test_mode='dual'`` the test functions are B_i / c (the gradient is
-    expanded as grad(B)/c - B grad(c)/c^2); with ``'standard'`` they are the
-    B-splines themselves. The cached kernel's free restriction applies all
-    its Kronecker terms in two sparse products; the counters add one apply
-    and the kernel's full-space ``macs``.
+    In the system's dual test mode the test functions are B_i / c (the
+    gradient is expanded as grad(B)/c - B grad(c)/c^2); in the standard one
+    they are the B-splines themselves. The cached kernel's free restriction
+    applies all its Kronecker terms in two sparse products; the counters add
+    one apply and the kernel's full-space ``macs``.
     """
-    kernel = _stiffness_kernel(system, test_mode or MASS_KINDS[system.mass_kind])
+    kernel = system.stiffness_kernel
     system.counters["stiffness_applies"] += 1
     system.counters["mac_ops"] += kernel.macs
     return kernel.free.apply(np.asarray(d_free, dtype=float))
 
 
-def assembled_stiffness_1d(system, test_mode=None):
+def assembled_stiffness_1d(system):
     """Sparse assembled stiffness of a 1D system: its kernel's single axis-0
     factor, on the full space (oracle and spectrum path)."""
     if system.ndim != 1:
         raise ValueError("assembled path is one-dimensional")
-    return _stiffness_kernel(system, test_mode or MASS_KINDS[system.mass_kind]).outer
+    return system.stiffness_kernel.outer
 
 
 def mass_inverse_stiffness(system, mass, T=None):
@@ -681,7 +637,7 @@ def mass_inverse_stiffness(system, mass, T=None):
     the P_t. Each product is stored as its factor's ``inverse_matrix``: dense
     for a dense inverse, CSR for a banded inverse or a diagonal.
     """
-    kernel = _stiffness_kernel(system, MASS_KINDS[system.mass_kind]).free
+    kernel = system.stiffness_kernel.free
     outer, inner = kernel.outer, kernel.inner
     if T is not None:
         n, r = T.shape
@@ -698,16 +654,16 @@ def mass_inverse_stiffness(system, mass, T=None):
 # initial data
 
 
-def moments(system, func_param, mode):
-    """Moment grid b(test_i, v) of a field v given on parametric coordinates.
+def moments(system, func_param):
+    """Moment grid b(test_i, v) of a field v given on parametric coordinates,
+    against the test functions of the system's test mode.
 
-    The weight c cancels against the dual test functions B/c (``mode='dual'``),
-    leaving the parametric moments <B_i, v>; the B-splines themselves
-    (``'standard'``) give <B_i, c v>.
+    The weight c cancels against the dual test functions B/c, leaving the
+    parametric moments <B_i, v>; the B-splines themselves give <B_i, c v>.
     """
     W, _, c = system.quadrature_grid()
     vals = system.evaluate(func_param)
-    if mode == "standard":
+    if system.test_mode == "standard":
         vals = vals * c
     out = W * vals
     for k in reversed(range(system.ndim)):
@@ -734,7 +690,7 @@ def project_initial(system, u0_param, outlier=None):
     moments.
     """
     mass = mass_operator(system)
-    m_free = system.extract(moments(system, u0_param, mass.mode))
+    m_free = system.extract(moments(system, u0_param))
     if outlier is None:
         return mass.projection.solve(m_free)
     return outlier.reduce(mass.projection).solve(outlier.restrict(m_free))

@@ -152,10 +152,6 @@ class BandedSymmetricMatrix:
             self._inv.flags.writeable = False
         return self._inv
 
-    def inverse_matrix(self):
-        """The matrix a solve multiplies by: the dense inverse."""
-        return self.dense_inverse()
-
     def solve(self, b):
         """SPD solve; ``b`` may be a vector or a matrix of columns."""
         b = np.asarray(b, dtype=float)

@@ -82,8 +82,9 @@ def _bessel_miller(n, x):
     return target / norm
 
 
-def bessel_zero(n, k, tol=1e-12):
-    """k-th positive zero of J_n by sign-bracketing and bisection."""
+def bessel_zero(n, k):
+    """k-th positive zero of J_n by sign-bracketing and bisection, to an
+    interval of 1e-12."""
     if k < 1:
         raise ValueError("zero index starts at 1")
     step = np.pi / 8.0
@@ -110,7 +111,7 @@ def bessel_zero(n, k, tol=1e-12):
                         hi = mid
                     else:
                         lo, prev_v = mid, vm
-                    if hi - lo < tol:
+                    if hi - lo < 1e-12:
                         break
                 return 0.5 * (lo + hi)
         prev_x, prev_v = x, v

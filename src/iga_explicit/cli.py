@@ -177,24 +177,30 @@ _BOOL_KEYS = {"outlier_removed"}
 
 
 def parse_config_file(path):
-    """Flat key=value file with # comments; errors carry line numbers."""
+    """Flat key=value UTF-8 file with # comments; errors carry the path and
+    line numbers, and a file that cannot be read is a ConfigError too."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: "
+                          f"{getattr(exc, 'strerror', None) or exc}") from None
     values = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, val = line.partition("=")
-            key = key.strip()
-            val = val.strip()
-            if not key or not val:
-                raise ConfigError(f"{path}:{lineno}: empty key or value")
-            try:
-                values[key] = _convert(key, val)
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: {exc}") from None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+        key, _, val = line.partition("=")
+        key = key.strip()
+        val = val.strip()
+        if not key or not val:
+            raise ConfigError(f"{path}:{lineno}: empty key or value")
+        try:
+            values[key] = _convert(key, val)
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from None
     return values
 
 
@@ -297,7 +303,9 @@ def string_spectra(p, n_dim, beta=None, outlier_choices=(False,)):
         [space], mass_kind="customized", dirichlet=[(True, True)], dual_halfwidth=beta
     )
     lo, hi = system.free_range(0)
-    K = assembled_stiffness_1d(system, test_mode="standard").toarray()[lo:hi, lo:hi]
+    # the customized kind's dual test functions B/c are the B-splines at unit
+    # density, so its stiffness is the symmetric one of every kind
+    K = assembled_stiffness_1d(system).toarray()[lo:hi, lo:hi]
     masses = {kind: mass_operator(system, kind).factors[0].to_dense()
               for kind in RUN_MASS_KINDS}
     spectra = {}
@@ -659,6 +667,11 @@ def main(argv=None):
         file_values = parse_config_file(args.config) if args.config else {}
         overrides = {k: getattr(args, k) for k in CONFIG_KEYS}
         config = build_config(args.experiment, file_values, overrides)
+        try:
+            os.makedirs(config.output_dir, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output_dir {config.output_dir}: "
+                              f"{exc.strerror or exc}") from None
         runner = {
             "spectrum": run_spectrum,
             "project": run_project,
@@ -674,6 +687,9 @@ def main(argv=None):
         return 3
     except MemoryError as exc:
         print(f"resource failure: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 3
+    except OSError as exc:  # writing the results
+        print(f"resource failure: {exc}", file=sys.stderr)
         return 3
     paths = out if isinstance(out, list) else [out]
     for p in paths:

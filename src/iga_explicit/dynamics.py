@@ -169,8 +169,10 @@ def stability_polynomial(tableau, z):
     return 1.0 + z * np.dot(tableau.b, k)
 
 
-def stability_limit(tableau, tol=1e-12, scan_step=0.005, cap=8.0):
-    """Largest y with |R(i y')| <= 1 + tol for all y' up to y (0 if none)."""
+def stability_limit(tableau):
+    """Largest y with |R(i y')| <= 1 + 1e-12 for all y' up to y (0 if none),
+    scanned in steps of 0.005 up to 8 and refined by bisection."""
+    tol, scan_step, cap = 1e-12, 0.005, 8.0
     y = scan_step
     prev = 0.0
     while y <= cap:
@@ -196,16 +198,16 @@ def critical_dt(c_max, omega_max):
     return c_max / omega_max
 
 
-def power_max_frequency(apply_fn, n, tol=1e-10, max_iterations=1000, seed=0):
+def power_max_frequency(apply_fn, n, tol=1e-10, max_iterations=1000):
     """Largest sqrt(|eigenvalue|) of a linear operator by implicitly restarted
     Arnoldi (ARPACK; Lehoucq, Sorensen and Yang 1998).
 
     ``apply_fn`` realizes M^{-1} K, or its negative, on flattened
     coefficient vectors; the result is the square root of its spectral
     radius, which stays meaningful for the non-normal customized mass. The
-    start vector is random: a constant one stays inside the
-    angular-wavenumber-0 modes of an annulus and converges to a value 0.8%
-    low. ``max_iterations`` bounds the Arnoldi restart cycles. Returns
+    start vector is random, from a fixed seed: a constant one stays inside
+    the angular-wavenumber-0 modes of an annulus and converges to a value
+    0.8% low. ``max_iterations`` bounds the Arnoldi restart cycles. Returns
     ``(omega, applies)``.
 
     ARPACK accepts a Ritz value theta once its residual estimate is at most
@@ -235,7 +237,7 @@ def power_max_frequency(apply_fn, n, tol=1e-10, max_iterations=1000, seed=0):
         return y
 
     op = scipy.sparse.linalg.LinearOperator((n, n), matvec=matvec, dtype=float)
-    v0 = np.random.default_rng(seed).standard_normal(n)
+    v0 = np.random.default_rng(0).standard_normal(n)
     try:
         lam = scipy.sparse.linalg.eigs(
             op, k=1, which="LM", tol=tol, v0=v0, ncv=min(ARNOLDI_VECTORS, n),
@@ -303,14 +305,14 @@ def run_space(system, outlier=None):
     return RunOperator(system, outlier)
 
 
-def max_frequency(run, tol=1e-10, max_iterations=1000, seed=0):
+def max_frequency(run, tol=1e-10):
     """Maximum discrete frequency of a run operator (``run_space``: plain or
     outlier-reduced), matrix-free (see ``power_max_frequency``). The
     operator's terms are built here if no apply came first, and a run that
     steps with the same operator reuses them.
     """
     omega, _ = power_max_frequency(lambda vec: run.apply(vec.reshape(run.shape)).ravel(),
-                                   run.n, tol, max_iterations, seed)
+                                   run.n, tol)
     return omega
 
 
@@ -408,8 +410,11 @@ class OutlierConstraint:
 
     def reduce(self, op):
         """The Kronecker operator (T^T F0 T) (x) F1 on reduced grids of a
-        free-index Kronecker operator F0 (x) F1; the caller owns it."""
-        reduced = assembly.DenseFactor(self.T.T @ op.factors[0].to_dense() @ self.T)
+        free-index Kronecker operator F0 (x) F1, held as the dense inverse of
+        T^T F0 T, formed on its first solve; the caller owns it."""
+        mat = self.T.T @ op.factors[0].to_dense() @ self.T
+        mat.flags.writeable = False  # the inverse is formed from it later
+        reduced = assembly.InverseFactor(len(mat), lambda: np.linalg.inv(mat), lambda: mat)
         return assembly.KroneckerOperator([reduced, *op.factors[1:]])
 
     def reduce_mass(self, system):

@@ -99,14 +99,14 @@ def annulus_map(a, b, rho=1.0):
     return GeometryMap(value, jacobian, jacobian_gradient, rho=rho, name="annulus")
 
 
-def weight_field(geo, sample_grid=64):
+def weight_field(geo):
     """The weight c = det(F) * rho and its parametric gradient.
 
     The gradient of det(F) uses Jacobi's formula,
     d(det F) = det(F) * tr(F^{-1} dF). Positivity of det(F) is checked on a
-    sample grid at construction.
+    64 x 64 sample grid at construction.
     """
-    xs = np.linspace(0.0, 1.0, sample_grid)
+    xs = np.linspace(0.0, 1.0, 64)
     X1, X2 = np.meshgrid(xs, xs, indexing="ij")
     det = _det2(geo.jacobian(X1, X2))
     if np.min(det) <= 0.0:

@@ -74,11 +74,10 @@ def element_quadrature(space, points_per_element):
     return xq, wq
 
 
-def moments(space, f, points_per_element=None):
-    """Vector of inner products <f, B_i> by quadrature."""
-    if points_per_element is None:
-        points_per_element = space.degree + 2
-    xq, wq = element_quadrature(space, points_per_element)
+def moments(space, f):
+    """Vector of inner products <f, B_i> by quadrature with p + 2 Gauss points
+    per element."""
+    xq, wq = element_quadrature(space, space.degree + 2)
     # the callable sees one point at a time, as scalar code would call it
     scale = wq * np.array([f(x) for x in xq])
     ev = eval_basis(space, xq)

@@ -233,7 +233,7 @@ def test_criterion_7_oracles():
 
         lo, hi = system.free_range(0)
         G = grammian(space)
-        K = assembled_stiffness_1d(system, test_mode="standard").toarray()[lo:hi, lo:hi]
+        K = assembled_stiffness_1d(system).toarray()[lo:hi, lo:hi]
         M = G.to_dense()[lo:hi, lo:hi]
         res = eigensolve(K, M)
         k = np.arange(1, n_el)

@@ -4,14 +4,15 @@ from functools import reduce
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from numpy.testing import assert_allclose
 from oracle_utils import loop_tables
 
 from iga_explicit.assembly import (
-    DiagonalFactor,
+    MASS_KINDS,
     DiscreteSystem,
+    InverseFactor,
     KroneckerOperator,
-    _stiffness_kernel,
     assembled_stiffness_1d,
     grid_to_vec,
     mass_operator,
@@ -26,6 +27,9 @@ from iga_explicit.errors import NumericalError
 from iga_explicit.geometry import annulus_map, identity_map, weight_field
 from iga_explicit.splinecore import PERIODIC, eval_basis, uniform_space
 
+# a mass kind of each test mode: the test functions follow from the kind
+KIND_OF_MODE = {"standard": "galerkin_consistent", "dual": "customized"}
+
 
 def make_system_2d(p=2, nel1=4, nel2=8, geometry="annulus", mass_kind="customized",
                    dirichlet_radial=True, kappa=1.0):
@@ -37,7 +41,19 @@ def make_system_2d(p=2, nel1=4, nel2=8, geometry="annulus", mass_kind="customize
                           kappa=kappa, dirichlet=d)
 
 
-@pytest.mark.parametrize("method", ["apply", "solve"])
+def banded_factor(A):
+    """A symmetric matrix as the InverseFactor of its full-band storage."""
+    B = BandedSymmetricMatrix.from_dense(A, len(A) - 1)
+    return InverseFactor(B.n, B.dense_inverse, B.to_dense)
+
+
+def dense_kron(factors):
+    """kron(factors[-1], ..., factors[0]) of the factors' dense matrices."""
+    mats = [f.to_dense() for f in factors]
+    return reduce(lambda acc, A: np.kron(A, acc), mats[1:], mats[0])
+
+
+@pytest.mark.parametrize("method", ["solve"])
 @pytest.mark.parametrize("n_factors", [1, 2])
 def test_kron_apply_matches_dense(n_factors, method):
     rng = np.random.default_rng(0)
@@ -45,14 +61,11 @@ def test_kron_apply_matches_dense(n_factors, method):
     for n in (5, 7)[:n_factors]:
         A = rng.normal(size=(n, n))
         mats.append(A @ A.T + n * np.eye(n))  # SPD with a full band
-    op = KroneckerOperator([BandedSymmetricMatrix.from_dense(A, len(A) - 1) for A in mats])
+    op = KroneckerOperator([banded_factor(A) for A in mats])
     dense = reduce(lambda acc, A: np.kron(A, acc), mats[1:], mats[0])
-    assert np.max(np.abs(op.to_dense() - dense)) <= 1e-12 * np.max(np.abs(dense))
+    assert np.max(np.abs(dense_kron(op.factors) - dense)) <= 1e-12 * np.max(np.abs(dense))
     grid = rng.normal(size=tuple(len(A) for A in mats))
-    if method == "apply":
-        ref = dense @ grid_to_vec(grid)
-    else:
-        ref = np.linalg.solve(dense, grid_to_vec(grid))
+    ref = np.linalg.solve(dense, grid_to_vec(grid))
     out = grid_to_vec(getattr(op, method)(grid))
     assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -62,10 +75,11 @@ def test_kron_apply_banded_and_diag_factors():
     space = uniform_space(8, 2)
     G = grammian(space)
     d2 = rng.uniform(1.0, 2.0, size=6)
-    op = KroneckerOperator([G, DiagonalFactor(d2)])
+    diag = InverseFactor(6, lambda: sp.diags(1.0 / d2, format="csr"), lambda: np.diag(d2))
+    op = KroneckerOperator([InverseFactor(G.n, G.dense_inverse, G.to_dense), diag])
     grid = rng.normal(size=(space.dimension, 6))
-    ref = np.kron(np.diag(d2), G.to_dense()) @ grid_to_vec(grid)
-    assert_allclose(grid_to_vec(op.apply(grid)), ref, atol=1e-12)
+    ref = np.linalg.solve(np.kron(np.diag(d2), G.to_dense()), grid_to_vec(grid))
+    assert_allclose(grid_to_vec(op.solve(grid)), ref, atol=1e-12)
 
 
 @pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])
@@ -81,7 +95,7 @@ def test_tables_match_point_loop(degree):
         assert np.array_equal(D, D_loop.toarray())
 
 
-@pytest.mark.parametrize("attribute", ["stiffness_points", "mass_points"])
+@pytest.mark.parametrize("attribute", ["stiffness_points", "mass_points", "test_mode"])
 def test_quadrature_orders_are_read_only(attribute):
     system = make_system_2d(p=3)
     assert (system.mass_points, system.stiffness_points) == (4, 5)
@@ -129,13 +143,11 @@ def test_customized_solve_matches_dense_kron_oracle(p, dirichlet_radial):
     ref = oracle @ grid_to_vec(grid)
     out = grid_to_vec(mass.solve(grid))
     assert np.max(np.abs(out - ref)) <= 1e-9 * np.max(np.abs(ref))
-    # the apply path is the inverse of the solve path
-    back = grid_to_vec(mass.apply(mass.solve(grid)))
-    assert_allclose(back, grid_to_vec(grid), atol=1e-9)
-    # the factors store band entries only, no dense inverse
-    for factor, n, dual in zip(mass.factors, system.free_shape, system.duals):
-        assert factor.storage_entries == (min(dual.halfwidth, n - 1) + 1) * n
-        assert all(np.size(v) <= factor.storage_entries for v in vars(factor).values())
+    # the factors hold S_c as CSR, no dense array
+    for factor, cd in zip(mass.factors, system.constrained_duals):
+        assert sp.issparse(factor.inverse)
+        assert factor.storage_entries == cd.S.to_csr().nnz
+        assert not any(isinstance(v, np.ndarray) for v in vars(factor).values())
 
 
 @pytest.mark.parametrize("dirichlet_radial", [False, True])
@@ -150,8 +162,7 @@ def test_banded_solves_match_dense_kron_oracle(p, dirichlet_radial):
         mass = mass_operator(system)
         operators = [mass.projection] + ([mass] if kind == "galerkin_consistent" else [])
         for op in operators:
-            G0, G1 = (f.to_dense() for f in op.factors)
-            oracle = np.linalg.inv(np.kron(G1, G0))
+            oracle = np.linalg.inv(dense_kron(op.factors))
             for _ in range(2):  # the first solve forms the inverses, the second reuses them
                 grid = rng.normal(size=system.free_shape)
                 ref = oracle @ grid_to_vec(grid)
@@ -160,22 +171,33 @@ def test_banded_solves_match_dense_kron_oracle(p, dirichlet_radial):
 
 
 def test_mass_inverses_are_formed_on_the_first_solve():
-    system = make_system_2d(p=3, nel1=6, nel2=12, mass_kind="galerkin_consistent")
-    mass = mass_operator(system)
-    assert all(f._inv is None for f in mass.factors)
-    mass.solve(np.ones(system.free_shape))
-    assert all(f._inv is not None for f in mass.factors)
+    rng = np.random.default_rng(8)
+    for kind in MASS_KINDS:
+        system = make_system_2d(p=3, nel1=6, nel2=12, mass_kind=kind)
+        mass = mass_operator(system)
+        factors = mass.factors + mass.projection.factors
+        assert all(isinstance(f, InverseFactor) for f in factors), kind
+        assert all("inverse" not in vars(f) for f in factors), kind
+        mass.solve(np.ones(system.free_shape))
+        assert all("inverse" in vars(f) for f in mass.factors), kind
+        # a solve is the product with the inverse
+        for f in factors:
+            x = rng.normal(size=(f.n, 3))
+            assert np.array_equal(f.solve(x), f.inverse_matrix() @ x), kind
 
 
 def test_inverse_factor_to_dense_is_a_copy_of_the_inverse():
+    # the customized factor's dense form is the inverse of S_c, which the
+    # banded matrix caches read-only
     system = make_system_2d(p=3, nel1=8, nel2=16)
     for factor, cd in zip(mass_operator(system).factors, system.constrained_duals):
         dense = factor.to_dense()
         S = cd.S.to_dense()
         ref = np.linalg.solve(S, np.eye(len(S)))
         assert np.max(np.abs(dense - ref)) <= 1e-13 * np.max(np.abs(ref))
-        dense[:] = 0.0  # the caller owns the copy
-        assert_allclose(factor.matvec(np.eye(len(S))), ref, rtol=0, atol=1e-13 * np.abs(ref).max())
+        with pytest.raises(ValueError):
+            dense[:] = 0.0
+        assert_allclose(factor.to_dense(), ref, rtol=0, atol=1e-13 * np.abs(ref).max())
 
 
 def test_outlier_reduced_operator_reports_dense_and_storage():
@@ -188,9 +210,9 @@ def test_outlier_reduced_operator_reports_dense_and_storage():
     T = outlier.T
     F0 = reduced.factors[0]
     assert np.array_equal(F0.to_dense(), T.T @ mass.factors[0].to_dense() @ T)
-    assert reduced.storage_entries == 2 * T.shape[1] ** 2 + mass.factors[1].storage_entries
-    oracle = np.kron(mass.factors[1].to_dense(), F0.to_dense())
-    assert_allclose(reduced.to_dense(), oracle, rtol=0, atol=1e-12 * np.abs(oracle).max())
+    assert "inverse" not in vars(F0)  # formed on the first solve
+    assert reduced.storage_entries == T.shape[1] ** 2 + mass.factors[1].storage_entries
+    assert np.array_equal(F0.inverse_matrix(), np.linalg.inv(F0.to_dense()))
 
 
 def test_galerkin_mass_spd_and_solve():
@@ -199,19 +221,31 @@ def test_galerkin_mass_spd_and_solve():
     rng = np.random.default_rng(3)
     f = rng.normal(size=system.free_shape)
     u = mass.solve(f)
-    assert_allclose(mass.apply(u), f, atol=1e-11)
+    assert_allclose(dense_kron(mass.factors) @ grid_to_vec(u), grid_to_vec(f), atol=1e-11)
 
 
 def test_lumped_mass_diag_positive_and_partition():
     system = make_system_2d(p=3, nel1=4, nel2=8, mass_kind="rowsum_lumped",
                             dirichlet_radial=False)
-    diag = mass_operator(system).apply(np.ones(system.free_shape))
+    diag = dense_kron(mass_operator(system).factors).sum(axis=1)
     assert np.min(diag) > 0
     # total lumped mass equals the weighted domain measure rho * |Omega|
     c_fn, _ = weight_field(system.geometry)
     total = diag.sum()
     a, b = 2.0, 5.0
     assert total == pytest.approx(np.pi * (b**2 - a**2), rel=1e-10)
+
+
+@pytest.mark.parametrize("p", [2, 3, 4, 5])
+def test_unit_density_1d_kernel_is_the_same_in_both_modes(p):
+    # at c = 1 the dual test functions B/c are the B-splines, so the string
+    # spectra take the customized system's stiffness for every kind
+    for n in (40, 250):
+        standard, dual = (
+            assembled_stiffness_1d(DiscreteSystem([uniform_space(n - p, p)], mass_kind=kind,
+                                                  dirichlet=[(True, True)])).toarray()
+            for kind in KIND_OF_MODE.values())
+        assert np.array_equal(standard, dual), n
 
 
 def test_stiffness_constant_in_kernel():
@@ -242,13 +276,14 @@ def dense_stiffness_oracle_1d(system, mode):
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_stiffness_1d_matches_dense_oracle(p, periodic, mode):
     space = uniform_space(16, p, boundary_kind=PERIODIC) if periodic else uniform_space(16, p)
-    system = DiscreteSystem([space], kappa=1.7, rho=2.5, dirichlet=[(not periodic,) * 2])
+    system = DiscreteSystem([space], mass_kind=KIND_OF_MODE[mode], kappa=1.7, rho=2.5,
+                            dirichlet=[(not periodic,) * 2])
     K = dense_stiffness_oracle_1d(system, mode)
-    assembled = assembled_stiffness_1d(system, test_mode=mode).toarray()
+    assembled = assembled_stiffness_1d(system).toarray()
     assert np.max(np.abs(assembled - K)) <= 1e-12 * np.max(np.abs(K))
     d = np.random.default_rng(4).normal(size=system.free_shape)
     ref = system.extract(K @ system.inject(d))
-    out = stiffness_apply(system, d, test_mode=mode)
+    out = stiffness_apply(system, d)
     assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
@@ -312,13 +347,14 @@ def test_stiffness_2d_matches_dense_oracle(mode):
     rng = np.random.default_rng(5)
     for p in (2, 3, 5):
         # the angular direction needs more than 2p elements
-        systems = [make_system_2d(p=p, nel1=3, nel2=2 * p + 2, dirichlet_radial=dirichlet)
+        systems = [make_system_2d(p=p, nel1=3, nel2=2 * p + 2, mass_kind=KIND_OF_MODE[mode],
+                                  dirichlet_radial=dirichlet)
                    for dirichlet in (True, False)]
         K = dense_stiffness_oracle(systems[0], mode)  # the full grid's operator
         for system in systems:
             d = rng.normal(size=system.free_shape)
             ref = oracle_apply(system, K, d)
-            out = stiffness_apply(system, d, test_mode=mode)
+            out = stiffness_apply(system, d)
             assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref)), (p, system.dirichlet)
 
 
@@ -327,10 +363,10 @@ def test_stiffness_has_two_kronecker_terms_in_both_modes(geometry):
     # the dual mode's (d/dx1, d/dx1) entry and the gradient-of-1/c entry share
     # their factor along x2, so they are separated together into one term
     for p in (3, 5):
-        system = make_system_2d(p=p, nel1=8, nel2=16, geometry=geometry)
-        for mode in ("standard", "dual"):
-            stiffness_apply(system, np.zeros(system.free_shape), test_mode=mode)
-            assert _stiffness_kernel(system, mode).n_terms == 2, (p, mode)
+        for mode, kind in KIND_OF_MODE.items():
+            system = make_system_2d(p=p, nel1=8, nel2=16, geometry=geometry, mass_kind=kind)
+            stiffness_apply(system, np.zeros(system.free_shape))
+            assert system.stiffness_kernel.n_terms == 2, (p, mode)
 
 
 def per_term_stiffness(kernel):
@@ -347,13 +383,14 @@ def per_term_stiffness(kernel):
 @pytest.mark.parametrize("ndim", [1, 2])
 def test_stacked_kernel_matches_per_term_sum_and_dense_stiffness(ndim, mode):
     rng = np.random.default_rng(9)
+    kind = KIND_OF_MODE[mode]
     if ndim == 1:
-        system = DiscreteSystem([uniform_space(12, 3)], kappa=1.7, rho=2.5)
+        system = DiscreteSystem([uniform_space(12, 3)], mass_kind=kind, kappa=1.7, rho=2.5)
         dense = dense_stiffness_oracle_1d(system, mode)
     else:
-        system = make_system_2d(p=3, nel1=3, nel2=8, dirichlet_radial=False)
+        system = make_system_2d(p=3, nel1=3, nel2=8, mass_kind=kind, dirichlet_radial=False)
         dense = dense_stiffness_oracle(system, mode)
-    kernel = _stiffness_kernel(system, mode)
+    kernel = system.stiffness_kernel
     assert kernel.n_terms == (1 if ndim == 1 else 2)
     summed = per_term_stiffness(kernel)
     assert np.max(np.abs(summed - dense)) <= 1e-12 * np.max(np.abs(dense))
@@ -367,24 +404,25 @@ def test_stacked_kernel_matches_per_term_sum_and_dense_stiffness(ndim, mode):
 def test_kernel_macs_are_the_per_axis_factor_count(geometry):
     # sum over terms and axes of nnz(factor) N / n: 4544 on this mesh, 149
     # for the clamped 1D space and 140 for the periodic one
-    system = make_system_2d(p=3, nel1=8, nel2=16, geometry=geometry)
     spaces_1d = [uniform_space(20, 3), uniform_space(20, 3, boundary_kind=PERIODIC)]
-    for mode in ("standard", "dual"):
-        kernel = _stiffness_kernel(system, mode)
+    for kind in KIND_OF_MODE.values():
+        system = make_system_2d(p=3, nel1=8, nel2=16, geometry=geometry, mass_kind=kind)
+        kernel = system.stiffness_kernel
         n1, n2 = system.full_shape
         assert kernel.macs == kernel.outer.nnz * n2 + kernel.inner.nnz * n1 == 4544
         for space, macs in zip(spaces_1d, (149, 140)):
-            system_1d = DiscreteSystem([space], dirichlet=[(not space.periodic,) * 2])
-            assert _stiffness_kernel(system_1d, mode).macs == macs
+            system_1d = DiscreteSystem([space], mass_kind=kind,
+                                       dirichlet=[(not space.periodic,) * 2])
+            assert system_1d.stiffness_kernel.macs == macs
             system_1d.counters["mac_ops"] = 0
-            stiffness_apply(system_1d, np.zeros(system_1d.free_shape), test_mode=mode)
+            stiffness_apply(system_1d, np.zeros(system_1d.free_shape))
             assert system_1d.counters["mac_ops"] == macs
 
 
 def test_free_kernel_is_sliced_on_the_first_apply():
     system = DiscreteSystem([uniform_space(12, 3)], dirichlet=[(True, True)])
     K = assembled_stiffness_1d(system)
-    kernel = _stiffness_kernel(system, "dual")
+    kernel = system.stiffness_kernel
     assert "free" not in vars(kernel)  # the assembled path slices nothing
     d = np.random.default_rng(2).normal(size=system.free_shape)
     lo, hi = system.free_range(0)
@@ -414,8 +452,8 @@ def test_manufactured_eigenfunction_residual_decays():
             return sol.radial(r) * np.cos(sol.angular_wavenumber * 2 * np.pi * x2)
 
         d = project_initial(system, u0)
-        mass = mass_operator(system)
-        r = stiffness_apply(system, d) - kappa * mass.apply(d)
+        M = dense_kron(mass_operator(system).factors)
+        r = stiffness_apply(system, d) - kappa * (M @ grid_to_vec(d)).reshape(d.shape, order="F")
         residuals.append(np.max(np.abs(r)) / np.max(np.abs(stiffness_apply(system, d))))
     slope = np.log2(residuals[0] / residuals[1])
     assert slope >= 3 - 1 - 0.3
@@ -493,7 +531,7 @@ def test_apply_deterministic():
 
 def test_parametric_moments_partition():
     system = make_system_2d(p=2, nel1=3, nel2=8, dirichlet_radial=False)
-    m = moments(system, lambda x1, x2: np.ones_like(x1), "dual")
+    m = moments(system, lambda x1, x2: np.ones_like(x1))
     assert m.sum() == pytest.approx(1.0, abs=1e-12)
 
 

@@ -39,7 +39,7 @@ def string_dense_matrices(system):
     space = system.spaces[0]
     lo, hi = system.free_range(0)
     G = grammian(space)
-    K = assembled_stiffness_1d(system, test_mode="standard").toarray()[lo:hi, lo:hi]
+    K = assembled_stiffness_1d(system).toarray()[lo:hi, lo:hi]
     M_cons = G.to_dense()[lo:hi, lo:hi]
     M_lump = np.diag(G.rowsums()[lo:hi])
     M_cust = np.linalg.inv(system.constrained_duals[0].dense_free())
@@ -315,10 +315,7 @@ def test_outlier_projection_uses_the_reduced_projection(kind):
     y = project_initial(system, membrane_field, con)
     lo, hi = system.free_range(0)
     # each kind's own projection factors P0, P1 and moment test functions
-    if kind == "customized":
-        weight, mode = None, "dual"
-    else:
-        weight, mode = system.radial_weight(), "standard"
+    weight = None if kind == "customized" else system.radial_weight()
     G0 = grammian(system.spaces[0], weight=weight, points_per_element=system.mass_points)
     G1 = grammian(system.spaces[1], points_per_element=system.mass_points)
     if kind == "rowsum_lumped":
@@ -327,7 +324,7 @@ def test_outlier_projection_uses_the_reduced_projection(kind):
         P0, P1 = G0.to_dense()[lo:hi, lo:hi], G1.to_dense()
     # (T^T P0 T (x) P1) y = T^T m with m the moments of the field
     lhs = con.restrict(P0 @ con.prolong(y) @ P1.T)
-    rhs = con.restrict(system.extract(moments(system, membrane_field, mode)))
+    rhs = con.restrict(system.extract(moments(system, membrane_field)))
     assert np.max(np.abs(lhs - rhs)) <= 1e-12 * np.max(np.abs(rhs))
 
 
@@ -428,7 +425,7 @@ def test_run_operator_storage_follows_the_factor(kind):
 def test_run_terms_are_built_on_first_apply_and_kept():
     system = membrane_system("customized")
     run = run_space(system, outlier_removal(system))
-    assert system._kernels == {}  # nothing of the stiffness before an apply
+    assert "stiffness_kernel" not in vars(system)  # nothing of the stiffness before an apply
     assert "terms" not in vars(run)
     max_frequency(run, tol=1e-4)
     terms = run.terms

@@ -135,11 +135,11 @@ def test_annulus_map_broadcasts_axis_operands_and_scalars():
         assert fn(0.3, x2[0]).shape == lead + (3,)
 
 
-def annulus_system(p=3, n_r=8, geometry=None):
+def annulus_system(p=3, n_r=8, geometry=None, mass_kind="customized"):
     return DiscreteSystem(
         [uniform_space(n_r, p), uniform_space(2 * n_r, p, boundary_kind=PERIODIC)],
         geometry=geometry or annulus_map(2.0, 5.0, rho=1.3),
-        mass_kind="customized",
+        mass_kind=mass_kind,
         kappa=2.5,
         dirichlet=[(True, True), (False, False)],
     )
@@ -180,15 +180,19 @@ def test_map_is_evaluated_once_on_the_quadrature_grid():
 
         return wrapper
 
-    system = annulus_system(geometry=GeometryMap(
-        geo.value, counted("jacobian"), counted("jacobian_gradient"), rho=geo.rho))
-    quad_shape = tuple(len(system.tables(k)[0]) for k in range(2))
-    # everything an annulus run evaluates on the quadrature grid
-    d = np.ones(system.free_shape)
-    for mode in ("dual", "standard"):
-        stiffness_apply(system, d, test_mode=mode)
-    u0 = lambda x1, x2: np.sin(np.pi * x1) * np.cos(2 * np.pi * x2)
-    project_initial(system, u0)
-    l2_error(system, d, lambda X, Y: np.hypot(X, Y))
-    for name, seen in shapes.items():
-        assert seen.count(quad_shape) == 1, name
+    # a system of each test mode: dual and standard
+    for mass_kind in ("customized", "galerkin_consistent"):
+        for seen in shapes.values():
+            seen.clear()
+        system = annulus_system(geometry=GeometryMap(
+            geo.value, counted("jacobian"), counted("jacobian_gradient"), rho=geo.rho),
+            mass_kind=mass_kind)
+        quad_shape = tuple(len(system.tables(k)[0]) for k in range(2))
+        # everything an annulus run evaluates on the quadrature grid
+        d = np.ones(system.free_shape)
+        stiffness_apply(system, d)
+        u0 = lambda x1, x2: np.sin(np.pi * x1) * np.cos(2 * np.pi * x2)
+        project_initial(system, u0)
+        l2_error(system, d, lambda X, Y: np.hypot(X, Y))
+        for name, seen in shapes.items():
+            assert seen.count(quad_shape) == 1, (mass_kind, name)

@@ -83,7 +83,7 @@ def test_integrate_sine():
 
 def test_integrate_vector_accumulation():
     space = uniform_space(6, 2)
-    vec = moments(space, lambda x: 1.0, points_per_element=3)
+    vec = moments(space, lambda x: 1.0)
     assert vec.shape == (space.dimension,)
     assert vec.sum() == pytest.approx(1.0, abs=1e-13)
 
