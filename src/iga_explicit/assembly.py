@@ -154,11 +154,14 @@ class DiscreteSystem:
     cannot be constrained. The wave-speed-squared coefficient ``kappa``
     multiplies the stiffness form and must be positive.
 
-    A system is fixed once built: its test mode and quadrature orders are
-    read-only properties, and what it builds on first use (duals, tables,
-    geometry grids, Grammians, masses, the stiffness kernel) is cached on it
-    once.
+    A system is fixed once built: its inputs (``INPUTS``) cannot be assigned
+    again, its test mode and quadrature orders are read-only properties, and
+    what it builds on first use (duals, tables, geometry grids, Grammians,
+    masses, the stiffness kernel) is cached on it once.
     """
+
+    INPUTS = frozenset({"spaces", "geometry", "mass_kind", "kappa", "rho", "dirichlet",
+                        "dual_halfwidth"})
 
     def __init__(
         self,
@@ -170,7 +173,7 @@ class DiscreteSystem:
         dirichlet=None,
         dual_halfwidth=None,
     ):
-        self.spaces = list(spaces)
+        self.spaces = tuple(spaces)
         if len(self.spaces) not in (1, 2):
             raise ValueError("one or two spaces required")
         if len(self.spaces) == 1 and geometry is not None:
@@ -188,10 +191,10 @@ class DiscreteSystem:
                 f"dual_halfwidth has {len(dual_halfwidth)} entries for "
                 f"{len(self.spaces)} directions"
             )
-        self.dual_halfwidth = dual_halfwidth
+        self.dual_halfwidth = tuple(dual_halfwidth) if np.ndim(dual_halfwidth) else dual_halfwidth
         if dirichlet is None:
             dirichlet = [(False, False)] * len(self.spaces)
-        self.dirichlet = [tuple(bool(v) for v in d) for d in dirichlet]
+        self.dirichlet = tuple(tuple(bool(v) for v in d) for d in dirichlet)
         for space, (dl, dr) in zip(self.spaces, self.dirichlet):
             if space.periodic and (dl or dr):
                 raise ValueError("cannot constrain a periodic direction")
@@ -201,6 +204,11 @@ class DiscreteSystem:
         self._geom_cache = None
         self._grams = {}  # test mode -> Grammians (gram_factors)
         self._masses = {}  # mass kind -> MassOperator (mass_operator)
+
+    def __setattr__(self, name, value):
+        if name in self.INPUTS and name in self.__dict__:
+            raise AttributeError(f"{name!r} of a built DiscreteSystem cannot be assigned")
+        super().__setattr__(name, value)
 
     @property
     def test_mode(self):

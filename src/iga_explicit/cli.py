@@ -62,8 +62,9 @@ RUN_MASS_KINDS = tuple(MASS_KINDS)
 KIND_SELECTIONS = {"all": RUN_MASS_KINDS, **{kind: (kind,) for kind in RUN_MASS_KINDS}}
 
 # The largest inputs accepted, each with its peak RSS measured at the bound
-# (README). The clamped dual's dense constraint matrix grows with the square
-# of its dimension: the project dimensions and the annulus radial functions.
+# (README). The clamped dual's constraint SVD factors, held per mirror block,
+# grow with the square of its dimension: the project dimensions and the
+# annulus radial functions.
 # The periodic angular mass factors are inverted densely, and the quadrature
 # grids grow with the number of functions, radial times angular.
 DUAL_MAX_N = 500
@@ -279,7 +280,7 @@ def _base_metadata(config, system=None, extra=None):
         md["dual_halfwidth"] = [d.halfwidth for d in system.duals]
         md["quad_points_mass"] = system.mass_points
         md["quad_points_stiffness"] = system.stiffness_points
-        md["dirichlet_sides"] = system.dirichlet
+        md["dirichlet_sides"] = list(system.dirichlet)
         md["kappa"] = system.kappa
     if extra:
         md.update(extra)

@@ -7,14 +7,16 @@ monomial coefficient vectors up to the polynomial degree. It is symmetric
 positive definite (verified, not imposed), has local support, and every row of
 the product C = S G sums to one, so rowsum lumping of C yields the identity.
 
-On a clamped direction S comes from one thin SVD of the equilibrated
-constraint matrix, assembled for all rows at once. When the knots are
-symmetric under x -> a + b - x, that matrix commutes with the mirror of
-basis functions, band entries and signed constraints, so the SVD runs on
-its mirror-even and mirror-odd halves. The split is taken only when the
-measured coupling of the halves is round-off (at most 1e-12 of the largest
-entry); asymmetric meshes use one block. The objective then picks S in all
-of the constraints' null space.
+On a clamped direction S comes from the SVD of the equilibrated constraint
+matrix, assembled for all rows at once and held by its stored entries, at
+most 2 hw + 1 per row. When the knots are symmetric under x -> a + b - x,
+that matrix commutes with the mirror of basis functions, band entries and
+signed constraints; its mirror-even and mirror-odd blocks are formed from
+the stored entries and decomposed one at a time, and their factors are
+kept per block. The split is taken only when the measured coupling of the
+halves is round-off (at most 1e-12 of the largest entry); asymmetric meshes
+use one dense block. The objective then picks S in all of the constraints'
+null space.
 
 Homogeneous boundary constraints keep the dual banded: the inverse of S^{-1}
 restricted to the free indices is the Schur complement
@@ -66,11 +68,16 @@ def grammian(space, weight=None, points_per_element=None):
             if v <= 0.0:
                 raise ValueError(f"non-positive weight {v} at quadrature point {x}")
         wq = wq * np.array(wx)
+    return _grammian(space, wq, eval_basis(space, xq))
+
+
+def _grammian(space, wq, ev):
+    """The Grammian from quadrature weights and the basis evaluated at the points."""
+    p = space.degree
     n = space.dimension
     hw = min(p, n - 1) if not space.periodic else p
     # every pair a <= b of the functions alive at a point adds to band b - a
     # of row indices[a]; np.add.at sums in the order of a loop over points
-    ev = eval_basis(space, xq)
     vals = ev.values[:, 0]
     a, b = np.triu_indices(p + 1)
     bands = np.zeros((hw + 1, n))
@@ -97,11 +104,14 @@ class ApproximateDualBasis:
     halfwidth: int
     G: BandedSymmetricMatrix
     # how the clamped construction went (empty for periodic directions):
-    # mirror_split and block_shapes of the constraint SVD, mirror_coupling
-    # (largest coupling entry relative to max|A|), null_directions below the
-    # 1e-14 threshold, min_kept_sv_rel (smallest kept singular value over the
-    # largest), refinement_steps and refinement_capped, and
-    # constraint_residual (max-norm, relative to the right-hand side scale)
+    # mirror_split and block_shapes of the constraint SVD (the shapes of the
+    # blocks decomposed, whose rows and columns add up to those of A),
+    # mirror_coupling (largest coupling entry relative to max|A|),
+    # null_directions (singular values below the 1e-14 threshold plus, for
+    # hw > p, each block's columns beyond its rows), min_kept_sv_rel
+    # (smallest kept singular value over the largest of all blocks),
+    # refinement_steps and refinement_capped, and constraint_residual
+    # (max-norm, relative to the right-hand side scale)
     diagnostics: Mapping = field(default_factory=lambda: MappingProxyType({}), compare=False)
 
     def apply(self, x):
@@ -124,11 +134,11 @@ def approximate_dual(space, halfwidth=None):
     hw = p if halfwidth is None else int(halfwidth)
     if hw < p:
         raise ValueError(f"dual halfwidth {hw} is below the degree {p}")
-    G = grammian(space)
     if space.periodic:
+        G = grammian(space)
         S, diagnostics = _periodic_dual(space, G, hw), {}
     else:
-        S, diagnostics = _clamped_dual(space, G, hw)
+        G, S, diagnostics = _clamped_dual(space, hw)
     if not S.is_spd():
         raise NumericalError(
             "approximate dual coefficient matrix is not SPD "
@@ -137,15 +147,17 @@ def approximate_dual(space, halfwidth=None):
     return ApproximateDualBasis(space, S, hw, G, MappingProxyType(diagnostics))
 
 
-def _clamped_dual(space, G, hw):
-    """Constrained Frobenius minimizer over symmetric banded matrices.
+def _clamped_dual(space, hw):
+    """Constrained Frobenius minimizer over symmetric banded matrices, with
+    the Grammian G it is built from: (G, S, diagnostics).
 
     The duality constraints are assembled per row in the local polynomial
     basis ((x - g_r)/h)^m with g_r the row's Greville point: the same
     constraint set as reproduction of global monomial coefficient vectors,
     but with O(1)-scaled, well-conditioned data. The right-hand sides are
     the local polynomials' own B-spline coefficients, evaluated exactly via
-    the de Boor-Fix dual functional.
+    the de Boor-Fix dual functional. G and the constraint moments share one
+    evaluation of the basis at the p+1 Gauss points of every element.
     """
     n = space.dimension
     p = space.degree
@@ -170,8 +182,10 @@ def _clamped_dual(space, G, hw):
     # p+1 Gauss points (exact for degree 2p) of the elements whose first
     # function lies in [r - hw - p, r + hw]; columns padded by p on each side
     # take those elements' other functions, slots past the last element weigh 0
-    xq, wq = (v.reshape(n_el, p + 1) for v in element_quadrature(space, p + 1))
-    ev = eval_basis(space, xq.ravel())
+    xq, wq = element_quadrature(space, p + 1)
+    ev = eval_basis(space, xq)
+    G = _grammian(space, wq, ev)
+    xq, wq = xq.reshape(n_el, p + 1), wq.reshape(n_el, p + 1)
     first = ev.first_index[:: p + 1]
     n_win = 2 * hw + p + 1
     el = np.searchsorted(first, rows - hw - p) + np.arange(n_win)
@@ -186,9 +200,13 @@ def _clamped_dual(space, G, hw):
            at[:, :, None]] = (np.where(live[..., None], wq[el], 0.0)[..., None]
                               * ev.values[:, 0].reshape(n_el, p + 1, p + 1)[el])
     Mloc = powers.reshape(n, -1, p + 1).transpose(0, 2, 1) @ window.reshape(n, n_win * (p + 1), -1)
-    r_in, t_in = np.nonzero(inside)
-    A = np.zeros(((p + 1) * n, ns))
-    A.reshape(n, p + 1, ns)[r_in, :, ids[r_in, t_in]] = Mloc[r_in, :, p + t_in] / hbar
+    # A is held by its stored entries: constraint (r, m) has vals[r, m, t] in
+    # column ids[r, t] of its window, zero outside; the dense (p+1)n x ns
+    # matrix is never formed
+    vals = np.where(inside[:, None, :], Mloc[:, :, p : p + width] / hbar, 0.0)
+
+    def constraints(s):
+        return (vals * s[ids][:, None, :]).sum(axis=2).ravel()
 
     # de Boor-Fix coefficient of ((x - g_r)/h)^m for basis function r.
     # psi is expanded around g_r (its roots cluster there), which keeps the
@@ -204,129 +222,189 @@ def _clamped_dual(space, G, hw):
     rhs = ((-1.0) ** m * fact * fact[::-1] / (fact[p] * hbar**m) * cpoly).ravel()
 
     # equilibrate constraint rows so the residual filter acts on O(1) data
-    rownorm = np.maximum(np.abs(A).max(axis=1), 1e-300)
-    A /= rownorm[:, None]
-    rhs /= rownorm
+    rownorm = np.maximum(np.abs(vals).max(axis=2), 1e-300)
+    vals /= rownorm[..., None]
+    rhs /= rownorm.ravel()
 
-    # the mirror x -> a + b - x maps basis function i to n-1-i, band entry
-    # (i, d) to (n-1-i-d, d) and constraint (r, m) to (n-1-r, m) with sign
-    # (-1)^m, since the local monomial ((x - g_r)/h)^m changes sign
-    rr, mm = np.divmod(np.arange((p + 1) * n), p + 1)
-    row_mirror = (n - 1 - rr) * (p + 1) + mm
+    # the mirror x -> a + b - x maps band entry (i, d) to (n-1-i-d, d)
     entry_row = np.repeat(np.arange(n), counts)
     entry_off = np.arange(ns) - start[entry_row]
-    col_mirror = start[n - 1 - entry_row - entry_off] + entry_off
-    U, sv, Vt, split = _mirror_svd(A, row_mirror, (-1.0) ** mm, col_mirror)
+    factors, split = _mirror_svd(vals, ids, inside, start[n - 1 - entry_row - entry_off] + entry_off)
+    # the singular values of all blocks, sorted, set only the thresholds and
+    # the diagnostics
+    sv = np.sort(np.concatenate([s for _, _, _, s, _ in factors]))[::-1]
     sig0 = sv[0]
     # Filtered pseudo-inverse: keeps genuinely tiny singular directions (the
     # constraint system is consistent but extremely graded), while the exact
     # numerical nullspace is reserved for the Frobenius objective below.
     alpha = 1e-13 * sig0
-    filt = sv / (sv**2 + alpha**2)
+    null_cut = 1e-14 * sig0
+    filts = [s / (s**2 + alpha**2) for _, _, _, s, _ in factors]
 
     def pinv_apply(vec):
-        return Vt.T @ (filt * (U.T @ vec))
+        out = np.zeros(ns)
+        for (row_map, col_map, u, s, vt), filt in zip(factors, filts):
+            _expand(col_map, vt[: len(s)].T @ (filt * (u.T @ _coords(row_map, vec))), out)
+        return out
 
     s_opt = pinv_apply(rhs)
     scale = max(1.0, np.max(np.abs(rhs)))
     steps = 0
     for _ in range(REFINEMENT_STEPS):
-        dr = rhs - A @ s_opt
+        dr = rhs - constraints(s_opt)
         if np.max(np.abs(dr)) < 5e-15 * scale:
             break
         s_opt = s_opt + pinv_apply(dr)
         steps += 1
-    residual = np.max(np.abs(A @ s_opt - rhs))
+    residual = np.max(np.abs(constraints(s_opt) - rhs))
     if residual > FEASIBILITY_TOL * scale:
         raise NumericalError(
             f"duality constraints infeasible at halfwidth {hw} (residual {residual:.3e})"
         )
 
-    # null space: the singular directions below the threshold, and, when A
-    # has fewer rows than unknowns (hw > p), the complement of Vt's rows
-    null_mask = sv < 1e-14 * sig0
-    Z = Vt[null_mask].T
-    if len(sv) < ns:
-        Z = np.hstack([Z, np.linalg.qr(Vt.T, mode="complete")[0][:, len(sv):]])
-    if Z.shape[1]:
+    # null space: each block's singular directions below the threshold, and,
+    # on a block with fewer rows than columns (hw > p), the complement of its
+    # row space, which the block's full vt holds past its singular values
+    nulls = [(col_map, np.concatenate([vt[: len(s)][s < null_cut], vt[len(s) :]]).T)
+             for _, col_map, _, s, vt in factors]
+    del factors, filts  # from here on only the null directions are needed
+    k = sum(V.shape[1] for _, V in nulls)
+    if k:
+        Z = _null_basis(nulls, ns)
+        del nulls
         # with s = h S and F = G / h, ||S G - I||_F^2 / 2 is, up to a constant,
         # the sum over rows r of s_r^T (F^2)_{J_r J_r} s_r / 2 - s_r^T F_{J_r r},
         # s_r the row's unknowns on its window columns J_r. Gwin holds F on
         # the window rows and the columns within p of them, zero outside F
         near = rows - hw - p + np.arange(width + 2 * p)
-        j, k = cols[:, :, None], np.clip(near, 0, n - 1)[:, None, :]
-        off = np.minimum(abs(j - k), G.halfwidth + 1)  # past the band: a zero row
-        Gwin = np.vstack([G.bands, np.zeros(n)])[off, np.minimum(j, k)] / hbar
+        j, c = cols[:, :, None], np.clip(near, 0, n - 1)[:, None, :]
+        off = np.minimum(abs(j - c), G.halfwidth + 1)  # past the band: a zero row
+        Gwin = np.vstack([G.bands, np.zeros(n)])[off, np.minimum(j, c)] / hbar
         Gwin *= inside[..., None] & ((near >= 0) & (near < n))[:, None]
         G2 = Gwin @ Gwin.transpose(0, 2, 1)
-        Zw = Z[ids]
-        ZwT = Zw.reshape(n * width, -1).T
         blin = np.zeros(ns)
         np.add.at(blin, ids[inside], Gwin[:, :, hw + p][inside])
-        gred = Z.T @ blin - ZwT @ (G2 @ s_opt[ids][..., None]).ravel()
-        Hred = ZwT @ (G2 @ Zw).reshape(n * width, -1)
+        gred = Z.T @ blin
+        Hred = np.zeros((k, k))
+        # Z on the window columns of a chunk of rows holds no more floats
+        # than the larger of Hred and G2
+        chunk = max(1, max(k * k, G2.size) // (width * k))
+        for lo in range(0, n, chunk):
+            Zw = Z[ids[lo : lo + chunk]]
+            ZwT = Zw.reshape(-1, k).T
+            gred -= ZwT @ (G2[lo : lo + chunk] @ s_opt[ids[lo : lo + chunk]][..., None]).ravel()
+            Hred += ZwT @ (G2[lo : lo + chunk] @ Zw).reshape(-1, k)
         s_opt = s_opt + Z @ np.linalg.solve(Hred, gred)
 
     S = BandedSymmetricMatrix(n, hw)
     S.bands[entry_off, entry_row] = s_opt / hbar
+    kept = sv[sv >= null_cut]
     diagnostics = {
         "mirror_split": len(split["block_shapes"]) > 1,
         "block_shapes": split["block_shapes"],
         "mirror_coupling": split["coupling"],
-        "null_directions": int(Z.shape[1]),
-        "min_kept_sv_rel": float(sv[~null_mask][-1] / sig0),
+        "null_directions": k,
+        "min_kept_sv_rel": float(kept[-1] / sig0),
         "refinement_steps": steps,
         "refinement_capped": steps == REFINEMENT_STEPS,
         "constraint_residual": float(residual / scale),
     }
-    return S, diagnostics
+    return G, S, diagnostics
 
 
-def _mirror_svd(A, row_mirror, row_sign, col_mirror):
-    """Thin SVD of A, block-diagonalized by a mirror symmetry when A has one.
+def _mirror_svd(vals, ids, inside, col_mirror):
+    """SVD of the constraint matrix A, block-diagonalized by the mirror
+    x -> a + b - x when A has that symmetry.
 
-    The mirror acts on the rows by the signed permutation e_k -> s_k e_m(k)
-    and on the columns by a plain permutation. When A commutes with it, A is
-    block-diagonal in orthonormal bases of the mirror-even and mirror-odd
-    vectors, and the SVD runs on the two half-size blocks. The coupling
-    blocks are measured, not assumed zero; when they exceed 1e-12 max|A| (an
-    asymmetric mesh) A is decomposed as one block. Returns U, sv, Vt with the
-    singular values in descending order, and the block shapes and coupling.
+    A is held by its stored entries: row (r, m) has vals[r, m, t] in column
+    ids[r, t] where inside[r, t]. The mirror maps row (r, m) to (n-1-r, m)
+    with sign (-1)^m, since the local monomial ((x - g_r)/h)^m changes sign,
+    and column c to col_mirror[c], which is ids[n-1-r, w-1-t] for
+    c = ids[r, t]. When A commutes with it, A is block-diagonal in
+    orthonormal bases of the mirror-even and mirror-odd vectors; each block is
+    formed from the stored entries, decomposed and dropped in turn. The
+    coupling blocks are measured, not assumed zero; when they exceed
+    1e-12 max|A| (an asymmetric mesh) A is decomposed as one dense block.
+    Returns per block (row map, column map, u, s, vt), with vt square on a
+    block with fewer rows than columns, and the block shapes and coupling.
     """
-    rows = _mirror_maps(row_mirror, row_sign)
+    n, q, w = vals.shape
+    rr, mm = np.divmod(np.arange(q * n), q)
+    rows = _mirror_maps((n - 1 - rr) * q + mm, (-1.0) ** mm)
     cols = _mirror_maps(col_mirror, np.ones(len(col_mirror)))
-    blocks, coupling = [], 0.0
-    for i, row_map in enumerate(rows):
-        R = _coords(row_map, A)
-        for j, col_map in enumerate(cols):
-            B = _coords(col_map, R.T).T
-            if i == j:
-                blocks.append((row_map, col_map, B))
-            else:
-                coupling = max(coupling, np.abs(B).max(initial=0.0))
-    coupling /= np.abs(A).max()
+    I, J, B = _mirror_entries(vals, ids, inside, col_mirror, rows, cols)
+    coupling = np.abs(B[[0, 1], [1, 0]]).max() / np.abs(vals).max()
+    parts = [(rows[k], cols[k], I[k][..., None], J[k][:, None, :], B[k, k]) for k in (0, 1)]
+    (re, ce), (ro, co) = [(len(r[0]), len(c[0])) for r, c in zip(rows, cols)]
     # the blocks must return as many singular triplets as one SVD of A
-    (re, ce), (ro, co) = [B.shape for _, _, B in blocks]
     if coupling > 1e-12 or (re - ce) * (ro - co) < 0:
         # the even maps of the trivial mirror, which fixes every index
-        blocks = [(*[_mirror_maps(np.arange(k), np.ones(k))[0] for k in A.shape], A)]
-    svds = [np.linalg.svd(B, full_matrices=False) for _, _, B in blocks]
-    sv = np.concatenate([s for _, s, _ in svds])
-    order = np.argsort(-sv, kind="stable")
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    # filled in descending order of sv; U in C order as np.linalg.svd returns
-    # it, so that an unsplit A gives bit-identical results downstream
-    U = np.empty((A.shape[0], len(sv)))
-    Vt = np.empty((len(sv), A.shape[1]))
-    first = 0
-    for (row_map, col_map, _), (u, s, vt) in zip(blocks, svds):
-        at = rank[first : first + len(s)]
-        first += len(s)
-        U[:, at] = _expand(row_map, u, A.shape[0])
-        Vt[at] = _expand(col_map, vt.T, A.shape[1]).T
-    shapes = [B.shape for _, _, B in blocks]
-    return U, sv[order], Vt, {"block_shapes": shapes, "coupling": coupling}
+        r_in, t_in = np.nonzero(inside)
+        identity = [_mirror_maps(np.arange(k), np.ones(k))[0] for k in (q * n, len(col_mirror))]
+        parts = [(*identity, (r_in[:, None] * q + np.arange(q)).ravel(),
+                  np.repeat(ids[r_in, t_in], q), vals[r_in, :, t_in].ravel())]
+    factors, shapes = [], []
+    for row_map, col_map, bi, bj, bv in parts:
+        # index -1, an entry absent from the block, lands in a last row or column
+        B = np.zeros((len(row_map[0]) + 1, len(col_map[0]) + 1))
+        B[bi, bj] = bv
+        B = B[:-1, :-1]
+        shapes.append(B.shape)
+        factors.append((row_map, col_map, *np.linalg.svd(B, full_matrices=B.shape[0] < B.shape[1])))
+    return factors, {"block_shapes": shapes, "coupling": coupling}
+
+
+def _mirror_entries(vals, ids, inside, col_mirror, row_maps, col_maps):
+    """A's entries in the coordinates of the even and odd index maps of its
+    rows and columns, from the layout of _mirror_svd.
+
+    Every row coordinate has a lead row (r, m) with r <= n-1-r, paired with
+    its mirror (n-1-r, m); every column coordinate pairs c with its mirror.
+    The mirror row holds the image of the entry in slot (r, t) in its slot
+    w-1-t, and it shares a column with row r only in the centre row
+    (r = n-1-r) or in the slot whose column the mirror fixes. Each value
+    combines the rows first, then the columns, by the products and two-term
+    sums of the dense transform, so the blocks are the same numbers. Returns
+    the row coordinates I[P] (2, lead rows, q) and the column coordinates
+    J[Q] (2, lead rows, w) in each parity's map, -1 where an entry takes no
+    part, and the values B[P, Q] at (I[P], J[Q]), zero there.
+    """
+    n, q, w = vals.shape
+    r = np.arange((n + 1) // 2)
+    c, cm = ids[r], col_mirror[ids[r]]
+    v, vm = vals[r], vals[n - 1 - r, :, ::-1]
+    centre, fixed = (2 * r == n - 1)[:, None, None], c == cm
+    # the entries of the mirror row in column c and of row r in mirror c
+    v_mc = np.where(centre, v, np.where(fixed[:, None], vm, 0.0))
+    v_cm = np.where(centre, vm, np.where(fixed[:, None], v, 0.0))
+    pos_r, _, w_r = _slots(row_maps, q * n)
+    lead, mirror = (x[:, None] * q + np.arange(q) for x in (r, n - 1 - r))
+    w_lead, w_mirror = w_r[:, lead][..., None], np.where(centre, 0.0, w_r[:, mirror][..., None])
+    # rows combined: each row coordinate's values in column c and in mirror c
+    Rc = v * w_lead + v_mc * w_mirror
+    Rm = v_cm * w_lead + vm * w_mirror
+    # columns combined, for every (row parity, column parity) pair: the
+    # coordinate of c pairs (c, mirror c) when c comes first in it
+    pos_c, role_c, w_c = _slots(col_maps, len(col_mirror))
+    first = role_c[:, c] == 0
+    wa = np.where(first, w_c[:, c], w_c[:, cm])[:, None, :, None, :]
+    wb = np.where(fixed, 0.0, np.where(first, w_c[:, cm], w_c[:, c]))[:, None, :, None, :]
+    first = first[:, None, :, None, :]
+    B = np.where(first, Rc, Rm) * wa + np.where(first, Rm, Rc) * wb
+    return pos_r[:, lead], np.where(inside[r], pos_c[:, c], -1), B.transpose(1, 0, 2, 3, 4)
+
+
+def _slots(maps, size):
+    """For each of size indices, its coordinate in each index map of a list
+    (-1 where it takes no part), its role there (0 as a, 1 as b) and its
+    weight (0 where it takes no part): three (len(maps), size) arrays."""
+    shape = (len(maps), size)
+    pos, role, w = np.full(shape, -1), np.zeros(shape, int), np.zeros(shape)
+    for k, (a, b, wa, wb) in enumerate(maps):
+        pair = wb != 0
+        pos[k, a], w[k, a] = np.arange(len(a)), wa
+        pos[k, b[pair]], role[k, b[pair]], w[k, b[pair]] = np.flatnonzero(pair), 1, wb[pair]
+    return pos, role, w
 
 
 def _mirror_maps(mirror, sign):
@@ -347,24 +425,27 @@ def _mirror_maps(mirror, sign):
     return maps
 
 
-def _coords(m, X):
-    """Coordinates of the columns of X in the basis of an index map."""
+def _coords(m, x):
+    """Coordinates of the vector x in the basis of an index map."""
     a, b, wa, wb = m
-    out = X[a]
-    out *= wa[:, None]
-    part = X[b]
-    part *= wb[:, None]
-    out += part
-    return out
+    return wa * x[a] + wb * x[b]
 
 
-def _expand(m, Y, n):
-    """Length-n vectors with the columns of Y as coordinates in an index map."""
+def _null_basis(nulls, n):
+    """Length-n columns, side by side, from blocks of coordinates in index maps."""
+    Z = np.zeros((n, sum(V.shape[1] for _, V in nulls)))
+    first = 0
+    for m, V in nulls:
+        _expand(m, V, Z[:, first : first + V.shape[1]])
+        first += V.shape[1]
+    return Z
+
+
+def _expand(m, Y, out):
+    """Add to out the vectors with the columns of Y as coordinates in an index map."""
     a, b, wa, wb = m
-    X = np.zeros((n, Y.shape[1]))
-    X[a] += wa[:, None] * Y
-    X[b] += wb[:, None] * Y
-    return X
+    out[a] += (wa * Y.T).T
+    out[b] += (wb * Y.T).T
 
 
 def _periodic_dual(space, G, hw):

@@ -95,7 +95,9 @@ def test_tables_match_point_loop(degree):
         assert np.array_equal(D, D_loop.toarray())
 
 
-@pytest.mark.parametrize("attribute", ["stiffness_points", "mass_points", "test_mode"])
+@pytest.mark.parametrize("attribute", ["stiffness_points", "mass_points", "test_mode", "mass_kind",
+                                       "kappa", "rho", "dirichlet", "geometry", "spaces",
+                                       "dual_halfwidth"])
 def test_quadrature_orders_are_read_only(attribute):
     system = make_system_2d(p=3)
     assert (system.mass_points, system.stiffness_points) == (4, 5)

@@ -1,5 +1,7 @@
 """Grammian, exact and approximate dual bases, end constraints, quasi-projection."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -284,10 +286,15 @@ def test_clamped_dual_interior_matches_periodic_stencil(degree, n):
     assert np.max(np.abs(row - want)) <= 1e-6 * np.max(np.abs(want))
 
 
-def unsplit_svd(A, *mirror):
-    """The constraint SVD as one block, whatever the mirror symmetry."""
-    return (*np.linalg.svd(A, full_matrices=False),
-            {"block_shapes": [A.shape], "coupling": float("nan")})
+def unsplit_svd(vals, ids, inside, col_mirror):
+    """The constraint SVD as one dense block, whatever the mirror symmetry."""
+    n, q, _ = vals.shape
+    A = np.zeros((q * n, len(col_mirror)))
+    r, t = np.nonzero(inside)
+    A.reshape(n, q, -1)[r, :, ids[r, t]] = vals[r, :, t]
+    identity = [(np.arange(k), np.arange(k), np.ones(k), np.zeros(k)) for k in A.shape]
+    factors = (*identity, *np.linalg.svd(A, full_matrices=A.shape[0] < A.shape[1]))
+    return [factors], {"block_shapes": [A.shape], "coupling": float("nan")}
 
 
 # (degree, dimension, tolerance). At p=5 and n=45, 60 the construction's own
@@ -321,6 +328,29 @@ def test_asymmetric_mesh_is_not_split_and_unchanged(monkeypatch):
     assert dual.diagnostics["mirror_coupling"] > 1e-3
     monkeypatch.setattr(dualbasis, "_mirror_svd", unsplit_svd)
     assert np.array_equal(dual.S.bands, approximate_dual(space).S.bands)
+
+
+def traced_peak(func):
+    """Result of func() and the peak bytes traced while it ran."""
+    tracemalloc.start()
+    try:
+        return func(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("halfwidth", [3, 6])
+def test_clamped_dual_never_holds_the_dense_constraint_matrix_twice(halfwidth):
+    # the (p+1)n x ns constraint matrix is held by its stored entries and
+    # decomposed in half-size mirror blocks. Above the degree the objective
+    # step adds the null basis Z (ns x k) and row chunks of Z no larger than
+    # its k x k Hessian, so the peak stays below two dense matrices plus Z
+    dual, peak = traced_peak(lambda: approximate_dual(uniform_space(247, 3), halfwidth=halfwidth))
+    rows, ns = map(sum, zip(*dual.diagnostics["block_shapes"]))
+    assert (rows, ns) == (4 * 250, sum(min(halfwidth, 249 - i) + 1 for i in range(250)))
+    null_basis = 8 * ns * dual.diagnostics["null_directions"]
+    assert (null_basis > 0) == (halfwidth > 3)
+    assert peak <= 2 * 8 * rows * ns + null_basis
 
 
 @pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])
