@@ -104,9 +104,6 @@ class InverseFactor:
     def solve(self, x):
         return (self.inverse @ x.reshape(self.n, -1)).reshape(x.shape)
 
-    def inverse_matrix(self):
-        return self.inverse
-
     def to_dense(self):
         return self._dense()
 
@@ -642,7 +639,7 @@ def mass_inverse_stiffness(system, mass, T=None):
     With M = F0 (x) F1 and K = sum_t A_t (x) B_t on the free indices,
     M^{-1} K = sum_t P_t (x) Q_t with P_t = F0^{-1} A_t (reduced:
     (T^T F0 T)^{-1} T^T A_t T) and Q_t = F1^{-1} B_t. The sign is folded into
-    the P_t. Each product is stored as its factor's ``inverse_matrix``: dense
+    the P_t. Each product is stored as its factor's ``inverse``: dense
     for a dense inverse, CSR for a banded inverse or a diagonal.
     """
     kernel = system.stiffness_kernel.free
@@ -652,10 +649,10 @@ def mass_inverse_stiffness(system, mass, T=None):
         outer = ((T.T @ outer).reshape(r, kernel.n_terms, n) @ T).reshape(r, -1)
     F0, *rest = mass.factors
     for F1 in rest:
-        m, inv = kernel.m, F1.inverse_matrix()
+        m, inv = kernel.m, F1.inverse
         blocks = [inv @ inner[t * m:(t + 1) * m] for t in range(kernel.n_terms)]
         inner = sp.vstack(blocks, format="csr") if sp.issparse(inv) else np.vstack(blocks)
-    return KroneckerSum(-(F0.inverse_matrix() @ outer), inner, trailing=bool(rest))
+    return KroneckerSum(-(F0.inverse @ outer), inner, trailing=bool(rest))
 
 
 # ---------------------------------------------------------------------------

@@ -8,15 +8,16 @@ positive definite (verified, not imposed), has local support, and every row of
 the product C = S G sums to one, so rowsum lumping of C yields the identity.
 
 On a clamped direction S comes from the SVD of the equilibrated constraint
-matrix, assembled for all rows at once and held by its stored entries, at
-most 2 hw + 1 per row. When the knots are symmetric under x -> a + b - x,
-that matrix commutes with the mirror of basis functions, band entries and
-signed constraints; its mirror-even and mirror-odd blocks are formed from
-the stored entries and decomposed one at a time, and their factors are
-kept per block. The split is taken only when the measured coupling of the
-halves is round-off (at most 1e-12 of the largest entry); asymmetric meshes
-use one dense block. The objective then picks S in all of the constraints'
-null space.
+matrix A, assembled for all rows at once and held as a sparse matrix, at
+most 2 hw + 1 entries per row. When the knots are symmetric under
+x -> a + b - x, A commutes with the mirror of band entries and signed
+constraints. Each side then has a sparse orthogonal basis, mirror-even
+columns first, in which A is block-diagonal; one pair of sparse products
+gives both blocks, which are decomposed one at a time, and their factors
+are kept per block. The split is taken only when the measured coupling of
+the halves is round-off (at most 1e-12 of the largest entry); asymmetric
+meshes use identity bases and one dense block. The objective then picks S
+in all of the constraints' null space.
 
 Homogeneous boundary constraints keep the dual banded: the inverse of S^{-1}
 restricted to the free indices is the Schur complement
@@ -32,6 +33,7 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 
 import numpy as np
+import scipy.sparse as sp
 
 from .banded import BandedSymmetricMatrix
 from .errors import NumericalError
@@ -200,9 +202,9 @@ def _clamped_dual(space, hw):
            at[:, :, None]] = (np.where(live[..., None], wq[el], 0.0)[..., None]
                               * ev.values[:, 0].reshape(n_el, p + 1, p + 1)[el])
     Mloc = powers.reshape(n, -1, p + 1).transpose(0, 2, 1) @ window.reshape(n, n_win * (p + 1), -1)
-    # A is held by its stored entries: constraint (r, m) has vals[r, m, t] in
-    # column ids[r, t] of its window, zero outside; the dense (p+1)n x ns
-    # matrix is never formed
+    # constraint (r, m) has vals[r, m, t] in column ids[r, t] of its window,
+    # zero outside; A holds the entries inside as row r * (p+1) + m of a CSR
+    # matrix, and the dense (p+1)n x ns matrix is never formed
     vals = np.where(inside[:, None, :], Mloc[:, :, p : p + width] / hbar, 0.0)
 
     def constraints(s):
@@ -226,10 +228,17 @@ def _clamped_dual(space, hw):
     vals /= rownorm[..., None]
     rhs /= rownorm.ravel()
 
-    # the mirror x -> a + b - x maps band entry (i, d) to (n-1-i-d, d)
+    stored = np.broadcast_to(inside[:, None, :], vals.shape)
+    A = sp.csr_matrix((vals[stored], np.broadcast_to(ids[:, None, :], vals.shape)[stored],
+                       np.concatenate([[0], np.cumsum(stored.sum(axis=2))])), shape=(n * (p + 1), ns))
+    # the mirror x -> a + b - x maps constraint (r, m) to (n-1-r, m) with
+    # sign (-1)^m, since ((x - g_r)/h)^m changes sign, and band entry (i, d)
+    # to (n-1-i-d, d)
+    r, m = np.divmod(np.arange(n * (p + 1)), p + 1)
     entry_row = np.repeat(np.arange(n), counts)
     entry_off = np.arange(ns) - start[entry_row]
-    factors, split = _mirror_svd(vals, ids, inside, start[n - 1 - entry_row - entry_off] + entry_off)
+    QrT, Qc, factors, split = _mirror_svd(A, (n - 1 - r) * (p + 1) + m, (-1.0) ** m,
+                                         start[n - 1 - entry_row - entry_off] + entry_off)
     # the singular values of all blocks, sorted, set only the thresholds and
     # the diagnostics
     sv = np.sort(np.concatenate([s for _, _, _, s, _ in factors]))[::-1]
@@ -242,10 +251,9 @@ def _clamped_dual(space, hw):
     filts = [s / (s**2 + alpha**2) for _, _, _, s, _ in factors]
 
     def pinv_apply(vec):
-        out = np.zeros(ns)
-        for (row_map, col_map, u, s, vt), filt in zip(factors, filts):
-            _expand(col_map, vt[: len(s)].T @ (filt * (u.T @ _coords(row_map, vec))), out)
-        return out
+        x = QrT @ vec
+        return Qc @ np.concatenate([vt[: len(s)].T @ (filt * (u.T @ x[rs]))
+                                    for (rs, _, u, s, vt), filt in zip(factors, filts)])
 
     s_opt = pinv_apply(rhs)
     scale = max(1.0, np.max(np.abs(rhs)))
@@ -265,12 +273,12 @@ def _clamped_dual(space, hw):
     # null space: each block's singular directions below the threshold, and,
     # on a block with fewer rows than columns (hw > p), the complement of its
     # row space, which the block's full vt holds past its singular values
-    nulls = [(col_map, np.concatenate([vt[: len(s)][s < null_cut], vt[len(s) :]]).T)
-             for _, col_map, _, s, vt in factors]
+    nulls = [(cs, np.concatenate([vt[: len(s)][s < null_cut], vt[len(s) :]]).T)
+             for _, cs, _, s, vt in factors]
     del factors, filts  # from here on only the null directions are needed
     k = sum(V.shape[1] for _, V in nulls)
     if k:
-        Z = _null_basis(nulls, ns)
+        Z = np.hstack([Qc[:, cs] @ V for cs, V in nulls])
         del nulls
         # with s = h S and F = G / h, ||S G - I||_F^2 / 2 is, up to a constant,
         # the sum over rows r of s_r^T (F^2)_{J_r J_r} s_r / 2 - s_r^T F_{J_r r},
@@ -312,140 +320,65 @@ def _clamped_dual(space, hw):
     return G, S, diagnostics
 
 
-def _mirror_svd(vals, ids, inside, col_mirror):
+def _mirror_svd(A, row_mirror, row_sign, col_mirror):
     """SVD of the constraint matrix A, block-diagonalized by the mirror
     x -> a + b - x when A has that symmetry.
 
-    A is held by its stored entries: row (r, m) has vals[r, m, t] in column
-    ids[r, t] where inside[r, t]. The mirror maps row (r, m) to (n-1-r, m)
-    with sign (-1)^m, since the local monomial ((x - g_r)/h)^m changes sign,
-    and column c to col_mirror[c], which is ids[n-1-r, w-1-t] for
-    c = ids[r, t]. When A commutes with it, A is block-diagonal in
-    orthonormal bases of the mirror-even and mirror-odd vectors; each block is
-    formed from the stored entries, decomposed and dropped in turn. The
-    coupling blocks are measured, not assumed zero; when they exceed
-    1e-12 max|A| (an asymmetric mesh) A is decomposed as one dense block.
-    Returns per block (row map, column map, u, s, vt), with vt square on a
-    block with fewer rows than columns, and the block shapes and coupling.
+    The mirror maps row k to row_mirror[k] with sign row_sign[k] and column
+    c to col_mirror[c]. In the orthogonal bases Qr and Qc of _mirror_basis,
+    C = Qr^T A Qc (rows first, then columns: each entry is a two-term sum)
+    is block-diagonal when A commutes with the mirror. The coupling blocks
+    of C are measured, not assumed zero; when they exceed 1e-12 max|A|
+    (an asymmetric mesh), the bases are the identity and A is decomposed as
+    one dense block. Returns Qr^T (CSR) and Qc (CSC), per block (row
+    slice, column slice, u, s, vt), with vt square on a block with fewer rows
+    than columns, and the block shapes and coupling.
     """
-    n, q, w = vals.shape
-    rr, mm = np.divmod(np.arange(q * n), q)
-    rows = _mirror_maps((n - 1 - rr) * q + mm, (-1.0) ** mm)
-    cols = _mirror_maps(col_mirror, np.ones(len(col_mirror)))
-    I, J, B = _mirror_entries(vals, ids, inside, col_mirror, rows, cols)
-    coupling = np.abs(B[[0, 1], [1, 0]]).max() / np.abs(vals).max()
-    parts = [(rows[k], cols[k], I[k][..., None], J[k][:, None, :], B[k, k]) for k in (0, 1)]
-    (re, ce), (ro, co) = [(len(r[0]), len(c[0])) for r, c in zip(rows, cols)]
+    Qr, re = _mirror_basis(row_mirror, row_sign)
+    Qc, ce = _mirror_basis(col_mirror, np.ones(len(col_mirror)))
+    QrT = Qr.T
+    C = (QrT @ A) @ Qc
+    i, j = _csr_rows(C), C.indices
+    coupling = np.abs(C.data[(i < re) != (j < ce)]).max(initial=0.0) / np.abs(A.data).max()
+    nr, nc = A.shape
+    blocks = [(slice(0, re), slice(0, ce)), (slice(re, nr), slice(ce, nc))]
     # the blocks must return as many singular triplets as one SVD of A
-    if coupling > 1e-12 or (re - ce) * (ro - co) < 0:
-        # the even maps of the trivial mirror, which fixes every index
-        r_in, t_in = np.nonzero(inside)
-        identity = [_mirror_maps(np.arange(k), np.ones(k))[0] for k in (q * n, len(col_mirror))]
-        parts = [(*identity, (r_in[:, None] * q + np.arange(q)).ravel(),
-                  np.repeat(ids[r_in, t_in], q), vals[r_in, :, t_in].ravel())]
+    if coupling > 1e-12 or (re - ce) * (nr - re - nc + ce) < 0:
+        QrT, Qc = sp.identity(nr, format="csr"), sp.identity(nc, format="csc")
+        C, i, j = A, _csr_rows(A), A.indices
+        blocks = [(slice(0, nr), slice(0, nc))]
     factors, shapes = [], []
-    for row_map, col_map, bi, bj, bv in parts:
-        # index -1, an entry absent from the block, lands in a last row or column
-        B = np.zeros((len(row_map[0]) + 1, len(col_map[0]) + 1))
-        B[bi, bj] = bv
-        B = B[:-1, :-1]
+    for rows, cols in blocks:
+        B = np.zeros((rows.stop - rows.start, cols.stop - cols.start))
+        at = (i >= rows.start) & (i < rows.stop) & (j >= cols.start) & (j < cols.stop)
+        B[i[at] - rows.start, j[at] - cols.start] = C.data[at]
         shapes.append(B.shape)
-        factors.append((row_map, col_map, *np.linalg.svd(B, full_matrices=B.shape[0] < B.shape[1])))
-    return factors, {"block_shapes": shapes, "coupling": coupling}
+        factors.append((rows, cols, *np.linalg.svd(B, full_matrices=B.shape[0] < B.shape[1])))
+    return QrT, Qc, factors, {"block_shapes": shapes, "coupling": coupling}
 
 
-def _mirror_entries(vals, ids, inside, col_mirror, row_maps, col_maps):
-    """A's entries in the coordinates of the even and odd index maps of its
-    rows and columns, from the layout of _mirror_svd.
-
-    Every row coordinate has a lead row (r, m) with r <= n-1-r, paired with
-    its mirror (n-1-r, m); every column coordinate pairs c with its mirror.
-    The mirror row holds the image of the entry in slot (r, t) in its slot
-    w-1-t, and it shares a column with row r only in the centre row
-    (r = n-1-r) or in the slot whose column the mirror fixes. Each value
-    combines the rows first, then the columns, by the products and two-term
-    sums of the dense transform, so the blocks are the same numbers. Returns
-    the row coordinates I[P] (2, lead rows, q) and the column coordinates
-    J[Q] (2, lead rows, w) in each parity's map, -1 where an entry takes no
-    part, and the values B[P, Q] at (I[P], J[Q]), zero there.
-    """
-    n, q, w = vals.shape
-    r = np.arange((n + 1) // 2)
-    c, cm = ids[r], col_mirror[ids[r]]
-    v, vm = vals[r], vals[n - 1 - r, :, ::-1]
-    centre, fixed = (2 * r == n - 1)[:, None, None], c == cm
-    # the entries of the mirror row in column c and of row r in mirror c
-    v_mc = np.where(centre, v, np.where(fixed[:, None], vm, 0.0))
-    v_cm = np.where(centre, vm, np.where(fixed[:, None], v, 0.0))
-    pos_r, _, w_r = _slots(row_maps, q * n)
-    lead, mirror = (x[:, None] * q + np.arange(q) for x in (r, n - 1 - r))
-    w_lead, w_mirror = w_r[:, lead][..., None], np.where(centre, 0.0, w_r[:, mirror][..., None])
-    # rows combined: each row coordinate's values in column c and in mirror c
-    Rc = v * w_lead + v_mc * w_mirror
-    Rm = v_cm * w_lead + vm * w_mirror
-    # columns combined, for every (row parity, column parity) pair: the
-    # coordinate of c pairs (c, mirror c) when c comes first in it
-    pos_c, role_c, w_c = _slots(col_maps, len(col_mirror))
-    first = role_c[:, c] == 0
-    wa = np.where(first, w_c[:, c], w_c[:, cm])[:, None, :, None, :]
-    wb = np.where(fixed, 0.0, np.where(first, w_c[:, cm], w_c[:, c]))[:, None, :, None, :]
-    first = first[:, None, :, None, :]
-    B = np.where(first, Rc, Rm) * wa + np.where(first, Rm, Rc) * wb
-    return pos_r[:, lead], np.where(inside[r], pos_c[:, c], -1), B.transpose(1, 0, 2, 3, 4)
+def _csr_rows(M):
+    """The row of every stored entry of a CSR matrix."""
+    return np.repeat(np.arange(M.shape[0]), np.diff(M.indptr))
 
 
-def _slots(maps, size):
-    """For each of size indices, its coordinate in each index map of a list
-    (-1 where it takes no part), its role there (0 as a, 1 as b) and its
-    weight (0 where it takes no part): three (len(maps), size) arrays."""
-    shape = (len(maps), size)
-    pos, role, w = np.full(shape, -1), np.zeros(shape, int), np.zeros(shape)
-    for k, (a, b, wa, wb) in enumerate(maps):
-        pair = wb != 0
-        pos[k, a], w[k, a] = np.arange(len(a)), wa
-        pos[k, b[pair]], role[k, b[pair]], w[k, b[pair]] = np.flatnonzero(pair), 1, wb[pair]
-    return pos, role, w
-
-
-def _mirror_maps(mirror, sign):
-    """Orthonormal coordinates of the +1 and -1 eigenvectors of the signed
-    involution e_k -> sign_k e_mirror(k), as index maps (a, b, wa, wb) whose
-    coordinate j is wa_j x[a_j] + wb_j x[b_j]: a pair k < mirror(k) gives
-    (x_k +- sign_k x_mirror(k)) / sqrt(2), a fixed point gives x_k to the
-    eigenvalue sign_k."""
+def _mirror_basis(mirror, sign):
+    """Orthogonal basis Q (CSC) of the +1 and -1 eigenvectors of the signed
+    involution e_k -> sign_k e_mirror(k), and the number of +1 columns, which
+    come first. Each parity's columns are its pairs k < mirror(k),
+    (e_k +- sign_k e_mirror(k)) / sqrt(2), then its fixed points e_k with
+    sign_k the eigenvalue."""
     k = np.arange(len(mirror))
-    lead = k[k < mirror]
-    half = np.full(len(lead), np.sqrt(0.5))
-    maps = []
-    for parity in (1.0, -1.0):
-        single = k[(k == mirror) & (sign == parity)]
-        maps.append((np.concatenate([lead, single]), np.concatenate([mirror[lead], single]),
-                     np.concatenate([half, np.ones(len(single))]),
-                     np.concatenate([parity * sign[lead] * half, np.zeros(len(single))])))
-    return maps
-
-
-def _coords(m, x):
-    """Coordinates of the vector x in the basis of an index map."""
-    a, b, wa, wb = m
-    return wa * x[a] + wb * x[b]
-
-
-def _null_basis(nulls, n):
-    """Length-n columns, side by side, from blocks of coordinates in index maps."""
-    Z = np.zeros((n, sum(V.shape[1] for _, V in nulls)))
-    first = 0
-    for m, V in nulls:
-        _expand(m, V, Z[:, first : first + V.shape[1]])
-        first += V.shape[1]
-    return Z
-
-
-def _expand(m, Y, out):
-    """Add to out the vectors with the columns of Y as coordinates in an index map."""
-    a, b, wa, wb = m
-    out[a] += (wa * Y.T).T
-    out[b] += (wb * Y.T).T
+    lead, fixed = k[k < mirror], k[k == mirror]
+    even, odd = fixed[sign[fixed] == 1.0], fixed[sign[fixed] != 1.0]
+    pairs = np.column_stack([lead, mirror[lead]]).ravel()
+    w = np.sqrt(0.5) * np.column_stack([np.ones(len(lead)), sign[lead]])
+    rows = np.concatenate([pairs, even, pairs, odd])
+    vals = np.concatenate([w.ravel(), np.ones(len(even)),
+                           (w * [1.0, -1.0]).ravel(), np.ones(len(odd))])
+    sizes = np.repeat([2, 1, 2, 1], [len(lead), len(even), len(lead), len(odd)])
+    Q = sp.csc_matrix((vals, rows, np.concatenate([[0], np.cumsum(sizes)])), shape=(len(k), len(k)))
+    return Q, len(lead) + len(even)
 
 
 def _periodic_dual(space, G, hw):
@@ -533,9 +466,6 @@ class ConstrainedDual:
         y = np.zeros(x.shape)
         y[self.free_slice] = self.S.matvec(x[self.free_slice])
         return y
-
-    def dense_free(self):
-        return self.S.to_dense()
 
 
 def constrain_dual(basis, left=False, right=False):

@@ -258,7 +258,7 @@ def greville(space):
     if p == 0:
         bps = space.breakpoints
         return 0.5 * (bps[:-1] + bps[1:])
-    return np.array([knots[i + 1 : i + p + 1].mean() for i in range(n)])
+    return np.lib.stride_tricks.sliding_window_view(knots[1:], p)[:n].mean(axis=1)
 
 
 def monomial_coefficients(space, q):

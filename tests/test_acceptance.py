@@ -89,7 +89,7 @@ def test_criterion_2_quasi_projection_exactness():
                 lo = 1 if dl else 0
                 hi = n_dim - 1 if dr else n_dim
                 oracle = np.linalg.inv(Ghat[lo:hi, lo:hi])
-                got = constrain_dual(dual, left=dl, right=dr).dense_free()
+                got = constrain_dual(dual, left=dl, right=dr).S.to_dense()
                 dev = float(np.max(np.abs(got - oracle)))
                 assert dev <= 1e-10 * np.max(np.abs(oracle)), f"constrained dual {dev:.2e}"
         elapsed = time.perf_counter() - t0

@@ -185,7 +185,7 @@ def test_mass_inverses_are_formed_on_the_first_solve():
         # a solve is the product with the inverse
         for f in factors:
             x = rng.normal(size=(f.n, 3))
-            assert np.array_equal(f.solve(x), f.inverse_matrix() @ x), kind
+            assert np.array_equal(f.solve(x), f.inverse @ x), kind
 
 
 def test_inverse_factor_to_dense_is_a_copy_of_the_inverse():
@@ -214,7 +214,7 @@ def test_outlier_reduced_operator_reports_dense_and_storage():
     assert np.array_equal(F0.to_dense(), T.T @ mass.factors[0].to_dense() @ T)
     assert "inverse" not in vars(F0)  # formed on the first solve
     assert reduced.storage_entries == T.shape[1] ** 2 + mass.factors[1].storage_entries
-    assert np.array_equal(F0.inverse_matrix(), np.linalg.inv(F0.to_dense()))
+    assert np.array_equal(F0.inverse, np.linalg.inv(F0.to_dense()))
 
 
 def test_galerkin_mass_spd_and_solve():

@@ -285,16 +285,25 @@ def test_main_reports_numerical_failure(tmp_path, monkeypatch):
         ["spectrum", "--n", "40", "--output_dir", "{tmp}/file"],
     ],
 )
-def test_main_rejects_bad_input_without_traceback(tmp_path, args):
+def test_main_rejects_bad_input_without_traceback(tmp_path, capfd, args):
     (tmp_path / "latin1.cfg").write_bytes("degree = 3  # é\n".encode("latin-1"))
     (tmp_path / "file").write_text("")
+    experiment, *flags = (a.format(tmp=tmp_path) for a in args)
+    code = main([experiment, "--output_dir", str(tmp_path), *flags])
+    err = capfd.readouterr().err
+    assert code == 2, err
+    assert "Traceback" not in err
+    assert err.startswith("configuration error:")
+    assert len(err.splitlines()) == 1, err
+
+
+def test_module_entry_rejects_bad_input_without_traceback(tmp_path):
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    experiment, *flags = (a.format(tmp=tmp_path) for a in args)
     proc = subprocess.run(
-        [sys.executable, "-m", "iga_explicit.cli", experiment, "--output_dir", str(tmp_path),
-         *flags],
+        [sys.executable, "-m", "iga_explicit.cli", "project", "--output_dir", str(tmp_path),
+         "--n_values", "3"],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 2, proc.stderr

@@ -4,10 +4,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from numpy.testing import assert_allclose
 from oracle_utils import gauss_panels, loop_grammian_bands, naive_all_values, spline_l2_error
 
 from iga_explicit.dualbasis import (
+    _mirror_basis,
     approximate_dual,
     constrain_dual,
     exact_dual_coeffs,
@@ -212,7 +214,7 @@ def test_woodbury_matches_dense_submatrix_inverse(degree, left, right):
     hi = n - 1 if right else n
     oracle = np.linalg.inv(Ghat[lo:hi, lo:hi])
     con = constrain_dual(dual, left=left, right=right)
-    assert_allclose(con.dense_free(), oracle, atol=1e-10 * np.abs(oracle).max())
+    assert_allclose(con.S.to_dense(), oracle, atol=1e-10 * np.abs(oracle).max())
 
 
 @pytest.mark.parametrize("degree", [2, 3, 4, 5])
@@ -286,15 +288,44 @@ def test_clamped_dual_interior_matches_periodic_stencil(degree, n):
     assert np.max(np.abs(row - want)) <= 1e-6 * np.max(np.abs(want))
 
 
-def unsplit_svd(vals, ids, inside, col_mirror):
-    """The constraint SVD as one dense block, whatever the mirror symmetry."""
-    n, q, _ = vals.shape
-    A = np.zeros((q * n, len(col_mirror)))
-    r, t = np.nonzero(inside)
-    A.reshape(n, q, -1)[r, :, ids[r, t]] = vals[r, :, t]
-    identity = [(np.arange(k), np.arange(k), np.ones(k), np.zeros(k)) for k in A.shape]
-    factors = (*identity, *np.linalg.svd(A, full_matrices=A.shape[0] < A.shape[1]))
-    return [factors], {"block_shapes": [A.shape], "coupling": float("nan")}
+def unsplit_svd(A, *mirror):
+    """The constraint SVD as one dense block in identity bases, whatever the
+    mirror symmetry."""
+    dense = A.toarray()
+    svd = np.linalg.svd(dense, full_matrices=dense.shape[0] < dense.shape[1])
+    block = (slice(None), slice(None), *svd)
+    QrT, Qc = sp.identity(A.shape[0], format="csr"), sp.identity(A.shape[1], format="csc")
+    return QrT, Qc, [block], {"block_shapes": [dense.shape], "coupling": float("nan")}
+
+
+def band_entry_mirror(n, hw):
+    """Mirror x -> 1 - x of the band entries (i, d), d <= min(hw, n-1-i),
+    numbered row by row: (i, d) goes to (n-1-i-d, d)."""
+    entries = [(i, d) for i in range(n) for d in range(min(hw, n - 1 - i) + 1)]
+    number = {entry: k for k, entry in enumerate(entries)}
+    return np.array([number[n - 1 - i - d, d] for i, d in entries])
+
+
+def constraint_row_mirror(n, q):
+    """Mirror of constraint (r, m), row r * q + m: to (n-1-r, m), sign (-1)^m."""
+    r, m = np.divmod(np.arange(n * q), q)
+    return (n - 1 - r) * q + m, (-1.0) ** m
+
+
+@pytest.mark.parametrize("mirror, sign, fixed_signs", [
+    (*constraint_row_mirror(7, 4), {1.0, -1.0}),  # the centre row's constraints
+    (band_entry_mirror(9, 3), np.ones(30), {1.0}),  # entries (4, 0) and (3, 2)
+], ids=["constraint-rows", "band-entries"])
+def test_mirror_basis_is_orthogonal_and_splits_the_parities(mirror, sign, fixed_signs):
+    k = np.arange(len(mirror))
+    assert set(sign[mirror == k]) == fixed_signs
+    Q, n_even = _mirror_basis(mirror, sign)
+    Q = Q.toarray()
+    assert np.max(np.abs(Q.T @ Q - np.eye(len(k)))) <= 1e-15
+    P = np.zeros((len(k), len(k)))
+    P[mirror, k] = sign  # e_k -> sign_k e_mirror(k)
+    assert np.array_equal(P @ Q[:, :n_even], Q[:, :n_even])
+    assert np.array_equal(P @ Q[:, n_even:], -Q[:, n_even:])
 
 
 # (degree, dimension, tolerance). At p=5 and n=45, 60 the construction's own
@@ -341,7 +372,7 @@ def traced_peak(func):
 
 @pytest.mark.parametrize("halfwidth", [3, 6])
 def test_clamped_dual_never_holds_the_dense_constraint_matrix_twice(halfwidth):
-    # the (p+1)n x ns constraint matrix is held by its stored entries and
+    # the (p+1)n x ns constraint matrix is held as a sparse matrix and
     # decomposed in half-size mirror blocks. Above the degree the objective
     # step adds the null basis Z (ns x k) and row chunks of Z no larger than
     # its k x k Hessian, so the peak stays below two dense matrices plus Z

@@ -42,7 +42,7 @@ def string_dense_matrices(system):
     K = assembled_stiffness_1d(system).toarray()[lo:hi, lo:hi]
     M_cons = G.to_dense()[lo:hi, lo:hi]
     M_lump = np.diag(G.rowsums()[lo:hi])
-    M_cust = np.linalg.inv(system.constrained_duals[0].dense_free())
+    M_cust = np.linalg.inv(system.constrained_duals[0].S.to_dense())
     return K, {"galerkin_consistent": M_cons, "rowsum_lumped": M_lump, "customized": M_cust}
 
 
@@ -265,7 +265,7 @@ def test_outlier_reduced_solve_is_factored_once(kind, monkeypatch):
     con = outlier_removal(system)
     lo, hi = system.free_range(0)
     if kind == "customized":
-        M0, M1 = (np.linalg.inv(cd.dense_free()) for cd in system.constrained_duals)
+        M0, M1 = (np.linalg.inv(cd.S.to_dense()) for cd in system.constrained_duals)
     else:
         G0 = grammian(system.spaces[0], weight=system.radial_weight(),
                       points_per_element=system.mass_points)

@@ -191,6 +191,20 @@ def test_greville_knot_averages():
     assert_allclose(greville(space), [0.0, 1 / 6, 1 / 2, 5 / 6, 1.0])
 
 
+@pytest.mark.parametrize("breakpoints", [
+    np.linspace(0.0, 1.0, 12),
+    [0.0, 0.1, 0.35, 0.5, 0.8, 1.0],
+    np.sort(np.random.default_rng(7).uniform(-2.0, 3.0, 9)),
+])
+@pytest.mark.parametrize("degree", [1, 2, 3, 4, 5, 7, 9])
+def test_greville_is_the_loop_of_knot_averages(breakpoints, degree):
+    for regularity in sorted({degree - 1, max(degree - 2, 0), 0}):
+        space = make_space(breakpoints, degree, regularity=regularity)
+        knots = space.knot_vector.knots
+        loop = [knots[i + 1 : i + degree + 1].mean() for i in range(space.dimension)]
+        assert np.array_equal(greville(space), loop)
+
+
 def test_monomial_constant_is_ones():
     space = uniform_space(7, 3)
     assert_allclose(monomial_coefficients(space, 0), np.ones(space.dimension))
