@@ -304,6 +304,8 @@ class DiscreteSystem:
 
         One-dimensional callables are called point by point, because
         vectorized ``x**q`` can round differently from scalar evaluation.
+        Parametric 2D callables see the axes as (n1, 1) and (1, n2) operands
+        (``np.ix_``), and their result is broadcast to the grid.
         """
         xs = [self.tables(k)[0] for k in range(self.ndim)]
         if self.ndim == 1:
@@ -311,7 +313,7 @@ class DiscreteSystem:
         if physical and self.geometry is not None:
             g = self.geometry_grids()
             return func(g["X"], g["Y"])
-        return func(*np.meshgrid(*xs, indexing="ij"))
+        return np.broadcast_to(func(*np.ix_(*xs)), tuple(map(len, xs)))
 
     def geometry_grids(self):
         """Geometry factors at the tensor quadrature grid of a 2D system.

@@ -45,11 +45,11 @@ from .dynamics import (
     TABLEAUS,
     DynamicState,
     OutlierConstraint,
+    RunOperator,
     critical_dt,
     eigensolve,
     max_frequency,
     rk_step,
-    run_space,
     stability_limit,
 )
 from .errors import ConfigError, NumericalError
@@ -479,7 +479,7 @@ def annulus_run_single(sol, p, n_r, n_theta, kind, scheme, dt_fraction,
         beta = (p, p + 1)
     system = _annulus_system(sol, p, n_r, n_theta, kind, beta)
     outlier = OutlierConstraint(system) if outlier_removed and p >= 3 else None
-    run = run_space(system, outlier)
+    run = RunOperator(system, outlier)
     dr = sol.outer_radius - sol.inner_radius
 
     def u0_param(x1, x2):

@@ -29,7 +29,6 @@ __all__ = [
     "critical_dt",
     "power_max_frequency",
     "RunOperator",
-    "run_space",
     "max_frequency",
     "eigensolve",
     "outlier_removal",
@@ -44,20 +43,29 @@ class ButcherTableau:
     name: str
     a: np.ndarray
     b: np.ndarray
-    c: np.ndarray
-    order: int
 
     def __post_init__(self):
         a = np.asarray(self.a, dtype=float)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", np.asarray(self.b, dtype=float))
-        object.__setattr__(self, "c", np.asarray(self.c, dtype=float))
         if np.max(np.abs(np.triu(a))) > 0.0:
             raise ValueError("tableau must be explicit (strictly lower-triangular)")
 
     @property
     def stages(self):
         return len(self.b)
+
+    @cached_property
+    def coefficients(self):
+        """Coefficients c_0 .. c_deg of the stability polynomial R(z) =
+        sum_k c_k z^k, c_0 = 1 and c_k = b^T a^(k-1) 1, trimmed after the
+        last nonzero one (Hairer, Norsett and Wanner, Solving ODEs I, IV.2)."""
+        coeffs = [1.0]
+        power = np.ones(self.stages)
+        for _ in range(self.stages):
+            coeffs.append(float(self.b @ power))
+            power = self.a @ power
+        return np.trim_zeros(np.array(coeffs), "b")
 
 
 # Three-stage second-order scheme (iterated midpoint): R(z) = 1 + z + z^2/2 +
@@ -68,8 +76,6 @@ RK2 = ButcherTableau(
     "rk2",
     a=[[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [0.0, 0.5, 0.0]],
     b=[0.0, 0.0, 1.0],
-    c=[0.0, 0.5, 0.5],
-    order=2,
 )
 
 RK4 = ButcherTableau(
@@ -81,8 +87,6 @@ RK4 = ButcherTableau(
         [0.0, 0.0, 1.0, 0.0],
     ],
     b=[1 / 6, 1 / 3, 1 / 3, 1 / 6],
-    c=[0.0, 0.5, 0.5, 1.0],
-    order=4,
 )
 
 # Eight-stage sixth-order method (Verner) with rational coefficients. Among
@@ -103,8 +107,6 @@ RK6 = ButcherTableau(
          3850 / 26703, 0],
     ],
     b=[3 / 40, 0, 875 / 2244, 23 / 72, 264 / 1955, 0, 125 / 11592, 43 / 616],
-    c=[0, 1 / 6, 4 / 15, 2 / 3, 5 / 6, 1, 1 / 15, 1],
-    order=6,
 )
 
 TABLEAUS = {"rk2": RK2, "rk4": RK4, "rk6": RK6}
@@ -131,42 +133,30 @@ class DynamicState:
 
 
 def rk_step(tableau, rhs, state, dt):
-    """One explicit RK step of the first-order system (d, v)' = (v, rhs(d)).
+    """One explicit RK step of the first-order system (d, v)' = (v, rhs(d))
+    for a linear ``rhs``, which maps a displacement grid to an acceleration
+    grid.
 
-    ``rhs`` maps a displacement grid to an acceleration grid. Raises on NaN.
+    For a linear autonomous system the step is y <- R(dt L) y, with R the
+    tableau's stability polynomial and L(d, v) = (v, rhs(d)): one ``rhs``
+    call per power of L, the degree of R in all. Raises on NaN.
     """
     if dt <= 0.0:
         raise ValueError("time step must be positive")
-    a, b = tableau.a, tableau.b
-    s = tableau.stages
-    kd = []
-    kv = []
-    for i in range(s):
-        di = state.d
-        vi = state.v
-        for j in range(i):
-            if a[i, j] != 0.0:
-                di = di + dt * a[i, j] * kd[j]
-                vi = vi + dt * a[i, j] * kv[j]
-        kd.append(vi)
-        kv.append(rhs(di))
-    d_new = state.d
-    v_new = state.v
-    for i in range(s):
-        if b[i] != 0.0:
-            d_new = d_new + dt * b[i] * kd[i]
-            v_new = v_new + dt * b[i] * kv[i]
+    d, v = state.d, state.v
+    d_new, v_new = d, v
+    for k, c in enumerate(tableau.coefficients[1:], start=1):
+        d, v = v, rhs(d)
+        d_new = d_new + c * dt**k * d
+        v_new = v_new + c * dt**k * v
     if not (np.all(np.isfinite(d_new)) and np.all(np.isfinite(v_new))):
         raise NumericalError(f"non-finite state after step at t={state.t}")
     return DynamicState(d_new, v_new, state.t + dt)
 
 
 def stability_polynomial(tableau, z):
-    """R(z) = 1 + z b^T (I - z A)^{-1} 1 for scalar (complex) z."""
-    s = tableau.stages
-    mat = np.eye(s, dtype=complex) - z * tableau.a
-    k = np.linalg.solve(mat, np.ones(s, dtype=complex))
-    return 1.0 + z * np.dot(tableau.b, k)
+    """R(z) = sum_k c_k z^k for scalar (complex) z."""
+    return np.polyval(tableau.coefficients[::-1], z)
 
 
 def stability_limit(tableau):
@@ -300,13 +290,8 @@ class RunOperator:
         return grid if self.outlier is None else self.outlier.prolong(grid)
 
 
-def run_space(system, outlier=None):
-    """The run operator of a system, plain or reduced by an OutlierConstraint."""
-    return RunOperator(system, outlier)
-
-
 def max_frequency(run, tol=1e-10):
-    """Maximum discrete frequency of a run operator (``run_space``: plain or
+    """Maximum discrete frequency of a ``RunOperator`` (plain or
     outlier-reduced), matrix-free (see ``power_max_frequency``). The
     operator's terms are built here if no apply came first, and a run that
     steps with the same operator reuses them.

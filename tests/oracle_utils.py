@@ -3,9 +3,12 @@
 The oracles of values and integrals deliberately avoid the package's own
 evaluation and integration code paths: naive recursive Cox-de Boor evaluation
 and composite Gauss panels built directly on numpy's Legendre module. The
-point-loop oracles at the end do use the package's scalar evaluation and
-quadrature rules: they check that the batched assembly sums the same terms in
-the same order, so their results must agree bit for bit.
+point-loop oracles do use the package's scalar evaluation and quadrature
+rules: they check that the batched assembly sums the same terms in the same
+order, so their results must agree bit for bit. The Runge-Kutta oracles at
+the end step by the tableau's stage recursion and evaluate its stability
+function by the resolvent, the general forms that the package's polynomial
+step must reproduce for linear systems.
 """
 
 import numpy as np
@@ -104,3 +107,46 @@ def loop_tables(space, points_per_element):
             ddat.append(ev.values[1, l])
     shape = (len(xq), space.dimension)
     return [sp.coo_matrix((dat, (rows, cols)), shape=shape).tocsr() for dat in (vdat, ddat)]
+
+
+def stage_rk_step(tableau, rhs, state, dt):
+    """One explicit RK step of the first-order system (d, v)' = (v, rhs(d))
+    by the stage recursion of the Butcher tableau, for any ``rhs``.
+
+    ``rhs`` maps a displacement grid to an acceleration grid. Raises on NaN.
+    """
+    from iga_explicit.dynamics import DynamicState
+    from iga_explicit.errors import NumericalError
+
+    if dt <= 0.0:
+        raise ValueError("time step must be positive")
+    a, b = tableau.a, tableau.b
+    s = tableau.stages
+    kd = []
+    kv = []
+    for i in range(s):
+        di = state.d
+        vi = state.v
+        for j in range(i):
+            if a[i, j] != 0.0:
+                di = di + dt * a[i, j] * kd[j]
+                vi = vi + dt * a[i, j] * kv[j]
+        kd.append(vi)
+        kv.append(rhs(di))
+    d_new = state.d
+    v_new = state.v
+    for i in range(s):
+        if b[i] != 0.0:
+            d_new = d_new + dt * b[i] * kd[i]
+            v_new = v_new + dt * b[i] * kv[i]
+    if not (np.all(np.isfinite(d_new)) and np.all(np.isfinite(v_new))):
+        raise NumericalError(f"non-finite state after step at t={state.t}")
+    return DynamicState(d_new, v_new, state.t + dt)
+
+
+def resolvent_stability_function(tableau, z):
+    """R(z) = 1 + z b^T (I - z A)^{-1} 1 for scalar (complex) z."""
+    s = tableau.stages
+    mat = np.eye(s, dtype=complex) - z * tableau.a
+    k = np.linalg.solve(mat, np.ones(s, dtype=complex))
+    return 1.0 + z * np.dot(tableau.b, k)

@@ -537,6 +537,26 @@ def test_parametric_moments_partition():
     assert m.sum() == pytest.approx(1.0, abs=1e-12)
 
 
+def annulus_initial_field(x1, x2):
+    from iga_explicit.benchmarks import annulus_solution
+
+    sol = annulus_solution()
+    r = sol.inner_radius + (sol.outer_radius - sol.inner_radius) * x1
+    return sol.radial(r) * np.cos(sol.angular_wavenumber * 2.0 * np.pi * x2)
+
+
+@pytest.mark.parametrize("field", [
+    annulus_initial_field,
+    lambda x1, x2: np.sin(np.pi * x1) * np.cos(4.0 * np.pi * x2),
+    lambda x1, x2: x1**3 + x2,
+    lambda x1, x2: np.ones_like(x1),  # an (n1, 1) result
+], ids=["annulus-initial", "separable", "sum", "ones-like-x1"])
+def test_parametric_fields_are_evaluated_per_axis(field):
+    system = make_system_2d(p=3, nel1=8, nel2=16)
+    xs = [system.tables(k)[0] for k in range(2)]
+    assert np.array_equal(system.evaluate(field), field(*np.meshgrid(*xs, indexing="ij")))
+
+
 def test_weight_field_rejects_flipped_map():
     from iga_explicit.geometry import GeometryMap, weight_field
 

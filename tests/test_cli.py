@@ -223,10 +223,11 @@ def test_run_annulus_report_and_unchanged_csvs(tmp_path):
         assert phases["omega_applies"] > 0
         assert all(phases[k] > 0.0 for k in
                    ("setup_s", "omega_s", "project_s", "stepping_s", "error_s"))
-        # the ω_max estimate, then one run-operator apply per stage and step
-        stages = TABLEAUS[run["rk_scheme"]].stages
+        # the ω_max estimate, then one run-operator apply per power of the
+        # stability polynomial R and step
+        degree = len(TABLEAUS[run["rk_scheme"]].coefficients) - 1
         assert run["counters"]["stiffness_applies"] == (
-            phases["omega_applies"] + stages * run["steps"])
+            phases["omega_applies"] + degree * run["steps"])
 
 
 def test_main_exit_codes(tmp_path):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from oracle_utils import resolvent_stability_function, stage_rk_step
 
 from iga_explicit.assembly import DiscreteSystem, assembled_stiffness_1d
 from iga_explicit.dualbasis import grammian
@@ -14,19 +15,20 @@ from iga_explicit.dynamics import (
     ButcherTableau,
     DynamicState,
     OutlierConstraint,
+    RunOperator,
     critical_dt,
     eigensolve,
     max_frequency,
     outlier_removal,
     power_max_frequency,
     rk_step,
-    run_space,
     stability_limit,
+    stability_polynomial,
 )
 from iga_explicit.errors import NumericalError
 from iga_explicit.splinecore import uniform_space
 
-FORWARD_EULER = ButcherTableau("euler", a=[[0.0]], b=[1.0], c=[0.0], order=1)
+FORWARD_EULER = ButcherTableau("euler", a=[[0.0]], b=[1.0])
 
 
 def string_system(p, n_el, mass_kind="galerkin_consistent"):
@@ -82,6 +84,23 @@ def test_nan_detection():
     state = DynamicState(np.array([1.0]), np.array([0.0]), 0.0)
     with pytest.raises(NumericalError):
         rk_step(RK2, lambda d: d * np.nan, state, 0.1)
+
+
+def test_stability_coefficients():
+    assert_allclose(RK2.coefficients, [1.0, 1.0, 0.5, 0.25], rtol=1e-15)
+    factorials = np.cumprod([1.0, *range(1, 8)])
+    assert_allclose(RK4.coefficients, 1.0 / factorials[:5], rtol=1e-15)
+    # sixth order: 1/k! up to k = 6, and R of degree 7
+    assert len(RK6.coefficients) == 8
+    assert_allclose(RK6.coefficients[:7], 1.0 / factorials[:7], rtol=1e-14)
+    assert_allclose(FORWARD_EULER.coefficients, [1.0, 1.0])
+
+
+@pytest.mark.parametrize("tableau", [RK2, RK4, RK6, FORWARD_EULER], ids=lambda t: t.name)
+def test_stability_polynomial_matches_the_resolvent(tableau):
+    for z in (-2.5, -0.7, 0.3, 1.1j, -2.7j, 1.3j, -1.0 + 1.0j, 0.5 - 2.0j, -0.2 + 3.0j):
+        want = resolvent_stability_function(tableau, z)
+        assert abs(stability_polynomial(tableau, z) - want) <= 1e-14 * max(1.0, abs(want))
 
 
 def test_stability_limit_rk4():
@@ -149,15 +168,15 @@ def test_power_iteration_matches_dense_string():
     K, masses = string_dense_matrices(system)
     M = masses["galerkin_consistent"]
     dense_max = eigensolve(K, M).frequencies[-1]
-    omega = max_frequency(run_space(system))
+    omega = max_frequency(RunOperator(system))
     assert omega == pytest.approx(dense_max, rel=1e-6)
 
 
 def test_max_frequency_customized_below_consistent():
     sys_cons = string_system(3, 40, "galerkin_consistent")
     sys_cust = string_system(3, 40, "customized")
-    w_cons = max_frequency(run_space(sys_cons))
-    w_cust = max_frequency(run_space(sys_cust))
+    w_cons = max_frequency(RunOperator(sys_cons))
+    w_cust = max_frequency(RunOperator(sys_cust))
     assert w_cust < w_cons
 
 
@@ -173,8 +192,8 @@ def test_outlier_constraint_counts(p, expected):
 def test_outlier_removal_reduces_max_frequency_p4():
     system = string_system(4, 40)
     con = outlier_removal(system)
-    w_full = max_frequency(run_space(system))
-    w_red = max_frequency(run_space(system, con))
+    w_full = max_frequency(RunOperator(system))
+    w_red = max_frequency(RunOperator(system, con))
     assert w_red < w_full
 
 
@@ -299,9 +318,9 @@ def test_mass_forms_are_built_once_per_system(kind, monkeypatch):
     calls = count_grammian_calls(monkeypatch)
     mass_operator(system)
     project_initial(system, membrane_field)
-    max_frequency(run_space(system), tol=1e-4)
+    max_frequency(RunOperator(system), tol=1e-4)
     con.reduce_mass(system)
-    max_frequency(run_space(system, con), tol=1e-4)
+    max_frequency(RunOperator(system, con), tol=1e-4)
     project_initial(system, membrane_field, con)
     assert calls == []
 
@@ -372,7 +391,7 @@ def dense_omega(system, outlier=None):
 def test_max_frequency_bounds_the_dense_oracle(p, n_r, kind, outlier):
     system = membrane_system(kind, p, n_r)
     con = outlier_removal(system) if outlier else None
-    omega = max_frequency(run_space(system, con))
+    omega = max_frequency(RunOperator(system, con))
     exact = dense_omega(system, con)
     # never an underestimate, which would give an unstable timestep
     assert omega >= exact
@@ -380,7 +399,7 @@ def test_max_frequency_bounds_the_dense_oracle(p, n_r, kind, outlier):
 
 
 def assert_matches_separate_rhs(system, outlier):
-    run = run_space(system, outlier)
+    run = RunOperator(system, outlier)
     shape, rhs = separate_rhs(system, outlier)
     assert run.shape == shape
     rng = np.random.default_rng(11)
@@ -411,8 +430,8 @@ def test_run_operator_storage_follows_the_factor(kind):
     import scipy.sparse as sp
 
     system = membrane_system(kind)
-    plain = run_space(system).terms
-    reduced = run_space(system, outlier_removal(system)).terms
+    plain = RunOperator(system).terms
+    reduced = RunOperator(system, outlier_removal(system)).terms
     # the Galerkin Grammians solve through dense inverses, the customized
     # mass through its banded inverse and the lumped one through a diagonal
     sparse = kind != "galerkin_consistent"
@@ -424,7 +443,7 @@ def test_run_operator_storage_follows_the_factor(kind):
 
 def test_run_terms_are_built_on_first_apply_and_kept():
     system = membrane_system("customized")
-    run = run_space(system, outlier_removal(system))
+    run = RunOperator(system, outlier_removal(system))
     assert "stiffness_kernel" not in vars(system)  # nothing of the stiffness before an apply
     assert "terms" not in vars(run)
     max_frequency(run, tol=1e-4)
@@ -436,14 +455,37 @@ def test_run_terms_are_built_on_first_apply_and_kept():
 @pytest.mark.parametrize("tableau", [RK2, RK4, RK6], ids=lambda t: t.name)
 @pytest.mark.parametrize("outlier", [False, True])
 def test_one_rk_step_counts_one_apply_per_stage(tableau, outlier):
+    # a step applies the run operator once per power of its stability
+    # polynomial: as many times as RK2 and RK4 have stages, once fewer for RK6
+    degree = {"rk2": 3, "rk4": 4, "rk6": 7}[tableau.name]
     system = membrane_system("galerkin_consistent")
-    run = run_space(system, outlier_removal(system) if outlier else None)
+    run = RunOperator(system, outlier_removal(system) if outlier else None)
     d = np.random.default_rng(4).standard_normal(run.shape)
     state = DynamicState(d, np.zeros_like(d))
     before = dict(system.counters)
     rk_step(tableau, run.apply, state, 1e-3)
-    assert system.counters["stiffness_applies"] - before["stiffness_applies"] == tableau.stages
-    assert system.counters["mac_ops"] - before["mac_ops"] == tableau.stages * run.terms.macs
+    assert system.counters["stiffness_applies"] - before["stiffness_applies"] == degree
+    assert system.counters["mac_ops"] - before["mac_ops"] == degree * run.terms.macs
+
+
+@pytest.mark.parametrize("tableau", [RK2, RK4, RK6, FORWARD_EULER], ids=lambda t: t.name)
+@pytest.mark.parametrize("case", ["galerkin_consistent", "customized", "rowsum_lumped",
+                                  "customized-outlier", "string"])
+def test_rk_step_matches_the_stage_recursion(tableau, case):
+    if case == "string":
+        run = RunOperator(string_system(3, 40, "customized"))
+    else:
+        system = membrane_system(case.split("-")[0], p=5)
+        run = RunOperator(system, outlier_removal(system) if "outlier" in case else None)
+    dt = 0.5 / max_frequency(run)
+    rng = np.random.default_rng(5)
+    state = oracle = DynamicState(rng.standard_normal(run.shape), rng.standard_normal(run.shape))
+    for _ in range(50):
+        state = rk_step(tableau, run.apply, state, dt)
+        oracle = stage_rk_step(tableau, run.apply, oracle, dt)
+    assert state.t == oracle.t
+    for got, want in ((state.d, oracle.d), (state.v, oracle.v)):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_rk_step_rejects_nonpositive_dt():
