@@ -2,13 +2,12 @@
 
 Every tensor-product operation is one per-axis contraction, ``along_axis``,
 applied an axis at a time (sum factorization): the Kronecker mass solve,
-moments against the B-splines, and field values for error norms. The
-masses of a system are built on first use and cached on it: the b-form
-Grammians of each test mode (``gram_factors``), and for each run kind
-(Galerkin-consistent, customized with explicitly sparse inverse,
-rowsum-lumped) one ``MassOperator`` of free-index per-direction factors that
-also carries its initial projection (``mass_operator``). An explicit scheme
-needs only M^{-1}, so every factor, projections included, is an
+moments against the B-splines, and field values for error norms. A system
+builds one mass, that of its own kind (Galerkin-consistent, customized with
+explicitly sparse inverse, rowsum-lumped), on first use: a ``MassOperator``
+of free-index per-direction factors from the b-form Grammians of its test
+mode, which also carries its initial projection (``mass_operator``). An
+explicit scheme needs only M^{-1}, so every factor, projections included, is an
 ``InverseFactor`` held as its inverse: a Grammian's dense inverse, the
 customized mass's banded dual coefficient matrix S_c, or a lumped diagonal's
 reciprocal. The Petrov mass is kept only as the dense oracles
@@ -152,9 +151,9 @@ class DiscreteSystem:
     multiplies the stiffness form and must be positive.
 
     A system is fixed once built: its inputs (``INPUTS``) cannot be assigned
-    again, its test mode and quadrature orders are read-only properties, and
-    what it builds on first use (duals, tables, geometry grids, Grammians,
-    masses, the stiffness kernel) is cached on it once.
+    again, and its test mode and quadrature orders are read-only properties.
+    What it builds on first use (duals, tables, geometry grids, its mass, the
+    stiffness kernel) is a ``cached_property``, built once.
     """
 
     INPUTS = frozenset({"spaces", "geometry", "mass_kind", "kappa", "rho", "dirichlet",
@@ -197,10 +196,6 @@ class DiscreteSystem:
                 raise ValueError("cannot constrain a periodic direction")
 
         self.counters = {"stiffness_applies": 0, "mac_ops": 0}
-        self._tables = {}  # axis -> tables
-        self._geom_cache = None
-        self._grams = {}  # test mode -> Grammians (gram_factors)
-        self._masses = {}  # mass kind -> MassOperator (mass_operator)
 
     def __setattr__(self, name, value):
         if name in self.INPUTS and name in self.__dict__:
@@ -249,12 +244,18 @@ class DiscreteSystem:
 
     # -- dual bases ------------------------------------------------------------
 
-    @cached_property
-    def duals(self):
+    @property
+    def dual_halfwidths(self):
+        """Per-direction halfwidths of the duals, the degree where unset."""
         hw = self.dual_halfwidth
         if np.ndim(hw) == 0:
             hw = [hw] * len(self.spaces)
-        return [approximate_dual(s, halfwidth=h) for s, h in zip(self.spaces, hw)]
+        return [s.degree if h is None else int(h) for s, h in zip(self.spaces, hw)]
+
+    @cached_property
+    def duals(self):
+        return [approximate_dual(s, halfwidth=h)
+                for s, h in zip(self.spaces, self.dual_halfwidths)]
 
     @cached_property
     def constrained_duals(self):
@@ -278,16 +279,19 @@ class DiscreteSystem:
         """Quadrature points, weights, the sparse value matrix E, and the
         batched basis evaluation (``eval_basis``, first derivatives included)
         it is built from, along axis k at ``stiffness_points``."""
-        if k in self._tables:
-            return self._tables[k]
-        space = self.spaces[k]
-        xq, wq = element_quadrature(space, self.stiffness_points)
-        ev = eval_basis(space, xq, max_deriv=1)
-        rows = np.repeat(np.arange(len(xq)), space.degree + 1)
-        E = sp.coo_matrix((ev.values[:, 0].ravel(), (rows, ev.indices.ravel())),
-                          shape=(len(xq), space.dimension)).tocsr()
-        self._tables[k] = (xq, wq, E, ev)
-        return self._tables[k]
+        return self._axis_tables[k]
+
+    @cached_property
+    def _axis_tables(self):
+        out = []
+        for space in self.spaces:
+            xq, wq = element_quadrature(space, self.stiffness_points)
+            ev = eval_basis(space, xq, max_deriv=1)
+            rows = np.repeat(np.arange(len(xq)), space.degree + 1)
+            E = sp.coo_matrix((ev.values[:, 0].ravel(), (rows, ev.indices.ravel())),
+                              shape=(len(xq), space.dimension)).tocsr()
+            out.append((xq, wq, E, ev))
+        return out
 
     def quadrature_grid(self):
         """Tensor quadrature weights W, det(F) and the weight c = det(F) rho
@@ -322,8 +326,10 @@ class DiscreteSystem:
         evaluated once: one Jacobian and one Jacobian gradient, from which
         A, c = det(F) rho and its gradient all follow.
         """
-        if self._geom_cache is not None:
-            return self._geom_cache
+        return self._geometry_grids
+
+    @cached_property
+    def _geometry_grids(self):
         if self.geometry is None:
             raise ValueError("geometry grids require a 2D system with a map")
         x1, x2 = self.tables(0)[0][:, None], self.tables(1)[0][None, :]
@@ -338,7 +344,7 @@ class DiscreteSystem:
         A12 = self.kappa * det * (Finv[0, 0] * Finv[1, 0] + Finv[0, 1] * Finv[1, 1])
         A22 = self.kappa * det * (Finv[1, 0] ** 2 + Finv[1, 1] ** 2)
         XY = geo.value(x1, x2)
-        grids = {
+        return {
             "A": [[A11, A12], [A12, A22]],
             "det": det,
             "c": det * geo.rho,
@@ -346,13 +352,53 @@ class DiscreteSystem:
             "X": XY[0],
             "Y": XY[1],
         }
-        self._geom_cache = grids
-        return grids
 
     @cached_property
     def stiffness_kernel(self):
         """The stiffness form of the test mode as a ``_StiffnessKernel``."""
         return _StiffnessKernel(self)
+
+    @cached_property
+    def mass(self):
+        """The free-index ``MassOperator`` of the system's kind, Dirichlet
+        included, built on the first ``mass_operator`` call.
+
+        Its factors come from the per-direction Grammians b(test_i, B_j) of
+        the test mode on the full space. The weight c cancels against the
+        dual test functions B/c, which leaves the parametric Grammians the
+        dual bases are built from; the B-splines themselves see the separable
+        weight c1(x1) in direction 0.
+
+        Every factor is an ``InverseFactor``. Galerkin-consistent: the
+        restricted geometry-weighted Grammians, which also project, held as
+        the dense inverses their Cholesky factors give. Rowsum-lumped:
+        diagonals of their full rowsums, which project too, as an explicit
+        production code would. Customized: the constrained dual coefficient
+        matrices S_c as CSR, which are the inverses, projecting with the
+        restricted parametric Grammians, where the dual coefficients cancel.
+        """
+        if self.test_mode == "dual":
+            grams = [dual.G for dual in self.duals]
+        else:
+            weights = [self.radial_weight()] + [None] * (self.ndim - 1)
+            grams = [grammian(space, weight=w, points_per_element=self.mass_points)
+                     for space, w in zip(self.spaces, weights)]
+        free = [slice(*self.free_range(k)) for k in range(self.ndim)]
+        if self.mass_kind == "rowsum_lumped":
+            rowsums = [G.rowsums()[f] for G, f in zip(grams, free)]
+            if any(np.min(d) <= 0.0 for d in rowsums):
+                raise NumericalError("non-positive rowsum in lumped mass")
+            factors = projection = [
+                InverseFactor(len(d), lambda d=d: sp.diags(1.0 / d, format="csr"),
+                              lambda d=d: np.diag(d)) for d in rowsums]
+        else:
+            restricted = [G if G.periodic else G.submatrix(f.start, f.stop)
+                          for G, f in zip(grams, free)]
+            projection = [InverseFactor(G.n, G.dense_inverse, G.to_dense) for G in restricted]
+            factors = projection if self.mass_kind == "galerkin_consistent" else [
+                InverseFactor(cd.S.n, cd.S.to_csr, cd.S.dense_inverse)
+                for cd in self.constrained_duals]
+        return MassOperator(factors, KroneckerOperator(projection))
 
     def radial_weight(self):
         """Separable part c1(x1) of the weight field (c2 must be constant 1);
@@ -377,25 +423,6 @@ class DiscreteSystem:
 # masses
 
 
-def gram_factors(system, mode):
-    """Per-direction Grammians b(test_i, B_j) of a test mode on the full
-    space, built once per system.
-
-    The weight c cancels against the dual test functions B/c, which leaves
-    the parametric Grammians the dual bases are built from; the B-splines
-    themselves see the separable weight c1(x1) in direction 0.
-    """
-    if mode not in system._grams:
-        if mode == "dual":
-            grams = [dual.G for dual in system.duals]
-        else:
-            weights = [system.radial_weight()] + [None] * (system.ndim - 1)
-            grams = [grammian(space, weight=w, points_per_element=system.mass_points)
-                     for space, w in zip(system.spaces, weights)]
-        system._grams[mode] = grams
-    return system._grams[mode]
-
-
 class MassOperator(KroneckerOperator):
     """Kronecker-factorized mass of one kind acting on free coefficient grids.
 
@@ -408,38 +435,10 @@ class MassOperator(KroneckerOperator):
         self.projection = projection
 
 
-def mass_operator(system, kind=None):
-    """The free-index mass of a kind, Dirichlet included, built once per
-    system; the kind defaults to the system's own.
-
-    Every factor is an ``InverseFactor``. Galerkin-consistent: the restricted
-    geometry-weighted Grammians, which also project, held as the dense
-    inverses their Cholesky factors give. Rowsum-lumped: diagonals of their
-    full rowsums, which project too, as an explicit production code would.
-    Customized: the constrained dual coefficient matrices S_c as CSR, which
-    are the inverses, projecting with the restricted parametric Grammians,
-    where the dual coefficients cancel.
-    """
-    kind = kind or system.mass_kind
-    if kind not in system._masses:
-        grams = gram_factors(system, MASS_KINDS[kind])
-        free = [slice(*system.free_range(k)) for k in range(system.ndim)]
-        if kind == "rowsum_lumped":
-            rowsums = [G.rowsums()[f] for G, f in zip(grams, free)]
-            if any(np.min(d) <= 0.0 for d in rowsums):
-                raise NumericalError("non-positive rowsum in lumped mass")
-            factors = projection = [
-                InverseFactor(len(d), lambda d=d: sp.diags(1.0 / d, format="csr"),
-                              lambda d=d: np.diag(d)) for d in rowsums]
-        else:
-            restricted = [G if G.periodic else G.submatrix(f.start, f.stop)
-                          for G, f in zip(grams, free)]
-            projection = [InverseFactor(G.n, G.dense_inverse, G.to_dense) for G in restricted]
-            factors = projection if kind == "galerkin_consistent" else [
-                InverseFactor(cd.S.n, cd.S.to_csr, cd.S.dense_inverse)
-                for cd in system.constrained_duals]
-        system._masses[kind] = MassOperator(factors, KroneckerOperator(projection))
-    return system._masses[kind]
+def mass_operator(system):
+    """The free-index mass of the system's own kind (``DiscreteSystem.mass``),
+    built on the first call and cached on the system."""
+    return system.mass
 
 
 # ---------------------------------------------------------------------------

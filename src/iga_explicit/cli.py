@@ -277,7 +277,7 @@ def _base_metadata(config, system=None, extra=None):
         "cmax_computed": {k: round(computed_cmax(k), 6) for k in TABLEAUS},
     }
     if system is not None:
-        md["dual_halfwidth"] = [d.halfwidth for d in system.duals]
+        md["dual_halfwidth"] = system.dual_halfwidths
         md["quad_points_mass"] = system.mass_points
         md["quad_points_stiffness"] = system.stiffness_points
         md["dirichlet_sides"] = list(system.dirichlet)
@@ -295,20 +295,22 @@ def string_spectra(p, n_dim, beta=None, outlier_choices=(False,)):
     """Dense string frequencies for the three mass kinds.
 
     Returns (system, {outlier_removed: {kind: frequencies}}) with Dirichlet
-    ends imposed; the system, its dual, stiffness and masses are built once
-    for all ``outlier_choices``, and an outlier-removal basis transformation
+    ends imposed, the system being the customized one. There is one system
+    per kind on the same space, and only the customized one builds a dual;
+    the stiffness and the masses are built once for all
+    ``outlier_choices``, and an outlier-removal basis transformation
     applies to all kinds where the choice is True.
     """
     space = uniform_space(n_dim - p, p)
-    system = DiscreteSystem(
-        [space], mass_kind="customized", dirichlet=[(True, True)], dual_halfwidth=beta
-    )
+    systems = {kind: DiscreteSystem([space], mass_kind=kind, dirichlet=[(True, True)],
+                                    dual_halfwidth=beta)
+               for kind in RUN_MASS_KINDS}
+    system = systems["customized"]
     lo, hi = system.free_range(0)
     # the customized kind's dual test functions B/c are the B-splines at unit
     # density, so its stiffness is the symmetric one of every kind
     K = assembled_stiffness_1d(system).toarray()[lo:hi, lo:hi]
-    masses = {kind: mass_operator(system, kind).factors[0].to_dense()
-              for kind in RUN_MASS_KINDS}
+    masses = {kind: mass_operator(s).factors[0].to_dense() for kind, s in systems.items()}
     spectra = {}
     for outlier_removed in outlier_choices:
         if outlier_removed:

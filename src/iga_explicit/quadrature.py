@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .splinecore import eval_basis
-
-_RULE_CACHE = {}
 
 
 @dataclass(frozen=True)
@@ -23,21 +22,16 @@ class QuadratureRule:
         return len(self.nodes)
 
 
+@functools.cache
 def gauss_rule(n):
-    """n-point Gauss-Legendre rule on [-1, 1], exact for degree <= 2n-1.
+    """n-point Gauss-Legendre rule on [-1, 1], exact for degree <= 2n-1;
+    computed once per process.
 
     Nodes are found by Newton iteration on the Legendre polynomial P_n from
     Chebyshev initial guesses; weights are 2 / ((1 - x^2) P_n'(x)^2).
     """
     if not 1 <= n <= 64:
         raise ValueError("number of quadrature points must be in [1, 64]")
-    if n in _RULE_CACHE:
-        return _RULE_CACHE[n]
-    if n == 1:
-        rule = QuadratureRule(np.zeros(1), np.full(1, 2.0))
-        _RULE_CACHE[n] = rule
-        return rule
-
     k = np.arange(n)
     x = np.cos(np.pi * (4 * k + 3) / (4 * n + 2))
     for _ in range(100):
@@ -49,9 +43,7 @@ def gauss_rule(n):
     pn, dpn = _legendre_and_derivative(n, x)
     w = 2.0 / ((1.0 - x**2) * dpn**2)
     order = np.argsort(x)
-    rule = QuadratureRule(x[order], w[order])
-    _RULE_CACHE[n] = rule
-    return rule
+    return QuadratureRule(x[order], w[order])
 
 
 def _legendre_and_derivative(n, x):

@@ -83,13 +83,19 @@ def test_overrides_beat_file_values():
     assert cfg.degree == 5
 
 
-def test_run_project_exactness_and_determinism(tmp_path, monkeypatch):
+def count_dual_builds(monkeypatch):
+    """The argument tuples of every ``approximate_dual`` call a system makes."""
     from iga_explicit import assembly
 
     duals = []
     build = assembly.approximate_dual
     monkeypatch.setattr(assembly, "approximate_dual",
                         lambda *args, **kwargs: duals.append(args) or build(*args, **kwargs))
+    return duals
+
+
+def test_run_project_exactness_and_determinism(tmp_path, monkeypatch):
+    duals = count_dual_builds(monkeypatch)
     cfg = build_config(
         "project", {}, {"degree": 2, "n_values": (10, 20), "output_dir": str(tmp_path / "a")}
     )
@@ -111,9 +117,12 @@ def test_run_project_exactness_and_determinism(tmp_path, monkeypatch):
     assert split_csv(path_b)[1] == body
 
 
-def test_run_spectrum_small(tmp_path):
+def test_run_spectrum_small(tmp_path, monkeypatch):
+    duals = count_dual_builds(monkeypatch)
     cfg = build_config("spectrum", {}, {"degree": 2, "n": 40, "output_dir": str(tmp_path)})
     path = run_spectrum(cfg)
+    # one system per kind, and only the customized one builds a dual
+    assert len(duals) == 1
     meta, body = split_csv(path)
     header = body[0].split(",")
     assert header == [
@@ -145,12 +154,7 @@ def test_run_spectrum_outlier_reduces_rows(tmp_path):
 
 
 def test_run_stability_ratios(tmp_path, monkeypatch):
-    from iga_explicit import assembly
-
-    duals = []
-    build = assembly.approximate_dual
-    monkeypatch.setattr(assembly, "approximate_dual",
-                        lambda *args, **kwargs: duals.append(args) or build(*args, **kwargs))
+    duals = count_dual_builds(monkeypatch)
     cfg = build_config("stability", {}, {"degree": 3, "n": 60, "output_dir": str(tmp_path)})
     path = run_stability(cfg)
     # one string system serves the runs with and without outlier removal
@@ -166,7 +170,8 @@ def test_run_stability_ratios(tmp_path, monkeypatch):
     )
 
 
-def test_run_annulus_smoke(tmp_path):
+def test_run_annulus_smoke(tmp_path, monkeypatch):
+    duals = count_dual_builds(monkeypatch)
     cfg = build_config(
         "annulus",
         {},
@@ -174,6 +179,7 @@ def test_run_annulus_smoke(tmp_path):
          "output_dir": str(tmp_path)},
     )
     paths = run_annulus(cfg)
+    assert len(duals) == 2  # radial and angular
     assert len(paths) == 2  # per-mesh + summary
     _, body = split_csv(paths[0])
     header = body[0].split(",")
@@ -183,6 +189,11 @@ def test_run_annulus_smoke(tmp_path):
     assert row["rk_scheme"] == "rk4"
     _, sum_body = split_csv(paths[1])
     assert sum_body[0].endswith("slope_vs_previous_mesh")
+    # the other kinds build no dual, their metadata included
+    for kind in ("galerkin_consistent", "rowsum_lumped"):
+        run_annulus(build_config("annulus", {}, {"degree": 3, "n_elems": (6,), "mass_kind": kind,
+                                                 "output_dir": str(tmp_path / kind)}))
+    assert len(duals) == 2
 
 
 # rows of `annulus --degree 3 --n_elems 8 --mass_kind all` before the run

@@ -310,6 +310,7 @@ def test_outlier_reduced_solve_is_factored_once(kind, monkeypatch):
 
 @pytest.mark.parametrize("kind", RUN_KINDS)
 def test_mass_forms_are_built_once_per_system(kind, monkeypatch):
+    from iga_explicit import assembly
     from iga_explicit.assembly import mass_operator, project_initial
 
     system = membrane_system(kind)
@@ -323,6 +324,14 @@ def test_mass_forms_are_built_once_per_system(kind, monkeypatch):
     max_frequency(RunOperator(system, con), tol=1e-4)
     project_initial(system, membrane_field, con)
     assert calls == []
+    assert mass_operator(system) is mass_operator(system)
+    tables = [system.tables(k) for k in range(system.ndim)]
+    grids = system.geometry_grids()
+    evals = []
+    monkeypatch.setattr(assembly, "eval_basis", lambda *args, **kwargs: evals.append(args))
+    assert all(system.tables(k) is t for k, t in enumerate(tables))
+    assert system.geometry_grids() is grids
+    assert evals == []
 
 
 @pytest.mark.parametrize("kind", RUN_KINDS)
