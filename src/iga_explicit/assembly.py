@@ -8,8 +8,8 @@ explicitly sparse inverse, rowsum-lumped), on first use: a ``MassOperator``
 of free-index per-direction factors from the b-form Grammians of its test
 mode, which also carries its initial projection (``mass_operator``). An
 explicit scheme needs only M^{-1}, so every factor, projections included, is an
-``InverseFactor`` held as its inverse: a Grammian's dense inverse, the
-customized mass's banded dual coefficient matrix S_c, or a lumped diagonal's
+``InverseFactor`` held as its inverse: a Grammian's inverse, the customized
+mass's banded dual coefficient matrix S_c, or a lumped diagonal's
 reciprocal. The Petrov mass is kept only as the dense oracles
 ``ApproximateDualBasis.product_dense`` and ``petrov_mass_dense``. Dirichlet
 sides are imposed by restricting the univariate factors to the free indices;
@@ -29,8 +29,8 @@ pivoted cross approximation, until no residual entry exceeds 1e-13 of the
 largest coefficient. On the identity and annulus maps this gives 2 terms for
 both the B-spline test functions and the dual ones B/c; a map whose grids do
 not separate only adds terms. The kernel stacks the factors of all terms
-into two sparse matrices, so an apply is two sparse products whatever the
-number of terms. A 1D system has one term, whose axis-0 factor is its
+into two matrices, so an apply is two products whatever the number of
+terms. A 1D system has one term, whose axis-0 factor is its
 assembled stiffness.
 
 The mass is a Kronecker product F0 (x) F1 of per-direction factors, so the
@@ -38,6 +38,13 @@ operator of an explicit run is a Kronecker sum too: M^{-1} K =
 sum_t (F0^{-1} A_t) (x) (F1^{-1} B_t), held in the same stacked layout
 (``mass_inverse_stiffness``), which makes a right-hand side two products
 with no separate mass solve (sum factorization carried through the mass).
+
+How a matrix that is multiplied repeatedly is stored follows from the matrix
+alone, not from the mass kind it came from (``by_fill``): dense once its
+nonzeros reach ``DENSE_FILL`` = 1/10 of its entries, CSR below, where the
+measured cost of a sparse product crosses that of a dense one. That holds
+for every factor's inverse, the free stiffness and the run operator's
+stacked factors; the full-space stiffness kernel stays CSR.
 
 ``system.counters`` counts operator work. ``stiffness_applies`` adds 1 per
 ``stiffness_apply`` call and per run-operator apply (``dynamics.RunOperator``)
@@ -83,13 +90,30 @@ def along_axis(op, grid, k):
 # univariate operator factors
 
 
+# A matrix multiplied repeatedly is stored dense once its nonzeros reach this
+# fraction of its entries, as CSR below it. Against a banded n x n matrix
+# (bandwidths 7 and 15) times an n x k one (k = 33, 64), one BLAS thread, CSR
+# took 2.6-5.6 times the dense time at n = 17, 1.3-3.2 at 65, 0.65-1.3 at 129
+# and 0.26-0.45 at 257: the crossover lies near a fill of 1/10.
+DENSE_FILL = 0.1
+
+
+def by_fill(A):
+    """A dense array or sparse matrix stored as it is cheaper to multiply by:
+    dense when its nonzeros reach ``DENSE_FILL`` of its entries, else CSR."""
+    nonzeros = A.count_nonzero() if sp.issparse(A) else np.count_nonzero(A)
+    if nonzeros >= DENSE_FILL * A.shape[0] * A.shape[1]:
+        return A.toarray() if sp.issparse(A) else A
+    return sp.csr_matrix(A)
+
+
 class InverseFactor:
     """Univariate mass or projection factor held as its inverse.
 
     ``inverse`` and ``dense`` are zero-argument callables: the first gives the
-    matrix a solve multiplies by (dense, or CSR for a banded inverse or a
-    diagonal), formed on the first solve and kept; the second gives the
-    factor itself, for the dense oracles and spectra.
+    matrix a solve multiplies by, formed on the first solve and kept, dense
+    or CSR by its fill (``by_fill``); the second gives the factor itself, for
+    the dense oracles and spectra.
     """
 
     def __init__(self, n, inverse, dense):
@@ -98,7 +122,7 @@ class InverseFactor:
 
     @cached_property
     def inverse(self):
-        return self._inverse()
+        return by_fill(self._inverse())
 
     def solve(self, x):
         return (self.inverse @ x.reshape(self.n, -1)).reshape(x.shape)
@@ -369,13 +393,14 @@ class DiscreteSystem:
         dual bases are built from; the B-splines themselves see the separable
         weight c1(x1) in direction 0.
 
-        Every factor is an ``InverseFactor``. Galerkin-consistent: the
-        restricted geometry-weighted Grammians, which also project, held as
-        the dense inverses their Cholesky factors give. Rowsum-lumped:
-        diagonals of their full rowsums, which project too, as an explicit
-        production code would. Customized: the constrained dual coefficient
-        matrices S_c as CSR, which are the inverses, projecting with the
-        restricted parametric Grammians, where the dual coefficients cancel.
+        Every factor is an ``InverseFactor``, whose inverse is stored by its
+        fill (``by_fill``), whatever the kind. Galerkin-consistent: the
+        restricted geometry-weighted Grammians, which also project, with the
+        inverses their Cholesky factors give. Rowsum-lumped: diagonals of
+        their full rowsums, which project too, as an explicit production
+        code would. Customized: the constrained dual coefficient matrices
+        S_c, which are the inverses, projecting with the restricted
+        parametric Grammians, where the dual coefficients cancel.
         """
         if self.test_mode == "dual":
             grams = [dual.G for dual in self.duals]
@@ -389,8 +414,8 @@ class DiscreteSystem:
             if any(np.min(d) <= 0.0 for d in rowsums):
                 raise NumericalError("non-positive rowsum in lumped mass")
             factors = projection = [
-                InverseFactor(len(d), lambda d=d: sp.diags(1.0 / d, format="csr"),
-                              lambda d=d: np.diag(d)) for d in rowsums]
+                InverseFactor(len(d), lambda d=d: sp.diags(1.0 / d), lambda d=d: np.diag(d))
+                for d in rowsums]
         else:
             restricted = [G if G.periodic else G.submatrix(f.start, f.stop)
                           for G, f in zip(grams, free)]
@@ -533,10 +558,11 @@ class KroneckerSum:
     A grid is viewed as X of shape (n0, m), m the product of the trailing
     dimensions (1 in 1D, where each Q_t is the scalar 1 and ``trailing`` is
     False). ``outer`` holds the P_t side by side (n0 x T n0) and ``inner``
-    the Q_t stacked vertically (T m x m), each a dense array or CSR matrix,
-    so an apply is two products whatever the number of terms. ``macs``
-    counts the multiply-adds of one apply: the stored entries of ``outer``
-    times m, plus those of ``inner`` times n0 (the scalar 1 of 1D is free).
+    the Q_t stacked vertically (T m x m), each a dense array or CSR matrix
+    (``storage``), so an apply is two products whatever the number of terms.
+    ``macs`` counts the multiply-adds of one apply: the stored entries of
+    ``outer`` times m, plus those of ``inner`` times n0 (the scalar 1 of 1D
+    is free); a dense operand stores all its entries.
     """
 
     def __init__(self, outer, inner, trailing):
@@ -544,6 +570,12 @@ class KroneckerSum:
         self.m = inner.shape[1]
         self.n_terms = inner.shape[0] // self.m
         self.macs = _stored(outer) * self.m + (_stored(inner) * outer.shape[0] if trailing else 0)
+
+    @property
+    def storage(self):
+        """The storage of ``outer`` and ``inner``: "dense" or "csr"."""
+        return {name: "csr" if sp.issparse(A) else "dense"
+                for name, A in (("outer", self.outer), ("inner", self.inner))}
 
     def apply(self, grid):
         """sum_t P_t X Q_t^T: the Q_t act on X^T at once, and the stacked
@@ -566,7 +598,8 @@ class _StiffnessKernel(KroneckerSum):
     while its axis-0 factor A_t sums X_e^T diag(u_e) Y_e over the entries.
     The supported maps give 2 terms in both test modes; a non-separable map
     only adds terms. ``free`` is the same sum restricted to the free rows and
-    columns, which acts on free grids without zero padding.
+    columns, which acts on free grids without zero padding, each operand
+    stored by its fill (``by_fill``); the full-space sum stays CSR.
     """
 
     def __init__(self, system):
@@ -599,14 +632,14 @@ class _StiffnessKernel(KroneckerSum):
     def free(self):
         """The sum on free grids, sliced out of ``outer`` and ``inner`` on
         first use: the free rows and, within each term's block, the free
-        columns."""
+        columns, each then stored by its fill."""
         blocks = np.arange(self.n_terms)[:, None]
         (lo, hi), *rest = self.free_ranges
         outer = self.outer[lo:hi][:, (blocks * self.outer.shape[0] + np.arange(lo, hi)).ravel()]
         inner = self.inner
         for lo, hi in rest:
             inner = inner[(blocks * self.m + np.arange(lo, hi)).ravel()][:, lo:hi]
-        return KroneckerSum(outer, inner, trailing=bool(rest))
+        return KroneckerSum(by_fill(outer), by_fill(inner), trailing=bool(rest))
 
 
 def stiffness_apply(system, d_free):
@@ -615,7 +648,7 @@ def stiffness_apply(system, d_free):
     In the system's dual test mode the test functions are B_i / c (the
     gradient is expanded as grad(B)/c - B grad(c)/c^2); in the standard one
     they are the B-splines themselves. The cached kernel's free restriction
-    applies all its Kronecker terms in two sparse products; the counters add
+    applies all its Kronecker terms in two products; the counters add
     one apply and the kernel's full-space ``macs``.
     """
     kernel = system.stiffness_kernel
@@ -640,8 +673,8 @@ def mass_inverse_stiffness(system, mass, T=None):
     With M = F0 (x) F1 and K = sum_t A_t (x) B_t on the free indices,
     M^{-1} K = sum_t P_t (x) Q_t with P_t = F0^{-1} A_t (reduced:
     (T^T F0 T)^{-1} T^T A_t T) and Q_t = F1^{-1} B_t. The sign is folded into
-    the P_t. Each product is stored as its factor's ``inverse``: dense
-    for a dense inverse, CSR for a banded inverse or a diagonal.
+    the P_t. The stacked P_t and Q_t are each stored by their own fill
+    (``by_fill``), whatever the storage of the factors they come from.
     """
     kernel = system.stiffness_kernel.free
     outer, inner = kernel.outer, kernel.inner
@@ -651,9 +684,11 @@ def mass_inverse_stiffness(system, mass, T=None):
     F0, *rest = mass.factors
     for F1 in rest:
         m, inv = kernel.m, F1.inverse
+        # from CSR blocks, the products are all sparse or all dense
+        inner = sp.csr_matrix(inner)
         blocks = [inv @ inner[t * m:(t + 1) * m] for t in range(kernel.n_terms)]
-        inner = sp.vstack(blocks, format="csr") if sp.issparse(inv) else np.vstack(blocks)
-    return KroneckerSum(-(F0.inverse @ outer), inner, trailing=bool(rest))
+        inner = sp.vstack(blocks) if sp.issparse(inv) else np.vstack(blocks)
+    return KroneckerSum(by_fill(-(F0.inverse @ outer)), by_fill(inner), trailing=bool(rest))
 
 
 # ---------------------------------------------------------------------------

@@ -70,6 +70,10 @@ KIND_SELECTIONS = {"all": RUN_MASS_KINDS, **{kind: (kind,) for kind in RUN_MASS_
 DUAL_MAX_N = 500
 ANNULUS_MAX_ANGULAR = 2000
 ANNULUS_MAX_FUNCTIONS = 32768
+# The most time steps one annulus run may take over a period (17 at p=3,
+# n_elems 8 and the default dt_fraction 0.5). The count follows from
+# dt_fraction and the omega_max estimate, so it is checked once that is known.
+ANNULUS_MAX_STEPS = 10**6
 
 
 @dataclass(frozen=True)
@@ -498,7 +502,12 @@ def annulus_run_single(sol, p, n_r, n_theta, kind, scheme, dt_fraction,
 
     period = sol.period
     dt_crit = critical_dt(PAPER_CMAX[scheme], omega_max)
-    steps = max(int(np.ceil(period / (dt_fraction * dt_crit))), 1)
+    dt_max = dt_fraction * dt_crit  # may underflow to 0
+    if not period <= ANNULUS_MAX_STEPS * dt_max:
+        raise ConfigError(f"dt_fraction {dt_fraction!r} needs "
+                          f"{period / dt_fraction / dt_crit:.3g} steps per period at "
+                          f"n_elems {n_r}, above the maximum of {ANNULUS_MAX_STEPS}")
+    steps = max(int(np.ceil(period / dt_max)), 1)
     dt = period / steps
     state = DynamicState(d0, np.zeros_like(d0), 0.0)
     init_scale = float(np.max(np.abs(d0))) + 1e-30
@@ -554,6 +563,7 @@ def annulus_run_single(sol, p, n_r, n_theta, kind, scheme, dt_fraction,
             "error_s": t_end - t_step,
         },
         "counters": dict(system.counters),
+        "storage": run.terms.storage,
     }
 
 
@@ -635,12 +645,14 @@ def run_annulus(config):
 def write_annulus_report(path, results):
     """Per-run omega_max, phases and operator counters of an annulus sweep,
     as a JSON sidecar of its CSVs, which it leaves byte-identical, with each
-    run's amplitude drift. The spectral abscissa is not computed yet; its
-    slot is null."""
+    run's amplitude drift and the storage ("dense" or "csr") of its run
+    operator's ``outer`` and ``inner``. The spectral abscissa is not computed
+    yet; its slot is null."""
     runs = [{"n_elem_radial": res["n_r"], "n_elem_angular": res["n_theta"],
              "mass_kind": res["kind"], "rk_scheme": res["scheme"],
              "outlier_removed": res["outlier_removed"], "omega_max": res["omega_max"],
              "steps": res["steps"], "phases": res["phases"], "counters": res["counters"],
+             "storage": res["storage"],
              "spectral_abscissa": None, "amplitude_drift": res["amplitude_drift"]}
             for res in results]
     with open(path, "w") as fh:

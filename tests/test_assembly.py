@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 from oracle_utils import loop_tables
 
 from iga_explicit.assembly import (
+    DENSE_FILL,
     MASS_KINDS,
     DiscreteSystem,
     InverseFactor,
@@ -45,6 +46,11 @@ def banded_factor(A):
     """A symmetric matrix as the InverseFactor of its full-band storage."""
     B = BandedSymmetricMatrix.from_dense(A, len(A) - 1)
     return InverseFactor(B.n, B.dense_inverse, B.to_dense)
+
+
+def dense_of(A):
+    """The entries of a dense array or sparse matrix as a dense array."""
+    return A.toarray() if sp.issparse(A) else A
 
 
 def dense_kron(factors):
@@ -145,11 +151,15 @@ def test_customized_solve_matches_dense_kron_oracle(p, dirichlet_radial):
     ref = oracle @ grid_to_vec(grid)
     out = grid_to_vec(mass.solve(grid))
     assert np.max(np.abs(out - ref)) <= 1e-9 * np.max(np.abs(ref))
-    # the factors hold S_c as CSR, no dense array
+    # the factors hold S_c itself, dense or CSR by its fill, and no other array
     for factor, cd in zip(mass.factors, system.constrained_duals):
-        assert sp.issparse(factor.inverse)
-        assert factor.storage_entries == cd.S.to_csr().nnz
-        assert not any(isinstance(v, np.ndarray) for v in vars(factor).values())
+        S = cd.S.to_csr()
+        assert sp.issparse(factor.inverse) == (S.nnz < DENSE_FILL * S.shape[0] ** 2)
+        assert np.array_equal(dense_of(factor.inverse), S.toarray())
+        stored = S.nnz if sp.issparse(factor.inverse) else S.shape[0] ** 2
+        assert factor.storage_entries == stored
+        assert not any(isinstance(v, np.ndarray) for name, v in vars(factor).items()
+                       if name != "inverse")
 
 
 @pytest.mark.parametrize("dirichlet_radial", [False, True])
@@ -422,14 +432,19 @@ def test_kernel_macs_are_the_per_axis_factor_count(geometry):
 
 
 def test_free_kernel_is_sliced_on_the_first_apply():
-    system = DiscreteSystem([uniform_space(12, 3)], dirichlet=[(True, True)])
-    K = assembled_stiffness_1d(system)
-    kernel = system.stiffness_kernel
-    assert "free" not in vars(kernel)  # the assembled path slices nothing
-    d = np.random.default_rng(2).normal(size=system.free_shape)
-    lo, hi = system.free_range(0)
-    assert np.array_equal(stiffness_apply(system, d), K[lo:hi, lo:hi] @ d)
-    assert (kernel.free.outer != K[lo:hi, lo:hi]).nnz == 0
+    # 7 nonzeros per row: dense at 13 free functions, CSR at 201
+    for n_el, sparse in ((12, False), (200, True)):
+        system = DiscreteSystem([uniform_space(n_el, 3)], dirichlet=[(True, True)])
+        K = assembled_stiffness_1d(system)
+        kernel = system.stiffness_kernel
+        assert "free" not in vars(kernel)  # the assembled path slices nothing
+        assert sp.issparse(K)  # the full-space kernel stays CSR
+        d = np.random.default_rng(2).normal(size=system.free_shape)
+        lo, hi = system.free_range(0)
+        free = kernel.free.outer
+        assert sp.issparse(free) == sparse
+        assert np.array_equal(dense_of(free), K[lo:hi, lo:hi].toarray())
+        assert np.array_equal(stiffness_apply(system, d), free @ d)
 
 
 def test_manufactured_eigenfunction_residual_decays():

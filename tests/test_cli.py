@@ -239,6 +239,8 @@ def test_run_annulus_report_and_unchanged_csvs(tmp_path):
         degree = len(TABLEAUS[run["rk_scheme"]].coefficients) - 1
         assert run["counters"]["stiffness_applies"] == (
             phases["omega_applies"] + degree * run["steps"])
+        # at 9 x 16 free functions both run-operator operands are over a tenth full
+        assert run["storage"] == {"outer": "dense", "inner": "dense"}
 
 
 def test_main_exit_codes(tmp_path):
@@ -295,6 +297,10 @@ def test_main_reports_numerical_failure(tmp_path, monkeypatch):
         ["spectrum", "--n", "40", "--config", "{tmp}"],
         ["spectrum", "--n", "40", "--config", "{tmp}/latin1.cfg"],
         ["spectrum", "--n", "40", "--output_dir", "{tmp}/file"],
+        # a time step so small that the step count overflows to infinity or
+        # exceeds the maximum
+        ["annulus", "--degree", "3", "--n_elems", "8", "--dt_fraction", "1e-320"],
+        ["annulus", "--degree", "3", "--n_elems", "8", "--dt_fraction", "1e-300"],
     ],
 )
 def test_main_rejects_bad_input_without_traceback(tmp_path, capfd, args):

@@ -434,20 +434,66 @@ def test_run_operator_matches_the_separate_rhs_1d(kind):
         assert_matches_separate_rhs(system, outlier)
 
 
+# the run operator's (outer, inner, outlier-reduced outer) storage on the
+# membrane of each mesh: dense throughout at n_r = 8, by the operands' fill
+# at n_r = 96, where T^T F0 T of the lumped mass is block diagonal
+RUN_STORAGE = {
+    8: {kind: ("dense", "dense", "dense") for kind in RUN_KINDS},
+    96: {"galerkin_consistent": ("dense", "dense", "dense"),
+         "customized": ("dense", "csr", "dense"), "rowsum_lumped": ("csr", "csr", "csr")},
+}
+
+
 @pytest.mark.parametrize("kind", RUN_KINDS)
 def test_run_operator_storage_follows_the_factor(kind):
     import scipy.sparse as sp
 
-    system = membrane_system(kind)
-    plain = RunOperator(system).terms
-    reduced = RunOperator(system, outlier_removal(system)).terms
-    # the Galerkin Grammians solve through dense inverses, the customized
-    # mass through its banded inverse and the lumped one through a diagonal
-    sparse = kind != "galerkin_consistent"
-    assert sp.issparse(plain.outer) == sparse and sp.issparse(plain.inner) == sparse
-    # the outlier-reduced factor T^T F0 T has a dense inverse
-    assert isinstance(reduced.outer, np.ndarray)
-    assert sp.issparse(reduced.inner) == sparse
+    from iga_explicit.assembly import DENSE_FILL, mass_operator
+
+    for n_r, storage in RUN_STORAGE.items():
+        system = membrane_system(kind, n_r=n_r)
+        plain = RunOperator(system).terms
+        reduced = RunOperator(system, outlier_removal(system)).terms
+        outer, inner, reduced_outer = storage[kind]
+        assert plain.storage == {"outer": outer, "inner": inner}
+        assert reduced.storage == {"outer": reduced_outer, "inner": inner}
+        # every operand, the factors' inverses included, is CSR exactly when
+        # under a tenth full
+        kernel = system.stiffness_kernel.free
+        operands = [plain.outer, plain.inner, reduced.outer, kernel.outer, kernel.inner,
+                    *(f.inverse for f in mass_operator(system).factors)]
+        for A in operands:
+            nonzeros = A.count_nonzero() if sp.issparse(A) else np.count_nonzero(A)
+            assert sp.issparse(A) == (nonzeros < DENSE_FILL * A.shape[0] * A.shape[1])
+
+
+def test_mixed_storage_run_operator_matches_the_oracles():
+    # at n_r = 96 the customized factors and the free kernel are CSR, while
+    # the P_t are dense and the Q_t CSR
+    import scipy.sparse as sp
+
+    from iga_explicit.assembly import mass_operator
+
+    system = membrane_system("customized", n_r=96)
+    for outlier in (None, outlier_removal(system)):
+        assert_matches_separate_rhs(system, outlier)
+    kernel = system.stiffness_kernel.free
+    assert sp.issparse(kernel.outer) and sp.issparse(kernel.inner)
+    assert all(sp.issparse(f.inverse) for f in mass_operator(system).factors)
+    assert RunOperator(system).terms.storage == {"outer": "dense", "inner": "csr"}
+    # -M^{-1} K from the dense factors, one axis at a time: the Kronecker
+    # product of the 97 x 192 grid would take 2.8 GB
+    inverses = []
+    for k, dual in enumerate(system.duals):
+        f = slice(*system.free_range(k))
+        inverses.append(np.linalg.inv(np.linalg.inv(dual.S.to_dense())[f, f]))
+    n0, m = system.free_shape
+    A = kernel.outer.toarray().reshape(n0, kernel.n_terms, n0)
+    B = kernel.inner.toarray().reshape(kernel.n_terms, m, m)
+    x = np.random.default_rng(12).standard_normal(system.free_shape)
+    ref = -sum(inverses[0] @ A[:, t] @ x @ (inverses[1] @ B[t]).T for t in range(kernel.n_terms))
+    out = RunOperator(system).apply(x)
+    assert np.max(np.abs(out - ref)) <= 1e-9 * np.max(np.abs(ref))
 
 
 def test_run_terms_are_built_on_first_apply_and_kept():
