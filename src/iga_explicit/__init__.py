@@ -31,7 +31,6 @@ from .dynamics import (
     RK6,
     ButcherTableau,
     DynamicState,
-    SpectrumResult,
     critical_dt,
     eigensolve,
     max_frequency,

@@ -10,16 +10,16 @@ mode, which also carries its initial projection (``mass_operator``). An
 explicit scheme needs only M^{-1}, so every factor, projections included, is an
 ``InverseFactor`` held as its inverse: a Grammian's inverse, the customized
 mass's banded dual coefficient matrix S_c, or a lumped diagonal's
-reciprocal. The Petrov mass is kept only as the dense oracles
-``ApproximateDualBasis.product_dense`` and ``petrov_mass_dense``. Dirichlet
-sides are imposed by restricting the univariate factors to the free indices;
+reciprocal. The Petrov mass is kept only as the dense oracle
+``ApproximateDualBasis.product_dense``. Dirichlet sides are imposed by
+restricting the univariate factors to the free indices;
 the customized mass keeps a banded inverse there, the Schur complement
 S_ff - S_fc S_cc^{-1} S_cf of the constrained dual. Outlier removal turns a factor F0 into T^T F0 T.
 
 A system's test functions follow from its mass kind (``MASS_KINDS``), read
 through the read-only ``DiscreteSystem.test_mode``: B/c for the customized
-kind, B for the others. The stiffness kernel (one per system), the moments
-and the initial projection all use it.
+kind, B for the others. The stiffness kernel, the moments and the initial
+projection all use it.
 
 The stiffness is a short sum of Kronecker products of sparse 1D factors
 (low-rank Galerkin stiffness: Mantzaflaris, Juettler, Khoromskij and Langer,
@@ -30,8 +30,11 @@ largest coefficient. On the identity and annulus maps this gives 2 terms for
 both the B-spline test functions and the dual ones B/c; a map whose grids do
 not separate only adds terms. The kernel stacks the factors of all terms
 into two matrices, so an apply is two products whatever the number of
-terms. A 1D system has one term, whose axis-0 factor is its
-assembled stiffness.
+terms. A system has one stiffness operator, ``DiscreteSystem.stiffness_kernel``,
+on its free grids: the factors are assembled on the full space once and
+restricted to the free rows and columns, so no apply pads zeros at Dirichlet
+ends. A 1D system has one term, whose axis-0 factor is its free assembled
+stiffness.
 
 The mass is a Kronecker product F0 (x) F1 of per-direction factors, so the
 operator of an explicit run is a Kronecker sum too: M^{-1} K =
@@ -43,15 +46,15 @@ How a matrix that is multiplied repeatedly is stored follows from the matrix
 alone, not from the mass kind it came from (``by_fill``): dense once its
 nonzeros reach ``DENSE_FILL`` = 1/10 of its entries, CSR below, where the
 measured cost of a sparse product crosses that of a dense one. That holds
-for every factor's inverse, the free stiffness and the run operator's
-stacked factors; the full-space stiffness kernel stays CSR.
+for every factor's inverse, the stiffness kernel and the run operator's
+stacked factors.
 
 ``system.counters`` counts operator work. ``stiffness_applies`` adds 1 per
 ``stiffness_apply`` call and per run-operator apply (``dynamics.RunOperator``)
-alike. ``mac_ops`` adds each call's multiply-adds: the stiffness kernel's
-full-space factor count for ``stiffness_apply``, and the stored entries of
-the fused factors (nonzeros, or the whole array when dense) times the length
-of the other axis for a run-operator apply.
+alike. ``mac_ops`` adds each call's multiply-adds by one definition, the
+``macs`` of the ``KroneckerSum`` it applies: the stored entries of its two
+operands (nonzeros, or the whole array when dense) times the length of the
+other axis.
 """
 
 from __future__ import annotations
@@ -130,11 +133,6 @@ class InverseFactor:
     def to_dense(self):
         return self._dense()
 
-    @property
-    def storage_entries(self):
-        """The stored entries of the inverse."""
-        return _stored(self.inverse)
-
 
 class KroneckerOperator:
     """Tensor-product operator whose factor k acts along axis k of a grid.
@@ -152,15 +150,6 @@ class KroneckerOperator:
             out = along_axis(f.solve, out, k)
         return out
 
-    @property
-    def storage_entries(self):
-        return sum(f.storage_entries for f in self.factors)
-
-
-def grid_to_vec(grid):
-    """Column-major flattening consistent with the Kronecker convention."""
-    return np.asarray(grid).reshape(-1, order="F")
-
 
 # ---------------------------------------------------------------------------
 # the discrete system
@@ -172,7 +161,9 @@ class DiscreteSystem:
     ``spaces`` holds one (1D problems) or two univariate spline spaces.
     ``dirichlet`` gives per-direction (left, right) flags; periodic directions
     cannot be constrained. The wave-speed-squared coefficient ``kappa``
-    multiplies the stiffness form and must be positive.
+    multiplies the stiffness form. The density ``rho``
+    is 1 by default without a map; a map brings its own (``GeometryMap.rho``)
+    and takes no other. Both must be positive and finite.
 
     A system is fixed once built: its inputs (``INPUTS``) cannot be assigned
     again, and its test mode and quadrature orders are read-only properties.
@@ -189,7 +180,7 @@ class DiscreteSystem:
         geometry=None,
         mass_kind="customized",
         kappa=1.0,
-        rho=1.0,
+        rho=None,
         dirichlet=None,
         dual_halfwidth=None,
     ):
@@ -203,9 +194,13 @@ class DiscreteSystem:
         self.geometry = geometry
         self.mass_kind = mass_kind
         self.kappa = float(kappa)
-        if not self.kappa > 0.0:
-            raise ValueError(f"kappa must be positive, got {kappa!r}")
-        self.rho = float(geometry.rho) if geometry is not None else float(rho)
+        if not 0.0 < self.kappa < np.inf:
+            raise ValueError(f"kappa must be positive and finite, got {kappa!r}")
+        if geometry is not None and rho is not None:
+            raise ValueError("rho comes from the geometry map; pass it to the map")
+        self.rho = float(geometry.rho if geometry is not None else 1.0 if rho is None else rho)
+        if not 0.0 < self.rho < np.inf:
+            raise ValueError(f"rho must be positive and finite, got {self.rho!r}")
         if np.ndim(dual_halfwidth) and len(dual_halfwidth) != len(self.spaces):
             raise ValueError(
                 f"dual_halfwidth has {len(dual_halfwidth)} entries for "
@@ -379,8 +374,9 @@ class DiscreteSystem:
 
     @cached_property
     def stiffness_kernel(self):
-        """The stiffness form of the test mode as a ``_StiffnessKernel``."""
-        return _StiffnessKernel(self)
+        """The stiffness form of the test mode on free grids, a
+        ``KroneckerSum`` (``_stiffness_kernel``)."""
+        return _stiffness_kernel(self)
 
     @cached_property
     def mass(self):
@@ -556,20 +552,19 @@ class KroneckerSum:
     the rest.
 
     A grid is viewed as X of shape (n0, m), m the product of the trailing
-    dimensions (1 in 1D, where each Q_t is the scalar 1 and ``trailing`` is
-    False). ``outer`` holds the P_t side by side (n0 x T n0) and ``inner``
-    the Q_t stacked vertically (T m x m), each a dense array or CSR matrix
-    (``storage``), so an apply is two products whatever the number of terms.
-    ``macs`` counts the multiply-adds of one apply: the stored entries of
-    ``outer`` times m, plus those of ``inner`` times n0 (the scalar 1 of 1D
-    is free); a dense operand stores all its entries.
+    dimensions (1 in 1D, where each Q_t is the 1 x 1 matrix [1]). ``outer``
+    holds the P_t side by side (n0 x T n0) and ``inner`` the Q_t stacked
+    vertically (T m x m), each a dense array or CSR matrix (``storage``), so
+    an apply is two products whatever the number of terms. ``macs`` counts
+    the multiply-adds of one apply: the stored entries of ``outer`` times m,
+    plus those of ``inner`` times n0; a dense operand stores all its entries.
     """
 
-    def __init__(self, outer, inner, trailing):
+    def __init__(self, outer, inner):
         self.outer, self.inner = outer, inner
         self.m = inner.shape[1]
         self.n_terms = inner.shape[0] // self.m
-        self.macs = _stored(outer) * self.m + (_stored(inner) * outer.shape[0] if trailing else 0)
+        self.macs = _stored(outer) * self.m + _stored(inner) * outer.shape[0]
 
     @property
     def storage(self):
@@ -586,10 +581,10 @@ class KroneckerSum:
                 ).reshape(grid.shape)
 
 
-class _StiffnessKernel(KroneckerSum):
-    """The stiffness form of a system's test mode on full coefficient grids,
-    as a short sum of Kronecker products, A_t along axis 0 and B_t along the
-    rest, held in two CSR matrices (``KroneckerSum``).
+def _stiffness_kernel(system):
+    """The stiffness form of a system's test mode on its free grids, as a
+    short sum of Kronecker products, A_t along axis 0 and B_t along the rest
+    (``KroneckerSum``).
 
     The entries of the form that share their test and trial patterns on
     every axis but the first are stacked along that axis and separated
@@ -597,49 +592,39 @@ class _StiffnessKernel(KroneckerSum):
     trailing factor B_t, the product over the other axes of X^T diag(v) Y,
     while its axis-0 factor A_t sums X_e^T diag(u_e) Y_e over the entries.
     The supported maps give 2 terms in both test modes; a non-separable map
-    only adds terms. ``free`` is the same sum restricted to the free rows and
-    columns, which acts on free grids without zero padding, each operand
-    stored by its fill (``by_fill``); the full-space sum stays CSR.
+    only adds terms. The factors are assembled on the full space, each
+    stacked matrix in one CSR build, then restricted to the free rows and,
+    within each term's block, the free columns, and stored by their fill
+    (``by_fill``).
     """
-
-    def __init__(self, system):
-        evs = [system.tables(k)[3] for k in range(system.ndim)]
-        n0, *rest = system.full_shape
-        m = int(np.prod(rest))
-        form = _stiffness_form(system)
-        bound = SEPARATION_TOL * max(np.max(np.abs(grid)) for grid, _, _ in form)
-        groups = {}
-        for grid, test, trial in form:
-            key = (tuple(test[1:]), tuple(trial[1:]))
-            groups.setdefault(key, []).append((grid, test[0], trial[0]))
-        outer, inner = [], []
-        for (tests, trials), entries in groups.items():
-            stacked = np.concatenate([grid for grid, _, _ in entries])
-            for u, v in _separate(stacked, bound):
-                outer.append(_entries(evs[0], [(t, r, u_e) for (_, t, r), u_e in
-                                               zip(entries, u.reshape(len(entries), -1))]))
-                # a system has one trailing axis at most
-                trailing = (np.ones(1), np.zeros(1, dtype=int), np.zeros(1, dtype=int))
-                for ev, t, r in zip(evs[1:], tests, trials):
-                    trailing = _entries(ev, [(t, r, v)])
-                inner.append(trailing)
-        n_terms = len(outer)
-        super().__init__(_stacked_csr(outer, (n0, n_terms * n0), 0, n0),
-                         _stacked_csr(inner, (n_terms * m, m), m, 0), trailing=bool(rest))
-        self.free_ranges = [system.free_range(k) for k in range(system.ndim)]
-
-    @cached_property
-    def free(self):
-        """The sum on free grids, sliced out of ``outer`` and ``inner`` on
-        first use: the free rows and, within each term's block, the free
-        columns, each then stored by its fill."""
-        blocks = np.arange(self.n_terms)[:, None]
-        (lo, hi), *rest = self.free_ranges
-        outer = self.outer[lo:hi][:, (blocks * self.outer.shape[0] + np.arange(lo, hi)).ravel()]
-        inner = self.inner
-        for lo, hi in rest:
-            inner = inner[(blocks * self.m + np.arange(lo, hi)).ravel()][:, lo:hi]
-        return KroneckerSum(by_fill(outer), by_fill(inner), trailing=bool(rest))
+    evs = [system.tables(k)[3] for k in range(system.ndim)]
+    n0, m = system.full_shape[0], int(np.prod(system.full_shape[1:]))
+    form = _stiffness_form(system)
+    bound = SEPARATION_TOL * max(np.max(np.abs(grid)) for grid, _, _ in form)
+    groups = {}
+    for grid, test, trial in form:
+        key = (tuple(test[1:]), tuple(trial[1:]))
+        groups.setdefault(key, []).append((grid, test[0], trial[0]))
+    outer, inner = [], []
+    for (tests, trials), entries in groups.items():
+        stacked = np.concatenate([grid for grid, _, _ in entries])
+        for u, v in _separate(stacked, bound):
+            outer.append(_entries(evs[0], [(t, r, u_e) for (_, t, r), u_e in
+                                           zip(entries, u.reshape(len(entries), -1))]))
+            # B_t: a system has one axis after the first at most, and 1D has [1]
+            factor = (np.ones(1), np.zeros(1, dtype=int), np.zeros(1, dtype=int))
+            for ev, t, r in zip(evs[1:], tests, trials):
+                factor = _entries(ev, [(t, r, v)])
+            inner.append(factor)
+    n_terms = len(outer)
+    outer = _stacked_csr(outer, (n0, n_terms * n0), 0, n0)
+    inner = _stacked_csr(inner, (n_terms * m, m), m, 0)
+    blocks = np.arange(n_terms)[:, None]
+    (lo, hi), *rest = [system.free_range(k) for k in range(system.ndim)]
+    outer = outer[lo:hi][:, (blocks * n0 + np.arange(lo, hi)).ravel()]
+    for lo, hi in rest:
+        inner = inner[(blocks * m + np.arange(lo, hi)).ravel()][:, lo:hi]
+    return KroneckerSum(by_fill(outer), by_fill(inner))
 
 
 def stiffness_apply(system, d_free):
@@ -647,22 +632,22 @@ def stiffness_apply(system, d_free):
 
     In the system's dual test mode the test functions are B_i / c (the
     gradient is expanded as grad(B)/c - B grad(c)/c^2); in the standard one
-    they are the B-splines themselves. The cached kernel's free restriction
-    applies all its Kronecker terms in two products; the counters add
-    one apply and the kernel's full-space ``macs``.
+    they are the B-splines themselves. The cached kernel applies all its
+    Kronecker terms in two products; the counters add one apply and the
+    kernel's ``macs``, the definition a run-operator apply counts by.
     """
     kernel = system.stiffness_kernel
     system.counters["stiffness_applies"] += 1
     system.counters["mac_ops"] += kernel.macs
-    return kernel.free.apply(np.asarray(d_free, dtype=float))
+    return kernel.apply(np.asarray(d_free, dtype=float))
 
 
 def assembled_stiffness_1d(system):
-    """Sparse assembled stiffness of a 1D system: its kernel's single axis-0
-    factor, on the full space (oracle and spectrum path)."""
+    """Sparse assembled stiffness of a 1D system on its free indices: its
+    kernel's single axis-0 factor as CSR (oracle and spectrum path)."""
     if system.ndim != 1:
         raise ValueError("assembled path is one-dimensional")
-    return system.stiffness_kernel.outer
+    return sp.csr_matrix(system.stiffness_kernel.outer)
 
 
 def mass_inverse_stiffness(system, mass, T=None):
@@ -676,7 +661,7 @@ def mass_inverse_stiffness(system, mass, T=None):
     the P_t. The stacked P_t and Q_t are each stored by their own fill
     (``by_fill``), whatever the storage of the factors they come from.
     """
-    kernel = system.stiffness_kernel.free
+    kernel = system.stiffness_kernel
     outer, inner = kernel.outer, kernel.inner
     if T is not None:
         n, r = T.shape
@@ -688,7 +673,7 @@ def mass_inverse_stiffness(system, mass, T=None):
         inner = sp.csr_matrix(inner)
         blocks = [inv @ inner[t * m:(t + 1) * m] for t in range(kernel.n_terms)]
         inner = sp.vstack(blocks) if sp.issparse(inv) else np.vstack(blocks)
-    return KroneckerSum(by_fill(-(F0.inverse @ outer)), by_fill(inner), trailing=bool(rest))
+    return KroneckerSum(by_fill(-(F0.inverse @ outer)), by_fill(inner))
 
 
 # ---------------------------------------------------------------------------
@@ -735,30 +720,3 @@ def project_initial(system, u0_param, outlier=None):
     if outlier is None:
         return mass.projection.solve(m_free)
     return outlier.reduce(mass.projection).solve(outlier.restrict(m_free))
-
-
-# ---------------------------------------------------------------------------
-# petrov mass oracle
-
-
-def petrov_mass_dense(system):
-    """Dense Petrov mass assembled by quadrature with explicit geometry factors.
-
-    Entries are b(dual_test_i / c, B_j) evaluated with the rho det(F) / c
-    factor carried through the quadrature loop; the result is analytically
-    geometry-independent, which is the point of the construction.
-    """
-    if system.ndim != 2:
-        raise ValueError("petrov mass oracle is for 2D systems")
-    E1, E2 = (system.tables(k)[2] for k in range(2))
-    W, det, c = system.quadrature_grid()
-    W = W * (system.rho * det / c)
-    L1 = E1 @ system.duals[0].S.to_dense()  # columns are dual function values
-    L2 = E2 @ system.duals[1].S.to_dense()
-    E1d = E1.toarray()
-    E2d = E2.toarray()
-    T1 = np.einsum("qa,qc->qac", L1, E1d)
-    T2 = np.einsum("rb,rd->rbd", L2, E2d)
-    M = np.einsum("qac,qr,rbd->abcd", T1, W, T2)
-    n1, n2 = system.full_shape
-    return M.transpose(1, 0, 3, 2).reshape(n1 * n2, n1 * n2)

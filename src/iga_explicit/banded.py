@@ -50,20 +50,6 @@ class BandedSymmetricMatrix:
         self._csr = None
         self._inv = None
 
-    @classmethod
-    def from_dense(cls, dense, halfwidth, periodic=False):
-        dense = np.asarray(dense, dtype=float)
-        n = dense.shape[0]
-        out = cls(n, halfwidth, periodic=periodic)
-        hw = out.halfwidth
-        for d in range(hw + 1):
-            if periodic:
-                cols = (np.arange(n) + d) % n
-                out.bands[d, :] = dense[np.arange(n), cols]
-            else:
-                out.bands[d, : n - d] = dense[np.arange(n - d), np.arange(d, n)]
-        return out
-
     def to_csr(self):
         """The full matrix in CSR form, periodic wrap included, built on first
         use. Building it makes ``bands`` read-only, so an edit after that
@@ -171,7 +157,3 @@ class BandedSymmetricMatrix:
             self._upper_ab(), lower=False, eigvals_only=True, select="i", select_range=(0, 0)
         )
         return float(w[0])
-
-    @property
-    def storage_entries(self):
-        return int(self.bands.size)

@@ -310,10 +310,9 @@ def string_spectra(p, n_dim, beta=None, outlier_choices=(False,)):
                                     dual_halfwidth=beta)
                for kind in RUN_MASS_KINDS}
     system = systems["customized"]
-    lo, hi = system.free_range(0)
     # the customized kind's dual test functions B/c are the B-splines at unit
     # density, so its stiffness is the symmetric one of every kind
-    K = assembled_stiffness_1d(system).toarray()[lo:hi, lo:hi]
+    K = assembled_stiffness_1d(system).toarray()
     masses = {kind: mass_operator(s).factors[0].to_dense() for kind, s in systems.items()}
     spectra = {}
     for outlier_removed in outlier_choices:
@@ -324,7 +323,7 @@ def string_spectra(p, n_dim, beta=None, outlier_choices=(False,)):
             reduce = lambda A: A
         K_red = reduce(K)
         spectra[outlier_removed] = {
-            kind: eigensolve(K_red, reduce(M)).frequencies
+            kind: eigensolve(K_red, reduce(M))
             for kind, M in masses.items()
         }
     return system, spectra
@@ -564,6 +563,7 @@ def annulus_run_single(sol, p, n_r, n_theta, kind, scheme, dt_fraction,
         },
         "counters": dict(system.counters),
         "storage": run.terms.storage,
+        "macs_per_apply": run.terms.macs,
     }
 
 
@@ -645,14 +645,15 @@ def run_annulus(config):
 def write_annulus_report(path, results):
     """Per-run omega_max, phases and operator counters of an annulus sweep,
     as a JSON sidecar of its CSVs, which it leaves byte-identical, with each
-    run's amplitude drift and the storage ("dense" or "csr") of its run
-    operator's ``outer`` and ``inner``. The spectral abscissa is not computed
-    yet; its slot is null."""
+    run's amplitude drift, the storage ("dense" or "csr") of its run
+    operator's ``outer`` and ``inner``, and the multiply-adds of one apply of
+    it (``macs_per_apply``), so ``mac_ops`` is ``stiffness_applies`` times
+    that. The spectral abscissa is not computed yet; its slot is null."""
     runs = [{"n_elem_radial": res["n_r"], "n_elem_angular": res["n_theta"],
              "mass_kind": res["kind"], "rk_scheme": res["scheme"],
              "outlier_removed": res["outlier_removed"], "omega_max": res["omega_max"],
              "steps": res["steps"], "phases": res["phases"], "counters": res["counters"],
-             "storage": res["storage"],
+             "storage": res["storage"], "macs_per_apply": res["macs_per_apply"],
              "spectral_abscissa": None, "amplitude_drift": res["amplitude_drift"]}
             for res in results]
     with open(path, "w") as fh:

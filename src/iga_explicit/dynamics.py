@@ -18,7 +18,6 @@ from .splinecore import eval_basis
 __all__ = [
     "ButcherTableau",
     "DynamicState",
-    "SpectrumResult",
     "RK2",
     "RK4",
     "RK6",
@@ -301,15 +300,9 @@ def max_frequency(run, tol=1e-10):
     return omega
 
 
-@dataclass(frozen=True)
-class SpectrumResult:
-    """Sorted nonnegative frequencies of a generalized eigenproblem."""
-
-    frequencies: np.ndarray
-
-
 def eigensolve(K, M):
-    """Frequencies of K phi = omega^2 M phi for dense symmetric K, SPD M."""
+    """Sorted nonnegative frequencies of K phi = omega^2 M phi for dense
+    symmetric K, SPD M."""
     K = np.asarray(K, dtype=float)
     M = np.asarray(M, dtype=float)
     n = K.shape[0]
@@ -324,7 +317,7 @@ def eigensolve(K, M):
     if np.min(vals) < floor:
         raise NumericalError(f"negative eigenvalue {np.min(vals):.3e} in spectrum")
     freqs = np.sqrt(np.clip(vals, 0.0, None))
-    return SpectrumResult(np.sort(freqs))
+    return np.sort(freqs)
 
 
 class OutlierConstraint:

@@ -8,7 +8,9 @@ rules: they check that the batched assembly sums the same terms in the same
 order, so their results must agree bit for bit. The Runge-Kutta oracles at
 the end step by the tableau's stage recursion and evaluate its stability
 function by the resolvent, the general forms that the package's polynomial
-step must reproduce for linear systems.
+step must reproduce for linear systems. The matrix helpers before them (column-major
+flattening, band storage of a dense matrix, the dense Petrov mass) build the
+dense operators the Kronecker and banded ones are checked against.
 """
 
 import numpy as np
@@ -107,6 +109,47 @@ def loop_tables(space, points_per_element):
             ddat.append(ev.values[1, l])
     shape = (len(xq), space.dimension)
     return [sp.coo_matrix((dat, (rows, cols)), shape=shape).tocsr() for dat in (vdat, ddat)]
+
+
+def grid_to_vec(grid):
+    """Column-major flattening consistent with the Kronecker convention."""
+    return np.asarray(grid).reshape(-1, order="F")
+
+
+def banded_from_dense(dense, halfwidth, periodic=False):
+    """A ``BandedSymmetricMatrix`` holding the upper bands of a dense
+    symmetric matrix, wrapped modulo n when periodic."""
+    from iga_explicit.banded import BandedSymmetricMatrix
+
+    dense = np.asarray(dense, dtype=float)
+    n = dense.shape[0]
+    out = BandedSymmetricMatrix(n, halfwidth, periodic=periodic)
+    for d in range(out.halfwidth + 1):
+        if periodic:
+            out.bands[d, :] = dense[np.arange(n), (np.arange(n) + d) % n]
+        else:
+            out.bands[d, : n - d] = dense[np.arange(n - d), np.arange(d, n)]
+    return out
+
+
+def petrov_mass_dense(system):
+    """Dense Petrov mass of a 2D system, assembled by quadrature with
+    explicit geometry factors.
+
+    Entries are b(dual_test_i / c, B_j) evaluated with the rho det(F) / c
+    factor carried through the quadrature loop; the result is analytically
+    geometry-independent, which is the point of the construction.
+    """
+    E1, E2 = (system.tables(k)[2] for k in range(2))
+    W, det, c = system.quadrature_grid()
+    W = W * (system.rho * det / c)
+    L1 = E1 @ system.duals[0].S.to_dense()  # columns are dual function values
+    L2 = E2 @ system.duals[1].S.to_dense()
+    T1 = np.einsum("qa,qc->qac", L1, E1.toarray())
+    T2 = np.einsum("rb,rd->rbd", L2, E2.toarray())
+    M = np.einsum("qac,qr,rbd->abcd", T1, W, T2)
+    n1, n2 = system.full_shape
+    return M.transpose(1, 0, 3, 2).reshape(n1 * n2, n1 * n2)
 
 
 def stage_rk_step(tableau, rhs, state, dt):

@@ -11,7 +11,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from iga_explicit.assembly import DiscreteSystem, petrov_mass_dense
+from iga_explicit.assembly import DiscreteSystem
 from iga_explicit.benchmarks import annulus_solution, bessel_zero, string_frequencies
 from iga_explicit.cli import annulus_run_single, string_spectra, _scheme_for
 from iga_explicit.dualbasis import approximate_dual, constrain_dual, grammian, quasi_project
@@ -28,7 +28,7 @@ from iga_explicit.dynamics import (
 from iga_explicit.geometry import annulus_map, identity_map
 from iga_explicit.splinecore import PERIODIC, monomial_coefficients, uniform_space
 
-from oracle_utils import spline_l2_error
+from oracle_utils import petrov_mass_dense, spline_l2_error
 
 
 @contextmanager
@@ -233,11 +233,11 @@ def test_criterion_7_oracles():
 
         lo, hi = system.free_range(0)
         G = grammian(space)
-        K = assembled_stiffness_1d(system).toarray()[lo:hi, lo:hi]
+        K = assembled_stiffness_1d(system).toarray()
         M = G.to_dense()[lo:hi, lo:hi]
-        res = eigensolve(K, M)
+        freqs = eigensolve(K, M)
         k = np.arange(1, n_el)
         disp = np.sqrt(6.0 / h**2 * (1 - np.cos(k * np.pi * h)) / (2 + np.cos(k * np.pi * h)))
-        assert float(np.max(np.abs(res.frequencies - disp))) <= 1e-8
+        assert float(np.max(np.abs(freqs - disp))) <= 1e-8
         elapsed = time.perf_counter() - t0
         assert elapsed < 10.0, f"runtime {elapsed:.1f}s over budget"

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from numpy.testing import assert_allclose
-from oracle_utils import loop_tables
+from oracle_utils import banded_from_dense, grid_to_vec, loop_tables, petrov_mass_dense
 
 from iga_explicit.assembly import (
     DENSE_FILL,
@@ -15,14 +15,11 @@ from iga_explicit.assembly import (
     InverseFactor,
     KroneckerOperator,
     assembled_stiffness_1d,
-    grid_to_vec,
     mass_operator,
     moments,
-    petrov_mass_dense,
     project_initial,
     stiffness_apply,
 )
-from iga_explicit.banded import BandedSymmetricMatrix
 from iga_explicit.dualbasis import grammian
 from iga_explicit.errors import NumericalError
 from iga_explicit.geometry import annulus_map, identity_map, weight_field
@@ -44,13 +41,26 @@ def make_system_2d(p=2, nel1=4, nel2=8, geometry="annulus", mass_kind="customize
 
 def banded_factor(A):
     """A symmetric matrix as the InverseFactor of its full-band storage."""
-    B = BandedSymmetricMatrix.from_dense(A, len(A) - 1)
+    B = banded_from_dense(A, len(A) - 1)
     return InverseFactor(B.n, B.dense_inverse, B.to_dense)
 
 
 def dense_of(A):
     """The entries of a dense array or sparse matrix as a dense array."""
     return A.toarray() if sp.issparse(A) else A
+
+
+def stored(A):
+    """The stored entries of a dense array or CSR matrix."""
+    return A.nnz if sp.issparse(A) else A.size
+
+
+def nonzero_macs(kernel):
+    """The multiply-adds of one apply of a KroneckerSum counted by the
+    nonzeros of its operands, whatever their storage."""
+    n0, m = kernel.outer.shape[0], kernel.m
+    return sum(n * (A.count_nonzero() if sp.issparse(A) else np.count_nonzero(A))
+               for A, n in ((kernel.outer, m), (kernel.inner, n0)))
 
 
 def dense_kron(factors):
@@ -156,8 +166,6 @@ def test_customized_solve_matches_dense_kron_oracle(p, dirichlet_radial):
         S = cd.S.to_csr()
         assert sp.issparse(factor.inverse) == (S.nnz < DENSE_FILL * S.shape[0] ** 2)
         assert np.array_equal(dense_of(factor.inverse), S.toarray())
-        stored = S.nnz if sp.issparse(factor.inverse) else S.shape[0] ** 2
-        assert factor.storage_entries == stored
         assert not any(isinstance(v, np.ndarray) for name, v in vars(factor).items()
                        if name != "inverse")
 
@@ -223,7 +231,9 @@ def test_outlier_reduced_operator_reports_dense_and_storage():
     F0 = reduced.factors[0]
     assert np.array_equal(F0.to_dense(), T.T @ mass.factors[0].to_dense() @ T)
     assert "inverse" not in vars(F0)  # formed on the first solve
-    assert reduced.storage_entries == T.shape[1] ** 2 + mass.factors[1].storage_entries
+    # the reduced factor stores its dense r x r inverse; the angular one is kept
+    assert isinstance(F0.inverse, np.ndarray) and F0.inverse.shape == (T.shape[1],) * 2
+    assert reduced.factors[1] is mass.factors[1]
     assert np.array_equal(F0.inverse, np.linalg.inv(F0.to_dense()))
 
 
@@ -291,8 +301,9 @@ def test_stiffness_1d_matches_dense_oracle(p, periodic, mode):
     system = DiscreteSystem([space], mass_kind=KIND_OF_MODE[mode], kappa=1.7, rho=2.5,
                             dirichlet=[(not periodic,) * 2])
     K = dense_stiffness_oracle_1d(system, mode)
+    free = slice(*system.free_range(0))
     assembled = assembled_stiffness_1d(system).toarray()
-    assert np.max(np.abs(assembled - K)) <= 1e-12 * np.max(np.abs(K))
+    assert np.max(np.abs(assembled - K[free, free])) <= 1e-12 * np.max(np.abs(K))
     d = np.random.default_rng(4).normal(size=system.free_shape)
     ref = system.extract(K @ system.inject(d))
     out = stiffness_apply(system, d)
@@ -386,8 +397,8 @@ def per_term_stiffness(kernel):
     operator of A_t along axis 0 and B_t along the rest, cut out of the
     stacked matrices."""
     n0, m = kernel.outer.shape[0], kernel.m
-    A = kernel.outer.toarray().reshape(n0, kernel.n_terms, n0)
-    B = kernel.inner.toarray().reshape(kernel.n_terms, m, m)
+    A = dense_of(kernel.outer).reshape(n0, kernel.n_terms, n0)
+    B = dense_of(kernel.inner).reshape(kernel.n_terms, m, m)
     return sum(np.kron(B[t], A[:, t]) for t in range(kernel.n_terms))
 
 
@@ -414,15 +425,17 @@ def test_stacked_kernel_matches_per_term_sum_and_dense_stiffness(ndim, mode):
 
 @pytest.mark.parametrize("geometry", ["annulus", "identity"])
 def test_kernel_macs_are_the_per_axis_factor_count(geometry):
-    # sum over terms and axes of nnz(factor) N / n: 4544 on this mesh, 149
-    # for the clamped 1D space and 140 for the periodic one
+    # sum over the two operands of their stored entries times the length of
+    # the other axis: 9 x 18 and 32 x 16 dense operands on the 9 x 16 free
+    # grid of this mesh; 21 x 21 and 1 x 1 for the clamped 1D space, 20 x 20
+    # and 1 x 1 for the periodic one
     spaces_1d = [uniform_space(20, 3), uniform_space(20, 3, boundary_kind=PERIODIC)]
     for kind in KIND_OF_MODE.values():
         system = make_system_2d(p=3, nel1=8, nel2=16, geometry=geometry, mass_kind=kind)
         kernel = system.stiffness_kernel
-        n1, n2 = system.full_shape
-        assert kernel.macs == kernel.outer.nnz * n2 + kernel.inner.nnz * n1 == 4544
-        for space, macs in zip(spaces_1d, (149, 140)):
+        n1, n2 = system.free_shape
+        assert kernel.macs == stored(kernel.outer) * n2 + stored(kernel.inner) * n1 == 7200
+        for space, macs in zip(spaces_1d, (21 * 21 + 21, 20 * 20 + 20)):
             system_1d = DiscreteSystem([space], mass_kind=kind,
                                        dirichlet=[(not space.periodic,) * 2])
             assert system_1d.stiffness_kernel.macs == macs
@@ -431,20 +444,31 @@ def test_kernel_macs_are_the_per_axis_factor_count(geometry):
             assert system_1d.counters["mac_ops"] == macs
 
 
-def test_free_kernel_is_sliced_on_the_first_apply():
-    # 7 nonzeros per row: dense at 13 free functions, CSR at 201
-    for n_el, sparse in ((12, False), (200, True)):
-        system = DiscreteSystem([uniform_space(n_el, 3)], dirichlet=[(True, True)])
-        K = assembled_stiffness_1d(system)
-        kernel = system.stiffness_kernel
-        assert "free" not in vars(kernel)  # the assembled path slices nothing
-        assert sp.issparse(K)  # the full-space kernel stays CSR
-        d = np.random.default_rng(2).normal(size=system.free_shape)
-        lo, hi = system.free_range(0)
-        free = kernel.free.outer
-        assert sp.issparse(free) == sparse
-        assert np.array_equal(dense_of(free), K[lo:hi, lo:hi].toarray())
-        assert np.array_equal(stiffness_apply(system, d), free @ d)
+@pytest.mark.parametrize("n_el,sparse", [(12, False), (200, True)])
+def test_stiffness_apply_adds_the_stored_entries_it_multiplies(n_el, sparse):
+    # the kernel is the free block of the full-space stiffness, stored by its
+    # fill: 7 nonzeros per row, dense at 13 free functions, CSR at 201
+    system = DiscreteSystem([uniform_space(n_el, 3)], dirichlet=[(True, True)])
+    free = slice(*system.free_range(0))
+    K = dense_stiffness_oracle_1d(system, system.test_mode)
+    kernel = system.stiffness_kernel
+    assert sp.issparse(kernel.outer) == sparse
+    assert kernel.outer.shape == (system.n_free,) * 2 and kernel.inner.shape == (1, 1)
+    assert np.max(np.abs(dense_of(kernel.outer) - K[free, free])) <= 1e-12 * np.max(np.abs(K))
+    d = np.random.default_rng(2).normal(size=system.free_shape)
+    assert np.array_equal(stiffness_apply(system, d), kernel.outer @ d)
+    assert system.counters["mac_ops"] == stored(kernel.outer) + stored(kernel.inner) * len(d)
+    # in 2D as in the run operator: each operand's stored entries times the
+    # length of the other axis, once per apply
+    system = make_system_2d(p=3, nel1=n_el // 4, nel2=16)
+    kernel = system.stiffness_kernel
+    n1, n2 = system.free_shape
+    assert (kernel.outer.shape, kernel.inner.shape) == ((n1, 2 * n1), (2 * n2, n2))
+    for applies in (1, 2):
+        stiffness_apply(system, np.zeros(system.free_shape))
+        assert system.counters["stiffness_applies"] == applies
+        assert system.counters["mac_ops"] == applies * (
+            stored(kernel.outer) * n2 + stored(kernel.inner) * n1)
 
 
 def test_manufactured_eigenfunction_residual_decays():
@@ -493,10 +517,27 @@ def test_dual_halfwidth_length_must_match_the_directions(ndim, halfwidths):
         DiscreteSystem(spaces, geometry=geometry, dual_halfwidth=halfwidths)
 
 
-@pytest.mark.parametrize("kappa", [0.0, -1.0, float("nan")])
+@pytest.mark.parametrize("kappa", [0.0, -1.0, float("nan"), float("inf")])
 def test_non_positive_kappa_is_rejected(kappa):
     with pytest.raises(ValueError, match="kappa"):
         DiscreteSystem([uniform_space(8, 3)], kappa=kappa)
+
+
+@pytest.mark.parametrize("rho", [0.0, -1.0, float("nan"), float("inf")])
+def test_non_positive_or_non_finite_rho_is_rejected(rho):
+    with pytest.raises(ValueError, match="rho"):
+        DiscreteSystem([uniform_space(8, 3)], rho=rho)
+
+
+def test_rho_comes_from_the_map_when_there_is_one():
+    spaces = [uniform_space(8, 3), uniform_space(16, 3, boundary_kind=PERIODIC)]
+    assert DiscreteSystem([uniform_space(8, 3)]).rho == 1.0
+    assert DiscreteSystem([uniform_space(8, 3)], rho=2.5).rho == 2.5
+    assert DiscreteSystem(spaces, geometry=annulus_map(1.0, 2.0, rho=1.3)).rho == 1.3
+    with pytest.raises(ValueError, match="rho"):
+        DiscreteSystem(spaces, geometry=annulus_map(1.0, 2.0), rho=5.0)
+    with pytest.raises(ValueError, match="rho"):  # a map checks only the sign of its own
+        DiscreteSystem(spaces, geometry=annulus_map(1.0, 2.0, rho=float("nan")))
 
 
 def test_storage_scaling_sqrt_n():
@@ -508,19 +549,19 @@ def test_storage_scaling_sqrt_n():
                                 mass_kind="customized",
                                 dirichlet=[(True, True), (False, False)])
         mass = mass_operator(system)
-        sizes.append((system.n_free, mass.storage_entries))
+        sizes.append((system.n_free, sum(stored(f.inverse) for f in mass.factors)))
     (n_a, s_a), (n_b, s_b) = sizes
     growth = np.log(s_b / s_a) / np.log(n_b / n_a)
     assert growth <= 0.75  # ~ sqrt(N), far below linear
 
 
 def test_mac_ops_scale_linearly_with_n():
+    # counted by nonzeros: at these sizes the operands are stored dense, and
+    # the stored entries grow faster by design
     counts = []
     for nel in (4, 8):
         system = make_system_2d(p=3, nel1=nel, nel2=2 * nel)
-        system.counters["mac_ops"] = 0
-        stiffness_apply(system, np.zeros(system.free_shape))
-        counts.append((system.n_free, system.counters["mac_ops"]))
+        counts.append((system.n_free, nonzero_macs(system.stiffness_kernel)))
     (n_a, m_a), (n_b, m_b) = counts
     growth = np.log(m_b / m_a) / np.log(n_b / n_a)
     assert growth <= 1.35  # near-linear in N; naive tensor assembly would be ~2
@@ -530,9 +571,7 @@ def test_mac_ops_per_dof_linear_in_p():
     per_dof = []
     for p in (2, 4):
         system = make_system_2d(p=p, nel1=6, nel2=12)
-        system.counters["mac_ops"] = 0
-        stiffness_apply(system, np.zeros(system.free_shape))
-        per_dof.append(system.counters["mac_ops"] / system.n_free)
+        per_dof.append(nonzero_macs(system.stiffness_kernel) / system.n_free)
     # each Kronecker factor has 2p + 1 bands: cost per dof grows like p
     assert per_dof[1] / per_dof[0] <= 9.0 / 5.0
 

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from oracle_utils import banded_from_dense
+
 from iga_explicit.banded import BandedSymmetricMatrix
 from iga_explicit.dualbasis import approximate_dual, constrain_dual
 from iga_explicit.errors import NumericalError
@@ -26,7 +28,7 @@ def random_banded_dense(n, hw, periodic, seed, spd=False):
 @pytest.mark.parametrize("periodic", [False, True])
 def test_dense_roundtrip(periodic):
     A = random_banded_dense(9, 2, periodic, seed=0)
-    B = BandedSymmetricMatrix.from_dense(A, 2, periodic=periodic)
+    B = banded_from_dense(A, 2, periodic=periodic)
     assert_allclose(B.to_dense(), A, atol=0)
 
 
@@ -35,7 +37,7 @@ def test_matvec_matches_dense(periodic):
     # n = 7 at halfwidth 3 is the tightest periodic band: 2 * halfwidth = n - 1
     for n, hw in ((11, 3), (7, 3)):
         A = random_banded_dense(n, hw, periodic, seed=1)
-        B = BandedSymmetricMatrix.from_dense(A, hw, periodic=periodic)
+        B = banded_from_dense(A, hw, periodic=periodic)
         rng = np.random.default_rng(2)
         x = rng.normal(size=n)
         assert_allclose(B.matvec(x), A @ x, atol=1e-13)
@@ -47,7 +49,7 @@ def test_matvec_matches_dense(periodic):
 
 def test_bands_are_frozen_once_applied():
     A = random_banded_dense(9, 2, False, seed=8)
-    B = BandedSymmetricMatrix.from_dense(A, 2)
+    B = banded_from_dense(A, 2)
     B.bands[0, 0] += 1.0  # edits before the first apply are seen
     A[0, 0] += 1.0
     assert_allclose(B.matvec(np.eye(9)), A, atol=0)
@@ -57,7 +59,7 @@ def test_bands_are_frozen_once_applied():
 
 def test_submatrix_and_constrained_dual_apply_like_dense():
     A = random_banded_dense(12, 3, False, seed=9)
-    B = BandedSymmetricMatrix.from_dense(A, 3)
+    B = banded_from_dense(A, 3)
     B.matvec(np.ones(12))  # the parent's cache must not leak into the restriction
     sub = B.submatrix(2, 10)
     X = np.random.default_rng(10).normal(size=(8, 3))
@@ -80,7 +82,7 @@ def test_submatrix_and_constrained_dual_apply_like_dense():
 @pytest.mark.parametrize("periodic", [False, True])
 def test_spd_solve(periodic):
     A = random_banded_dense(10, 2, periodic, seed=3, spd=True)
-    B = BandedSymmetricMatrix.from_dense(A, 2, periodic=periodic)
+    B = banded_from_dense(A, 2, periodic=periodic)
     rng = np.random.default_rng(4)
     b = rng.normal(size=10)
     assert_allclose(B.solve(b), np.linalg.solve(A, b), atol=1e-11)
@@ -90,7 +92,7 @@ def test_spd_solve(periodic):
 def test_non_spd_reported():
     A = random_banded_dense(8, 2, False, seed=5)
     A -= np.eye(8) * (np.abs(A).sum() + 1.0)
-    B = BandedSymmetricMatrix.from_dense(A, 2)
+    B = banded_from_dense(A, 2)
     assert not B.is_spd()
     with pytest.raises(NumericalError):
         B.solve(np.ones(8))
@@ -99,7 +101,7 @@ def test_non_spd_reported():
 
 def test_submatrix():
     A = random_banded_dense(9, 2, False, seed=6)
-    B = BandedSymmetricMatrix.from_dense(A, 2)
+    B = banded_from_dense(A, 2)
     sub = B.submatrix(1, 8)
     assert_allclose(sub.to_dense(), A[1:8, 1:8], atol=0)
 
@@ -112,5 +114,5 @@ def test_submatrix_periodic_rejected():
 
 def test_rowsums():
     A = random_banded_dense(7, 2, False, seed=7)
-    B = BandedSymmetricMatrix.from_dense(A, 2)
+    B = banded_from_dense(A, 2)
     assert_allclose(B.rowsums(), A.sum(axis=1), atol=1e-13)

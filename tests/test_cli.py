@@ -239,8 +239,12 @@ def test_run_annulus_report_and_unchanged_csvs(tmp_path):
         degree = len(TABLEAUS[run["rk_scheme"]].coefficients) - 1
         assert run["counters"]["stiffness_applies"] == (
             phases["omega_applies"] + degree * run["steps"])
-        # at 9 x 16 free functions both run-operator operands are over a tenth full
+        # at 9 x 16 free functions both run-operator operands are over a tenth
+        # full: an apply multiplies the 9 x 18 P_t and the 32 x 16 Q_t
         assert run["storage"] == {"outer": "dense", "inner": "dense"}
+        assert run["macs_per_apply"] == 9 * 18 * 16 + 32 * 16 * 9
+        assert run["counters"]["mac_ops"] == (
+            run["counters"]["stiffness_applies"] * run["macs_per_apply"])
 
 
 def test_main_exit_codes(tmp_path):
