@@ -342,8 +342,9 @@ class DiscreteSystem:
         """Geometry factors at the tensor quadrature grid of a 2D system.
 
         The map sees the two axes as (n1, 1) and (1, n2) operands and is
-        evaluated once: one Jacobian and one Jacobian gradient, from which
-        A, c = det(F) rho and its gradient all follow.
+        evaluated once: one Jacobian, from which A and c = det(F) rho follow,
+        and, for the dual test functions B/c only, one Jacobian gradient,
+        from which the gradient of c ("grad_c") follows.
         """
         return self._geometry_grids
 
@@ -363,14 +364,16 @@ class DiscreteSystem:
         A12 = self.kappa * det * (Finv[0, 0] * Finv[1, 0] + Finv[0, 1] * Finv[1, 1])
         A22 = self.kappa * det * (Finv[1, 0] ** 2 + Finv[1, 1] ** 2)
         XY = geo.value(x1, x2)
-        return {
+        grids = {
             "A": [[A11, A12], [A12, A22]],
             "det": det,
             "c": det * geo.rho,
-            "grad_c": weight_gradient(geo.rho, det, Finv, geo.jacobian_gradient(x1, x2)),
             "X": XY[0],
             "Y": XY[1],
         }
+        if self.test_mode == "dual":
+            grids["grad_c"] = weight_gradient(geo.rho, det, Finv, geo.jacobian_gradient(x1, x2))
+        return grids
 
     @cached_property
     def stiffness_kernel(self):
@@ -422,8 +425,9 @@ class DiscreteSystem:
         return MassOperator(factors, KroneckerOperator(projection))
 
     def radial_weight(self):
-        """Separable part c1(x1) of the weight field (c2 must be constant 1);
-        the constant density without a map, None for a unit density.
+        """Separable part c1(x1) of the weight field (c2 must be constant 1),
+        array-valued; the constant density without a map, None for a unit
+        density.
 
         The supported geometry maps have weights depending on x1 only; this is
         verified on a sample grid.
@@ -437,7 +441,7 @@ class DiscreteSystem:
         sep = vals[:, :1] * np.ones((1, len(xs)))
         if np.max(np.abs(vals - sep)) > 1e-10 * np.max(np.abs(vals)):
             raise NumericalError("weight field is not separable; unsupported geometry")
-        return lambda x: float(c_fn(np.asarray(x, float), 0.0))
+        return lambda x: c_fn(np.asarray(x, float), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +491,7 @@ def _stiffness_form(system):
         A, grad_c = system.kappa * np.eye(system.ndim), np.zeros(system.ndim)
     else:
         g = system.geometry_grids()
-        A, grad_c = g["A"], g["grad_c"]
+        A, grad_c = g["A"], g.get("grad_c")  # grad_c: dual test mode only
     dual = system.test_mode == "dual"
     derivative = np.eye(system.ndim, dtype=int)  # row a: the derivative along axis a
     scale = W / c if dual else W

@@ -8,16 +8,19 @@ positive definite (verified, not imposed), has local support, and every row of
 the product C = S G sums to one, so rowsum lumping of C yields the identity.
 
 On a clamped direction S comes from the SVD of the equilibrated constraint
-matrix A, assembled for all rows at once and held as a sparse matrix, at
-most 2 hw + 1 entries per row. When the knots are symmetric under
+matrix A, assembled for all rows at once and held as its stored entries,
+at most 2 hw + 1 per row. When the knots are symmetric under
 x -> a + b - x, A commutes with the mirror of band entries and signed
-constraints. Each side then has a sparse orthogonal basis, mirror-even
-columns first, in which A is block-diagonal; one pair of sparse products
-gives both blocks, which are decomposed one at a time, and their factors
+constraints. Each side then has an orthogonal basis, mirror-even columns
+first, held as index maps (the columns each index enters, with their
+values), in which A is block-diagonal; the maps transform A's entries
+into both blocks, which are decomposed one at a time, and their factors
 are kept per block. The split is taken only when the measured coupling of
 the halves is round-off (at most 1e-12 of the largest entry); asymmetric
 meshes use identity bases and one dense block. The objective then picks S
 in all of the constraints' null space.
+
+A weighted Grammian calls its weight once, on all quadrature points.
 
 Homogeneous boundary constraints keep the dual banded: the inverse of S^{-1}
 restricted to the free indices is the Schur complement
@@ -33,7 +36,6 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 
 import numpy as np
-import scipy.sparse as sp
 
 from .banded import BandedSymmetricMatrix
 from .errors import NumericalError
@@ -59,17 +61,24 @@ __all__ = [
 
 
 def grammian(space, weight=None, points_per_element=None):
-    """Banded matrix of products <B_i, B_j> (optionally with a positive weight)."""
+    """Banded matrix of products <B_i, B_j> (optionally with a positive weight).
+
+    ``weight`` is called once, on the array of all quadrature points, and its
+    result must broadcast to that array. A weight that is not positive and
+    finite at some point is an error naming the first such point.
+    """
     p = space.degree
     if points_per_element is None:
         points_per_element = p + 1 if weight is None else p + 2
     xq, wq = element_quadrature(space, points_per_element)
     if weight is not None:
-        wx = [weight(x) for x in xq]
-        for x, v in zip(xq, wx):
-            if v <= 0.0:
-                raise ValueError(f"non-positive weight {v} at quadrature point {x}")
-        wq = wq * np.array(wx)
+        wx = np.broadcast_to(weight(xq), xq.shape)
+        bad = np.flatnonzero(~((wx > 0.0) & (wx < np.inf)))
+        if len(bad):
+            x, v = xq[bad[0]], wx[bad[0]]
+            raise ValueError(f"{'non-positive' if v <= 0.0 else 'non-finite'} weight {v} "
+                             f"at quadrature point {x}")
+        wq = wq * wx
     return _grammian(space, wq, eval_basis(space, xq))
 
 
@@ -228,17 +237,17 @@ def _clamped_dual(space, hw):
     vals /= rownorm[..., None]
     rhs /= rownorm.ravel()
 
-    stored = np.broadcast_to(inside[:, None, :], vals.shape)
-    A = sp.csr_matrix((vals[stored], np.broadcast_to(ids[:, None, :], vals.shape)[stored],
-                       np.concatenate([[0], np.cumsum(stored.sum(axis=2))])), shape=(n * (p + 1), ns))
+    # A as its entries (row, column, value), row r * (p+1) + m
+    con, t = np.nonzero(np.broadcast_to(inside[:, None, :], vals.shape).reshape(-1, width))
+    A = (con, ids[con // (p + 1), t], vals.reshape(-1, width)[con, t])
     # the mirror x -> a + b - x maps constraint (r, m) to (n-1-r, m) with
     # sign (-1)^m, since ((x - g_r)/h)^m changes sign, and band entry (i, d)
     # to (n-1-i-d, d)
     r, m = np.divmod(np.arange(n * (p + 1)), p + 1)
     entry_row = np.repeat(np.arange(n), counts)
     entry_off = np.arange(ns) - start[entry_row]
-    QrT, Qc, factors, split = _mirror_svd(A, (n - 1 - r) * (p + 1) + m, (-1.0) ** m,
-                                         start[n - 1 - entry_row - entry_off] + entry_off)
+    Qr, Qc, factors, split = _mirror_svd(A, (n * (p + 1), ns), (n - 1 - r) * (p + 1) + m,
+                                         (-1.0) ** m, start[n - 1 - entry_row - entry_off] + entry_off)
     # the singular values of all blocks, sorted, set only the thresholds and
     # the diagnostics
     sv = np.sort(np.concatenate([s for _, _, _, s, _ in factors]))[::-1]
@@ -250,10 +259,16 @@ def _clamped_dual(space, hw):
     null_cut = 1e-14 * sig0
     filts = [s / (s**2 + alpha**2) for _, _, _, s, _ in factors]
 
+    (rslots, rcoefs), (cslots, ccoefs) = Qr, Qc
+
     def pinv_apply(vec):
-        x = QrT @ vec
-        return Qc @ np.concatenate([vt[: len(s)].T @ (filt * (u.T @ x[rs]))
-                                    for (rs, _, u, s, vt), filt in zip(factors, filts)])
+        # Qc y, y the blocks' filtered V S^+ U^T of their rows of
+        # x = Qr^T vec, both by the index maps; x sums its terms from +0
+        x = np.bincount(rslots.ravel(), weights=(rcoefs * vec[:, None]).ravel(),
+                        minlength=len(rslots))
+        y = np.concatenate([vt[: len(s)].T @ (filt * (u.T @ x[rs]))
+                            for (rs, _, u, s, vt), filt in zip(factors, filts)])
+        return (ccoefs * y[cslots]).sum(axis=1)
 
     s_opt = pinv_apply(rhs)
     scale = max(1.0, np.max(np.abs(rhs)))
@@ -278,8 +293,14 @@ def _clamped_dual(space, hw):
     del factors, filts  # from here on only the null directions are needed
     k = sum(V.shape[1] for _, V in nulls)
     if k:
-        Z = np.hstack([Qc[:, cs] @ V for cs, V in nulls])
-        del nulls
+        # Z = Qc V, V the blocks' null directions side by side
+        Z = np.zeros((ns, k))
+        at = 0
+        for cs, V in nulls:
+            zr, za = np.nonzero((cslots >= cs.start) & (cslots < cs.stop) & (ccoefs != 0.0))
+            Z[zr, at : at + V.shape[1]] = ccoefs[zr, za, None] * V[cslots[zr, za] - cs.start]
+            at += V.shape[1]
+        del nulls, V
         # with s = h S and F = G / h, ||S G - I||_F^2 / 2 is, up to a constant,
         # the sum over rows r of s_r^T (F^2)_{J_r J_r} s_r / 2 - s_r^T F_{J_r r},
         # s_r the row's unknowns on its window columns J_r. Gwin holds F on
@@ -320,65 +341,85 @@ def _clamped_dual(space, hw):
     return G, S, diagnostics
 
 
-def _mirror_svd(A, row_mirror, row_sign, col_mirror):
-    """SVD of the constraint matrix A, block-diagonalized by the mirror
-    x -> a + b - x when A has that symmetry.
+def _mirror_svd(A, shape, row_mirror, row_sign, col_mirror):
+    """SVD of the constraint matrix A, given by its entries (rows, columns,
+    values) and shape, block-diagonalized by the mirror x -> a + b - x when A
+    has that symmetry.
 
     The mirror maps row k to row_mirror[k] with sign row_sign[k] and column
     c to col_mirror[c]. In the orthogonal bases Qr and Qc of _mirror_basis,
-    C = Qr^T A Qc (rows first, then columns: each entry is a two-term sum)
-    is block-diagonal when A commutes with the mirror. The coupling blocks
-    of C are measured, not assumed zero; when they exceed 1e-12 max|A|
-    (an asymmetric mesh), the bases are the identity and A is decomposed as
-    one dense block. Returns Qr^T (CSR) and Qc (CSC), per block (row
-    slice, column slice, u, s, vt), with vt square on a block with fewer rows
-    than columns, and the block shapes and coupling.
+    C = Qr^T A Qc is block-diagonal when A commutes with the mirror. C is
+    formed from the bases' index maps, rows first, then columns; each entry
+    is a sum of at most two terms at either step, added from +0 as a sparse
+    product adds them. The coupling blocks of C are measured, not assumed
+    zero; when they exceed 1e-12 max|A| (an asymmetric mesh), the bases are
+    the identity and A is decomposed as one dense block. Returns Qr and Qc,
+    per block (row slice, column slice, u, s, vt), with vt square on a block
+    with fewer rows than columns, and the block shapes and coupling.
     """
+    nr, nc = shape
     Qr, re = _mirror_basis(row_mirror, row_sign)
-    Qc, ce = _mirror_basis(col_mirror, np.ones(len(col_mirror)))
-    QrT = Qr.T
-    C = (QrT @ A) @ Qc
-    i, j = _csr_rows(C), C.indices
-    coupling = np.abs(C.data[(i < re) != (j < ce)]).max(initial=0.0) / np.abs(A.data).max()
-    nr, nc = A.shape
+    Qc, ce = _mirror_basis(col_mirror, np.ones(nc))
+    (slots, coefs), (cslots, ccoefs) = Qr, Qc
+    k, c, a = A
+    # entry (k, c) of A adds coefs[k] a to T = Qr^T A at (slots[k], c), and
+    # entry (ti, tc) of T adds t ccoefs[tc] to C at (ti, cslots[tc])
+    ti, tc, t = _summed(slots[k], c[:, None], coefs[k] * a[:, None], nc)
+    i, j, C = _summed(ti[:, None], cslots[tc], t[:, None] * ccoefs[tc], nc)
+    del ti, tc, t  # only C is needed from here on
+    coupling = np.abs(C[(i < re) != (j < ce)]).max(initial=0.0) / np.abs(a).max()
     blocks = [(slice(0, re), slice(0, ce)), (slice(re, nr), slice(ce, nc))]
     # the blocks must return as many singular triplets as one SVD of A
     if coupling > 1e-12 or (re - ce) * (nr - re - nc + ce) < 0:
-        QrT, Qc = sp.identity(nr, format="csr"), sp.identity(nc, format="csc")
-        C, i, j = A, _csr_rows(A), A.indices
+        # the trivial mirror: every index fixed, an identity basis
+        Qr, _ = _mirror_basis(np.arange(nr), np.ones(nr))
+        Qc, _ = _mirror_basis(np.arange(nc), np.ones(nc))
+        i, j, C = A
         blocks = [(slice(0, nr), slice(0, nc))]
     factors, shapes = [], []
     for rows, cols in blocks:
         B = np.zeros((rows.stop - rows.start, cols.stop - cols.start))
         at = (i >= rows.start) & (i < rows.stop) & (j >= cols.start) & (j < cols.stop)
-        B[i[at] - rows.start, j[at] - cols.start] = C.data[at]
+        B[i[at] - rows.start, j[at] - cols.start] = C[at]
         shapes.append(B.shape)
         factors.append((rows, cols, *np.linalg.svd(B, full_matrices=B.shape[0] < B.shape[1])))
-    return QrT, Qc, factors, {"block_shapes": shapes, "coupling": coupling}
+    return Qr, Qc, factors, {"block_shapes": shapes, "coupling": coupling}
 
 
-def _csr_rows(M):
-    """The row of every stored entry of a CSR matrix."""
-    return np.repeat(np.arange(M.shape[0]), np.diff(M.indptr))
+def _summed(rows, cols, terms, n_cols):
+    """Entries (rows, columns, values) of the matrix whose terms sit at
+    (rows, cols), broadcast with ``terms``: the terms at one place summed
+    from +0 in their order."""
+    rows, cols = np.broadcast_arrays(rows, cols)
+    at, place = np.unique((rows * n_cols + cols).ravel(), return_inverse=True)
+    return *np.divmod(at, n_cols), np.bincount(place, weights=terms.ravel())
 
 
 def _mirror_basis(mirror, sign):
-    """Orthogonal basis Q (CSC) of the +1 and -1 eigenvectors of the signed
-    involution e_k -> sign_k e_mirror(k), and the number of +1 columns, which
-    come first. Each parity's columns are its pairs k < mirror(k),
-    (e_k +- sign_k e_mirror(k)) / sqrt(2), then its fixed points e_k with
-    sign_k the eigenvalue."""
-    k = np.arange(len(mirror))
+    """Orthogonal basis Q of the +1 and -1 eigenvectors of the signed
+    involution e_k -> sign_k e_mirror(k), as index maps, and the number of +1
+    columns, which come first. Each parity's columns are its pairs
+    k < mirror(k), (e_k +- sign_k e_mirror(k)) / sqrt(2), then its fixed
+    points e_k with sign_k the eigenvalue.
+
+    Row k of Q has its entries in columns slots[k] with values coefs[k]: a
+    pair member's +1 and -1 columns, or a fixed point's one column listed
+    twice, the second time with value 0. The maps are (slots, coefs).
+    """
+    n = len(mirror)
+    k = np.arange(n)
     lead, fixed = k[k < mirror], k[k == mirror]
     even, odd = fixed[sign[fixed] == 1.0], fixed[sign[fixed] != 1.0]
-    pairs = np.column_stack([lead, mirror[lead]]).ravel()
-    w = np.sqrt(0.5) * np.column_stack([np.ones(len(lead)), sign[lead]])
-    rows = np.concatenate([pairs, even, pairs, odd])
-    vals = np.concatenate([w.ravel(), np.ones(len(even)),
-                           (w * [1.0, -1.0]).ravel(), np.ones(len(odd))])
-    sizes = np.repeat([2, 1, 2, 1], [len(lead), len(even), len(lead), len(odd)])
-    Q = sp.csc_matrix((vals, rows, np.concatenate([[0], np.cumsum(sizes)])), shape=(len(k), len(k)))
-    return Q, len(lead) + len(even)
+    n_even = len(lead) + len(even)
+    slots, coefs = np.empty((n, 2), dtype=int), np.zeros((n, 2))
+    pair = np.arange(len(lead))
+    slots[lead] = slots[mirror[lead]] = np.column_stack([pair, n_even + pair])
+    coefs[lead] = np.sqrt(0.5)
+    coefs[mirror[lead]] = np.sqrt(0.5) * sign[lead, None] * [1.0, -1.0]
+    slots[even] = len(lead) + np.arange(len(even))[:, None]
+    slots[odd] = n_even + len(lead) + np.arange(len(odd))[:, None]
+    coefs[fixed, 0] = 1.0
+    return (slots, coefs), n_even
 
 
 def _periodic_dual(space, G, hw):

@@ -16,7 +16,7 @@ class GeometryMap:
     with the tensor components in the leading axes: ``value -> (2, ...)``,
     ``jacobian -> (2, 2, ...)``, ``jacobian_gradient -> (2, 2, 2, ...)`` where
     the trailing index of the gradient is the parametric differentiation
-    direction. ``rho`` is a constant density.
+    direction. ``rho`` is a constant density, positive and finite.
     """
 
     value: callable
@@ -26,8 +26,8 @@ class GeometryMap:
     name: str = "map"
 
     def __post_init__(self):
-        if self.rho <= 0.0:
-            raise ValueError("density must be positive")
+        if not 0.0 < self.rho < np.inf:
+            raise ValueError(f"rho must be positive and finite, got {self.rho!r}")
 
 
 def identity_map(rho=1.0):

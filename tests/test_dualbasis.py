@@ -4,7 +4,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from numpy.testing import assert_allclose
 from oracle_utils import gauss_panels, loop_grammian_bands, naive_all_values, spline_l2_error
 
@@ -17,7 +16,7 @@ from iga_explicit.dualbasis import (
     quasi_project,
 )
 from iga_explicit.errors import NumericalError
-from iga_explicit.quadrature import moments
+from iga_explicit.quadrature import element_quadrature, moments
 from iga_explicit.splinecore import PERIODIC, make_space, monomial_coefficients, uniform_space
 
 
@@ -59,7 +58,28 @@ def test_grammian_names_the_first_non_positive_weight():
     space = uniform_space(4, 2)
     # one midpoint per element: 0.125, 0.375, 0.625, 0.875
     with pytest.raises(ValueError, match=r"non-positive weight -1\.0 at quadrature point 0\.625$"):
-        grammian(space, weight=lambda x: 1.0 if x < 0.5 else -1.0, points_per_element=1)
+        grammian(space, weight=lambda x: np.where(x < 0.5, 1.0, -1.0), points_per_element=1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_grammian_names_the_first_non_finite_weight(bad):
+    space = uniform_space(4, 2)
+    with pytest.raises(ValueError, match=rf"non-finite weight {bad} at quadrature point 0\.375$"):
+        grammian(space, weight=lambda x: np.where(x < 0.25, 1.0, bad), points_per_element=1)
+
+
+def test_grammian_calls_its_weight_once_on_all_points():
+    space = uniform_space(5, 3)
+    calls = []
+
+    def weight(x):
+        calls.append(np.array(x))
+        return 1.0 + x
+
+    G = grammian(space, weight=weight)
+    xq, _ = element_quadrature(space, 5)
+    assert len(calls) == 1 and np.array_equal(calls[0], xq)
+    assert np.array_equal(G.bands, loop_grammian_bands(space, weight=weight))
 
 
 def test_exact_dual_degree0():
@@ -288,14 +308,16 @@ def test_clamped_dual_interior_matches_periodic_stencil(degree, n):
     assert np.max(np.abs(row - want)) <= 1e-6 * np.max(np.abs(want))
 
 
-def unsplit_svd(A, *mirror):
-    """The constraint SVD as one dense block in identity bases, whatever the
-    mirror symmetry."""
-    dense = A.toarray()
-    svd = np.linalg.svd(dense, full_matrices=dense.shape[0] < dense.shape[1])
+def unsplit_svd(A, shape, *mirror):
+    """The constraint SVD as one dense block of A, given by its entries, in
+    identity bases, whatever the mirror symmetry."""
+    rows, cols, vals = A
+    dense = np.zeros(shape)
+    dense[rows, cols] = vals
+    svd = np.linalg.svd(dense, full_matrices=shape[0] < shape[1])
     block = (slice(None), slice(None), *svd)
-    QrT, Qc = sp.identity(A.shape[0], format="csr"), sp.identity(A.shape[1], format="csc")
-    return QrT, Qc, [block], {"block_shapes": [dense.shape], "coupling": float("nan")}
+    Qr, Qc = (_mirror_basis(np.arange(n), np.ones(n))[0] for n in shape)
+    return Qr, Qc, [block], {"block_shapes": [shape], "coupling": float("nan")}
 
 
 def band_entry_mirror(n, hw):
@@ -319,8 +341,9 @@ def constraint_row_mirror(n, q):
 def test_mirror_basis_is_orthogonal_and_splits_the_parities(mirror, sign, fixed_signs):
     k = np.arange(len(mirror))
     assert set(sign[mirror == k]) == fixed_signs
-    Q, n_even = _mirror_basis(mirror, sign)
-    Q = Q.toarray()
+    (slots, coefs), n_even = _mirror_basis(mirror, sign)
+    Q = np.zeros((len(k), len(k)))
+    np.add.at(Q, (np.repeat(k, 2), slots.ravel()), coefs.ravel())
     assert np.max(np.abs(Q.T @ Q - np.eye(len(k)))) <= 1e-15
     P = np.zeros((len(k), len(k)))
     P[mirror, k] = sign  # e_k -> sign_k e_mirror(k)

@@ -114,6 +114,14 @@ def test_invalid_radii():
         annulus_map(0.0, 2.0)
 
 
+@pytest.mark.parametrize("make", [identity_map, lambda rho: annulus_map(1.0, 2.0, rho=rho)],
+                         ids=["identity", "annulus"])
+def test_maps_reject_a_density_that_is_not_positive_and_finite(make):
+    for rho in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=rf"rho must be positive and finite, got {rho!r}$"):
+            make(rho)
+
+
 def test_vectorized_evaluation_shapes():
     geo = annulus_map(1.0, 2.0)
     x1 = np.linspace(0, 1, 4)[:, None] * np.ones((1, 3))
@@ -194,5 +202,8 @@ def test_map_is_evaluated_once_on_the_quadrature_grid():
         u0 = lambda x1, x2: np.sin(np.pi * x1) * np.cos(2 * np.pi * x2)
         project_initial(system, u0)
         l2_error(system, d, lambda X, Y: np.hypot(X, Y))
+        # the Jacobian gradient only for the dual test functions B/c
+        want = {"jacobian": 1, "jacobian_gradient": int(mass_kind == "customized")}
         for name, seen in shapes.items():
-            assert seen.count(quad_shape) == 1, (mass_kind, name)
+            assert seen.count(quad_shape) == want[name], (mass_kind, name)
+        assert len(shapes["jacobian_gradient"]) == want["jacobian_gradient"], mass_kind
