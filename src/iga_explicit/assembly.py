@@ -31,10 +31,9 @@ both the B-spline test functions and the dual ones B/c; a map whose grids do
 not separate only adds terms. The kernel stacks the factors of all terms
 into two matrices, so an apply is two products whatever the number of
 terms. A system has one stiffness operator, ``DiscreteSystem.stiffness_kernel``,
-on its free grids: the factors are assembled on the full space once and
-restricted to the free rows and columns, so no apply pads zeros at Dirichlet
-ends. A 1D system has one term, whose axis-0 factor is its free assembled
-stiffness.
+on its free grids: each factor keeps only its entries on the free rows and
+columns, so no apply pads zeros at Dirichlet ends. A 1D system has one term,
+whose axis-0 factor is its free assembled stiffness.
 
 The mass is a Kronecker product F0 (x) F1 of per-direction factors, so the
 operator of an explicit run is a Kronecker sum too: M^{-1} K =
@@ -47,7 +46,9 @@ alone, not from the mass kind it came from (``by_fill``): dense once its
 nonzeros reach ``DENSE_FILL`` = 1/10 of its entries, CSR below, where the
 measured cost of a sparse product crosses that of a dense one. That holds
 for every factor's inverse, the stiffness kernel and the run operator's
-stacked factors.
+stacked factors, and each is built straight into that storage from its
+entries or from one product: no CSR form of a matrix stored dense, no dense
+form of one stored as CSR.
 
 ``system.counters`` counts operator work. ``stiffness_applies`` adds 1 per
 ``stiffness_apply`` call and per run-operator apply (``dynamics.RunOperator``)
@@ -66,7 +67,7 @@ import scipy.sparse as sp
 
 from .dualbasis import approximate_dual, constrain_dual, grammian
 from .errors import NumericalError
-from .geometry import _det2, _inv2, weight_field, weight_gradient
+from .geometry import _det2, _inv2, weight_gradient
 from .quadrature import element_quadrature
 from .splinecore import eval_basis
 
@@ -103,11 +104,24 @@ DENSE_FILL = 0.1
 
 def by_fill(A):
     """A dense array or sparse matrix stored as it is cheaper to multiply by:
-    dense when its nonzeros reach ``DENSE_FILL`` of its entries, else CSR."""
-    nonzeros = A.count_nonzero() if sp.issparse(A) else np.count_nonzero(A)
-    if nonzeros >= DENSE_FILL * A.shape[0] * A.shape[1]:
-        return A.toarray() if sp.issparse(A) else A
-    return sp.csr_matrix(A)
+    dense when its nonzeros reach ``DENSE_FILL`` of its entries, else CSR.
+
+    A sparse matrix goes straight to that storage from its entries, the
+    duplicates of a COO one summed in their order: no CSR copy of a matrix
+    stored dense and no dense copy of one stored as CSR."""
+    if not sp.issparse(A):
+        return A if np.count_nonzero(A) >= DENSE_FILL * A.size else sp.csr_matrix(A)
+    A = A.tocoo()
+    n_rows, n_cols = A.shape
+    keys, where = np.unique(A.row.astype(np.int64) * n_cols + A.col, return_inverse=True)
+    sums = np.bincount(where, weights=A.data)
+    if np.count_nonzero(sums) >= DENSE_FILL * n_rows * n_cols:
+        out = np.zeros(A.shape)
+        out.flat[keys] = sums
+        return out
+    keys, sums = keys[sums != 0.0], sums[sums != 0.0]
+    indptr = np.searchsorted(keys, np.arange(n_rows + 1) * n_cols)
+    return sp.csr_matrix((sums, keys % n_cols, indptr), shape=A.shape)
 
 
 class InverseFactor:
@@ -420,28 +434,17 @@ class DiscreteSystem:
                           for G, f in zip(grams, free)]
             projection = [InverseFactor(G.n, G.dense_inverse, G.to_dense) for G in restricted]
             factors = projection if self.mass_kind == "galerkin_consistent" else [
-                InverseFactor(cd.S.n, cd.S.to_csr, cd.S.dense_inverse)
+                InverseFactor(cd.S.n, cd.S.to_coo, cd.S.dense_inverse)
                 for cd in self.constrained_duals]
         return MassOperator(factors, KroneckerOperator(projection))
 
     def radial_weight(self):
         """Separable part c1(x1) of the weight field (c2 must be constant 1),
-        array-valued; the constant density without a map, None for a unit
-        density.
-
-        The supported geometry maps have weights depending on x1 only; this is
-        verified on a sample grid.
-        """
+        array-valued: the map's ``radial_weight``, checked once per map; the
+        constant density without a map, None for a unit density."""
         if self.geometry is None:
             return (lambda x: self.rho) if self.rho != 1.0 else None
-        c_fn, _ = weight_field(self.geometry)
-        xs = np.linspace(0.0, 1.0, 17)
-        X1, X2 = np.meshgrid(xs, xs, indexing="ij")
-        vals = c_fn(X1, X2)
-        sep = vals[:, :1] * np.ones((1, len(xs)))
-        if np.max(np.abs(vals - sep)) > 1e-10 * np.max(np.abs(vals)):
-            raise NumericalError("weight field is not separable; unsupported geometry")
-        return lambda x: c_fn(np.asarray(x, float), 0.0)
+        return self.geometry.radial_weight
 
 
 # ---------------------------------------------------------------------------
@@ -524,26 +527,30 @@ def _separate(grid, bound):
     raise NumericalError("stiffness coefficient grid did not separate")
 
 
-def _entries(ev, parts):
-    """COO entries (data, rows, cols) of the sum over ``parts`` (test, trial,
-    u) of X^T diag(u) Y, X and Y the test and trial tables (0 values, 1
-    derivatives) of the batched evaluation ``ev`` at the quadrature points;
-    the CSR build sums the duplicates."""
-    vals = ev.values
+def _entries(ev, free, parts):
+    """COO entries (data, rows, cols) on the index range ``free`` = (lo, hi),
+    counted from lo, of the sum over ``parts`` (test, trial, u) of
+    X^T diag(u) Y, X and Y the test and trial tables (0 values, 1
+    derivatives) of the batched evaluation ``ev`` at the quadrature points.
+
+    The points of a run with the same basis indices, an element's, are
+    summed first; ``by_fill`` sums the remaining duplicates."""
+    vals, idx = ev.values, ev.indices
     data = sum(vals[:, test, :, None] * (u[:, None, None] * vals[:, trial, None, :])
                for test, trial, u in parts)
-    rows, cols = np.broadcast_arrays(ev.indices[:, :, None], ev.indices[:, None, :])
-    return data.ravel(), rows.ravel(), cols.ravel()
+    starts = np.flatnonzero(np.r_[True, np.any(idx[1:] != idx[:-1], axis=1)])
+    data, idx = np.add.reduceat(data, starts), idx[starts] - free[0]
+    rows, cols = np.broadcast_arrays(idx[:, :, None], idx[:, None, :])
+    keep = (rows >= 0) & (rows < free[1] - free[0]) & (cols >= 0) & (cols < free[1] - free[0])
+    return data[keep], rows[keep], cols[keep]
 
 
-def _stacked_csr(blocks, shape, row_step, col_step):
-    """One CSR matrix from the COO entries of its blocks, block t shifted by
+def _stacked(blocks, shape, row_step, col_step):
+    """One COO matrix of the entries of its blocks, block t shifted by
     t row_step rows and t col_step columns."""
     data, rows, cols = (np.concatenate(x) for x in zip(*blocks))
     block = np.repeat(np.arange(len(blocks)), [len(d) for d, _, _ in blocks])
-    A = sp.csr_matrix((data, (rows + block * row_step, cols + block * col_step)), shape=shape)
-    A.eliminate_zeros()
-    return A
+    return sp.coo_matrix((data, (rows + block * row_step, cols + block * col_step)), shape=shape)
 
 
 def _stored(A):
@@ -596,13 +603,13 @@ def _stiffness_kernel(system):
     trailing factor B_t, the product over the other axes of X^T diag(v) Y,
     while its axis-0 factor A_t sums X_e^T diag(u_e) Y_e over the entries.
     The supported maps give 2 terms in both test modes; a non-separable map
-    only adds terms. The factors are assembled on the full space, each
-    stacked matrix in one CSR build, then restricted to the free rows and,
-    within each term's block, the free columns, and stored by their fill
+    only adds terms. Each factor keeps only its entries on the free indices,
+    and each stacked matrix is summed straight into the storage of its fill
     (``by_fill``).
     """
     evs = [system.tables(k)[3] for k in range(system.ndim)]
-    n0, m = system.full_shape[0], int(np.prod(system.full_shape[1:]))
+    free = [system.free_range(k) for k in range(system.ndim)]
+    n0, m = system.free_shape[0], int(np.prod(system.free_shape[1:]))
     form = _stiffness_form(system)
     bound = SEPARATION_TOL * max(np.max(np.abs(grid)) for grid, _, _ in form)
     groups = {}
@@ -613,22 +620,16 @@ def _stiffness_kernel(system):
     for (tests, trials), entries in groups.items():
         stacked = np.concatenate([grid for grid, _, _ in entries])
         for u, v in _separate(stacked, bound):
-            outer.append(_entries(evs[0], [(t, r, u_e) for (_, t, r), u_e in
-                                           zip(entries, u.reshape(len(entries), -1))]))
+            outer.append(_entries(evs[0], free[0], [(t, r, u_e) for (_, t, r), u_e in
+                                                    zip(entries, u.reshape(len(entries), -1))]))
             # B_t: a system has one axis after the first at most, and 1D has [1]
             factor = (np.ones(1), np.zeros(1, dtype=int), np.zeros(1, dtype=int))
-            for ev, t, r in zip(evs[1:], tests, trials):
-                factor = _entries(ev, [(t, r, v)])
+            for ev, f, t, r in zip(evs[1:], free[1:], tests, trials):
+                factor = _entries(ev, f, [(t, r, v)])
             inner.append(factor)
     n_terms = len(outer)
-    outer = _stacked_csr(outer, (n0, n_terms * n0), 0, n0)
-    inner = _stacked_csr(inner, (n_terms * m, m), m, 0)
-    blocks = np.arange(n_terms)[:, None]
-    (lo, hi), *rest = [system.free_range(k) for k in range(system.ndim)]
-    outer = outer[lo:hi][:, (blocks * n0 + np.arange(lo, hi)).ravel()]
-    for lo, hi in rest:
-        inner = inner[(blocks * m + np.arange(lo, hi)).ravel()][:, lo:hi]
-    return KroneckerSum(by_fill(outer), by_fill(inner))
+    return KroneckerSum(by_fill(_stacked(outer, (n0, n_terms * n0), 0, n0)),
+                        by_fill(_stacked(inner, (n_terms * m, m), m, 0)))
 
 
 def stiffness_apply(system, d_free):
@@ -672,12 +673,20 @@ def mass_inverse_stiffness(system, mass, T=None):
         outer = ((T.T @ outer).reshape(r, kernel.n_terms, n) @ T).reshape(r, -1)
     F0, *rest = mass.factors
     for F1 in rest:
-        m, inv = kernel.m, F1.inverse
-        # from CSR blocks, the products are all sparse or all dense
-        inner = sp.csr_matrix(inner)
-        blocks = [inv @ inner[t * m:(t + 1) * m] for t in range(kernel.n_terms)]
-        inner = sp.vstack(blocks) if sp.issparse(inv) else np.vstack(blocks)
+        inner = _blockwise(F1.inverse, inner)
     return KroneckerSum(by_fill(-(F0.inverse @ outer)), by_fill(inner))
+
+
+def _blockwise(A, stacked):
+    """A B_t for every block B_t of ``stacked`` (the B_t stacked vertically),
+    in the same layout, by one product: sparse with T copies of A on the
+    diagonal when both are CSR, else dense with the B_t side by side."""
+    m = A.shape[1]
+    if sp.issparse(A) and sp.issparse(stacked):
+        return sp.kron(sp.identity(stacked.shape[0] // m), A, format="csr") @ stacked
+    B = stacked.toarray() if sp.issparse(stacked) else stacked
+    side = B.reshape(-1, m, m).transpose(1, 0, 2).reshape(m, -1)
+    return (A @ side).reshape(m, -1, m).transpose(1, 0, 2).reshape(stacked.shape)
 
 
 # ---------------------------------------------------------------------------

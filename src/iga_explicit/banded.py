@@ -20,10 +20,11 @@ class BandedSymmetricMatrix:
     For clamped (non-periodic) storage, ``bands[d, i]`` is meaningful for
     ``i < n - d``; the trailing entries of each diagonal are kept at zero.
 
-    ``matvec``, ``to_dense`` and ``rowsums`` go through one CSR form, built on
-    first use. The first SPD solve factors the matrix by Cholesky (banded, or
-    dense for periodic storage), which certifies that it is SPD, and forms the
-    dense inverse from the factor; every solve is then one matrix product.
+    ``to_coo``, ``to_dense`` and ``rowsums`` read the bands on every call;
+    ``matvec`` goes through a CSR form built on first use. The first SPD solve
+    factors the matrix by Cholesky (banded, or dense for periodic storage),
+    which certifies that it is SPD, and forms the dense inverse from the
+    factor; every solve is then one matrix product.
     """
 
     def __init__(self, n, halfwidth, periodic=False, bands=None):
@@ -50,32 +51,43 @@ class BandedSymmetricMatrix:
         self._csr = None
         self._inv = None
 
+    def _entries(self):
+        """The entries (data, rows, cols) of the full matrix, periodic wrap and
+        lower triangle included, row by row in ascending column order: the
+        order of its CSR form."""
+        n, hw = self.n, self.halfwidth
+        rows = np.broadcast_to(np.arange(n)[:, None], (n, 2 * hw + 1))
+        offsets = np.broadcast_to(np.arange(-hw, hw + 1), rows.shape)
+        cols = rows + offsets
+        if self.periodic:
+            cols = cols % n
+            order = np.argsort(cols, axis=1)
+            cols, offsets = (np.take_along_axis(a, order, axis=1) for a in (cols, offsets))
+            stored = np.ones(rows.shape, dtype=bool)
+        else:
+            stored = (cols >= 0) & (cols < n)
+        # entry (i, j) is bands[|i - j|] at the upper one of the pair
+        data = self.bands[np.abs(offsets), np.where(offsets >= 0, rows, cols)]
+        return data[stored], rows[stored], cols[stored]
+
+    def to_coo(self):
+        data, rows, cols = self._entries()
+        return sp.coo_matrix((data, (rows, cols)), shape=(self.n, self.n))
+
     def to_csr(self):
-        """The full matrix in CSR form, periodic wrap included, built on first
-        use. Building it makes ``bands`` read-only, so an edit after that
-        fails loudly instead of leaving a stale cache."""
+        """The full matrix in CSR form, built on first use. Building it makes
+        ``bands`` read-only, so an edit after that fails loudly instead of
+        leaving a stale cache."""
         if self._csr is None:
-            n = self.n
-            d = np.arange(self.halfwidth + 1)[:, None]
-            rows = np.broadcast_to(np.arange(n), self.bands.shape)
-            cols = rows + d
-            if self.periodic:
-                cols = cols % n
-                stored = np.ones(self.bands.shape, dtype=bool)
-            else:
-                stored = cols < n
-            mirror = stored & (d > 0)
-            self._csr = sp.csr_matrix(
-                (np.concatenate([self.bands[stored], self.bands[mirror]]),
-                 (np.concatenate([rows[stored], cols[mirror]]),
-                  np.concatenate([cols[stored], rows[mirror]]))),
-                shape=(n, n),
-            )
+            self._csr = self.to_coo().tocsr()
             self.bands.flags.writeable = False
         return self._csr
 
     def to_dense(self):
-        return self.to_csr().toarray()
+        data, rows, cols = self._entries()
+        out = np.zeros((self.n, self.n))
+        out[rows, cols] = data
+        return out
 
     def matvec(self, x):
         """Product with a vector, or with a matrix along its first axis."""
@@ -83,7 +95,10 @@ class BandedSymmetricMatrix:
         return (self.to_csr() @ x.reshape(self.n, -1)).reshape(x.shape)
 
     def rowsums(self):
-        return self.matvec(np.ones(self.n))
+        """Each row's entries summed in column order, as a CSR product with
+        ones sums them."""
+        data, rows, _ = self._entries()
+        return np.bincount(rows, weights=data, minlength=self.n)
 
     def submatrix(self, lo, hi):
         """Restriction to the index range ``[lo, hi)`` (non-periodic only)."""

@@ -52,12 +52,20 @@ def _bessel_series(n, x):
 
 
 def _bessel_miller(n, x):
-    xmax = float(np.max(x))
+    """Miller's backward recurrence f_{k-1} = (2k/x) f_k - f_{k+1}, rescaled
+    wherever |f_k| passes 1e250.
+
+    The overflow check runs only once a scalar bound on max|f_k| could pass
+    1e250: the bound grows by the recurrence with 2k / min(x) and a margin
+    for round-off, and restarts from the true maxima after each check, so
+    the result is the same, bit for bit, as checking every step."""
+    xmax, xmin = float(np.max(x)), float(np.min(x))
     start = int(xmax + 12.0 * xmax ** (1.0 / 3.0) + n + 20)
     if start % 2:
         start += 1
     f_up = np.zeros_like(x)  # f_{k+1}
     f_k = np.full_like(x, 1e-30)
+    bound, bound_up = 1e-30, 0.0  # bounds on max|f_k| and max|f_{k+1}|
     target = np.zeros_like(x)
     even_sum = np.zeros_like(x)
     if n == start:
@@ -66,18 +74,22 @@ def _bessel_miller(n, x):
         f_dn = (2.0 * k / x) * f_k - f_up
         f_up = f_k
         f_k = f_dn
+        bound, bound_up = (2.0 * k / xmin * bound + bound_up) * (1.0 + 1e-15), bound
         idx = k - 1
         if idx == n:
             target = f_k.copy()
         if idx >= 2 and idx % 2 == 0:
             even_sum += 2.0 * f_k
-        big = np.abs(f_k) > 1e250
-        if np.any(big):
-            scale = np.where(big, 1.0 / np.abs(f_k), 1.0)
-            f_k *= scale
-            f_up *= scale
-            target *= scale
-            even_sum *= scale
+        if bound > 1e250:
+            big = np.abs(f_k) > 1e250
+            if np.any(big):
+                scale = np.where(big, 1.0 / np.abs(f_k), 1.0)
+                f_k *= scale
+                f_up *= scale
+                target *= scale
+                even_sum *= scale
+                bound_up = float(np.max(np.abs(f_up)))
+            bound = float(np.max(np.abs(f_k)))
     norm = f_k + even_sum  # f_0 + 2 sum_{even k >= 2} f_k = 1
     return target / norm
 

@@ -4,8 +4,11 @@ Jacobian gradients, and the scalar weight field c = det(F) * rho."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+
+from .errors import NumericalError
 
 
 @dataclass(frozen=True)
@@ -28,6 +31,22 @@ class GeometryMap:
     def __post_init__(self):
         if not 0.0 < self.rho < np.inf:
             raise ValueError(f"rho must be positive and finite, got {self.rho!r}")
+
+    @cached_property
+    def radial_weight(self):
+        """The weight c = det(F) rho as an array-valued function of x1 alone,
+        c(x1, 0), for a map whose weight does not vary along x2.
+
+        The checks run once per map, on first use: ``weight_field``'s
+        determinant check (ValueError) and separability of c on a 17 x 17
+        sample grid (NumericalError). A map that fails raises on every use.
+        """
+        c_fn, _ = weight_field(self)
+        xs = np.linspace(0.0, 1.0, 17)
+        vals = c_fn(xs[:, None], xs[None, :])
+        if np.max(np.abs(vals - vals[:, :1])) > 1e-10 * np.max(np.abs(vals)):
+            raise NumericalError("weight field is not separable; unsupported geometry")
+        return lambda x: c_fn(np.asarray(x, float), 0.0)
 
 
 def identity_map(rho=1.0):
@@ -107,8 +126,7 @@ def weight_field(geo):
     64 x 64 sample grid at construction.
     """
     xs = np.linspace(0.0, 1.0, 64)
-    X1, X2 = np.meshgrid(xs, xs, indexing="ij")
-    det = _det2(geo.jacobian(X1, X2))
+    det = _det2(geo.jacobian(xs[:, None], xs[None, :]))
     if np.min(det) <= 0.0:
         raise ValueError(f"non-positive Jacobian determinant (min {np.min(det):.3e})")
 

@@ -10,7 +10,10 @@ the end step by the tableau's stage recursion and evaluate its stability
 function by the resolvent, the general forms that the package's polynomial
 step must reproduce for linear systems. The matrix helpers before them (column-major
 flattening, band storage of a dense matrix, the dense Petrov mass) build the
-dense operators the Kronecker and banded ones are checked against.
+dense operators the Kronecker and banded ones are checked against. The CSR
+route oracles assemble the stiffness kernel and the run operator through
+scipy.sparse (a full-space CSR build restricted by fancy indexing, CSR
+blocks per term) for the direct by-fill builds to be checked against.
 """
 
 import numpy as np
@@ -152,6 +155,117 @@ def petrov_mass_dense(system):
     return M.transpose(1, 0, 3, 2).reshape(n1 * n2, n1 * n2)
 
 
+def csr_by_fill(A):
+    """The storage rule on a built matrix: dense when its nonzeros reach
+    ``DENSE_FILL`` of its entries, else CSR, converting between the two."""
+    from iga_explicit.assembly import DENSE_FILL
+
+    nonzeros = A.count_nonzero() if sp.issparse(A) else np.count_nonzero(A)
+    if nonzeros >= DENSE_FILL * A.shape[0] * A.shape[1]:
+        return A.toarray() if sp.issparse(A) else A
+    return sp.csr_matrix(A)
+
+
+def _full_entries(ev, parts):
+    vals = ev.values
+    data = sum(vals[:, test, :, None] * (u[:, None, None] * vals[:, trial, None, :])
+               for test, trial, u in parts)
+    rows, cols = np.broadcast_arrays(ev.indices[:, :, None], ev.indices[:, None, :])
+    return data.ravel(), rows.ravel(), cols.ravel()
+
+
+def _stacked_csr(blocks, shape, row_step, col_step):
+    data, rows, cols = (np.concatenate(x) for x in zip(*blocks))
+    block = np.repeat(np.arange(len(blocks)), [len(d) for d, _, _ in blocks])
+    A = sp.csr_matrix((data, (rows + block * row_step, cols + block * col_step)), shape=shape)
+    A.eliminate_zeros()
+    return A
+
+
+def csr_stiffness_kernel(system):
+    """(outer, inner) of ``assembly._stiffness_kernel`` by the CSR route: the
+    terms' COO entries on the full space summed into one CSR matrix per
+    stacked factor, restricted to the free rows and, within each term's
+    block, the free columns by fancy indexing, then stored by their fill."""
+    from iga_explicit.assembly import SEPARATION_TOL, _separate, _stiffness_form
+
+    evs = [system.tables(k)[3] for k in range(system.ndim)]
+    n0, m = system.full_shape[0], int(np.prod(system.full_shape[1:]))
+    form = _stiffness_form(system)
+    bound = SEPARATION_TOL * max(np.max(np.abs(grid)) for grid, _, _ in form)
+    groups = {}
+    for grid, test, trial in form:
+        groups.setdefault((tuple(test[1:]), tuple(trial[1:])), []).append(
+            (grid, test[0], trial[0]))
+    outer, inner = [], []
+    for (tests, trials), entries in groups.items():
+        stacked = np.concatenate([grid for grid, _, _ in entries])
+        for u, v in _separate(stacked, bound):
+            outer.append(_full_entries(evs[0], [(t, r, u_e) for (_, t, r), u_e in
+                                                zip(entries, u.reshape(len(entries), -1))]))
+            factor = (np.ones(1), np.zeros(1, dtype=int), np.zeros(1, dtype=int))
+            for ev, t, r in zip(evs[1:], tests, trials):
+                factor = _full_entries(ev, [(t, r, v)])
+            inner.append(factor)
+    n_terms = len(outer)
+    outer = _stacked_csr(outer, (n0, n_terms * n0), 0, n0)
+    inner = _stacked_csr(inner, (n_terms * m, m), m, 0)
+    blocks = np.arange(n_terms)[:, None]
+    (lo, hi), *rest = [system.free_range(k) for k in range(system.ndim)]
+    outer = outer[lo:hi][:, (blocks * n0 + np.arange(lo, hi)).ravel()]
+    for lo, hi in rest:
+        inner = inner[(blocks * m + np.arange(lo, hi)).ravel()][:, lo:hi]
+    return csr_by_fill(outer), csr_by_fill(inner)
+
+
+def csr_factor_inverses(system):
+    """The inverse of each factor of the system's mass by the CSR route: a
+    Grammian's dense inverse, the lumped reciprocals as a diagonal matrix,
+    the constrained dual S_c through its CSR form, stored by their fill."""
+    from iga_explicit.dualbasis import grammian
+
+    free = [slice(*system.free_range(k)) for k in range(system.ndim)]
+    if system.mass_kind == "customized":
+        return [csr_by_fill(cd.S.to_csr()) for cd in system.constrained_duals]
+    weights = [system.radial_weight()] + [None] * (system.ndim - 1)
+    grams = [grammian(space, weight=w, points_per_element=system.mass_points)
+             for space, w in zip(system.spaces, weights)]
+    if system.mass_kind == "rowsum_lumped":
+        return [csr_by_fill(sp.diags(1.0 / (G.to_csr() @ np.ones(G.n))[f]))
+                for G, f in zip(grams, free)]
+    return [csr_by_fill((G if G.periodic else G.submatrix(f.start, f.stop)).dense_inverse())
+            for G, f in zip(grams, free)]
+
+
+def csr_run_terms(system, outlier=None):
+    """(P, Q) of ``assembly.mass_inverse_stiffness`` by the CSR route, from
+    the CSR-route kernel and factor inverses (the reduced radial factor,
+    T^T F0 T, inverted densely as ``OutlierConstraint.reduce`` does): the
+    P_t in one product, each Q_t from a CSR block of the stacked B_t, stored
+    by their fill."""
+    from iga_explicit.assembly import mass_operator
+
+    outer, inner = csr_stiffness_kernel(system)
+    m = inner.shape[1]
+    n_terms = inner.shape[0] // m
+    F0inv, *rest = csr_factor_inverses(system)
+    if outlier is not None:
+        T = outlier.T
+        n, r = T.shape
+        outer = ((T.T @ outer).reshape(r, n_terms, n) @ T).reshape(r, -1)
+        F0inv = np.linalg.inv(T.T @ mass_operator(system).factors[0].to_dense() @ T)
+    for inv in rest:
+        inner = sp.csr_matrix(inner)
+        blocks = [inv @ inner[t * m:(t + 1) * m] for t in range(n_terms)]
+        inner = sp.vstack(blocks) if sp.issparse(inv) else np.vstack(blocks)
+    return csr_by_fill(-(F0inv @ outer)), csr_by_fill(inner)
+
+
+def dense_of(A):
+    """The entries of a dense array or sparse matrix as a dense array."""
+    return A.toarray() if sp.issparse(A) else np.asarray(A)
+
+
 def stage_rk_step(tableau, rhs, state, dt):
     """One explicit RK step of the first-order system (d, v)' = (v, rhs(d))
     by the stage recursion of the Butcher tableau, for any ``rhs``.
@@ -193,3 +307,37 @@ def resolvent_stability_function(tableau, z):
     mat = np.eye(s, dtype=complex) - z * tableau.a
     k = np.linalg.solve(mat, np.ones(s, dtype=complex))
     return 1.0 + z * np.dot(tableau.b, k)
+
+
+def loop_bessel_miller(n, x):
+    """Miller's backward recurrence for J_n at arguments ``x``, checking
+    every step for entries past 1e250 and rescaling them: the reference the
+    package's recurrence must match bit for bit."""
+    xmax = float(np.max(x))
+    start = int(xmax + 12.0 * xmax ** (1.0 / 3.0) + n + 20)
+    if start % 2:
+        start += 1
+    f_up = np.zeros_like(x)  # f_{k+1}
+    f_k = np.full_like(x, 1e-30)
+    target = np.zeros_like(x)
+    even_sum = np.zeros_like(x)
+    if n == start:
+        target = f_k.copy()
+    for k in range(start, 0, -1):
+        f_dn = (2.0 * k / x) * f_k - f_up
+        f_up = f_k
+        f_k = f_dn
+        idx = k - 1
+        if idx == n:
+            target = f_k.copy()
+        if idx >= 2 and idx % 2 == 0:
+            even_sum += 2.0 * f_k
+        big = np.abs(f_k) > 1e250
+        if np.any(big):
+            scale = np.where(big, 1.0 / np.abs(f_k), 1.0)
+            f_k *= scale
+            f_up *= scale
+            target *= scale
+            even_sum *= scale
+    norm = f_k + even_sum  # f_0 + 2 sum_{even k >= 2} f_k = 1
+    return target / norm

@@ -6,7 +6,16 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from numpy.testing import assert_allclose
-from oracle_utils import banded_from_dense, grid_to_vec, loop_tables, petrov_mass_dense
+from oracle_utils import (
+    banded_from_dense,
+    csr_factor_inverses,
+    csr_run_terms,
+    csr_stiffness_kernel,
+    dense_of,
+    grid_to_vec,
+    loop_tables,
+    petrov_mass_dense,
+)
 
 from iga_explicit.assembly import (
     DENSE_FILL,
@@ -43,11 +52,6 @@ def banded_factor(A):
     """A symmetric matrix as the InverseFactor of its full-band storage."""
     B = banded_from_dense(A, len(A) - 1)
     return InverseFactor(B.n, B.dense_inverse, B.to_dense)
-
-
-def dense_of(A):
-    """The entries of a dense array or sparse matrix as a dense array."""
-    return A.toarray() if sp.issparse(A) else A
 
 
 def stored(A):
@@ -444,6 +448,77 @@ def test_kernel_macs_are_the_per_axis_factor_count(geometry):
             assert system_1d.counters["mac_ops"] == macs
 
 
+def assert_same_operand(A, oracle, what):
+    """Same storage as the CSR route's and values within 1e-14 of its
+    largest entry."""
+    assert sp.issparse(A) == sp.issparse(oracle), what
+    assert A.shape == oracle.shape, what
+    err = np.max(np.abs(dense_of(A) - dense_of(oracle)))
+    assert err <= 1e-14 * np.max(np.abs(dense_of(oracle))), (what, err)
+
+
+def assert_direct_builds_match_the_csr_route(system):
+    from iga_explicit.dynamics import RunOperator, outlier_removal
+
+    kernel = system.stiffness_kernel
+    outer, inner = csr_stiffness_kernel(system)
+    assert_same_operand(kernel.outer, outer, "kernel outer")
+    assert_same_operand(kernel.inner, inner, "kernel inner")
+    for k, (f, oracle) in enumerate(zip(mass_operator(system).factors,
+                                        csr_factor_inverses(system))):
+        assert_same_operand(f.inverse, oracle, f"factor {k} inverse")
+    outliers = [None] + ([outlier_removal(system)] if all(system.dirichlet[0]) else [])
+    for outlier in outliers:
+        terms = RunOperator(system, outlier).terms
+        P, Q = csr_run_terms(system, outlier)
+        assert_same_operand(terms.outer, P, ("P", outlier is not None))
+        assert_same_operand(terms.inner, Q, ("Q", outlier is not None))
+
+
+@pytest.mark.parametrize("kind", list(MASS_KINDS))
+@pytest.mark.parametrize("dirichlet", [False, True], ids=["free", "dirichlet"])
+@pytest.mark.parametrize("p", [2, 3, 4, 5])
+@pytest.mark.parametrize("ndim", [1, 2])
+def test_direct_builds_match_the_csr_route(ndim, p, dirichlet, kind):
+    # the kernel, each factor's inverse and the run terms, plain and
+    # outlier-reduced, against scipy.sparse assembly and fancy indexing
+    if ndim == 1:
+        system = DiscreteSystem([uniform_space(12, p)], mass_kind=kind, kappa=1.7,
+                                dirichlet=[(dirichlet, dirichlet)])
+    else:
+        system = make_system_2d(p=p, nel1=8, nel2=2 * p + 4, mass_kind=kind,
+                                dirichlet_radial=dirichlet)
+    assert_direct_builds_match_the_csr_route(system)
+
+
+@pytest.mark.parametrize("kind", list(MASS_KINDS))
+def test_mixed_storage_direct_builds_match_the_csr_route(kind):
+    # the membrane at n_r = 96, whose operands fall on both sides of the fill
+    # rule: CSR throughout for the lumped mass
+    system = DiscreteSystem(
+        [uniform_space(96, 3), uniform_space(192, 3, boundary_kind=PERIODIC)],
+        geometry=annulus_map(2.0, 5.0), mass_kind=kind,
+        dirichlet=[(True, True), (False, False)], dual_halfwidth=(3, 4))
+    assert_direct_builds_match_the_csr_route(system)
+
+
+def test_sparse_kernel_allocates_no_dense_square():
+    import tracemalloc
+
+    # 1998 free functions at 7 nonzeros per row: CSR by its fill
+    system = DiscreteSystem([uniform_space(1997, 3)], dirichlet=[(True, True)])
+    system.tables(0)
+    tracemalloc.start()
+    try:
+        kernel = system.stiffness_kernel
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    n = system.n_free
+    assert n == 1998 and sp.issparse(kernel.outer)
+    assert peak < 8 * n * n / 2, peak  # half of one n x n float array
+
+
 @pytest.mark.parametrize("n_el,sparse", [(12, False), (200, True)])
 def test_stiffness_apply_adds_the_stored_entries_it_multiplies(n_el, sparse):
     # the kernel is the free block of the full-space stiffness, stored by its
@@ -611,24 +686,56 @@ def test_parametric_fields_are_evaluated_per_axis(field):
     assert np.array_equal(system.evaluate(field), field(*np.meshgrid(*xs, indexing="ij")))
 
 
-def test_weight_field_rejects_flipped_map():
-    from iga_explicit.geometry import GeometryMap, weight_field
+def linear_map(jacobian_of):
+    """A GeometryMap with the Jacobian ``jacobian_of(x1, x2)``, a 2 x 2 nested
+    list of arrays, and a zero Jacobian gradient; its value is unused."""
+    from iga_explicit.geometry import GeometryMap
 
     def value(x1, x2):
         x1, x2 = np.broadcast_arrays(np.asarray(x1, float), np.asarray(x2, float))
-        return np.stack([x2, x1])  # swapped: negative orientation
+        return np.stack([x1, x2])
 
     def jacobian(x1, x2):
         x1, x2 = np.broadcast_arrays(np.asarray(x1, float), np.asarray(x2, float))
-        F = np.zeros((2, 2) + x1.shape)
-        F[0, 1] = 1.0
-        F[1, 0] = 1.0
-        return F
+        return np.array([[np.broadcast_to(f, x1.shape) for f in row]
+                         for row in jacobian_of(x1, x2)])
 
     def jacobian_gradient(x1, x2):
         x1, x2 = np.broadcast_arrays(np.asarray(x1, float), np.asarray(x2, float))
         return np.zeros((2, 2, 2) + x1.shape)
 
-    flipped = GeometryMap(value, jacobian, jacobian_gradient)
+    return GeometryMap(value, jacobian, jacobian_gradient)
+
+
+def flipped_map():
+    """(x1, x2) -> (x2, x1): negative orientation."""
+    return linear_map(lambda x1, x2: [[0.0, 1.0], [1.0, 0.0]])
+
+
+def test_weight_field_rejects_flipped_map():
     with pytest.raises(ValueError):
-        weight_field(flipped)
+        weight_field(flipped_map())
+
+
+@pytest.mark.parametrize("kind", ["galerkin_consistent", "rowsum_lumped"])
+def test_mass_build_checks_the_map_once_and_rejects_unsupported_ones(kind):
+    # the B-spline masses weight their radial Grammian by c(x1): a flipped
+    # map raises ValueError and a weight varying along x2 NumericalError,
+    # which the CLI reports with exit codes 2 and 3
+    spaces = [uniform_space(6, 3), uniform_space(12, 3, boundary_kind=PERIODIC)]
+    # c = det(F) = 1 + x2 / 2 > 0, not a function of x1 alone
+    sheared = linear_map(lambda x1, x2: [[1.0 + 0.5 * x2, 0.5 * x1], [0.0, 1.0]])
+    for geometry, error in ((flipped_map(), ValueError), (sheared, NumericalError)):
+        for _ in range(2):  # a failed check is not cached
+            with pytest.raises(error):
+                mass_operator(DiscreteSystem(spaces, geometry=geometry, mass_kind=kind))
+    from dataclasses import replace
+
+    annulus = annulus_map(2.0, 5.0)
+    calls = []
+    geometry = replace(annulus, jacobian=lambda *x: calls.append(1) or annulus.jacobian(*x))
+    mass_operator(DiscreteSystem(spaces, geometry=geometry, mass_kind=kind))
+    checked = len(calls)
+    mass_operator(DiscreteSystem(spaces, geometry=geometry, mass_kind=kind))
+    # the second mass on the same map evaluates c at its quadrature points only
+    assert len(calls) == checked + 1

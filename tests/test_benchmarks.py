@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from oracle_utils import loop_bessel_miller
 
 from iga_explicit.assembly import DiscreteSystem, project_initial
 from iga_explicit.benchmarks import (
@@ -81,6 +82,28 @@ def test_bessel_recurrence_sees_each_distinct_argument_once(monkeypatch):
     bessel_j(4, np.add.outer(radii, np.zeros(64)))  # a radial profile on a polar grid
     (args,) = seen
     assert np.array_equal(args, radii[radii > 12.0])
+
+
+def annulus_grid_radii():
+    """The distinct radii of an annulus run's quadrature grid (p=3, n_r=16)
+    that the recurrence sees, above the series cutoff."""
+    sol = annulus_solution()
+    system = DiscreteSystem(
+        [uniform_space(16, 3), uniform_space(32, 3, boundary_kind=PERIODIC)],
+        geometry=annulus_map(sol.inner_radius, sol.outer_radius))
+    g = system.geometry_grids()
+    r = np.unique(np.hypot(g["X"], g["Y"]))
+    return r[r > 12.0]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 30, 400])
+def test_bessel_recurrence_matches_the_per_step_overflow_check_bit_for_bit(n):
+    # order 400 grows past 1e250 from the start index down and is rescaled
+    from iga_explicit.benchmarks import _bessel_miller
+
+    rng = np.random.default_rng(n)
+    for x in (np.array([31.5]), rng.uniform(12.0, 60.0, size=64), annulus_grid_radii()):
+        assert np.array_equal(_bessel_miller(n, x), loop_bessel_miller(n, x))
 
 
 def test_bessel_zero_values():
