@@ -546,6 +546,8 @@ def annulus_run_single(sol, p, n_r, n_theta, kind, scheme, dt_fraction,
         "scheme": scheme,
         "outlier_removed": bool(outlier),
         "omega_max": omega_max,
+        "omega_method": "arnoldi" if run.fourier_eigenvalues is None else "fourier_blocks",
+        "spectral_abscissa": run.spectral_abscissa,
         "dt": dt,
         "steps": steps,
         "sqrt_dofs": float(np.sqrt(run.n)),
@@ -648,13 +650,18 @@ def write_annulus_report(path, results):
     run's amplitude drift, the storage ("dense" or "csr") of its run
     operator's ``outer`` and ``inner``, and the multiply-adds of one apply of
     it (``macs_per_apply``), so ``mac_ops`` is ``stiffness_applies`` times
-    that. The spectral abscissa is not computed yet; its slot is null."""
+    that. ``omega_method`` names the omega_max path, "fourier_blocks" or
+    "arnoldi" (``dynamics.max_frequency``); ``spectral_abscissa``, the
+    largest growth rate max Re sqrt(mu) over the run operator's eigenvalues
+    mu, comes from the Fourier blocks and is null where ARPACK ran."""
     runs = [{"n_elem_radial": res["n_r"], "n_elem_angular": res["n_theta"],
              "mass_kind": res["kind"], "rk_scheme": res["scheme"],
              "outlier_removed": res["outlier_removed"], "omega_max": res["omega_max"],
-             "steps": res["steps"], "phases": res["phases"], "counters": res["counters"],
+             "omega_method": res["omega_method"], "steps": res["steps"],
+             "phases": res["phases"], "counters": res["counters"],
              "storage": res["storage"], "macs_per_apply": res["macs_per_apply"],
-             "spectral_abscissa": None, "amplitude_drift": res["amplitude_drift"]}
+             "spectral_abscissa": res["spectral_abscissa"],
+             "amplitude_drift": res["amplitude_drift"]}
             for res in results]
     with open(path, "w") as fh:
         json.dump({"experiment": "annulus", "degree": results[0]["p"], "runs": runs},

@@ -1,5 +1,6 @@
-"""Explicit Runge-Kutta steppers, stability limits, critical timestep,
-generalized eigensolver for spectrum studies, and outlier removal."""
+"""Explicit Runge-Kutta steppers, stability limits, critical timestep, the
+run operator and its maximum frequency, generalized eigensolver for spectrum
+studies, and outlier removal."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
 import scipy.sparse.linalg
 
 from . import assembly
@@ -187,6 +189,13 @@ def critical_dt(c_max, omega_max):
     return c_max / omega_max
 
 
+def _with_margin(radius, tol):
+    """omega_max = sqrt(radius * (1 + tol)) from the spectral radius of
+    M^{-1} K: every estimate carries the same relative margin of about
+    ``tol / 2`` in omega (see ``power_max_frequency``)."""
+    return float(np.sqrt(radius * (1.0 + tol)))
+
+
 def power_max_frequency(apply_fn, n, tol=1e-10, max_iterations=1000):
     """Largest sqrt(|eigenvalue|) of a linear operator by implicitly restarted
     Arnoldi (ARPACK; Lehoucq, Sorensen and Yang 1998).
@@ -209,12 +218,14 @@ def power_max_frequency(apply_fn, n, tol=1e-10, max_iterations=1000):
     deviate from the dense eigenvalues by at most 7e-13 in omega, seventy
     times less than the margin of ``tol / 2`` in omega, and
     ``test_max_frequency_bounds_the_dense_oracle`` checks it for every mass
-    kind. Raises NumericalError on non-convergence, reporting the Ritz
-    estimate on the span of the last ``ARNOLDI_VECTORS`` vectors applied.
+    kind. Below ARPACK's minimum dimension (n <= 2) the eigenvalues are
+    dense, with the same margin. Raises NumericalError on non-convergence,
+    reporting the Ritz estimate on the span of the last ``ARNOLDI_VECTORS``
+    vectors applied.
     """
-    if n <= 2:  # below ARPACK's minimum dimension: the dense eigenvalues
+    if n <= 2:
         columns = np.column_stack([apply_fn(e) for e in np.eye(n)])
-        return float(np.sqrt(np.max(np.abs(np.linalg.eigvals(columns))))), n
+        return _with_margin(np.max(np.abs(np.linalg.eigvals(columns))), tol), n
     recent = deque(maxlen=ARNOLDI_VECTORS)
     applies = 0
 
@@ -244,7 +255,7 @@ def power_max_frequency(apply_fn, n, tol=1e-10, max_iterations=1000):
             f"({exc}); Ritz estimate over the last {len(recent)} Krylov vectors: "
             f"|lambda| = {ritz:.12e}"
         ) from None
-    return float(np.sqrt(np.abs(lam[0]) * (1.0 + tol))), applies
+    return _with_margin(np.abs(lam[0]), tol), applies
 
 
 class RunOperator:
@@ -257,7 +268,8 @@ class RunOperator:
     estimate and the stepping share them by passing the same operator. An
     apply is two products and counts as one stiffness apply with the terms'
     own multiply-adds. ``prolong`` maps a state grid to the free grid the
-    error is measured on.
+    error is measured on. ``fourier_eigenvalues`` gives its spectrum where
+    its angular factors are circulant.
     """
 
     def __init__(self, system, outlier=None):
@@ -288,13 +300,104 @@ class RunOperator:
     def prolong(self, grid):
         return grid if self.outlier is None else self.outlier.prolong(grid)
 
+    @cached_property
+    def fourier_eigenvalues(self):
+        """The eigenvalues mu of the operator from its angular Fourier
+        blocks, one row per wavenumber k = 0 .. m // 2, for a Petrov (dual
+        test mode) system whose trailing direction is periodic; None for any
+        other system, or when a Q_t is not circulant (``_circulant_symbols``).
+
+        With every Q_t circulant, the Fourier mode f_k of the m angular
+        functions is an eigenvector of each Q_t with eigenvalue q_t(k), entry
+        k of the DFT of its first column, so the operator maps x f_k^T to
+        (sum_t q_t(k) P_t) x f_k^T. Wavenumber m - k gives the conjugate
+        block. The reduction T acts on axis 0 only, so an outlier-reduced
+        operator has the same structure with its reduced P_t. The
+        M-self-adjoint kinds keep ARPACK, which is the faster one for them from
+        n_r = 16 (lumped) or 32 (Galerkin) on.
+        """
+        system = self.system
+        if system.test_mode != "dual" or system.ndim != 2 or not system.spaces[1].periodic:
+            return None
+        terms = self.terms
+        symbols = _circulant_symbols(terms.inner, terms.m)
+        if symbols is None:
+            return None
+        n0, n_terms = terms.outer.shape[0], terms.n_terms
+        outer = terms.outer.toarray() if sp.issparse(terms.outer) else terms.outer
+        P = outer.reshape(n0, n_terms, n0).transpose(1, 0, 2).reshape(n_terms, -1)
+        # real products, as in ``_circulant_symbols``
+        blocks = (symbols.real.T @ P).astype(complex)
+        blocks.imag = symbols.imag.T @ P
+        return np.linalg.eigvals(blocks.reshape(-1, n0, n0))
+
+    @property
+    def spectral_abscissa(self):
+        """The largest growth rate max Re sqrt(mu) of (d, v)' = (v, L d) over
+        the eigenvalues mu of this operator L, from ``fourier_eigenvalues``;
+        None without them."""
+        mu = self.fourier_eigenvalues
+        return None if mu is None else float(np.max(np.sqrt(mu).real))
+
+
+# The largest deviation of an angular factor Q_t from the circulant matrix of
+# its first column, relative to its largest entry, that counts as round-off.
+# It grows with the angular resolution, as the local coordinates of the
+# quadrature points lose digits: at most 1.2e-14 up to 192 angular functions
+# on the annulus, 4.8e-13 at 1950. An eigenvalue error of that order stays
+# far inside the margin tol = 1e-10 of every omega_max estimate.
+CIRCULANT_RTOL = 1e-11
+
+
+def _circulant_symbols(inner, m):
+    """The symbols q_t(k), k = 0 .. m // 2, of the m x m blocks Q_t stacked
+    in ``inner`` (dense or CSR), one row per block: entry k of the DFT of
+    each first column. None unless each Q_t is the circulant matrix of its
+    first column to ``CIRCULANT_RTOL``.
+
+    Both use the stored entries only, so a CSR ``inner`` is never made
+    dense. Entry (i, j) of Q_t lies on the wrapped diagonal (i - j) mod m and
+    must match the first column's entry there; a diagonal with fewer than m
+    stored entries holds zeros, so that entry must be zero too.
+    """
+    A = sp.csr_matrix(inner)
+    if not A.has_canonical_format:  # duplicate entries: left to ARPACK
+        return None
+    entries = A.tocoo(copy=False)
+    columns = []
+    for t in range(A.shape[0] // m):
+        part = slice(A.indptr[t * m], A.indptr[(t + 1) * m])
+        row, col, data = entries.row[part] - t * m, entries.col[part], entries.data[part]
+        first = np.zeros(m)
+        first[row[col == 0]] = data[col == 0]
+        diagonal = (row - col) % m
+        stored = np.bincount(diagonal, minlength=m)
+        bound = CIRCULANT_RTOL * np.max(np.abs(first))
+        if (np.any(np.abs(data - first[diagonal]) > bound)
+                or np.any(np.abs(first[stored < m]) > bound)):
+            return None
+        columns.append(first)
+    # sum_l c_l exp(-2 pi i l k / m) over the nonzero rows l of the first
+    # columns, l k reduced mod m in integers: real products over the band,
+    # which keep numpy.fft and complex BLAS (each paging in a few hundred kB
+    # of code) out of the run
+    nonzero = np.flatnonzero(np.any(columns, axis=0))
+    angle = 2.0 * np.pi / m * (np.outer(nonzero, np.arange(m // 2 + 1)) % m)
+    first = np.array(columns)[:, nonzero]
+    return first @ np.cos(angle) - 1j * (first @ np.sin(angle))
+
 
 def max_frequency(run, tol=1e-10):
     """Maximum discrete frequency of a ``RunOperator`` (plain or
-    outlier-reduced), matrix-free (see ``power_max_frequency``). The
-    operator's terms are built here if no apply came first, and a run that
-    steps with the same operator reuses them.
+    outlier-reduced), sqrt(rho (1 + tol)) of its spectral radius rho: from
+    its angular Fourier blocks where it has them (``fourier_eigenvalues``),
+    else matrix-free by ARPACK (``power_max_frequency``). The operator's
+    terms are built here if no apply came first, and a run that steps with
+    the same operator reuses them.
     """
+    mu = run.fourier_eigenvalues
+    if mu is not None:
+        return _with_margin(np.max(np.abs(mu)), tol)
     omega, _ = power_max_frequency(lambda vec: run.apply(vec.reshape(run.shape)).ravel(),
                                    run.n, tol)
     return omega

@@ -163,6 +163,15 @@ def test_power_iteration_diagonal():
         assert applies >= n
 
 
+def test_dense_branch_carries_the_arnoldi_margin():
+    # n <= 2 takes the dense eigenvalues, with the margin of every estimate
+    A = np.diag([1.0, 4.0])
+    for tol in (1e-10, 1e-4):
+        omega, applies = power_max_frequency(lambda v: A @ v, 2, tol)
+        assert omega == pytest.approx(np.sqrt(4.0 * (1.0 + tol)), rel=1e-15)
+        assert applies == 2
+
+
 def test_power_iteration_matches_dense_string():
     system = string_system(1, 20)
     K, masses = string_dense_matrices(system)
@@ -248,13 +257,15 @@ def test_outlier_removal_increases_critical_dt(p):
 RUN_KINDS = ["galerkin_consistent", "customized", "rowsum_lumped"]
 
 
-def membrane_system(kind, p=3, n_r=8):
-    """An annulus system with the membrane run's Dirichlet sides and dual widths."""
+def membrane_system(kind, p=3, n_r=8, n_theta=None):
+    """An annulus system with the membrane run's Dirichlet sides and dual
+    widths, 2 n_r angular elements unless ``n_theta`` says otherwise."""
     from iga_explicit.geometry import annulus_map
     from iga_explicit.splinecore import PERIODIC
 
+    n_theta = 2 * n_r if n_theta is None else n_theta
     return DiscreteSystem(
-        [uniform_space(n_r, p), uniform_space(2 * n_r, p, boundary_kind=PERIODIC)],
+        [uniform_space(n_r, p), uniform_space(n_theta, p, boundary_kind=PERIODIC)],
         geometry=annulus_map(2.0, 5.0), mass_kind=kind,
         dirichlet=[(True, True), (False, False)], dual_halfwidth=(p, p + 1),
     )
@@ -405,6 +416,114 @@ def test_max_frequency_bounds_the_dense_oracle(p, n_r, kind, outlier):
     # never an underestimate, which would give an unstable timestep
     assert omega >= exact
     assert omega <= exact * (1.0 + 1e-8)
+
+
+@pytest.mark.parametrize("p,n_r,outlier", [(3, 32, False), (5, 16, False), (5, 8, True)])
+def test_fourier_blocks_match_arpack_on_the_same_run_operator(p, n_r, outlier):
+    system = membrane_system("customized", p, n_r)
+    run = RunOperator(system, outlier_removal(system) if outlier else None)
+    omega = max_frequency(run)
+    assert run.fourier_eigenvalues is not None
+    assert system.counters["stiffness_applies"] == 0
+    arnoldi, applies = power_max_frequency(
+        lambda v: run.apply(v.reshape(run.shape)).ravel(), run.n)
+    assert applies > 0
+    # both carry the margin sqrt(1 + tol)
+    assert omega == pytest.approx(arnoldi, rel=1e-12)
+
+
+@pytest.mark.parametrize("outlier", [False, True])
+def test_fourier_blocks_hold_the_whole_spectrum(outlier):
+    system = membrane_system("customized", 3, 8)
+    con = outlier_removal(system) if outlier else None
+    run = RunOperator(system, con)
+    mu = run.fourier_eigenvalues
+    m = system.free_shape[1]
+    assert mu.shape == (m // 2 + 1, run.shape[0])
+    # wavenumbers 1 .. m/2 - 1 stand for their conjugates m - k too
+    every = np.concatenate([mu.ravel(), np.conj(mu[1 : m // 2]).ravel()])
+    shape, rhs = separate_rhs(system, con)
+    dense = np.linalg.eigvals(np.column_stack(
+        [-rhs(e.reshape(shape)).ravel() for e in np.eye(run.n)]))
+    assert len(every) == len(dense)
+    scale = np.max(np.abs(dense))
+    for part in (np.abs, np.real, np.imag):
+        assert np.max(np.abs(np.sort(part(every)) - np.sort(part(dense)))) <= 1e-10 * scale
+
+
+def test_max_frequency_falls_back_to_arpack_on_a_clamped_petrov_square():
+    # the customized kind on a square clamped in both directions: no
+    # periodic direction, no Fourier blocks
+    space = uniform_space(8, 3)
+    system = DiscreteSystem([space, space], mass_kind="customized",
+                            dirichlet=[(True, True), (True, True)])
+    run = RunOperator(system)
+    omega = max_frequency(run)
+    assert run.fourier_eigenvalues is None and run.spectral_abscissa is None
+    assert system.counters["stiffness_applies"] > 0
+    exact = dense_omega(system)
+    assert exact <= omega <= exact * (1.0 + 1e-8)
+
+
+@pytest.mark.parametrize("change", ["scale", "drop"])
+@pytest.mark.parametrize("n_theta", [16, 160])  # a dense and a CSR inner
+def test_max_frequency_falls_back_to_arpack_off_circulant(n_theta, change):
+    import scipy.sparse as sp
+
+    system = membrane_system("customized", 3, 8, n_theta)
+    run = RunOperator(system)
+    inner = run.terms.inner
+    assert sp.issparse(inner) == (n_theta == 160)
+    # one entry of Q_0 off its first column's diagonal value, or gone
+    inner[3, 5] = 0.0 if change == "drop" else inner[3, 5] * (1.0 + 1e-6)
+    if sp.issparse(inner):
+        inner.eliminate_zeros()
+    max_frequency(run)
+    assert run.fourier_eigenvalues is None
+    assert system.counters["stiffness_applies"] > 0
+
+
+def test_fourier_blocks_read_a_csr_inner_without_densifying():
+    import tracemalloc
+
+    import scipy.sparse as sp
+
+    system = membrane_system("customized", 3, 8, n_theta=160)
+    run = RunOperator(system)
+    terms = run.terms
+    assert sp.issparse(terms.inner)
+    tracemalloc.start()
+    try:
+        max_frequency(run)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert run.fourier_eigenvalues is not None
+    assert system.counters["stiffness_applies"] == 0
+    assert peak < 8 * terms.m**2, peak  # one m x m float array
+
+
+def cli_membrane(p, n_r):
+    """The customized system of ``annulus --degree p --n_elems n_r``."""
+    from iga_explicit.benchmarks import annulus_solution
+    from iga_explicit.cli import _annulus_system
+
+    return _annulus_system(annulus_solution(), p, n_r, 2 * n_r, "customized", (p, p + 1))
+
+
+# max Re sqrt(mu) of the CLI's customized runs: the same to the last digit
+# with one and two BLAS threads; the stable meshes give round-off, at most
+# 2.7e-14
+@pytest.mark.parametrize("p,n_r,abscissa", [
+    (3, 8, 0.0), (3, 16, 0.18728733530272273), (3, 32, 0.26894045065474914),
+    (5, 16, 0.0), (5, 32, 0.20912282187382808),
+])
+def test_spectral_abscissa_of_the_customized_membrane(p, n_r, abscissa):
+    run = RunOperator(cli_membrane(p, n_r))
+    if abscissa == 0.0:
+        assert 0.0 <= run.spectral_abscissa <= 1e-12
+    else:
+        assert run.spectral_abscissa == pytest.approx(abscissa, rel=1e-8)
 
 
 def assert_matches_separate_rhs(system, outlier):
