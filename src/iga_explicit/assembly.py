@@ -368,25 +368,24 @@ class DiscreteSystem:
             raise ValueError("geometry grids require a 2D system with a map")
         x1, x2 = self.tables(0)[0][:, None], self.tables(1)[0][None, :]
         geo = self.geometry
+        # each full-grid temporary is dropped once consumed: F after F^{-1},
+        # the Jacobian gradient (8 grids) before A is built, F^{-1} after A
         F = geo.jacobian(x1, x2)
         det = _det2(F)
         if np.min(det) <= 0.0:
             raise NumericalError("non-positive Jacobian determinant at quadrature point")
         Finv = _inv2(F, det)
+        del F
+        grids = {"det": det, "c": det * geo.rho}
+        if self.test_mode == "dual":
+            grids["grad_c"] = weight_gradient(geo.rho, det, Finv, geo.jacobian_gradient(x1, x2))
         # kappa * det(F) * F^{-1} F^{-T}, symmetric 2x2 per point
         A11 = self.kappa * det * (Finv[0, 0] ** 2 + Finv[0, 1] ** 2)
         A12 = self.kappa * det * (Finv[0, 0] * Finv[1, 0] + Finv[0, 1] * Finv[1, 1])
         A22 = self.kappa * det * (Finv[1, 0] ** 2 + Finv[1, 1] ** 2)
+        del Finv
         XY = geo.value(x1, x2)
-        grids = {
-            "A": [[A11, A12], [A12, A22]],
-            "det": det,
-            "c": det * geo.rho,
-            "X": XY[0],
-            "Y": XY[1],
-        }
-        if self.test_mode == "dual":
-            grids["grad_c"] = weight_gradient(geo.rho, det, Finv, geo.jacobian_gradient(x1, x2))
+        grids.update(A=[[A11, A12], [A12, A22]], X=XY[0], Y=XY[1])
         return grids
 
     @cached_property
@@ -477,6 +476,10 @@ def mass_operator(system):
 # fraction of the largest coefficient of the form
 SEPARATION_TOL = 1e-13
 
+# a rank-1 update of the cross approximation subtracts its outer product in
+# this many blocks of rows, so that its temporary is this fraction of the grid
+SEPARATION_BLOCKS = 8
+
 
 def _stiffness_form(system):
     """The stiffness form as (coefficient grid, test pattern, trial pattern)
@@ -500,8 +503,10 @@ def _stiffness_form(system):
     scale = W / c if dual else W
     form = [(scale * A[a][b], derivative[a], derivative[b]) for a in axes for b in axes]
     if dual:
+        weight = -W / c**2
+        del W, scale  # two grids fewer at the products below
         values = np.zeros(system.ndim, dtype=int)
-        form += [(-W / c**2 * sum(grad_c[a] * A[a][b] for a in axes), values, derivative[b])
+        form += [(weight * sum(grad_c[a] * A[a][b] for a in axes), values, derivative[b])
                  for b in axes]
     return form
 
@@ -513,16 +518,23 @@ def _separate(grid, bound):
     Each step takes the largest residual entry (i, j) and subtracts the
     outer product of residual column j and residual row i / R[i, j], which
     zeros that row and column. A one-axis grid is a single column, whose row
-    factor is exactly 1.
+    factor is exactly 1. A float array is overwritten by the residual: the
+    search and the update work in place, with no temporary of its size.
     """
-    R = np.array(grid, dtype=float).reshape(len(grid), -1)
+    R = np.asarray(grid, dtype=float).reshape(len(grid), -1)
+    step = -(-len(R) // SEPARATION_BLOCKS)
     terms = []
     for _ in range(min(R.shape) + 1):
-        i, j = np.unravel_index(np.argmax(np.abs(R)), R.shape)
+        # the first largest |R|: the first of argmax R and argmin R on a tie
+        hi, lo = R.argmax(), R.argmin()
+        top, bottom = R.flat[hi], -R.flat[lo]
+        i, j = np.unravel_index(hi if top > bottom else lo if bottom > top else min(hi, lo),
+                                R.shape)
         if abs(R[i, j]) <= bound:
             return terms
         u, v = R[:, j].copy(), R[i] / R[i, j]
-        R -= np.outer(u, v)
+        for rows in range(0, len(R), step):
+            R[rows:rows + step] -= np.outer(u[rows:rows + step], v)
         terms.append((u, v))
     raise NumericalError("stiffness coefficient grid did not separate")
 
@@ -610,18 +622,25 @@ def _stiffness_kernel(system):
     evs = [system.tables(k)[3] for k in range(system.ndim)]
     free = [system.free_range(k) for k in range(system.ndim)]
     n0, m = system.free_shape[0], int(np.prod(system.free_shape[1:]))
-    form = _stiffness_form(system)
-    bound = SEPARATION_TOL * max(np.max(np.abs(grid)) for grid, _, _ in form)
-    groups = {}
-    for grid, test, trial in form:
+    groups, bound = {}, 0.0
+    for grid, test, trial in _stiffness_form(system):
+        bound = max(bound, grid.max(), -grid.min())
         key = (tuple(test[1:]), tuple(trial[1:]))
         groups.setdefault(key, []).append((grid, test[0], trial[0]))
+    bound *= SEPARATION_TOL
+    del grid
     outer, inner = [], []
-    for (tests, trials), entries in groups.items():
+    while groups:
+        # in insertion order, which fixes the order of the terms; each
+        # group's grids are dropped once stacked, and separated in place
+        tests, trials = key = next(iter(groups))
+        entries = groups.pop(key)
         stacked = np.concatenate([grid for grid, _, _ in entries])
+        patterns = [(t, r) for _, t, r in entries]
+        del entries
         for u, v in _separate(stacked, bound):
-            outer.append(_entries(evs[0], free[0], [(t, r, u_e) for (_, t, r), u_e in
-                                                    zip(entries, u.reshape(len(entries), -1))]))
+            outer.append(_entries(evs[0], free[0], [(t, r, u_e) for (t, r), u_e in
+                                                    zip(patterns, u.reshape(len(patterns), -1))]))
             # B_t: a system has one axis after the first at most, and 1D has [1]
             factor = (np.ones(1), np.zeros(1, dtype=int), np.zeros(1, dtype=int))
             for ev, f, t, r in zip(evs[1:], free[1:], tests, trials):

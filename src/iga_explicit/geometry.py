@@ -145,16 +145,19 @@ def weight_field(geo):
 
 def weight_gradient(rho, det, Finv, dF):
     """The parametric gradient of c = det(F) rho by Jacobi's formula, from
-    det(F), F^{-1} and the Jacobian gradient dF at the same points."""
-    out = np.empty((2,) + det.shape)
+    det(F), F^{-1} and the Jacobian gradient dF at the same points.
+
+    Each trace is summed in place in its row of the result, in the order
+    of its four products, so one product is the only temporary; ``out[k,
+    ...]`` is a view also for scalar points."""
+    out = np.empty((2,) + np.shape(det))
     for k in range(2):
-        trace = (
-            Finv[0, 0] * dF[0, 0, k]
-            + Finv[0, 1] * dF[1, 0, k]
-            + Finv[1, 0] * dF[0, 1, k]
-            + Finv[1, 1] * dF[1, 1, k]
-        )
-        out[k] = rho * det * trace
+        trace = out[k, ...]
+        np.multiply(Finv[0, 0], dF[0, 0, k], out=trace)
+        trace += Finv[0, 1] * dF[1, 0, k]
+        trace += Finv[1, 0] * dF[0, 1, k]
+        trace += Finv[1, 1] * dF[1, 1, k]
+        trace *= rho * det
     return out
 
 

@@ -13,7 +13,9 @@ flattening, band storage of a dense matrix, the dense Petrov mass) build the
 dense operators the Kronecker and banded ones are checked against. The CSR
 route oracles assemble the stiffness kernel and the run operator through
 scipy.sparse (a full-space CSR build restricted by fancy indexing, CSR
-blocks per term) for the direct by-fill builds to be checked against.
+blocks per term) for the direct by-fill builds to be checked against. The
+weight gradient's four-term sum and the copying cross approximation are the
+forms the in-place ones must reproduce bit for bit.
 """
 
 import numpy as np
@@ -153,6 +155,38 @@ def petrov_mass_dense(system):
     M = np.einsum("qac,qr,rbd->abcd", T1, W, T2)
     n1, n2 = system.full_shape
     return M.transpose(1, 0, 3, 2).reshape(n1 * n2, n1 * n2)
+
+
+def four_term_weight_gradient(rho, det, Finv, dF):
+    """The parametric gradient of c = det(F) rho by Jacobi's formula, each
+    trace one expression of its four products."""
+    out = np.empty((2,) + np.shape(det))
+    for k in range(2):
+        trace = (
+            Finv[0, 0] * dF[0, 0, k]
+            + Finv[0, 1] * dF[1, 0, k]
+            + Finv[1, 0] * dF[0, 1, k]
+            + Finv[1, 1] * dF[1, 1, k]
+        )
+        out[k] = rho * det * trace
+    return out
+
+
+def copying_separate(grid, bound):
+    """Fully pivoted cross approximation on a copy of the grid: the pivot is
+    the first largest entry of |R|, the update one outer product."""
+    from iga_explicit.errors import NumericalError
+
+    R = np.array(grid, dtype=float).reshape(len(grid), -1)
+    terms = []
+    for _ in range(min(R.shape) + 1):
+        i, j = np.unravel_index(np.argmax(np.abs(R)), R.shape)
+        if abs(R[i, j]) <= bound:
+            return terms
+        u, v = R[:, j].copy(), R[i] / R[i, j]
+        R -= np.outer(u, v)
+        terms.append((u, v))
+    raise NumericalError("stiffness coefficient grid did not separate")
 
 
 def csr_by_fill(A):

@@ -8,6 +8,7 @@ import scipy.sparse as sp
 from numpy.testing import assert_allclose
 from oracle_utils import (
     banded_from_dense,
+    copying_separate,
     csr_factor_inverses,
     csr_run_terms,
     csr_stiffness_kernel,
@@ -23,6 +24,7 @@ from iga_explicit.assembly import (
     DiscreteSystem,
     InverseFactor,
     KroneckerOperator,
+    _separate,
     assembled_stiffness_1d,
     mass_operator,
     moments,
@@ -502,21 +504,74 @@ def test_mixed_storage_direct_builds_match_the_csr_route(kind):
     assert_direct_builds_match_the_csr_route(system)
 
 
-def test_sparse_kernel_allocates_no_dense_square():
+def traced_peak(build):
+    """Peak bytes that ``build()`` allocates above what was traced before."""
     import tracemalloc
 
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        build()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_sparse_kernel_allocates_no_dense_square():
     # 1998 free functions at 7 nonzeros per row: CSR by its fill
     system = DiscreteSystem([uniform_space(1997, 3)], dirichlet=[(True, True)])
     system.tables(0)
-    tracemalloc.start()
-    try:
-        kernel = system.stiffness_kernel
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: system.stiffness_kernel)
+    kernel = system.stiffness_kernel
     n = system.n_free
     assert n == 1998 and sp.issparse(kernel.outer)
     assert peak < 8 * n * n / 2, peak  # half of one n x n float array
+
+
+# peak of the geometry grids and the stiffness kernel together, in full
+# float64 quadrature grids: the customized kind's weight gradient and the
+# grids of its form make its share the larger one
+@pytest.mark.parametrize("kind,grids", [("customized", 21), ("galerkin_consistent", 13)])
+@pytest.mark.parametrize("n_r", [16, 32])
+def test_setup_peak_in_quadrature_grids(kind, grids, n_r):
+    system = DiscreteSystem(
+        [uniform_space(n_r, 3), uniform_space(2 * n_r, 3, boundary_kind=PERIODIC)],
+        geometry=annulus_map(2.0, 5.0), mass_kind=kind,
+        dirichlet=[(True, True), (False, False)])
+    size = 8 * len(system.tables(0)[0]) * len(system.tables(1)[0])
+    peak = traced_peak(lambda: (system.geometry_grids(), system.stiffness_kernel))
+    assert peak <= grids * size, peak / size
+
+
+def test_separation_allocates_no_temporary_of_the_grid_size():
+    rng = np.random.default_rng(3)
+    m, n = 240, 150
+    grid = sum(np.outer(rng.standard_normal(m), rng.standard_normal(n)) for _ in range(3))
+    bound = 1e-13 * np.max(np.abs(grid))
+    residual = grid.copy()
+    peak = traced_peak(lambda: _separate(residual, bound))
+    assert len(copying_separate(grid, bound)) == 3 and peak < 8 * m * n, peak
+
+
+def small_integer_grid(seed):
+    rng = np.random.default_rng(seed)
+    return rng.integers(-3, 4, (9, 3)) @ rng.integers(-3, 4, (3, 12)).astype(float)
+
+
+# the pivot is the first largest |R| also when a positive and a negative
+# entry tie in magnitude
+@pytest.mark.parametrize("grid", [
+    np.array([[2.0, -2.0, 1.0], [1.0, 1.0, 0.5]]),  # the positive one first
+    np.array([[-2.0, 2.0, 1.0], [1.0, 1.0, 0.5]]),  # the negative one first
+    # seeds 1 and 15 tie at a later step
+    *(small_integer_grid(seed) for seed in (0, 1, 15)),
+])
+def test_separation_pivots_as_the_largest_magnitude_search(grid):
+    want = copying_separate(grid, 1e-12)
+    got = _separate(grid.copy(), 1e-12)
+    assert len(got) == len(want)
+    for (u, v), (u_want, v_want) in zip(got, want):
+        assert u.tobytes() == u_want.tobytes() and v.tobytes() == v_want.tobytes()
 
 
 @pytest.mark.parametrize("n_el,sparse", [(12, False), (200, True)])

@@ -465,6 +465,39 @@ def test_max_frequency_falls_back_to_arpack_on_a_clamped_petrov_square():
     assert exact <= omega <= exact * (1.0 + 1e-8)
 
 
+def test_arpack_is_loaded_only_for_an_arnoldi_estimate():
+    # a fresh interpreter: the package imports without ARPACK, and the
+    # Galerkin membrane's omega_max still comes from it, the same value
+    import os
+    import subprocess
+    import sys
+
+    code = (
+        "import sys\n"
+        "import iga_explicit\n"
+        "print('scipy.sparse.linalg' in sys.modules)\n"
+        "from iga_explicit import DiscreteSystem, annulus_map, uniform_space\n"
+        "from iga_explicit.splinecore import PERIODIC\n"
+        "from iga_explicit.dynamics import RunOperator, max_frequency\n"
+        "system = DiscreteSystem([uniform_space(8, 3), uniform_space(16, 3, "
+        "boundary_kind=PERIODIC)], geometry=annulus_map(2.0, 5.0), "
+        "mass_kind='galerkin_consistent', dirichlet=[(True, True), (False, False)], "
+        "dual_halfwidth=(3, 4))\n"
+        "print(repr(max_frequency(RunOperator(system))))\n"
+        "print('scipy.sparse.linalg' in sys.modules)\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    before, omega, after = proc.stdout.split()
+    run = RunOperator(membrane_system("galerkin_consistent"))
+    assert (before, after) == ("False", "True")
+    assert float(omega) == max_frequency(run) and run.fourier_eigenvalues is None
+
+
 @pytest.mark.parametrize("change", ["scale", "drop"])
 @pytest.mark.parametrize("n_theta", [16, 160])  # a dense and a CSR inner
 def test_max_frequency_falls_back_to_arpack_off_circulant(n_theta, change):
@@ -512,8 +545,8 @@ def cli_membrane(p, n_r):
 
 
 # max Re sqrt(mu) of the CLI's customized runs: the same to the last digit
-# with one and two BLAS threads; the stable meshes give round-off, at most
-# 2.7e-14
+# with one and two BLAS threads; on the stable meshes the round-off (at most
+# 2.7e-14) lies below the floor ABSCISSA_ROUNDOFF eps omega_max and reads 0
 @pytest.mark.parametrize("p,n_r,abscissa", [
     (3, 8, 0.0), (3, 16, 0.18728733530272273), (3, 32, 0.26894045065474914),
     (5, 16, 0.0), (5, 32, 0.20912282187382808),
@@ -521,7 +554,7 @@ def cli_membrane(p, n_r):
 def test_spectral_abscissa_of_the_customized_membrane(p, n_r, abscissa):
     run = RunOperator(cli_membrane(p, n_r))
     if abscissa == 0.0:
-        assert 0.0 <= run.spectral_abscissa <= 1e-12
+        assert run.spectral_abscissa == 0.0
     else:
         assert run.spectral_abscissa == pytest.approx(abscissa, rel=1e-8)
 

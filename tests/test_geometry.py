@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from oracle_utils import four_term_weight_gradient
 
 from iga_explicit.assembly import DiscreteSystem, project_initial, stiffness_apply
 from iga_explicit.benchmarks import l2_error
@@ -13,6 +14,7 @@ from iga_explicit.geometry import (
     annulus_map,
     identity_map,
     weight_field,
+    weight_gradient,
 )
 from iga_explicit.splinecore import PERIODIC, uniform_space
 
@@ -173,6 +175,28 @@ def test_geometry_grids_match_full_grid_evaluation_exactly(p, n_r):
     for a in range(2):
         for b in range(2):
             assert np.array_equal(g["A"][a][b], A[a][b]), (a, b)
+
+
+def test_weight_gradient_sums_in_place_bit_for_bit():
+    # the in-place traces against one four-term expression each, on the
+    # annulus at scalar points, on an (n1, 1) x (1, n2) grid and on random
+    # factors of every component
+    geo = annulus_map(2.0, 5.0, rho=1.3)
+    xs = np.linspace(0.0, 1.0, 23)
+    points = [(x1, x2) for x1 in (0.0, 0.37, 1.0) for x2 in (0.0, 0.61, 0.999)]
+    points.append((xs[:, None], xs[None, ::-1] ** 2))
+    for x1, x2 in points:
+        F = geo.jacobian(x1, x2)
+        det = _det2(F)
+        args = (geo.rho, det, _inv2(F, det), geo.jacobian_gradient(x1, x2))
+        got, want = weight_gradient(*args), four_term_weight_gradient(*args)
+        assert got.shape == want.shape == (2,) + np.shape(x1 + x2)
+        assert np.array_equal(got, want)
+    rng = np.random.default_rng(5)
+    for shape in ((), (7,), (5, 9)):
+        args = (1.7, rng.standard_normal(shape), rng.standard_normal((2, 2) + shape),
+                rng.standard_normal((2, 2, 2) + shape))
+        assert weight_gradient(*args).tobytes() == four_term_weight_gradient(*args).tobytes()
 
 
 def test_map_is_evaluated_once_on_the_quadrature_grid():
