@@ -61,12 +61,14 @@ RUN_MASS_KINDS = tuple(MASS_KINDS)
 # mass_kind value -> the kinds a run covers
 KIND_SELECTIONS = {"all": RUN_MASS_KINDS, **{kind: (kind,) for kind in RUN_MASS_KINDS}}
 
-# The largest inputs accepted, each with its peak RSS measured at the bound
-# (README). The clamped dual's constraint SVD factors, held per mirror block,
-# grow with the square of its dimension: the project dimensions and the
-# annulus radial functions.
-# The periodic angular mass factors are inverted densely, and the quadrature
-# grids grow with the number of functions, radial times angular.
+# The largest inputs accepted; README gives the peak RSS measured at each.
+# DUAL_MAX_N bounds the dimension of the project and annulus radial clamped
+# duals: each mirror block of a dual's constraint matrix is factored in its
+# own memory, one block at a time, and the blocks and their SVD factors grow
+# with the square of the dimension (spectrum and stability take the bound of
+# their dense eigensolver, EIGENSOLVE_MAX_N). The periodic angular mass
+# factors are inverted densely, and the quadrature grids grow with the
+# number of functions, radial times angular.
 DUAL_MAX_N = 500
 ANNULUS_MAX_ANGULAR = 2000
 ANNULUS_MAX_FUNCTIONS = 32768
@@ -266,7 +268,18 @@ def computed_cmax(scheme):
     return stability_limit(TABLEAUS[scheme])
 
 
-def _base_metadata(config, system=None, extra=None):
+def _system_metadata(system):
+    """The CSV metadata a run takes from its discrete system."""
+    return {
+        "dual_halfwidth": system.dual_halfwidths,
+        "quad_points_mass": system.mass_points,
+        "quad_points_stiffness": system.stiffness_points,
+        "dirichlet_sides": list(system.dirichlet),
+        "kappa": system.kappa,
+    }
+
+
+def _base_metadata(config, system_md, extra):
     md = {
         "experiment": config.experiment,
         "degree": config.degree,
@@ -280,14 +293,8 @@ def _base_metadata(config, system=None, extra=None):
         "cmax_paper": PAPER_CMAX,
         "cmax_computed": {k: round(computed_cmax(k), 6) for k in TABLEAUS},
     }
-    if system is not None:
-        md["dual_halfwidth"] = system.dual_halfwidths
-        md["quad_points_mass"] = system.mass_points
-        md["quad_points_stiffness"] = system.stiffness_points
-        md["dirichlet_sides"] = list(system.dirichlet)
-        md["kappa"] = system.kappa
-    if extra:
-        md.update(extra)
+    md.update(system_md)
+    md.update(extra)
     return md
 
 
@@ -355,7 +362,8 @@ def run_spectrum(config):
         "err_customized",
         "err_lumped",
     ]
-    md = _base_metadata(config, system, {"n_dimension": config.n, "n_modes": n_modes})
+    md = _base_metadata(config, _system_metadata(system),
+                        {"n_dimension": config.n, "n_modes": n_modes})
     path = os.path.join(config.output_dir, f"spectrum_p{p}.csv")
     return write_csv(path, md, header, rows)
 
@@ -398,7 +406,7 @@ def run_project(config):
             }[(dl, dr)]
             rows.append([name, p, n_dim, constrained, err])
     header = ["function", "p", "N", "constrained", "l2_error"]
-    md = _base_metadata(config, system, {"n_values": list(config.n_values)})
+    md = _base_metadata(config, _system_metadata(system), {"n_values": list(config.n_values)})
     path = os.path.join(config.output_dir, f"project_p{p}.csv")
     return write_csv(path, md, header, rows)
 
@@ -430,7 +438,8 @@ def run_stability(config):
         "dt_crit",
         "ratio_vs_consistent",
     ]
-    md = _base_metadata(config, system, {"n_dimension": config.n, "scheme": scheme})
+    md = _base_metadata(config, _system_metadata(system),
+                        {"n_dimension": config.n, "scheme": scheme})
     path = os.path.join(config.output_dir, f"stability_p{p}.csv")
     return write_csv(path, md, header, rows)
 
@@ -587,7 +596,6 @@ def run_annulus(config):
     ]
     all_results = []
     paths = []
-    system_for_md = None
     for n_r in config.n_elems:
         n_theta = config.angular_factor * n_r
         rows = []
@@ -597,7 +605,8 @@ def run_annulus(config):
                 sol, p, n_r, n_theta, kind, scheme, config.dt_fraction,
                 config.outlier_removed, config.beta,
             )
-            system_for_md = res["system"]
+            # a sweep keeps no finished system, only what its CSVs read
+            system_md = _system_metadata(res.pop("system"))
             all_results.append(res)
             rows.append(
                 [
@@ -607,7 +616,7 @@ def run_annulus(config):
                 ]
             )
         md = _base_metadata(
-            config, system_for_md,
+            config, system_md,
             {"inner_radius": sol.inner_radius, "outer_radius": sol.outer_radius,
              "period": sol.period, "angular_wavenumber": sol.angular_wavenumber},
         )
@@ -633,7 +642,7 @@ def run_annulus(config):
             )
             prev_err = res["l2_rel_error"]
     md = _base_metadata(
-        config, system_for_md,
+        config, system_md,
         {"inner_radius": sol.inner_radius, "outer_radius": sol.outer_radius,
          "period": sol.period, "meshes": list(config.n_elems)},
     )

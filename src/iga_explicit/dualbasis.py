@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 
 import numpy as np
+import scipy.linalg
 
 from .banded import BandedSymmetricMatrix
 from .errors import NumericalError
@@ -353,9 +354,11 @@ def _mirror_svd(A, shape, row_mirror, row_sign, col_mirror):
     is a sum of at most two terms at either step, added from +0 as a sparse
     product adds them. The coupling blocks of C are measured, not assumed
     zero; when they exceed 1e-12 max|A| (an asymmetric mesh), the bases are
-    the identity and A is decomposed as one dense block. Returns Qr and Qc,
-    per block (row slice, column slice, u, s, vt), with vt square on a block
-    with fewer rows than columns, and the block shapes and coupling.
+    the identity and A is decomposed as one dense block. Each block is
+    factored in its own memory; one that is not finite or whose SVD does not
+    converge is a NumericalError. Returns Qr and Qc, per block (row slice,
+    column slice, u, s, vt), with vt square on a block with fewer rows than
+    columns, and the block shapes and coupling.
     """
     nr, nc = shape
     Qr, re = _mirror_basis(row_mirror, row_sign)
@@ -378,11 +381,22 @@ def _mirror_svd(A, shape, row_mirror, row_sign, col_mirror):
         blocks = [(slice(0, nr), slice(0, nc))]
     factors, shapes = [], []
     for rows, cols in blocks:
-        B = np.zeros((rows.stop - rows.start, cols.stop - cols.start))
+        # Fortran order lets LAPACK factor B where it is, with no copy
+        B = np.zeros((rows.stop - rows.start, cols.stop - cols.start), order="F")
         at = (i >= rows.start) & (i < rows.stop) & (j >= cols.start) & (j < cols.stop)
         B[i[at] - rows.start, j[at] - cols.start] = C[at]
         shapes.append(B.shape)
-        factors.append((rows, cols, *np.linalg.svd(B, full_matrices=B.shape[0] < B.shape[1])))
+        try:
+            u, s, vt = scipy.linalg.svd(B, full_matrices=B.shape[0] < B.shape[1], overwrite_a=True)
+        except (ValueError, np.linalg.LinAlgError) as exc:
+            raise NumericalError(f"constraint SVD of the {B.shape[0]} x {B.shape[1]} block "
+                                 f"failed: {exc}") from None
+        del B
+        # C-ordered factors keep pinv_apply's products on the BLAS path that
+        # fixes the bits of S
+        u = np.ascontiguousarray(u)
+        vt = np.ascontiguousarray(vt)
+        factors.append((rows, cols, u, s, vt))
     return Qr, Qc, factors, {"block_shapes": shapes, "coupling": coupling}
 
 

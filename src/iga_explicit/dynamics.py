@@ -489,7 +489,8 @@ class OutlierConstraint:
                 col = jf if left else jf - (m - p)
                 if 0 <= col < p:
                     rows[k - 1, col] = ev.values[2 * k, l]
-        _, sv, Vt = np.linalg.svd(rows)
+        # scipy's SVD, as the clamped duals take: a run pages in one dgesdd
+        _, sv, Vt = scipy.linalg.svd(rows)
         rank = int(np.sum(sv > sv[0] * 1e-10)) if len(sv) else 0
         return Vt[rank:].T
 

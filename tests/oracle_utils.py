@@ -14,8 +14,9 @@ dense operators the Kronecker and banded ones are checked against. The CSR
 route oracles assemble the stiffness kernel and the run operator through
 scipy.sparse (a full-space CSR build restricted by fancy indexing, CSR
 blocks per term) for the direct by-fill builds to be checked against. The
-weight gradient's four-term sum and the copying cross approximation are the
-forms the in-place ones must reproduce bit for bit.
+weight gradient's four-term sum, the copying cross approximation and the
+numpy SVD of the clamped dual's mirror blocks are the forms the in-place
+ones must reproduce bit for bit.
 """
 
 import numpy as np
@@ -187,6 +188,36 @@ def copying_separate(grid, bound):
         R -= np.outer(u, v)
         terms.append((u, v))
     raise NumericalError("stiffness coefficient grid did not separate")
+
+
+def numpy_mirror_svd(A, shape, row_mirror, row_sign, col_mirror):
+    """The clamped dual's mirror-block constraint SVD with numpy's SVD, which
+    factors a private copy of each block: what ``dualbasis._mirror_svd``, which
+    factors each block in its own memory, must reproduce bit for bit."""
+    from iga_explicit.dualbasis import _mirror_basis, _summed
+
+    nr, nc = shape
+    Qr, re = _mirror_basis(row_mirror, row_sign)
+    Qc, ce = _mirror_basis(col_mirror, np.ones(nc))
+    (slots, coefs), (cslots, ccoefs) = Qr, Qc
+    k, c, a = A
+    ti, tc, t = _summed(slots[k], c[:, None], coefs[k] * a[:, None], nc)
+    i, j, C = _summed(ti[:, None], cslots[tc], t[:, None] * ccoefs[tc], nc)
+    coupling = np.abs(C[(i < re) != (j < ce)]).max(initial=0.0) / np.abs(a).max()
+    blocks = [(slice(0, re), slice(0, ce)), (slice(re, nr), slice(ce, nc))]
+    if coupling > 1e-12 or (re - ce) * (nr - re - nc + ce) < 0:
+        Qr, _ = _mirror_basis(np.arange(nr), np.ones(nr))
+        Qc, _ = _mirror_basis(np.arange(nc), np.ones(nc))
+        i, j, C = A
+        blocks = [(slice(0, nr), slice(0, nc))]
+    factors, shapes = [], []
+    for rows, cols in blocks:
+        B = np.zeros((rows.stop - rows.start, cols.stop - cols.start))
+        at = (i >= rows.start) & (i < rows.stop) & (j >= cols.start) & (j < cols.stop)
+        B[i[at] - rows.start, j[at] - cols.start] = C[at]
+        shapes.append(B.shape)
+        factors.append((rows, cols, *np.linalg.svd(B, full_matrices=B.shape[0] < B.shape[1])))
+    return Qr, Qc, factors, {"block_shapes": shapes, "coupling": coupling}
 
 
 def csr_by_fill(A):

@@ -358,6 +358,21 @@ def test_main_reports_memory_failure_without_traceback(tmp_path, monkeypatch, ca
     assert (message or "out of memory") in err
 
 
+def test_main_reports_a_failed_dual_svd_without_traceback(tmp_path, monkeypatch, capsys):
+    import scipy.linalg
+
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(scipy.linalg, "svd", no_convergence)
+    assert main(["project", "--degree", "3", "--n_values", "10",
+                 "--output_dir", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("numerical failure: constraint SVD of the ") and len(err.splitlines()) == 1
+    assert "block failed: SVD did not converge" in err
+
+
 def test_main_reports_a_failed_write_without_traceback(tmp_path, monkeypatch, capsys):
     import errno
 

@@ -1,6 +1,9 @@
 """Grammian, exact and approximate dual bases, end constraints, quasi-projection."""
 
-import tracemalloc
+import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -384,27 +387,113 @@ def test_asymmetric_mesh_is_not_split_and_unchanged(monkeypatch):
     assert np.array_equal(dual.S.bands, approximate_dual(space).S.bands)
 
 
-def traced_peak(func):
-    """Result of func() and the peak bytes traced while it ran."""
-    tracemalloc.start()
-    try:
-        return func(), tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+def one_blas_thread(code):
+    """Standard output of ``code`` run in a fresh interpreter on one BLAS
+    thread, with the package and the test oracles importable."""
+    here = os.path.dirname(__file__)
+    path = [os.path.join(here, os.pardir, "src"), here, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+# Peak RSS growth of the p=3 clamped dual on 250 functions, in MB, 1.1 times
+# its measured 19.7 (halfwidth 3) and 37.2 MB (halfwidth 6) on one BLAS
+# thread (numpy 2.4.6, scipy 1.17.1). numpy's SVD, which factors a copy of
+# each mirror block and copies its factors out, peaked at 25.5 and 44.3 MB.
+CLAMPED_DUAL_RSS_MB = {3: 22.0, 6: 41.0}
 
 
 @pytest.mark.parametrize("halfwidth", [3, 6])
-def test_clamped_dual_never_holds_the_dense_constraint_matrix_twice(halfwidth):
-    # the (p+1)n x ns constraint matrix is held as a sparse matrix and
-    # decomposed in half-size mirror blocks. Above the degree the objective
-    # step adds the null basis Z (ns x k) and row chunks of Z no larger than
-    # its k x k Hessian, so the peak stays below two dense matrices plus Z
-    dual, peak = traced_peak(lambda: approximate_dual(uniform_space(247, 3), halfwidth=halfwidth))
-    rows, ns = map(sum, zip(*dual.diagnostics["block_shapes"]))
+def test_clamped_dual_factors_its_mirror_blocks_in_place(halfwidth):
+    # the real peak, LAPACK's buffers included, which tracemalloc does not
+    # see: the growth of a fresh process's resident high-water mark (Linux
+    # VmHWM; ru_maxrss would count the parent's pages at the fork) over one
+    # that has imported the package and built a small dual of the same width
+    out = one_blas_thread(
+        "import json, re\n"
+        "from iga_explicit.dualbasis import approximate_dual\n"
+        "from iga_explicit.splinecore import uniform_space\n"
+        "def high_water():\n"
+        "    with open('/proc/self/status') as fh:\n"
+        "        return int(re.search(r'VmHWM:\\s*(\\d+) kB', fh.read()).group(1)) * 1024\n"
+        f"approximate_dual(uniform_space(20, 3), halfwidth={halfwidth})\n"
+        "before = high_water()\n"
+        f"dual = approximate_dual(uniform_space(247, 3), halfwidth={halfwidth})\n"
+        "print(json.dumps([(high_water() - before) / 1e6, dual.diagnostics['block_shapes'],\n"
+        "                  dual.diagnostics['null_directions']]))\n"
+    )
+    grown_mb, shapes, null_directions = json.loads(out)
+    rows, ns = map(sum, zip(*shapes))
     assert (rows, ns) == (4 * 250, sum(min(halfwidth, 249 - i) + 1 for i in range(250)))
-    null_basis = 8 * ns * dual.diagnostics["null_directions"]
-    assert (null_basis > 0) == (halfwidth > 3)
-    assert peak <= 2 * 8 * rows * ns + null_basis
+    assert len(shapes) == 2 and (null_directions > 0) == (halfwidth > 3)
+    assert grown_mb <= CLAMPED_DUAL_RSS_MB[halfwidth]
+
+
+def test_in_place_block_svd_gives_numpy_svd_s_bit_for_bit():
+    # on one BLAS thread: on more, numpy's and scipy's OpenBLAS builds split
+    # their products differently, and S moves in its last bits, as it does
+    # between thread counts with either SVD
+    out = one_blas_thread(
+        "import json\n"
+        "import numpy as np\n"
+        "from oracle_utils import numpy_mirror_svd\n"
+        "from iga_explicit import dualbasis\n"
+        "from iga_explicit.splinecore import make_space, uniform_space\n"
+        "cases = [(uniform_space(247, 3), 3), (uniform_space(245, 5), 5),\n"
+        "         (uniform_space(57, 3), 6), (make_space([0.0, 0.1, 0.35, 0.5, 0.8, 1.0], 3), 3)]\n"
+        "duals = [dualbasis.approximate_dual(space, hw) for space, hw in cases]\n"
+        "dualbasis._mirror_svd = numpy_mirror_svd\n"
+        "print(json.dumps([[d.diagnostics['mirror_split'], np.array_equal(d.S.bands,\n"
+        "    dualbasis.approximate_dual(space, hw).S.bands)] for d, (space, hw) in zip(duals, cases)]))\n"
+    )
+    assert json.loads(out) == [[True, True], [True, True], [True, True], [False, True]]
+
+
+@pytest.mark.parametrize("space, halfwidth", [
+    (uniform_space(37, 3), 3),  # two blocks, more rows than columns
+    (uniform_space(37, 3), 6),  # two blocks, fewer rows than columns
+    (make_space([0.0, 0.1, 0.35, 0.5, 0.8, 1.0], 3), 3),  # one block
+], ids=["split", "split-wide", "one-block"])
+def test_mirror_svd_factors_are_c_contiguous(space, halfwidth, monkeypatch):
+    from iga_explicit import dualbasis
+
+    returned = []
+    mirror_svd = dualbasis._mirror_svd
+    monkeypatch.setattr(dualbasis, "_mirror_svd",
+                        lambda *args: returned.append(mirror_svd(*args)) or returned[-1])
+    approximate_dual(space, halfwidth)
+    [(_, _, factors, split)] = returned
+    assert len(factors) == len(split["block_shapes"]) == (2 if space.n_elements == 37 else 1)
+    assert all(u.flags.c_contiguous and vt.flags.c_contiguous for _, _, u, _, vt in factors)
+
+
+def test_block_svd_that_does_not_converge_is_a_numerical_error(monkeypatch):
+    import scipy.linalg
+
+    space = uniform_space(8, 3)
+    m, n = approximate_dual(space).diagnostics["block_shapes"][0]
+
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(scipy.linalg, "svd", no_convergence)
+    with pytest.raises(NumericalError, match=f"the {m} x {n} block failed: SVD did not converge"):
+        approximate_dual(space)
+
+
+def test_non_finite_block_is_a_numerical_error():
+    from iga_explicit.dualbasis import _mirror_svd
+
+    rows, cols = np.nonzero(np.ones((4, 3)))
+    vals = np.arange(12.0)
+    vals[5] = np.nan
+    identity = np.arange(4), np.ones(4), np.arange(3)
+    with pytest.raises(NumericalError, match="the 4 x 3 block failed: .*infs or NaNs"):
+        _mirror_svd((rows, cols, vals), (4, 3), *identity)
 
 
 @pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])
