@@ -9,6 +9,20 @@ import scipy.sparse as sp
 from .errors import NumericalError
 
 
+def circulant_symbols(columns):
+    """The symbol q(k) = sum_l c_l cos(2 pi (l k mod m) / m), k = 0 .. m // 2,
+    of the symmetric circulant (c_l = c_{m - l}) of each first column c, the
+    last axis of ``columns``: its eigenvalue at Fourier modes k and m - k.
+    Real products over the rows l nonzero in some column, which keep
+    numpy.fft and complex BLAS (each paging in a few hundred kB) out of a run.
+    """
+    columns = np.asarray(columns, dtype=float)
+    m = columns.shape[-1]
+    nonzero = np.flatnonzero(np.any(columns.reshape(-1, m), axis=0))
+    angle = 2.0 * np.pi / m * (np.outer(nonzero, np.arange(m // 2 + 1)) % m)
+    return columns[..., nonzero] @ np.cos(angle)
+
+
 class BandedSymmetricMatrix:
     """Symmetric matrix stored by diagonals.
 

@@ -607,14 +607,10 @@ def run_annulus(config):
             )
             # a sweep keeps no finished system, only what its CSVs read
             system_md = _system_metadata(res.pop("system"))
-            all_results.append(res)
-            rows.append(
-                [
-                    p, n_r, n_theta, res["sqrt_dofs"], kind, scheme,
-                    res["outlier_removed"], res["dt"], res["steps"],
-                    res["l2_rel_error"], res["wall_seconds"],
-                ]
-            )
+            row = [p, n_r, n_theta, res["sqrt_dofs"], kind, scheme, res["outlier_removed"],
+                   res["dt"], res["steps"], res["l2_rel_error"], res["wall_seconds"]]
+            all_results.append((res, row))
+            rows.append(row)
         md = _base_metadata(
             config, system_md,
             {"inner_radius": sol.inner_radius, "outer_radius": sol.outer_radius,
@@ -628,18 +624,11 @@ def run_annulus(config):
     sum_rows = []
     for kind in config.kinds():
         prev_err = None
-        for res in [r for r in all_results if r["kind"] == kind]:
+        for res, row in [(r, row) for r, row in all_results if r["kind"] == kind]:
             slope = ""
             if prev_err is not None and np.isfinite(res["l2_rel_error"]) and prev_err > 0:
                 slope = repr(float(np.log2(prev_err / res["l2_rel_error"])))
-            sum_rows.append(
-                [
-                    res["p"], res["n_r"], res["n_theta"], res["sqrt_dofs"],
-                    res["kind"], res["scheme"], res["outlier_removed"],
-                    res["dt"], res["steps"], res["l2_rel_error"],
-                    res["wall_seconds"], slope,
-                ]
-            )
+            sum_rows.append(row + [slope])
             prev_err = res["l2_rel_error"]
     md = _base_metadata(
         config, system_md,
@@ -649,7 +638,7 @@ def run_annulus(config):
     path = os.path.join(config.output_dir, f"annulus_p{p}_summary.csv")
     paths.append(write_csv(path, md, sum_header, sum_rows))
     write_annulus_report(os.path.join(config.output_dir, f"annulus_p{p}_report.json"),
-                         all_results)
+                         [res for res, _ in all_results])
     return paths
 
 

@@ -38,7 +38,7 @@ from types import MappingProxyType
 import numpy as np
 import scipy.linalg
 
-from .banded import BandedSymmetricMatrix
+from .banded import BandedSymmetricMatrix, circulant_symbols
 from .errors import NumericalError
 from .quadrature import element_quadrature, moments
 from .splinecore import eval_basis, greville
@@ -473,14 +473,15 @@ def _periodic_dual(space, G, hw):
     except np.linalg.LinAlgError:
         raise NumericalError(f"periodic duality conditions singular at halfwidth {hw}") from None
 
-    theta = 2.0 * np.pi * np.arange(n) / n
-    shat = (mult_s[:, None] * stencil[:, None] * np.cos(np.outer(d_s, theta))).sum(0)
+    S = BandedSymmetricMatrix(n, hw, periodic=True, bands=np.tile(stencil[:, None], (1, n)))
+    first = np.zeros(n)  # S's first column: entry d on rows d and n - d
+    first[d_s] = first[-d_s] = stencil
+    shat = circulant_symbols(first)
     if np.min(shat) <= 0.0:
         raise NumericalError(
             f"periodic dual stencil symbol not positive (min {np.min(shat):.3e})"
         )
-    bands = np.tile(stencil[:, None], (1, n))
-    return BandedSymmetricMatrix(n, hw, periodic=True, bands=bands)
+    return S
 
 
 class ConstrainedDual:

@@ -13,6 +13,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from . import assembly
+from .banded import circulant_symbols
 from .errors import NumericalError
 from .splinecore import eval_basis
 
@@ -309,16 +310,15 @@ class RunOperator:
         """The eigenvalues mu of the operator from its angular Fourier
         blocks, one row per wavenumber k = 0 .. m // 2, for a Petrov (dual
         test mode) system whose trailing direction is periodic; None for any
-        other system, or when a Q_t is not circulant (``_circulant_symbols``).
+        other system, or when a Q_t is not a symmetric circulant.
 
-        With every Q_t circulant, the Fourier mode f_k of the m angular
-        functions is an eigenvector of each Q_t with eigenvalue q_t(k), entry
-        k of the DFT of its first column, so the operator maps x f_k^T to
-        (sum_t q_t(k) P_t) x f_k^T. Wavenumber m - k gives the conjugate
-        block. The reduction T acts on axis 0 only, so an outlier-reduced
-        operator has the same structure with its reduced P_t. The
-        M-self-adjoint kinds keep ARPACK, which is the faster one for them from
-        n_r = 16 (lumped) or 32 (Galerkin) on.
+        Then the Fourier mode f_k of the m angular functions is an
+        eigenvector of each Q_t with the real eigenvalue q_t(k)
+        (``_circulant_symbols``), so the operator maps x f_k^T to the real
+        block (sum_t q_t(k) P_t) x f_k^T; wavenumber m - k gives the same
+        block. T acts on axis 0 only, so an outlier-reduced operator has
+        the same structure with its reduced P_t. The M-self-adjoint kinds
+        keep ARPACK while the benchmark checks their Arnoldi iterations.
         """
         system = self.system
         if system.test_mode != "dual" or system.ndim != 2 or not system.spaces[1].periodic:
@@ -330,10 +330,9 @@ class RunOperator:
         n0, n_terms = terms.outer.shape[0], terms.n_terms
         outer = terms.outer.toarray() if sp.issparse(terms.outer) else terms.outer
         P = outer.reshape(n0, n_terms, n0).transpose(1, 0, 2).reshape(n_terms, -1)
-        # real products, as in ``_circulant_symbols``
-        blocks = (symbols.real.T @ P).astype(complex)
-        blocks.imag = symbols.imag.T @ P
-        return np.linalg.eigvals(blocks.reshape(-1, n0, n0))
+        # complex always: numpy returns a float array when every eigenvalue
+        # is real, whose negative entries have no real square root
+        return np.linalg.eigvals((symbols.T @ P).reshape(-1, n0, n0)).astype(complex)
 
     @property
     def spectral_abscissa(self):
@@ -350,10 +349,10 @@ class RunOperator:
 
 
 # The largest growth rate, in units of eps omega_max, that counts as the
-# round-off LAPACK leaves on real eigenvalues mu as imaginary parts. On the
-# customized annulus runs of the CLI (p = 2..5, n_r = 4..48, with and
-# without outlier removal) stable meshes gave at most 14 eps omega_max, and
-# the smallest genuine growth rate was 2e11 eps omega_max (p=5, n_r=32).
+# round-off LAPACK can leave on real eigenvalues mu. On the customized
+# annulus runs of the CLI (p = 2..5, n_r = 4..48, with and without outlier
+# removal) stable meshes give exactly 0, and the smallest genuine growth
+# rate was 2e11 (p=5, n_r=32).
 ABSCISSA_ROUNDOFF = 1000.0
 
 
@@ -367,15 +366,15 @@ CIRCULANT_RTOL = 1e-11
 
 
 def _circulant_symbols(inner, m):
-    """The symbols q_t(k), k = 0 .. m // 2, of the m x m blocks Q_t stacked
-    in ``inner`` (dense or CSR), one row per block: entry k of the DFT of
-    each first column. None unless each Q_t is the circulant matrix of its
-    first column to ``CIRCULANT_RTOL``.
+    """The real symbols (``banded.circulant_symbols``) of the m x m blocks
+    Q_t stacked in ``inner`` (dense or CSR), one row per block. None unless
+    each Q_t is the symmetric circulant matrix of its first column c to
+    ``CIRCULANT_RTOL``.
 
-    Both use the stored entries only, so a CSR ``inner`` is never made
+    The checks use the stored entries only, so a CSR ``inner`` is never made
     dense. Entry (i, j) of Q_t lies on the wrapped diagonal (i - j) mod m and
-    must match the first column's entry there; a diagonal with fewer than m
-    stored entries holds zeros, so that entry must be zero too.
+    must match c there; a diagonal with fewer than m stored entries holds
+    zeros, so that entry must be zero too; and c_l = c_{m - l}.
     """
     A = sp.csr_matrix(inner)
     if not A.has_canonical_format:  # duplicate entries: left to ARPACK
@@ -391,17 +390,11 @@ def _circulant_symbols(inner, m):
         stored = np.bincount(diagonal, minlength=m)
         bound = CIRCULANT_RTOL * np.max(np.abs(first))
         if (np.any(np.abs(data - first[diagonal]) > bound)
-                or np.any(np.abs(first[stored < m]) > bound)):
+                or np.any(np.abs(first[stored < m]) > bound)
+                or np.any(np.abs(first - np.roll(first[::-1], 1)) > bound)):
             return None
         columns.append(first)
-    # sum_l c_l exp(-2 pi i l k / m) over the nonzero rows l of the first
-    # columns, l k reduced mod m in integers: real products over the band,
-    # which keep numpy.fft and complex BLAS (each paging in a few hundred kB
-    # of code) out of the run
-    nonzero = np.flatnonzero(np.any(columns, axis=0))
-    angle = 2.0 * np.pi / m * (np.outer(nonzero, np.arange(m // 2 + 1)) % m)
-    first = np.array(columns)[:, nonzero]
-    return first @ np.cos(angle) - 1j * (first @ np.sin(angle))
+    return circulant_symbols(columns)
 
 
 def max_frequency(run, tol=1e-10):
@@ -482,13 +475,10 @@ class OutlierConstraint:
         # nearest free functions, k = 1..K; columns of the returned block span
         # the nullspace
         ev = eval_basis(space, x_end, max_deriv=2 * K)
+        cols = ev.indices - lo - (0 if left else m - p)  # free index, block column
+        keep = (cols >= 0) & (cols < p)
         rows = np.zeros((K, p))
-        for k in range(1, K + 1):
-            for l, j in enumerate(ev.indices):
-                jf = int(j) - lo  # free index
-                col = jf if left else jf - (m - p)
-                if 0 <= col < p:
-                    rows[k - 1, col] = ev.values[2 * k, l]
+        rows[:, cols[keep]] = ev.values[2 : 2 * K + 1 : 2][:, keep]
         # scipy's SVD, as the clamped duals take: a run pages in one dgesdd
         _, sv, Vt = scipy.linalg.svd(rows)
         rank = int(np.sum(sv > sv[0] * 1e-10)) if len(sv) else 0

@@ -16,7 +16,8 @@ scipy.sparse (a full-space CSR build restricted by fancy indexing, CSR
 blocks per term) for the direct by-fill builds to be checked against. The
 weight gradient's four-term sum, the copying cross approximation and the
 numpy SVD of the clamped dual's mirror blocks are the forms the in-place
-ones must reproduce bit for bit.
+ones must reproduce bit for bit, as the loop-built outlier end block is for
+the indexed one.
 """
 
 import numpy as np
@@ -218,6 +219,28 @@ def numpy_mirror_svd(A, shape, row_mirror, row_sign, col_mirror):
         shapes.append(B.shape)
         factors.append((rows, cols, *np.linalg.svd(B, full_matrices=B.shape[0] < B.shape[1])))
     return Qr, Qc, factors, {"block_shapes": shapes, "coupling": coupling}
+
+
+def loop_outlier_end_block(space, x_end, lo, m, p, K, left):
+    """The nullspace block of the outlier constraints at one end, its rows
+    sum_j d_j B_j^(2k)(x_end) = 0 filled entry by entry over k and the basis
+    functions at the end: what ``OutlierConstraint._end_block`` must give bit
+    for bit."""
+    import scipy.linalg
+
+    from iga_explicit.splinecore import eval_basis
+
+    ev = eval_basis(space, x_end, max_deriv=2 * K)
+    rows = np.zeros((K, p))
+    for k in range(1, K + 1):
+        for l, j in enumerate(ev.indices):
+            jf = int(j) - lo
+            col = jf if left else jf - (m - p)
+            if 0 <= col < p:
+                rows[k - 1, col] = ev.values[2 * k, l]
+    _, sv, Vt = scipy.linalg.svd(rows)
+    rank = int(np.sum(sv > sv[0] * 1e-10)) if len(sv) else 0
+    return Vt[rank:].T
 
 
 def csr_by_fill(A):

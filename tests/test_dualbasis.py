@@ -10,6 +10,7 @@ import pytest
 from numpy.testing import assert_allclose
 from oracle_utils import gauss_panels, loop_grammian_bands, naive_all_values, spline_l2_error
 
+from iga_explicit.banded import circulant_symbols
 from iga_explicit.dualbasis import (
     _mirror_basis,
     approximate_dual,
@@ -528,12 +529,26 @@ def test_dual_diagnostics_report_the_clamped_construction():
     assert approximate_dual(uniform_space(16, 3, boundary_kind=PERIODIC)).diagnostics == {}
 
 
-def test_periodic_dual_spd_and_rowsum():
+def test_periodic_dual_spd_and_rowsum(monkeypatch):
+    import iga_explicit.dualbasis as dualbasis
+
+    columns = []
+    monkeypatch.setattr(dualbasis, "circulant_symbols",
+                        lambda first: columns.append(first) or circulant_symbols(first))
     space = uniform_space(16, 3, boundary_kind=PERIODIC)
     dual = approximate_dual(space)
     assert dual.S.is_spd()
     C = dual.product_dense
     assert np.max(np.abs(C.sum(axis=1) - 1.0)) <= 1e-12
+    # its positivity check reads the symbol of S's first column, which is
+    # S's spectrum: wavenumbers 1 .. n/2 - 1 stand for n - k too
+    S = dual.S.to_dense()
+    [first] = columns
+    assert np.array_equal(first, S[:, 0])
+    symbol = circulant_symbols(first)
+    every = np.sort(np.concatenate([symbol, symbol[1 : len(S) // 2]]))
+    eig = np.linalg.eigvalsh(S)
+    assert np.max(np.abs(every - eig)) <= 1e-13 * np.max(np.abs(eig))
 
 
 def test_periodic_quasi_projection_rate():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from oracle_utils import resolvent_stability_function, stage_rk_step
+from oracle_utils import loop_outlier_end_block, resolvent_stability_function, stage_rk_step
 
 from iga_explicit.assembly import DiscreteSystem, assembled_stiffness_1d
 from iga_explicit.dualbasis import grammian
@@ -196,6 +196,14 @@ def test_outlier_constraint_counts(p, expected):
     assert con.n_constraints_per_end == expected
     m = system.free_shape[0]
     assert con.T.shape == (m, m - 2 * expected)
+    if expected:
+        # each end block as the entry-by-entry constraint rows give it
+        space, (lo, _), K = system.spaces[0], system.free_range(0), expected
+        a, b = space.domain
+        left = loop_outlier_end_block(space, a, lo, m, p, K, left=True)
+        right = loop_outlier_end_block(space, b, lo, m, p, K, left=False)
+        assert np.array_equal(con.T[:p, : p - K], left)
+        assert np.array_equal(con.T[m - p :, m - K - p :], right)
 
 
 def test_outlier_removal_reduces_max_frequency_p4():
@@ -418,7 +426,8 @@ def test_max_frequency_bounds_the_dense_oracle(p, n_r, kind, outlier):
     assert omega <= exact * (1.0 + 1e-8)
 
 
-@pytest.mark.parametrize("p,n_r,outlier", [(3, 32, False), (5, 16, False), (5, 8, True)])
+@pytest.mark.parametrize("p,n_r,outlier",
+                         [(3, 32, False), (3, 64, False), (5, 16, False), (5, 8, True)])
 def test_fourier_blocks_match_arpack_on_the_same_run_operator(p, n_r, outlier):
     system = membrane_system("customized", p, n_r)
     run = RunOperator(system, outlier_removal(system) if outlier else None)
@@ -439,9 +448,10 @@ def test_fourier_blocks_hold_the_whole_spectrum(outlier):
     run = RunOperator(system, con)
     mu = run.fourier_eigenvalues
     m = system.free_shape[1]
-    assert mu.shape == (m // 2 + 1, run.shape[0])
-    # wavenumbers 1 .. m/2 - 1 stand for their conjugates m - k too
-    every = np.concatenate([mu.ravel(), np.conj(mu[1 : m // 2]).ravel()])
+    # complex, although every eigenvalue of these blocks is real
+    assert mu.shape == (m // 2 + 1, run.shape[0]) and mu.dtype == complex
+    # wavenumbers 1 .. m/2 - 1 stand for m - k too, whose block is the same
+    every = np.concatenate([mu.ravel(), mu[1 : m // 2].ravel()])
     shape, rhs = separate_rhs(system, con)
     dense = np.linalg.eigvals(np.column_stack(
         [-rhs(e.reshape(shape)).ravel() for e in np.eye(run.n)]))
@@ -498,7 +508,7 @@ def test_arpack_is_loaded_only_for_an_arnoldi_estimate():
     assert float(omega) == max_frequency(run) and run.fourier_eigenvalues is None
 
 
-@pytest.mark.parametrize("change", ["scale", "drop"])
+@pytest.mark.parametrize("change", ["scale", "drop", "skew"])
 @pytest.mark.parametrize("n_theta", [16, 160])  # a dense and a CSR inner
 def test_max_frequency_falls_back_to_arpack_off_circulant(n_theta, change):
     import scipy.sparse as sp
@@ -507,13 +517,40 @@ def test_max_frequency_falls_back_to_arpack_off_circulant(n_theta, change):
     run = RunOperator(system)
     inner = run.terms.inner
     assert sp.issparse(inner) == (n_theta == 160)
-    # one entry of Q_0 off its first column's diagonal value, or gone
-    inner[3, 5] = 0.0 if change == "drop" else inner[3, 5] * (1.0 + 1e-6)
+    if change == "skew":
+        # the whole wrapped diagonal 1 of Q_0 scaled, diagonal m - 1 not: a
+        # circulant that is no longer symmetric
+        rows = np.arange(n_theta)
+        cols = (rows - 1) % n_theta
+        inner[rows, cols] = np.asarray(inner[rows, cols]).ravel() * (1.0 + 1e-6)
+    else:
+        # one entry of Q_0 off its first column's diagonal value, or gone
+        inner[3, 5] = 0.0 if change == "drop" else inner[3, 5] * (1.0 + 1e-6)
     if sp.issparse(inner):
         inner.eliminate_zeros()
     max_frequency(run)
     assert run.fourier_eigenvalues is None
     assert system.counters["stiffness_applies"] > 0
+
+
+@pytest.mark.parametrize("outlier", [False, True])
+@pytest.mark.parametrize("n_r", [8, 16, 32])
+@pytest.mark.parametrize("p", [3, 5])
+def test_circulant_symbols_are_the_real_dft_of_each_first_column(p, n_r, outlier):
+    import scipy.sparse as sp
+
+    from iga_explicit.dynamics import _circulant_symbols
+
+    system = membrane_system("customized", p, n_r)
+    terms = RunOperator(system, outlier_removal(system) if outlier else None).terms
+    m = terms.m
+    symbols = _circulant_symbols(terms.inner, m)
+    assert symbols.dtype == float and symbols.shape == (terms.n_terms, m // 2 + 1)
+    inner = terms.inner.toarray() if sp.issparse(terms.inner) else terms.inner
+    dft = np.fft.fft(inner[:, 0].reshape(terms.n_terms, m), axis=1)[:, : m // 2 + 1]
+    scale = np.max(np.abs(dft))
+    assert np.max(np.abs(symbols - dft.real)) <= 1e-13 * scale
+    assert np.max(np.abs(dft.imag)) <= 1e-13 * scale
 
 
 def test_fourier_blocks_read_a_csr_inner_without_densifying():
