@@ -34,11 +34,12 @@ class BandedSymmetricMatrix:
     For clamped (non-periodic) storage, ``bands[d, i]`` is meaningful for
     ``i < n - d``; the trailing entries of each diagonal are kept at zero.
 
-    ``to_coo``, ``to_dense`` and ``rowsums`` read the bands on every call;
-    ``matvec`` goes through a CSR form built on first use. The first SPD solve
-    factors the matrix by Cholesky (banded, or dense for periodic storage),
-    which certifies that it is SPD, and forms the dense inverse from the
-    factor; every solve is then one matrix product.
+    ``to_coo``, ``to_dense``, ``rowsums`` and ``matvec`` read the bands on
+    every call. The first SPD solve factors the matrix by Cholesky (banded,
+    or dense for periodic storage), which certifies that it is SPD, and
+    forms the dense inverse from the factor; every solve is then one matrix
+    product. Factoring makes ``bands`` read-only, so an edit after that
+    fails loudly instead of leaving the factor and the inverse stale.
     """
 
     def __init__(self, n, halfwidth, periodic=False, bands=None):
@@ -62,7 +63,6 @@ class BandedSymmetricMatrix:
                 raise ValueError("bands array has wrong shape")
         self.bands = bands
         self._chol = None
-        self._csr = None
         self._inv = None
 
     def _entries(self):
@@ -88,15 +88,6 @@ class BandedSymmetricMatrix:
         data, rows, cols = self._entries()
         return sp.coo_matrix((data, (rows, cols)), shape=(self.n, self.n))
 
-    def to_csr(self):
-        """The full matrix in CSR form, built on first use. Building it makes
-        ``bands`` read-only, so an edit after that fails loudly instead of
-        leaving a stale cache."""
-        if self._csr is None:
-            self._csr = self.to_coo().tocsr()
-            self.bands.flags.writeable = False
-        return self._csr
-
     def to_dense(self):
         data, rows, cols = self._entries()
         out = np.zeros((self.n, self.n))
@@ -104,9 +95,10 @@ class BandedSymmetricMatrix:
         return out
 
     def matvec(self, x):
-        """Product with a vector, or with a matrix along its first axis."""
+        """Product with a vector, or with a matrix along its first axis; the
+        entries are summed in column order, as a CSR product sums them."""
         x = np.asarray(x, dtype=float)
-        return (self.to_csr() @ x.reshape(self.n, -1)).reshape(x.shape)
+        return (self.to_coo() @ x.reshape(self.n, -1)).reshape(x.shape)
 
     def rowsums(self):
         """Each row's entries summed in column order, as a CSR product with
@@ -139,6 +131,7 @@ class BandedSymmetricMatrix:
     def _factorize(self):
         if self._chol is not None:
             return self._chol
+        self.bands.flags.writeable = False
         try:
             if self.periodic:
                 self._chol = ("dense", scipy.linalg.cho_factor(self.to_dense()))

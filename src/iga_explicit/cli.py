@@ -448,13 +448,19 @@ def run_stability(config):
 # annulus
 
 
+@functools.cache
+def _annulus_geometry(inner_radius, outer_radius):
+    """One annulus map per pair of radii, so the systems of a sweep share it
+    and its weight checks run once per process."""
+    return annulus_map(inner_radius, outer_radius)
+
+
 def _annulus_system(sol, p, n_r, n_theta, kind, beta=None):
     s1 = uniform_space(n_r, p)
     s2 = uniform_space(n_theta, p, boundary_kind=PERIODIC)
-    geo = annulus_map(sol.inner_radius, sol.outer_radius)
     return DiscreteSystem(
         [s1, s2],
-        geometry=geo,
+        geometry=_annulus_geometry(sol.inner_radius, sol.outer_radius),
         mass_kind=kind,
         kappa=sol.kappa,
         dirichlet=[(True, True), (False, False)],
@@ -470,16 +476,29 @@ def _scheme_for(kind, p, requested):
     return "rk4" if p in (2, 3, 4) else "rk6"
 
 
+# The columns of an annulus CSV row and the fields of a run in the annulus
+# report, in their order: keys of the record of ``annulus_run_single``
+CSV_FIELDS = ("p", "n_elem_radial", "n_elem_angular", "sqrt_dofs", "mass_kind", "rk_scheme",
+              "outlier_removed", "dt", "steps", "l2_rel_error", "wall_seconds")
+REPORT_FIELDS = ("n_elem_radial", "n_elem_angular", "mass_kind", "rk_scheme",
+                 "outlier_removed", "omega_max", "omega_method", "steps", "phases",
+                 "counters", "storage", "macs_per_apply", "spectral_abscissa",
+                 "amplitude_drift")
+
+
 def annulus_run_single(sol, p, n_r, n_theta, kind, scheme, dt_fraction,
                        outlier_removed=False, beta=None):
-    """One explicit run over a full period; returns a result dict.
+    """One explicit run over a full period; returns its record, a dict with
+    every key of ``CSV_FIELDS`` and ``REPORT_FIELDS``, and the CSV metadata
+    of its system (``system_metadata``) in place of the system itself.
 
     ``phases`` holds the seconds of setup (before the timed run), of the
     omega_max estimate with its operator applies, of the initial projection,
     of the stepping and of the error evaluation; ``counters`` is a copy of
     the system's operator counters at the end of the run.
     ``amplitude_drift`` is the largest max|d| over the steps relative to
-    max|d0|: about 1 for a stable run, above 1e6 for a flagged one.
+    max|d0|: about 1 for a stable run, above 1e6 for a flagged one, whose
+    ``l2_rel_error`` is infinite.
 
     The angular dual halfwidth defaults to degree+1: the coarse meshes of the
     membrane study put the initial field at the angular resolution limit,
@@ -547,23 +566,19 @@ def annulus_run_single(sol, p, n_r, n_theta, kind, scheme, dt_fraction,
         err = l2_error(system, d_final, exact)
     t_end = time.perf_counter()
     return {
-        "system": system,
         "p": p,
-        "n_r": n_r,
-        "n_theta": n_theta,
-        "kind": kind,
-        "scheme": scheme,
+        "n_elem_radial": n_r,
+        "n_elem_angular": n_theta,
+        "sqrt_dofs": float(np.sqrt(run.n)),
+        "mass_kind": kind,
+        "rk_scheme": scheme,
         "outlier_removed": bool(outlier),
-        "omega_max": omega_max,
-        "omega_method": "arnoldi" if run.fourier_eigenvalues is None else "fourier_blocks",
-        "spectral_abscissa": run.spectral_abscissa,
         "dt": dt,
         "steps": steps,
-        "sqrt_dofs": float(np.sqrt(run.n)),
         "l2_rel_error": err,
         "wall_seconds": t_end - t0,
-        "unstable": unstable,
-        "amplitude_drift": peak / init_scale,
+        "omega_max": omega_max,
+        "omega_method": run.omega_method,
         "phases": {
             "setup_s": t0 - t_setup,
             "omega_s": t_omega - t0,
@@ -575,94 +590,68 @@ def annulus_run_single(sol, p, n_r, n_theta, kind, scheme, dt_fraction,
         "counters": dict(system.counters),
         "storage": run.terms.storage,
         "macs_per_apply": run.terms.macs,
+        "spectral_abscissa": run.spectral_abscissa,
+        "amplitude_drift": peak / init_scale,
+        "system_metadata": _system_metadata(system),
     }
 
 
 def run_annulus(config):
     sol = annulus_solution()
     p = config.degree
-    header = [
-        "p",
-        "n_elem_radial",
-        "n_elem_angular",
-        "sqrt_dofs",
-        "mass_kind",
-        "rk_scheme",
-        "outlier_removed",
-        "dt",
-        "steps",
-        "l2_rel_error",
-        "wall_seconds",
-    ]
-    all_results = []
+    records = []
     paths = []
     for n_r in config.n_elems:
         n_theta = config.angular_factor * n_r
-        rows = []
-        for kind in config.kinds():
-            scheme = _scheme_for(kind, p, config.rk_scheme)
-            res = annulus_run_single(
-                sol, p, n_r, n_theta, kind, scheme, config.dt_fraction,
-                config.outlier_removed, config.beta,
-            )
-            # a sweep keeps no finished system, only what its CSVs read
-            system_md = _system_metadata(res.pop("system"))
-            row = [p, n_r, n_theta, res["sqrt_dofs"], kind, scheme, res["outlier_removed"],
-                   res["dt"], res["steps"], res["l2_rel_error"], res["wall_seconds"]]
-            all_results.append((res, row))
-            rows.append(row)
+        mesh = [annulus_run_single(sol, p, n_r, n_theta, kind,
+                                   _scheme_for(kind, p, config.rk_scheme),
+                                   config.dt_fraction, config.outlier_removed, config.beta)
+                for kind in config.kinds()]
+        records += mesh
         md = _base_metadata(
-            config, system_md,
+            config, mesh[-1]["system_metadata"],
             {"inner_radius": sol.inner_radius, "outer_radius": sol.outer_radius,
              "period": sol.period, "angular_wavenumber": sol.angular_wavenumber},
         )
         path = os.path.join(config.output_dir, f"annulus_p{p}_mesh{n_r}x{n_theta}.csv")
-        paths.append(write_csv(path, md, header, rows))
+        rows = [[rec[f] for f in CSV_FIELDS] for rec in mesh]
+        paths.append(write_csv(path, md, CSV_FIELDS, rows))
 
     # summary with pairwise convergence slopes per mass kind
-    sum_header = header + ["slope_vs_previous_mesh"]
     sum_rows = []
     for kind in config.kinds():
         prev_err = None
-        for res, row in [(r, row) for r, row in all_results if r["kind"] == kind]:
+        for rec in [r for r in records if r["mass_kind"] == kind]:
+            err = rec["l2_rel_error"]
             slope = ""
-            if prev_err is not None and np.isfinite(res["l2_rel_error"]) and prev_err > 0:
-                slope = repr(float(np.log2(prev_err / res["l2_rel_error"])))
-            sum_rows.append(row + [slope])
-            prev_err = res["l2_rel_error"]
+            if prev_err is not None and np.isfinite(err) and prev_err > 0:
+                slope = repr(float(np.log2(prev_err / err)))
+            sum_rows.append([rec[f] for f in CSV_FIELDS] + [slope])
+            prev_err = err
     md = _base_metadata(
-        config, system_md,
+        config, records[-1]["system_metadata"],
         {"inner_radius": sol.inner_radius, "outer_radius": sol.outer_radius,
          "period": sol.period, "meshes": list(config.n_elems)},
     )
     path = os.path.join(config.output_dir, f"annulus_p{p}_summary.csv")
-    paths.append(write_csv(path, md, sum_header, sum_rows))
-    write_annulus_report(os.path.join(config.output_dir, f"annulus_p{p}_report.json"),
-                         [res for res, _ in all_results])
+    paths.append(write_csv(path, md, CSV_FIELDS + ("slope_vs_previous_mesh",), sum_rows))
+    write_annulus_report(os.path.join(config.output_dir, f"annulus_p{p}_report.json"), records)
     return paths
 
 
-def write_annulus_report(path, results):
-    """Per-run omega_max, phases and operator counters of an annulus sweep,
-    as a JSON sidecar of its CSVs, which it leaves byte-identical, with each
-    run's amplitude drift, the storage ("dense" or "csr") of its run
-    operator's ``outer`` and ``inner``, and the multiply-adds of one apply of
-    it (``macs_per_apply``), so ``mac_ops`` is ``stiffness_applies`` times
-    that. ``omega_method`` names the omega_max path, "fourier_blocks" or
-    "arnoldi" (``dynamics.max_frequency``); ``spectral_abscissa``, the
-    largest growth rate max Re sqrt(mu) over the run operator's eigenvalues
-    mu, comes from the Fourier blocks and is null where ARPACK ran."""
-    runs = [{"n_elem_radial": res["n_r"], "n_elem_angular": res["n_theta"],
-             "mass_kind": res["kind"], "rk_scheme": res["scheme"],
-             "outlier_removed": res["outlier_removed"], "omega_max": res["omega_max"],
-             "omega_method": res["omega_method"], "steps": res["steps"],
-             "phases": res["phases"], "counters": res["counters"],
-             "storage": res["storage"], "macs_per_apply": res["macs_per_apply"],
-             "spectral_abscissa": res["spectral_abscissa"],
-             "amplitude_drift": res["amplitude_drift"]}
-            for res in results]
+def write_annulus_report(path, records):
+    """The ``REPORT_FIELDS`` of each run record of an annulus sweep, as a
+    JSON sidecar of its CSVs, which it leaves byte-identical: omega_max,
+    phases and operator counters, each run's amplitude drift, the storage
+    ("dense" or "csr") of its run operator's ``outer`` and ``inner``, and the
+    multiply-adds of one apply of it (``macs_per_apply``), so ``mac_ops`` is
+    ``stiffness_applies`` times that. ``omega_method`` names the omega_max
+    path (``RunOperator.omega_method``); ``spectral_abscissa``, the largest
+    growth rate max Re sqrt(mu) over the run operator's eigenvalues mu,
+    comes from the Fourier blocks and is null where ARPACK ran."""
+    runs = [{f: rec[f] for f in REPORT_FIELDS} for rec in records]
     with open(path, "w") as fh:
-        json.dump({"experiment": "annulus", "degree": results[0]["p"], "runs": runs},
+        json.dump({"experiment": "annulus", "degree": records[0]["p"], "runs": runs},
                   fh, indent=1)
         fh.write("\n")
 

@@ -335,25 +335,21 @@ class RunOperator:
         return np.linalg.eigvals((symbols.T @ P).reshape(-1, n0, n0)).astype(complex)
 
     @property
+    def omega_method(self):
+        """The path of ``max_frequency``: "fourier_blocks" where the operator
+        has ``fourier_eigenvalues``, else "arnoldi"."""
+        return "arnoldi" if self.fourier_eigenvalues is None else "fourier_blocks"
+
+    @property
     def spectral_abscissa(self):
         """The largest growth rate max Re sqrt(mu) of (d, v)' = (v, L d) over
         the eigenvalues mu of this operator L, from ``fourier_eigenvalues``;
-        None without them. A rate at or below ``ABSCISSA_ROUNDOFF`` eps
-        omega, omega = sqrt(max |mu|), is round-off and reads 0."""
+        None without them. The real blocks leave real eigenvalues real, so a
+        stable operator reads exactly 0."""
         mu = self.fourier_eigenvalues
         if mu is None:
             return None
-        rate = float(np.max(np.sqrt(mu).real))
-        floor = ABSCISSA_ROUNDOFF * np.finfo(float).eps * np.sqrt(np.max(np.abs(mu)))
-        return rate if rate > floor else 0.0
-
-
-# The largest growth rate, in units of eps omega_max, that counts as the
-# round-off LAPACK can leave on real eigenvalues mu. On the customized
-# annulus runs of the CLI (p = 2..5, n_r = 4..48, with and without outlier
-# removal) stable meshes give exactly 0, and the smallest genuine growth
-# rate was 2e11 (p=5, n_r=32).
-ABSCISSA_ROUNDOFF = 1000.0
+        return float(np.max(np.sqrt(mu).real))
 
 
 # The largest deviation of an angular factor Q_t from the circulant matrix of
@@ -401,13 +397,13 @@ def max_frequency(run, tol=1e-10):
     """Maximum discrete frequency of a ``RunOperator`` (plain or
     outlier-reduced), sqrt(rho (1 + tol)) of its spectral radius rho: from
     its angular Fourier blocks where it has them (``fourier_eigenvalues``),
-    else matrix-free by ARPACK (``power_max_frequency``). The operator's
-    terms are built here if no apply came first, and a run that steps with
-    the same operator reuses them.
+    else matrix-free by ARPACK (``power_max_frequency``), as
+    ``run.omega_method`` names. The operator's terms are built here if no
+    apply came first, and a run that steps with the same operator reuses
+    them.
     """
-    mu = run.fourier_eigenvalues
-    if mu is not None:
-        return _with_margin(np.max(np.abs(mu)), tol)
+    if run.omega_method == "fourier_blocks":
+        return _with_margin(np.max(np.abs(run.fourier_eigenvalues)), tol)
     omega, _ = power_max_frequency(lambda vec: run.apply(vec.reshape(run.shape)).ravel(),
                                    run.n, tol)
     return omega
@@ -415,17 +411,17 @@ def max_frequency(run, tol=1e-10):
 
 def eigensolve(K, M):
     """Sorted nonnegative frequencies of K phi = omega^2 M phi for dense
-    symmetric K, SPD M."""
+    symmetric K, SPD M. LAPACK's failures, an M that is not SPD among them,
+    raise NumericalError with its message."""
     K = np.asarray(K, dtype=float)
     M = np.asarray(M, dtype=float)
     n = K.shape[0]
     if n > EIGENSOLVE_MAX_N:
         raise ValueError(f"dense eigensolver capped at N={EIGENSOLVE_MAX_N}")
     try:
-        np.linalg.cholesky(M)
-    except np.linalg.LinAlgError:
-        raise NumericalError("mass matrix is not SPD") from None
-    vals = scipy.linalg.eigh(K, M, eigvals_only=True)
+        vals = scipy.linalg.eigh(K, M, eigvals_only=True)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"generalized eigensolve failed: {exc}") from None
     floor = -1e-8 * max(1.0, float(np.max(np.abs(vals))))
     if np.min(vals) < floor:
         raise NumericalError(f"negative eigenvalue {np.min(vals):.3e} in spectrum")

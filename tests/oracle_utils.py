@@ -314,12 +314,12 @@ def csr_factor_inverses(system):
 
     free = [slice(*system.free_range(k)) for k in range(system.ndim)]
     if system.mass_kind == "customized":
-        return [csr_by_fill(cd.S.to_csr()) for cd in system.constrained_duals]
+        return [csr_by_fill(cd.S.to_coo().tocsr()) for cd in system.constrained_duals]
     weights = [system.radial_weight()] + [None] * (system.ndim - 1)
     grams = [grammian(space, weight=w, points_per_element=system.mass_points)
              for space, w in zip(system.spaces, weights)]
     if system.mass_kind == "rowsum_lumped":
-        return [csr_by_fill(sp.diags(1.0 / (G.to_csr() @ np.ones(G.n))[f]))
+        return [csr_by_fill(sp.diags(1.0 / (G.to_coo().tocsr() @ np.ones(G.n))[f]))
                 for G, f in zip(grams, free)]
     return [csr_by_fill((G if G.periodic else G.submatrix(f.start, f.stop)).dense_inverse())
             for G, f in zip(grams, free)]

@@ -169,7 +169,7 @@ def test_customized_solve_matches_dense_kron_oracle(p, dirichlet_radial):
     assert np.max(np.abs(out - ref)) <= 1e-9 * np.max(np.abs(ref))
     # the factors hold S_c itself, dense or CSR by its fill, and no other array
     for factor, cd in zip(mass.factors, system.constrained_duals):
-        S = cd.S.to_csr()
+        S = cd.S.to_coo().tocsr()
         assert sp.issparse(factor.inverse) == (S.nnz < DENSE_FILL * S.shape[0] ** 2)
         assert np.array_equal(dense_of(factor.inverse), S.toarray())
         assert not any(isinstance(v, np.ndarray) for name, v in vars(factor).items()

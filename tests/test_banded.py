@@ -47,20 +47,37 @@ def test_matvec_matches_dense(periodic):
         assert_allclose(B.rowsums(), A.sum(axis=1), atol=1e-13)
 
 
-def test_bands_are_frozen_once_applied():
-    A = random_banded_dense(9, 2, False, seed=8)
+@pytest.mark.parametrize("periodic", [False, True])
+def test_matvec_is_the_csr_product_bit_for_bit(periodic):
+    # the entries are summed in the CSR form's order, so the products with
+    # and without that form agree to the last bit
+    for n, hw in ((11, 3), (7, 3), (40, 5)):
+        B = banded_from_dense(random_banded_dense(n, hw, periodic, seed=3), hw,
+                              periodic=periodic)
+        csr = B.to_coo().tocsr()
+        X = np.random.default_rng(4).normal(size=(n, 5))
+        assert np.array_equal(B.matvec(X[:, 0]), csr @ X[:, 0])
+        assert np.array_equal(B.matvec(X), csr @ X)
+
+
+def test_bands_are_frozen_once_solved():
+    # an apply reads the bands on every call; the first solve factors them,
+    # and an edit after it would leave the factor and the inverse stale
+    A = random_banded_dense(9, 2, False, seed=8, spd=True)
     B = banded_from_dense(A, 2)
-    B.bands[0, 0] += 1.0  # edits before the first apply are seen
+    assert_allclose(B.matvec(np.eye(9)), A, atol=0)
+    B.bands[0, 0] += 1.0  # edits after an apply are seen
     A[0, 0] += 1.0
     assert_allclose(B.matvec(np.eye(9)), A, atol=0)
+    assert_allclose(B.solve(A), np.eye(9), atol=1e-12)
     with pytest.raises(ValueError):
         B.bands[0, 0] = 0.0
 
 
 def test_submatrix_and_constrained_dual_apply_like_dense():
-    A = random_banded_dense(12, 3, False, seed=9)
+    A = random_banded_dense(12, 3, False, seed=9, spd=True)
     B = banded_from_dense(A, 3)
-    B.matvec(np.ones(12))  # the parent's cache must not leak into the restriction
+    B.solve(np.ones(12))  # the parent's factor must not leak into the restriction
     sub = B.submatrix(2, 10)
     X = np.random.default_rng(10).normal(size=(8, 3))
     assert_allclose(sub.matvec(X), A[2:10, 2:10] @ X, atol=1e-13)

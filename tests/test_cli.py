@@ -373,6 +373,21 @@ def test_main_reports_a_failed_dual_svd_without_traceback(tmp_path, monkeypatch,
     assert "block failed: SVD did not converge" in err
 
 
+def test_main_reports_a_failed_eigensolve_without_traceback(tmp_path, monkeypatch, capsys):
+    import scipy.linalg
+
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("eigenvalues did not converge")
+
+    monkeypatch.setattr(scipy.linalg, "eigh", no_convergence)
+    assert main(["stability", "--degree", "3", "--n", "40",
+                 "--output_dir", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err == ("numerical failure: generalized eigensolve failed: "
+                   "eigenvalues did not converge\n")
+
+
 def test_main_reports_a_failed_write_without_traceback(tmp_path, monkeypatch, capsys):
     import errno
 
@@ -452,6 +467,66 @@ def test_annulus_run_builds_its_run_operator_once(outlier_removed, monkeypatch):
                              outlier_removed)
     assert res["outlier_removed"] == outlier_removed
     assert res["steps"] > 0 and len(built) == 1
+
+
+def _leaves(value):
+    if isinstance(value, dict):
+        for v in value.values():
+            yield from _leaves(v)
+    elif isinstance(value, (list, tuple)):
+        for v in value:
+            yield from _leaves(v)
+    else:
+        yield value
+
+
+@pytest.mark.parametrize("kind", ["galerkin_consistent", "customized"])
+def test_annulus_record_holds_every_field_and_no_system(kind, monkeypatch):
+    # the CSV rows and the report runs are read off one record, which
+    # carries its system's metadata and keeps no system alive
+    import gc
+    import weakref
+
+    import iga_explicit.cli as cli_mod
+    from iga_explicit.assembly import DiscreteSystem
+    from iga_explicit.benchmarks import annulus_solution
+    from iga_explicit.dynamics import RunOperator
+
+    systems = []
+    build = cli_mod._annulus_system
+
+    def tracked(*args):
+        system = build(*args)
+        systems.append(weakref.ref(system))
+        return system
+
+    monkeypatch.setattr(cli_mod, "_annulus_system", tracked)
+    rec = cli_mod.annulus_run_single(annulus_solution(), 3, 8, 16, kind, "rk4", 0.5)
+    assert set(cli_mod.CSV_FIELDS) | set(cli_mod.REPORT_FIELDS) <= set(rec)
+    assert not any(isinstance(v, (DiscreteSystem, RunOperator)) for v in _leaves(rec))
+    assert rec["system_metadata"]["kappa"] == annulus_solution().kappa
+    gc.collect()
+    assert len(systems) == 1 and systems[0]() is None
+
+
+def test_annulus_sweep_shares_one_map(monkeypatch):
+    # the systems of a sweep hold one map, whose weight checks run once
+    import iga_explicit.cli as cli_mod
+    from iga_explicit import geometry
+    from iga_explicit.benchmarks import annulus_solution
+
+    checks = []
+    weight_field = geometry.weight_field
+    monkeypatch.setattr(geometry, "weight_field",
+                        lambda geo: checks.append(geo) or weight_field(geo))
+    cli_mod._annulus_geometry.cache_clear()
+    sol = annulus_solution()
+    systems = [cli_mod._annulus_system(sol, 3, n_r, 2 * n_r, kind, (3, 4))
+               for n_r, kind in ((8, "customized"), (16, "galerkin_consistent"))]
+    assert systems[0].geometry is systems[1].geometry
+    for system in systems:
+        system.radial_weight()
+    assert len(checks) == 1
 
 
 def test_stability_limits_are_computed_once_per_process(tmp_path, monkeypatch):

@@ -138,7 +138,8 @@ def test_eigensolve_two_by_two():
 
 
 def test_eigensolve_rejects_indefinite_mass():
-    with pytest.raises(NumericalError):
+    # one factorization, LAPACK's, whose failure carries its message
+    with pytest.raises(NumericalError, match="not positive definite"):
         eigensolve(np.eye(2), np.array([[1.0, 0.0], [0.0, -1.0]]))
 
 
@@ -529,7 +530,7 @@ def test_max_frequency_falls_back_to_arpack_off_circulant(n_theta, change):
     if sp.issparse(inner):
         inner.eliminate_zeros()
     max_frequency(run)
-    assert run.fourier_eigenvalues is None
+    assert run.fourier_eigenvalues is None and run.omega_method == "arnoldi"
     assert system.counters["stiffness_applies"] > 0
 
 
@@ -582,8 +583,8 @@ def cli_membrane(p, n_r):
 
 
 # max Re sqrt(mu) of the CLI's customized runs: the same to the last digit
-# with one and two BLAS threads; on the stable meshes the round-off (at most
-# 2.7e-14) lies below the floor ABSCISSA_ROUNDOFF eps omega_max and reads 0
+# with one and two BLAS threads; the real Fourier blocks keep the eigenvalues
+# of a stable mesh real, so its rate is exactly 0 with no round-off floor
 @pytest.mark.parametrize("p,n_r,abscissa", [
     (3, 8, 0.0), (3, 16, 0.18728733530272273), (3, 32, 0.26894045065474914),
     (5, 16, 0.0), (5, 32, 0.20912282187382808),
@@ -594,6 +595,25 @@ def test_spectral_abscissa_of_the_customized_membrane(p, n_r, abscissa):
         assert run.spectral_abscissa == 0.0
     else:
         assert run.spectral_abscissa == pytest.approx(abscissa, rel=1e-8)
+
+
+@pytest.mark.parametrize("p,n_r", [(3, 8), (5, 16)])
+def test_spectral_abscissa_of_the_outlier_reduced_membrane(p, n_r):
+    # the stable meshes stay stable under the end constraints: exactly 0
+    system = cli_membrane(p, n_r)
+    assert RunOperator(system, OutlierConstraint(system)).spectral_abscissa == 0.0
+
+
+@pytest.mark.parametrize("outlier", [False, True])
+@pytest.mark.parametrize("kind", RUN_KINDS)
+def test_omega_method_names_the_path_max_frequency_took(kind, outlier):
+    # the Fourier blocks apply no operator; ARPACK applies it
+    system = membrane_system(kind)
+    run = RunOperator(system, outlier_removal(system) if outlier else None)
+    max_frequency(run)
+    applied = system.counters["stiffness_applies"] > 0
+    assert (run.omega_method == "fourier_blocks") == (not applied)
+    assert run.omega_method == ("fourier_blocks" if kind == "customized" else "arnoldi")
 
 
 def assert_matches_separate_rhs(system, outlier):
