@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import along_axis
+from .assembly import contract
 
 _SERIES_CUTOFF = 12.0
 
@@ -191,9 +191,8 @@ def l2_error(system, coeffs_free, exact_xy):
     ``exact_xy`` is a callable on physical coordinates (one argument in 1D,
     two in 2D). Quadrature uses the system's degree+2 points per element.
     """
-    uh = system.inject(coeffs_free)
-    for k in range(system.ndim):
-        uh = along_axis(system.tables(k)[2].__matmul__, uh, k)
+    uh = contract([system.tables(k)[2].__matmul__ for k in range(system.ndim)],
+                  system.inject(coeffs_free))
     ue = system.evaluate(exact_xy, physical=True)
     W, det, _ = system.quadrature_grid()
     W = W * det

@@ -140,17 +140,25 @@ def rk_step(tableau, rhs, state, dt):
 
     For a linear autonomous system the step is y <- R(dt L) y, with R the
     tableau's stability polynomial and L(d, v) = (v, rhs(d)): one ``rhs``
-    call per power of L, the degree of R in all. Raises on NaN.
+    call per power of L, the degree of R in all. The first power allocates
+    the new d and v, in the memory orders numpy gives their sums, and later
+    powers add into them in place; ``state`` is never written. Raises on NaN.
     """
-    if dt <= 0.0:
-        raise ValueError("time step must be positive")
+    if not 0.0 < dt < np.inf:
+        raise ValueError(f"time step must be positive and finite, got {dt!r}")
     d, v = state.d, state.v
-    d_new, v_new = d, v
     for k, c in enumerate(tableau.coefficients[1:], start=1):
         d, v = v, rhs(d)
-        d_new = d_new + c * dt**k * d
-        v_new = v_new + c * dt**k * v
-    if not (np.all(np.isfinite(d_new)) and np.all(np.isfinite(v_new))):
+        if k == 1:
+            fortran = np.isfortran(d) and np.isfortran(v)
+            d_new = np.multiply(d, c * dt, order="F" if fortran and np.isfortran(state.d) else "C")
+            v_new = np.multiply(v, c * dt, order="F" if fortran else "C")
+            d_new += state.d
+            v_new += state.v
+        else:
+            d_new += c * dt**k * d
+            v_new += c * dt**k * v
+    if not (np.isfinite(d_new).all() and np.isfinite(v_new).all()):
         raise NumericalError(f"non-finite state after step at t={state.t}")
     return DynamicState(d_new, v_new, state.t + dt)
 
@@ -184,16 +192,21 @@ def stability_limit(tableau):
 
 def critical_dt(c_max, omega_max):
     """Largest stable explicit step C_max / omega_max."""
-    if omega_max <= 0.0:
-        raise ValueError("maximum frequency must be positive")
+    for name, value in (("C_max", c_max), ("maximum frequency", omega_max)):
+        if not 0.0 < value < np.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value!r}")
     return c_max / omega_max
 
 
 def _with_margin(radius, tol):
     """omega_max = sqrt(radius * (1 + tol)) from the spectral radius of
     M^{-1} K: every estimate carries the same relative margin of about
-    ``tol / 2`` in omega (see ``power_max_frequency``)."""
-    return float(np.sqrt(radius * (1.0 + tol)))
+    ``tol / 2`` in omega (see ``power_max_frequency``). An estimate that is
+    not positive and finite raises NumericalError."""
+    omega = float(np.sqrt(radius * (1.0 + tol)))
+    if not 0.0 < omega < np.inf:
+        raise NumericalError(f"omega_max estimate {omega!r} is not positive and finite")
+    return omega
 
 
 def power_max_frequency(apply_fn, n, tol=1e-10, max_iterations=1000):

@@ -8,7 +8,8 @@ rules: they check that the batched assembly sums the same terms in the same
 order, so their results must agree bit for bit. The Runge-Kutta oracles at
 the end step by the tableau's stage recursion and evaluate its stability
 function by the resolvent, the general forms that the package's polynomial
-step must reproduce for linear systems. The matrix helpers before them (column-major
+step must reproduce for linear systems; the allocating polynomial step is
+the one its in-place accumulation must reproduce bit for bit. The matrix helpers before them (column-major
 flattening, band storage of a dense matrix, the dense Petrov mass) build the
 dense operators the Kronecker and banded ones are checked against. The CSR
 route oracles assemble the stiffness kernel and the run operator through
@@ -274,12 +275,16 @@ def csr_stiffness_kernel(system):
     """(outer, inner) of ``assembly._stiffness_kernel`` by the CSR route: the
     terms' COO entries on the full space summed into one CSR matrix per
     stacked factor, restricted to the free rows and, within each term's
-    block, the free columns by fancy indexing, then stored by their fill."""
-    from iga_explicit.assembly import SEPARATION_TOL, _separate, _stiffness_form
+    block, the free columns by fancy indexing, then stored by their fill.
+    The form comes from a new system of the same inputs: a system drops the
+    geometry grids of its form once its own kernel is built."""
+    from iga_explicit.assembly import SEPARATION_TOL, DiscreteSystem, _separate, _stiffness_form
 
     evs = [system.tables(k)[3] for k in range(system.ndim)]
     n0, m = system.full_shape[0], int(np.prod(system.full_shape[1:]))
-    form = _stiffness_form(system)
+    form = _stiffness_form(DiscreteSystem(
+        system.spaces, system.geometry, system.mass_kind, system.kappa,
+        None if system.geometry else system.rho, system.dirichlet, system.dual_halfwidth))
     bound = SEPARATION_TOL * max(np.max(np.abs(grid)) for grid, _, _ in form)
     groups = {}
     for grid, test, trial in form:
@@ -352,6 +357,20 @@ def csr_run_terms(system, outlier=None):
 def dense_of(A):
     """The entries of a dense array or sparse matrix as a dense array."""
     return A.toarray() if sp.issparse(A) else np.asarray(A)
+
+
+def allocating_rk_step(tableau, rhs, state, dt):
+    """One step y <- R(dt L) y that allocates a new sum at every power of L:
+    the arithmetic and the memory orders the in-place step must reproduce."""
+    from iga_explicit.dynamics import DynamicState
+
+    d, v = state.d, state.v
+    d_new, v_new = d, v
+    for k, c in enumerate(tableau.coefficients[1:], start=1):
+        d, v = v, rhs(d)
+        d_new = d_new + c * dt**k * d
+        v_new = v_new + c * dt**k * v
+    return DynamicState(d_new, v_new, state.t + dt)
 
 
 def stage_rk_step(tableau, rhs, state, dt):

@@ -26,6 +26,7 @@ from iga_explicit.assembly import (
     KroneckerOperator,
     _separate,
     assembled_stiffness_1d,
+    contract,
     mass_operator,
     moments,
     project_initial,
@@ -102,6 +103,65 @@ def test_kron_apply_banded_and_diag_factors():
     grid = rng.normal(size=(space.dimension, 6))
     ref = np.linalg.solve(np.kron(np.diag(d2), G.to_dense()), grid_to_vec(grid))
     assert_allclose(grid_to_vec(op.solve(grid)), ref, atol=1e-12)
+
+
+def factor_of_storage(storage, rng):
+    """An InverseFactor whose inverse ``by_fill`` stores as ``storage``, and
+    that inverse as a dense array: a full matrix ("dense"), a tridiagonal
+    one at a fill below 1/10 ("csr"), and reciprocals of a lumped diagonal,
+    stored as CSR ("diagonal") or, at 7 functions, dense ("small_diagonal")."""
+    n = 7 if storage == "small_diagonal" else 31
+    if storage == "dense":
+        inverse = rng.normal(size=(n, n))
+    elif storage == "csr":
+        inverse = sp.diags([rng.normal(size=n - 1), rng.normal(size=n), rng.normal(size=n - 1)],
+                           [-1, 0, 1])
+    else:
+        inverse = sp.diags(1.0 / rng.uniform(1.0, 2.0, size=n))
+    dense = dense_of(inverse)
+    return InverseFactor(n, lambda: inverse, lambda: np.linalg.inv(dense)), dense
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("storages", [("dense",), ("csr",), ("diagonal",), ("dense", "csr"),
+                                      ("csr", "diagonal"), ("diagonal", "dense"),
+                                      ("small_diagonal", "csr"), ("dense", "small_diagonal")])
+def test_contract_matches_the_dense_kronecker_oracle(storages, order):
+    rng = np.random.default_rng(13)
+    factors, inverses = zip(*(factor_of_storage(s, rng) for s in storages))
+    oracle = reduce(lambda acc, A: np.kron(A, acc), inverses[1:], inverses[0])
+    grid = np.asarray(rng.normal(size=[f.n for f in factors]), order=order)
+    ref = oracle @ grid_to_vec(grid)
+    for ops in ([f.solve for f in factors], [f.inverse.__matmul__ for f in factors]):
+        out = contract(ops, grid)
+        assert out.shape == grid.shape
+        assert np.max(np.abs(grid_to_vec(out) - ref)) <= 1e-13 * np.max(np.abs(ref))
+        # a 2D result comes back in Fortran order, as the layout of the
+        # grids a run passes on fixes the bits of the products that follow
+        assert out.ndim == 1 or (out.flags.f_contiguous and not out.flags.c_contiguous)
+    assert np.array_equal(KroneckerOperator(factors).solve(grid), contract(
+        [f.solve for f in factors], grid))
+    for f, storage in zip(factors, storages):
+        assert sp.issparse(f.inverse) == (storage in ("csr", "diagonal")), storage
+        # a diagonal inverse solves by scaling rows, with the product's bits
+        assert (f._scale is not None) == storage.endswith("diagonal"), storage
+        for x in (rng.normal(size=(f.n, 4)), np.asfortranarray(rng.normal(size=(f.n, 4)))):
+            assert np.array_equal(f.solve(x), f.inverse @ x), storage
+            assert f.solve(x).flags.c_contiguous
+
+
+@pytest.mark.parametrize("kind", ["customized", "galerkin_consistent"])
+def test_geometry_grids_of_the_form_are_dropped_once_the_kernel_is_built(kind):
+    system = make_system_2d(p=3, nel1=6, nel2=12, mass_kind=kind)
+    grids = system.geometry_grids()
+    dual = {"grad_c"} if kind == "customized" else set()
+    assert set(grids) == {"det", "c", "A", "X", "Y"} | dual
+    kernel = system.stiffness_kernel
+    assert system.geometry_grids() is grids
+    assert set(grids) == {"det", "c", "X", "Y"}
+    assert system.stiffness_kernel is kernel
+    # the kept grids serve the moments and the error norms
+    project_initial(system, lambda x1, x2: x1 * (1.0 - x1) * np.cos(2.0 * np.pi * x2))
 
 
 @pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])

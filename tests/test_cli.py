@@ -388,6 +388,18 @@ def test_main_reports_a_failed_eigensolve_without_traceback(tmp_path, monkeypatc
                    "eigenvalues did not converge\n")
 
 
+def test_main_reports_a_non_finite_omega_max_without_traceback(tmp_path, monkeypatch, capsys):
+    from iga_explicit.dynamics import RunOperator
+
+    monkeypatch.setattr(RunOperator, "fourier_eigenvalues",
+                        property(lambda self: np.array([np.nan], dtype=complex)))
+    assert main(["annulus", "--degree", "3", "--n_elems", "8", "--mass_kind", "customized",
+                 "--output_dir", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err == "numerical failure: omega_max estimate nan is not positive and finite\n"
+
+
 def test_main_reports_a_failed_write_without_traceback(tmp_path, monkeypatch, capsys):
     import errno
 

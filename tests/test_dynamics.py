@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from oracle_utils import loop_outlier_end_block, resolvent_stability_function, stage_rk_step
+from oracle_utils import (
+    allocating_rk_step,
+    loop_outlier_end_block,
+    resolvent_stability_function,
+    stage_rk_step,
+)
 
 from iga_explicit.assembly import DiscreteSystem, assembled_stiffness_1d
 from iga_explicit.dualbasis import grammian
@@ -123,6 +128,25 @@ def test_critical_dt():
     assert critical_dt(2.0, 4.0) == pytest.approx(0.5)
     with pytest.raises(ValueError):
         critical_dt(2.0, 0.0)
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf, -np.inf])
+def test_critical_dt_rejects_what_is_not_positive_and_finite(value):
+    with pytest.raises(ValueError, match=rf"maximum frequency .* got {value!r}"):
+        critical_dt(2.0, value)
+    with pytest.raises(ValueError, match=rf"C_max .* got {value!r}"):
+        critical_dt(value, 4.0)
+
+
+@pytest.mark.parametrize("eigenvalues", [[-1.0, np.nan], [-1.0, np.inf], [0.0, 0.0]])
+def test_max_frequency_rejects_an_estimate_that_is_not_positive_and_finite(eigenvalues):
+    # raised before a critical step could be computed from it
+    from types import SimpleNamespace
+
+    run = SimpleNamespace(omega_method="fourier_blocks",
+                          fourier_eigenvalues=np.array(eigenvalues, dtype=complex))
+    with pytest.raises(NumericalError, match="omega_max estimate .* is not positive and finite"):
+        max_frequency(run)
 
 
 def test_eigensolve_identity_pair():
@@ -756,3 +780,55 @@ def test_rk_step_rejects_nonpositive_dt():
     state = DynamicState(np.array([1.0]), np.array([0.0]), 0.0)
     with pytest.raises(ValueError):
         rk_step(RK4, lambda d: -d, state, 0.0)
+
+
+@pytest.mark.parametrize("dt", [-0.1, np.nan, np.inf])
+def test_rk_step_rejects_a_dt_that_is_not_positive_and_finite(dt):
+    state = DynamicState(np.array([1.0]), np.array([0.0]), 0.0)
+    calls = []
+    with pytest.raises(ValueError, match=rf"time step .* got {dt!r}"):
+        rk_step(RK4, lambda d: calls.append(d) or -d, state, dt)
+    assert calls == []
+
+
+@pytest.mark.parametrize("tableau", [RK2, RK4, RK6], ids=lambda t: t.name)
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("outlier", [False, True], ids=["plain", "outlier"])
+def test_rk_step_leaves_the_given_state_unchanged(tableau, order, outlier):
+    # the new state is accumulated in place, in arrays of its own, for a
+    # C-ordered rhs (the run operator's) and a Fortran-ordered one
+    system = membrane_system("galerkin_consistent")
+    run = RunOperator(system, outlier_removal(system) if outlier else None)
+    rng = np.random.default_rng(6)
+    d, v = (np.asarray(rng.standard_normal(run.shape), order=order) for _ in range(2))
+    state = DynamicState(d, v)
+    d0, v0 = d.copy(order="K"), v.copy(order="K")
+    for rhs in (run.apply, lambda x: np.asfortranarray(run.apply(x))):
+        out = rk_step(tableau, rhs, state, 1e-3)
+        assert np.array_equal(state.d, d0) and np.array_equal(state.v, v0)
+        assert state.d is d and state.v is v
+        assert not (np.shares_memory(out.d, d) or np.shares_memory(out.v, v))
+        # the allocating step's bits and memory orders
+        want = allocating_rk_step(tableau, rhs, state, 1e-3)
+        for got, ref in ((out.d, want.d), (out.v, want.v)):
+            assert np.array_equal(got, ref)
+            assert np.isfortran(got) == np.isfortran(ref)
+
+
+def test_rk_step_keeps_the_allocating_steps_orders_over_many_steps():
+    # mixed memory orders of the state and of the rhs, over RK6 steps
+    system = membrane_system("customized")
+    run = RunOperator(system)
+    dt = 0.5 / max_frequency(run)
+    rng = np.random.default_rng(7)
+    for d_order, v_order in (("C", "C"), ("F", "F"), ("F", "C"), ("C", "F")):
+        for rhs in (run.apply, lambda x: np.asfortranarray(run.apply(x))):
+            state = oracle = DynamicState(
+                np.asarray(rng.standard_normal(run.shape), order=d_order),
+                np.asarray(rng.standard_normal(run.shape), order=v_order))
+            for _ in range(5):
+                state = rk_step(RK6, rhs, state, dt)
+                oracle = allocating_rk_step(RK6, rhs, oracle, dt)
+                for got, ref in ((state.d, oracle.d), (state.v, oracle.v)):
+                    assert np.array_equal(got, ref)
+                    assert np.isfortran(got) == np.isfortran(ref)
