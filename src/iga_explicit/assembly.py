@@ -14,7 +14,7 @@ reciprocal. The Petrov mass is kept only as the dense oracle
 ``ApproximateDualBasis.product_dense``. Dirichlet sides are imposed by
 restricting the univariate factors to the free indices;
 the customized mass keeps a banded inverse there, the Schur complement
-S_ff - S_fc S_cc^{-1} S_cf of the constrained dual. Outlier removal turns a factor F0 into T^T F0 T.
+S_ff - S_fc S_cc^{-1} S_cf of the constrained dual.
 
 A system's test functions follow from its mass kind (``MASS_KINDS``), read
 through the read-only ``DiscreteSystem.test_mode``: B/c for the customized
@@ -686,26 +686,20 @@ def assembled_stiffness_1d(system):
     return sp.csr_matrix(system.stiffness_kernel.outer)
 
 
-def mass_inverse_stiffness(system, mass, T=None):
-    """-M^{-1} K of the system's mass kind as a KroneckerSum on free grids,
-    or, with a reduction T along axis 0 (free = T reduced), on reduced grids,
-    where ``mass`` is the reduced operator.
+def mass_inverse_stiffness(mass, kernel):
+    """-M^{-1} K as a KroneckerSum on the grids of a mass ``MassOperator``
+    M = F0 (x) F1 and a stiffness ``KroneckerSum`` K = sum_t A_t (x) B_t.
 
-    With M = F0 (x) F1 and K = sum_t A_t (x) B_t on the free indices,
-    M^{-1} K = sum_t P_t (x) Q_t with P_t = F0^{-1} A_t (reduced:
-    (T^T F0 T)^{-1} T^T A_t T) and Q_t = F1^{-1} B_t. The sign is folded into
-    the P_t. The stacked P_t and Q_t are each stored by their own fill
-    (``by_fill``), whatever the storage of the factors they come from.
+    M^{-1} K = sum_t P_t (x) Q_t with P_t = F0^{-1} A_t and Q_t = F1^{-1} B_t.
+    The sign is folded into the P_t. The stacked P_t and Q_t are each stored
+    by their own fill (``by_fill``), whatever the storage of the factors they
+    come from.
     """
-    kernel = system.stiffness_kernel
-    outer, inner = kernel.outer, kernel.inner
-    if T is not None:
-        n, r = T.shape
-        outer = ((T.T @ outer).reshape(r, kernel.n_terms, n) @ T).reshape(r, -1)
+    inner = kernel.inner
     F0, *rest = mass.factors
     for F1 in rest:
         inner = _blockwise(F1.inverse, inner)
-    return KroneckerSum(by_fill(-(F0.inverse @ outer)), by_fill(inner))
+    return KroneckerSum(by_fill(-(F0.inverse @ kernel.outer)), by_fill(inner))
 
 
 def _blockwise(A, stacked):
@@ -742,7 +736,7 @@ def moments(system, func_param):
                     out.T).T
 
 
-def project_initial(system, u0_param, outlier=None):
+def project_initial(system, u0_param):
     """Initial coefficients from the method's own mass equations.
 
     ``u0_param`` is the initial field composed with the geometry map, i.e. a
@@ -755,13 +749,5 @@ def project_initial(system, u0_param, outlier=None):
     stays fully lumped, dividing by its diagonal as an explicit production
     code would; its initial data is therefore only second-order accurate,
     consistent with the accuracy of the method itself.
-
-    With an ``OutlierConstraint`` the result is the reduced initial data y
-    of the same projection P: (T^T P0 T) (x) P1 y = T^T m, with m the
-    moments.
     """
-    mass = mass_operator(system)
-    m_free = system.extract(moments(system, u0_param))
-    if outlier is None:
-        return mass.projection.solve(m_free)
-    return outlier.reduce(mass.projection).solve(outlier.restrict(m_free))
+    return mass_operator(system).projection.solve(system.extract(moments(system, u0_param)))

@@ -23,6 +23,7 @@ import json
 import os
 import sys
 import time
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,11 +45,12 @@ from .dynamics import (
     PAPER_CMAX,
     TABLEAUS,
     DynamicState,
-    OutlierConstraint,
     RunOperator,
+    constraints_per_end,
     critical_dt,
     eigensolve,
     max_frequency,
+    outlier_removal,
     rk_step,
     stability_limit,
 )
@@ -56,6 +58,8 @@ from .errors import ConfigError, NumericalError
 from .splinecore import PERIODIC, uniform_space
 from .geometry import annulus_map
 
+# the experiments, in the order of the subcommands; ``main`` runs each with
+# the module's ``run_<name>`` as it is bound at the call
 EXPERIMENTS = ("spectrum", "annulus", "project", "stability")
 RUN_MASS_KINDS = tuple(MASS_KINDS)
 # mass_kind value -> the kinds a run covers
@@ -133,7 +137,7 @@ class RunConfig:
         elif self.experiment == "annulus":
             # the periodic angular space and its dual band both need more
             # than twice their halfwidth in elements
-            band = max(self.degree, self.degree + 1 if self.beta is None else self.beta)
+            band = max(self.degree, annulus_dual_halfwidths(self.degree, self.beta)[1])
             too_coarse = [m for m in self.n_elems if self.angular_factor * m <= 2 * band]
             if too_coarse:
                 problems.append(
@@ -151,7 +155,8 @@ class RunConfig:
                     f"(angular_factor * n_elems) and {ANNULUS_MAX_FUNCTIONS} functions in all "
                     f"(their product)"
                 )
-        if self.degree >= 3 and (self.outlier_removed or self.experiment == "stability"):
+        if constraints_per_end(self.degree) and (self.outlier_removed
+                                                 or self.experiment == "stability"):
             # the end constraints act on the p free functions at each end of
             # direction 0 (stability always computes the outlier case)
             free = {
@@ -175,12 +180,9 @@ class RunConfig:
 _BOOL_VALUES = {"true": True, "false": False, "1": True, "0": False,
                 "yes": True, "no": False}
 
-# the keys of a config file and the command-line flags
-CONFIG_KEYS = [k for k in RunConfig.__dataclass_fields__ if k != "experiment"]
-_INT_KEYS = {"degree", "n", "angular_factor", "beta"}
-_FLOAT_KEYS = {"dt_fraction"}
-_LIST_KEYS = {"n_elems", "n_values"}
-_BOOL_KEYS = {"outlier_removed"}
+# the keys of a config file and the command-line flags, typed by RunConfig
+FIELD_TYPES = typing.get_type_hints(RunConfig)
+CONFIG_KEYS = [k for k in FIELD_TYPES if k != "experiment"]
 
 
 def parse_config_file(path):
@@ -212,18 +214,14 @@ def parse_config_file(path):
 
 
 def _convert(key, val):
-    if key in _INT_KEYS:
-        return int(val)
-    if key in _FLOAT_KEYS:
-        return float(val)
-    if key in _BOOL_KEYS:
-        low = val.lower()
-        if low not in _BOOL_VALUES:
+    kind = FIELD_TYPES[key]
+    if kind is bool:
+        if val.lower() not in _BOOL_VALUES:
             raise ValueError(f"expected a boolean for {key}, got {val!r}")
-        return _BOOL_VALUES[low]
-    if key in _LIST_KEYS:
+        return _BOOL_VALUES[val.lower()]
+    if kind is tuple:
         return tuple(int(v) for v in val.split(","))
-    return val
+    return int(val) if kind == int | None else kind(val)
 
 
 def build_config(experiment, file_values=None, overrides=None):
@@ -309,8 +307,8 @@ def string_spectra(p, n_dim, beta=None, outlier_choices=(False,)):
     ends imposed, the system being the customized one. There is one system
     per kind on the same space, and only the customized one builds a dual;
     the stiffness and the masses are built once for all
-    ``outlier_choices``, and an outlier-removal basis transformation
-    applies to all kinds where the choice is True.
+    ``outlier_choices``, and where the choice is True the outlier
+    constraint's congruence reduces them all (none below degree 3).
     """
     space = uniform_space(n_dim - p, p)
     systems = {kind: DiscreteSystem([space], mass_kind=kind, dirichlet=[(True, True)],
@@ -323,11 +321,8 @@ def string_spectra(p, n_dim, beta=None, outlier_choices=(False,)):
     masses = {kind: mass_operator(s).factors[0].to_dense() for kind, s in systems.items()}
     spectra = {}
     for outlier_removed in outlier_choices:
-        if outlier_removed:
-            T = OutlierConstraint(system).T
-            reduce = lambda A: T.T @ A @ T
-        else:
-            reduce = lambda A: A
+        outlier = outlier_removal(system) if outlier_removed else None
+        reduce = (lambda A: A) if outlier is None else outlier.congruence
         K_red = reduce(K)
         spectra[outlier_removed] = {
             kind: eigensolve(K_red, reduce(M))
@@ -455,6 +450,15 @@ def _annulus_geometry(inner_radius, outer_radius):
     return annulus_map(inner_radius, outer_radius)
 
 
+def annulus_dual_halfwidths(p, beta=None):
+    """Dual halfwidths (radial, angular) of an annulus run: ``beta`` in both
+    directions, else degree and degree+1. At the angular resolution limit of
+    the coarse meshes the extra band keeps the customized-mass evolution
+    within a factor two of the consistent mass (asymptotically identical);
+    the radial default is where the construction is SPD on all meshes."""
+    return (p, p + 1) if beta is None else (beta, beta)
+
+
 def _annulus_system(sol, p, n_r, n_theta, kind, beta=None):
     s1 = uniform_space(n_r, p)
     s2 = uniform_space(n_theta, p, boundary_kind=PERIODIC)
@@ -498,20 +502,12 @@ def annulus_run_single(sol, p, n_r, n_theta, kind, scheme, dt_fraction,
     the system's operator counters at the end of the run.
     ``amplitude_drift`` is the largest max|d| over the steps relative to
     max|d0|: about 1 for a stable run, above 1e6 for a flagged one, whose
-    ``l2_rel_error`` is infinite.
-
-    The angular dual halfwidth defaults to degree+1: the coarse meshes of the
-    membrane study put the initial field at the angular resolution limit,
-    where one extra band keeps the customized-mass evolution within a factor
-    two of the consistent mass (the asymptotic behavior is identical). The
-    radial direction keeps the default halfwidth, which is where the
-    construction is SPD on all mesh sizes.
+    ``l2_rel_error`` is infinite. ``outlier_removed`` records the request,
+    a no-op below degree 3.
     """
     t_setup = time.perf_counter()
-    if beta is None:
-        beta = (p, p + 1)
-    system = _annulus_system(sol, p, n_r, n_theta, kind, beta)
-    outlier = OutlierConstraint(system) if outlier_removed and p >= 3 else None
+    system = _annulus_system(sol, p, n_r, n_theta, kind, annulus_dual_halfwidths(p, beta))
+    outlier = outlier_removal(system) if outlier_removed else None
     run = RunOperator(system, outlier)
     dr = sol.outer_radius - sol.inner_radius
 
@@ -524,7 +520,7 @@ def annulus_run_single(sol, p, n_r, n_theta, kind, scheme, dt_fraction,
     omega_max = max_frequency(run)
     applies = system.counters["stiffness_applies"] - applies
     t_omega = time.perf_counter()
-    d0 = project_initial(system, u0_param, outlier)
+    d0 = outlier.project_initial(u0_param) if outlier else project_initial(system, u0_param)
     t_project = time.perf_counter()
 
     period = sol.period
@@ -572,7 +568,7 @@ def annulus_run_single(sol, p, n_r, n_theta, kind, scheme, dt_fraction,
         "sqrt_dofs": float(np.sqrt(run.n)),
         "mass_kind": kind,
         "rk_scheme": scheme,
-        "outlier_removed": bool(outlier),
+        "outlier_removed": bool(outlier_removed),
         "dt": dt,
         "steps": steps,
         "l2_rel_error": err,
@@ -682,13 +678,7 @@ def main(argv=None):
         except OSError as exc:
             raise ConfigError(f"cannot create output_dir {config.output_dir}: "
                               f"{exc.strerror or exc}") from None
-        runner = {
-            "spectrum": run_spectrum,
-            "project": run_project,
-            "stability": run_stability,
-            "annulus": run_annulus,
-        }[config.experiment]
-        out = runner(config)
+        out = globals()[f"run_{config.experiment}"](config)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -1,6 +1,7 @@
 """Explicit Runge-Kutta steppers, stability limits, critical timestep, the
 run operator and its maximum frequency, generalized eigensolver for spectrum
-studies, and outlier removal."""
+studies, and outlier removal, which ``OutlierConstraint`` owns: where its
+constraints exist (``outlier_removal``) and every reduction T^T X T."""
 
 from __future__ import annotations
 
@@ -209,6 +210,14 @@ def _with_margin(radius, tol):
     return omega
 
 
+def _finite(y):
+    """``y``, or NumericalError where an operator apply is not finite:
+    ARPACK and LAPACK would fail on it with their own errors."""
+    if not np.isfinite(y).all():
+        raise NumericalError("non-finite operator apply in the omega_max estimate")
+    return y
+
+
 def power_max_frequency(apply_fn, n, tol=1e-10, max_iterations=1000):
     """Largest sqrt(|eigenvalue|) of a linear operator by implicitly restarted
     Arnoldi (ARPACK; Lehoucq, Sorensen and Yang 1998).
@@ -232,12 +241,12 @@ def power_max_frequency(apply_fn, n, tol=1e-10, max_iterations=1000):
     times less than the margin of ``tol / 2`` in omega, and
     ``test_max_frequency_bounds_the_dense_oracle`` checks it for every mass
     kind. Below ARPACK's minimum dimension (n <= 2) the eigenvalues are
-    dense, with the same margin. Raises NumericalError on non-convergence,
-    reporting the Ritz estimate on the span of the last ``ARNOLDI_VECTORS``
-    vectors applied.
+    dense, with the same margin. Raises NumericalError on a non-finite
+    apply, and on non-convergence, reporting the Ritz estimate on the span of
+    the last ``ARNOLDI_VECTORS`` vectors applied.
     """
     if n <= 2:
-        columns = np.column_stack([apply_fn(e) for e in np.eye(n)])
+        columns = _finite(np.column_stack([apply_fn(e) for e in np.eye(n)]))
         return _with_margin(np.max(np.abs(np.linalg.eigvals(columns))), tol), n
     # imported here, not with the module: loading ARPACK adds about 1.2 MB of
     # resident memory, which a run on the Fourier blocks, a run with a stored
@@ -250,7 +259,7 @@ def power_max_frequency(apply_fn, n, tol=1e-10, max_iterations=1000):
     def matvec(x):
         nonlocal applies
         applies += 1
-        y = apply_fn(x)
+        y = _finite(apply_fn(x))
         recent.append((x.copy(), y))  # ARPACK passes a view of its workspace
         return y
 
@@ -301,9 +310,17 @@ class RunOperator:
 
     @cached_property
     def terms(self):
-        """The operator as an ``assembly.KroneckerSum``."""
-        T = None if self.outlier is None else self.outlier.T
-        return assembly.mass_inverse_stiffness(self.system, self.mass, T)
+        """The operator as an ``assembly.KroneckerSum``, of the kernel the
+        OutlierConstraint reduces if any; NumericalError where not finite."""
+        kernel = self.system.stiffness_kernel
+        if self.outlier is not None:
+            kernel = assembly.KroneckerSum(self.outlier.congruence(kernel.outer, kernel.n_terms),
+                                           kernel.inner)
+        terms = assembly.mass_inverse_stiffness(self.mass, kernel)
+        if not all(np.isfinite(A.data if sp.issparse(A) else A).all()
+                   for A in (terms.outer, terms.inner)):
+            raise NumericalError("the run operator -M^{-1} K has non-finite entries")
+        return terms
 
     @property
     def n(self):
@@ -442,13 +459,18 @@ def eigensolve(K, M):
     return np.sort(freqs)
 
 
+def constraints_per_end(degree):
+    """Outlier constraints at each end of a degree-p direction: none below 3."""
+    return max((degree - 1) // 2, 0)
+
+
 class OutlierConstraint:
-    """Sparse basis transformation imposing vanishing even end derivatives.
+    """Sparse basis transformation imposing vanishing even end derivatives,
+    and every reduction T^T X T by it (``congruence``).
 
     Acts on the free (Dirichlet-constrained) coefficients of direction 0 of a
     system; columns of T span the subspace with u^(2k)(a) = u^(2k)(b) = 0 for
-    k = 1 .. floor((p-1)/2). For p = 2 there are no admissible constraints and
-    the transformation is the identity.
+    k = 1 .. floor((p-1)/2), so none below degree 3, where it raises.
     """
 
     def __init__(self, system):
@@ -460,22 +482,18 @@ class OutlierConstraint:
             raise ValueError("outlier removal expects homogeneous Dirichlet ends")
         p = space.degree
         self.system = system
-        self.n_constraints_per_end = max((p - 1) // 2, 0)
+        self.n_constraints_per_end = K = constraints_per_end(p)
+        if K == 0:
+            raise ValueError(f"no outlier constraints below degree 3 (got {p})")
         lo, hi = system.free_range(0)
         m = hi - lo
-        K = self.n_constraints_per_end
-        if K == 0:
-            T = np.eye(m)
-        else:
-            if m < 2 * p:
-                raise ValueError("too few free functions for outlier constraints")
-            a, b = space.domain
-            T = np.zeros((m, m - 2 * K))
-            T[: p, : p - K] = self._end_block(space, a, lo, m, p, K, left=True)
-            T[p : m - p, p - K : p - K + m - 2 * p] = np.eye(m - 2 * p)
-            T[m - p :, m - 2 * K - (p - K) :] = self._end_block(
-                space, b, lo, m, p, K, left=False
-            )
+        if m < 2 * p:
+            raise ValueError("too few free functions for outlier constraints")
+        a, b = space.domain
+        T = np.zeros((m, m - 2 * K))
+        T[: p, : p - K] = self._end_block(space, a, lo, m, p, K, left=True)
+        T[p : m - p, p - K : p - K + m - 2 * p] = np.eye(m - 2 * p)
+        T[m - p :, m - 2 * K - (p - K) :] = self._end_block(space, b, lo, m, p, K, left=False)
         self.T = T
         self.shape_reduced = (T.shape[1],) + tuple(system.free_shape[1:])
 
@@ -506,14 +524,28 @@ class OutlierConstraint:
     def unflatten(self, vec):
         return vec.reshape(self.shape_reduced)
 
+    def congruence(self, X, n_terms=None):
+        """T^T X T, dense; with ``n_terms``, of each of the n_terms blocks of
+        X side by side (a ``KroneckerSum.outer``), in the same layout."""
+        if n_terms is None:
+            return self.T.T @ X @ self.T
+        n, r = self.T.shape
+        return ((self.T.T @ X).reshape(r, n_terms, n) @ self.T).reshape(r, -1)
+
     def reduce(self, op):
         """The Kronecker operator (T^T F0 T) (x) F1 on reduced grids of a
         free-index Kronecker operator F0 (x) F1, held as the dense inverse of
         T^T F0 T, formed on its first solve; the caller owns it."""
-        mat = self.T.T @ op.factors[0].to_dense() @ self.T
+        mat = self.congruence(op.factors[0].to_dense())
         mat.flags.writeable = False  # the inverse is formed from it later
         reduced = assembly.InverseFactor(len(mat), lambda: np.linalg.inv(mat), lambda: mat)
         return assembly.KroneckerOperator([reduced, *op.factors[1:]])
+
+    def project_initial(self, u0_param):
+        """Reduced initial data y of the system's projection P (that of
+        ``assembly.project_initial``): (T^T P0 T) (x) P1 y = T^T m, m the moments."""
+        m = self.system.extract(assembly.moments(self.system, u0_param))
+        return self.reduce(assembly.mass_operator(self.system).projection).solve(self.restrict(m))
 
     def reduce_mass(self, system):
         """Reduced-mass solve (T^T M0 T)^{-1} (x) M1^{-1}."""
@@ -521,5 +553,5 @@ class OutlierConstraint:
 
 
 def outlier_removal(system):
-    """Constraint operator removing spurious high boundary modes (no-op p<3)."""
-    return OutlierConstraint(system)
+    """Constraint operator removing spurious high boundary modes (None p<3)."""
+    return OutlierConstraint(system) if constraints_per_end(system.spaces[0].degree) else None

@@ -400,6 +400,94 @@ def test_main_reports_a_non_finite_omega_max_without_traceback(tmp_path, monkeyp
     assert err == "numerical failure: omega_max estimate nan is not positive and finite\n"
 
 
+@pytest.mark.parametrize("kind", ["customized", "galerkin_consistent"])
+def test_main_reports_a_non_finite_run_operator_without_traceback(tmp_path, monkeypatch, capsys,
+                                                                  kind):
+    # a NaN in the stiffness kernel stops the Fourier-block (customized) and
+    # the ARPACK (Galerkin) omega_max path alike, before either runs
+    from iga_explicit import assembly
+
+    build = assembly._stiffness_kernel
+    monkeypatch.setattr(assembly, "_stiffness_kernel", lambda system: assembly.KroneckerSum(
+        build(system).outer * np.nan, build(system).inner))
+    assert main(["annulus", "--degree", "3", "--n_elems", "8", "--mass_kind", kind,
+                 "--output_dir", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err == "numerical failure: the run operator -M^{-1} K has non-finite entries\n"
+
+
+def test_every_config_key_takes_its_declared_type(tmp_path, monkeypatch):
+    # from a config file and from its flag alike
+    import iga_explicit.cli as cli_mod
+
+    want = {"degree": 3, "n": 40, "n_elems": (8, 16), "angular_factor": 3, "n_values": (10, 20),
+            "mass_kind": "customized", "outlier_removed": True, "rk_scheme": "rk4",
+            "dt_fraction": 0.25, "beta": 4, "output_dir": str(tmp_path)}
+
+    def spelled(value):
+        if isinstance(value, tuple):
+            return ",".join(map(str, value))
+        return str(value).lower() if isinstance(value, bool) else str(value)
+
+    text = {k: spelled(v) for k, v in want.items()}
+    assert sorted(want) == sorted(cli_mod.CONFIG_KEYS)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in text.items()))
+    configs = []
+    monkeypatch.setattr(cli_mod, "run_annulus", lambda config: configs.append(config) or [])
+    assert main(["annulus", "--config", str(cfg)]) == 0
+    assert main(["annulus", *[arg for k, v in text.items() for arg in (f"--{k}", v)]]) == 0
+    for config in configs:
+        got = {k: getattr(config, k) for k in want}
+        assert got == want
+        assert all(type(got[k]) is type(v) for k, v in want.items())
+        assert all(type(m) is int for k in ("n_elems", "n_values") for m in got[k])
+
+
+def test_string_spectra_ignore_outlier_removal_below_degree_3():
+    from iga_explicit.cli import string_spectra
+
+    _, spectra = string_spectra(2, 30, outlier_choices=(False, True))
+    assert all(np.array_equal(spectra[True][kind], freqs) for kind, freqs in spectra[False].items())
+
+
+@pytest.mark.parametrize("p", [3, 4, 5])
+def test_string_spectra_reduce_by_the_explicit_congruence(p):
+    # the outlier-reduced string K and M, bit for bit as T^T X T
+    from iga_explicit.assembly import DiscreteSystem, assembled_stiffness_1d, mass_operator
+    from iga_explicit.cli import string_spectra
+    from iga_explicit.dynamics import eigensolve, outlier_removal
+
+    system, spectra = string_spectra(p, 40, outlier_choices=(True,))
+    T = outlier_removal(system).T
+    K = assembled_stiffness_1d(system).toarray()
+    for kind, freqs in spectra[True].items():
+        M = mass_operator(DiscreteSystem(system.spaces, mass_kind=kind, dirichlet=system.dirichlet)
+                          ).factors[0].to_dense()
+        assert np.array_equal(freqs, eigensolve(T.T @ K @ T, T.T @ M @ T))
+
+
+def test_annulus_records_the_requested_outlier_removal_below_degree_3(tmp_path):
+    # no constraint exists at p=2: the run is the plain one, and its rows,
+    # report and metadata all record the request
+    outputs = {}
+    for flag in (False, True):
+        out = tmp_path / str(flag)
+        run_annulus(build_config("annulus", {}, {"degree": 2, "n_elems": (8,),
+                                                 "outlier_removed": flag, "output_dir": str(out)}))
+        meta, body = split_csv(out / "annulus_p2_mesh8x16.csv")
+        header, rows = body[0].split(","), [line.split(",") for line in body[1:]]
+        with open(out / "annulus_p2_report.json") as fh:
+            runs = json.load(fh)["runs"]
+        assert f"# outlier_removed={flag}" in meta
+        assert [row[header.index("outlier_removed")] for row in rows] == [str(flag)] * 3
+        assert [run["outlier_removed"] for run in runs] == [flag] * 3
+        outputs[flag] = [run["steps"] for run in runs], [row[header.index("l2_rel_error")]
+                                                          for row in rows]
+    assert outputs[True] == outputs[False]
+
+
 def test_main_reports_a_failed_write_without_traceback(tmp_path, monkeypatch, capsys):
     import errno
 

@@ -21,6 +21,7 @@ from iga_explicit.dynamics import (
     DynamicState,
     OutlierConstraint,
     RunOperator,
+    constraints_per_end,
     critical_dt,
     eigensolve,
     max_frequency,
@@ -217,18 +218,24 @@ def test_max_frequency_customized_below_consistent():
 @pytest.mark.parametrize("p,expected", [(2, 0), (3, 1), (4, 1), (5, 2)])
 def test_outlier_constraint_counts(p, expected):
     system = string_system(p, 30)
+    assert constraints_per_end(p) == expected
+    if not expected:
+        # no constraint below degree 3: no constraint object either
+        assert outlier_removal(system) is None
+        with pytest.raises(ValueError, match="below degree 3"):
+            OutlierConstraint(system)
+        return
     con = outlier_removal(system)
     assert con.n_constraints_per_end == expected
     m = system.free_shape[0]
     assert con.T.shape == (m, m - 2 * expected)
-    if expected:
-        # each end block as the entry-by-entry constraint rows give it
-        space, (lo, _), K = system.spaces[0], system.free_range(0), expected
-        a, b = space.domain
-        left = loop_outlier_end_block(space, a, lo, m, p, K, left=True)
-        right = loop_outlier_end_block(space, b, lo, m, p, K, left=False)
-        assert np.array_equal(con.T[:p, : p - K], left)
-        assert np.array_equal(con.T[m - p :, m - K - p :], right)
+    # each end block as the entry-by-entry constraint rows give it
+    space, (lo, _), K = system.spaces[0], system.free_range(0), expected
+    a, b = space.domain
+    left = loop_outlier_end_block(space, a, lo, m, p, K, left=True)
+    right = loop_outlier_end_block(space, b, lo, m, p, K, left=False)
+    assert np.array_equal(con.T[:p, : p - K], left)
+    assert np.array_equal(con.T[m - p :, m - K - p :], right)
 
 
 def test_outlier_removal_reduces_max_frequency_p4():
@@ -366,7 +373,7 @@ def test_mass_forms_are_built_once_per_system(kind, monkeypatch):
     max_frequency(RunOperator(system), tol=1e-4)
     con.reduce_mass(system)
     max_frequency(RunOperator(system, con), tol=1e-4)
-    project_initial(system, membrane_field, con)
+    con.project_initial(membrane_field)
     assert calls == []
     assert mass_operator(system) is mass_operator(system)
     tables = [system.tables(k) for k in range(system.ndim)]
@@ -380,11 +387,11 @@ def test_mass_forms_are_built_once_per_system(kind, monkeypatch):
 
 @pytest.mark.parametrize("kind", RUN_KINDS)
 def test_outlier_projection_uses_the_reduced_projection(kind):
-    from iga_explicit.assembly import moments, project_initial
+    from iga_explicit.assembly import moments
 
     system = membrane_system(kind)
     con = outlier_removal(system)
-    y = project_initial(system, membrane_field, con)
+    y = con.project_initial(membrane_field)
     lo, hi = system.free_range(0)
     # each kind's own projection factors P0, P1 and moment test functions
     weight = None if kind == "customized" else system.radial_weight()
@@ -413,6 +420,34 @@ def test_power_iteration_nonconvergence_reports_quotients():
     A = np.diag(np.linspace(0.0, 1.0, 200))
     with pytest.raises(NumericalError, match="Ritz estimate"):
         power_max_frequency(lambda v: A @ v, 200, max_iterations=1)
+
+
+@pytest.mark.parametrize("n", [12, 2], ids=["arnoldi", "dense"])
+def test_power_max_frequency_rejects_a_non_finite_operator(n):
+    # before ARPACK or LAPACK sees it, on both paths
+    with pytest.raises(NumericalError, match="non-finite operator apply"):
+        power_max_frequency(lambda x: x * np.nan, n)
+
+
+@pytest.mark.parametrize("p", [3, 4, 5])
+def test_outlier_reductions_keep_their_explicit_congruences(p):
+    # the reduced mass factor and the stacked stiffness factors of a run
+    # operator, bit for bit as T^T X T of each factor wrote them out
+    from iga_explicit.assembly import by_fill, mass_operator
+    from oracle_utils import dense_of
+
+    system = membrane_system("galerkin_consistent", p=p, n_r=8)
+    con = outlier_removal(system)
+    T = con.T
+    n, r = T.shape
+    F0 = mass_operator(system).factors[0].to_dense()
+    assert np.array_equal(con.reduce(mass_operator(system)).factors[0].to_dense(), T.T @ F0 @ T)
+    run = RunOperator(system, con)
+    kernel = system.stiffness_kernel
+    outer = ((T.T @ kernel.outer).reshape(r, kernel.n_terms, n) @ T).reshape(r, -1)
+    want = by_fill(-(run.mass.factors[0].inverse @ outer))
+    assert np.array_equal(dense_of(run.terms.outer), dense_of(want))
+    assert np.array_equal(dense_of(con.congruence(F0)), T.T @ F0 @ T)
 
 
 def separate_rhs(system, outlier=None):
