@@ -308,7 +308,8 @@ def string_spectra(p, n_dim, beta=None, outlier_choices=(False,)):
     per kind on the same space, and only the customized one builds a dual;
     the stiffness and the masses are built once for all
     ``outlier_choices``, and where the choice is True the outlier
-    constraint's congruence reduces them all (none below degree 3).
+    constraint's congruence reduces them all. Below degree 3 no constraint
+    exists, and a True choice takes the plain spectra, solved once.
     """
     space = uniform_space(n_dim - p, p)
     systems = {kind: DiscreteSystem([space], mass_kind=kind, dirichlet=[(True, True)],
@@ -319,15 +320,20 @@ def string_spectra(p, n_dim, beta=None, outlier_choices=(False,)):
     # density, so its stiffness is the symmetric one of every kind
     K = assembled_stiffness_1d(system).toarray()
     masses = {kind: mass_operator(s).factors[0].to_dense() for kind, s in systems.items()}
-    spectra = {}
+    spectra, plain = {}, None
     for outlier_removed in outlier_choices:
         outlier = outlier_removal(system) if outlier_removed else None
+        if outlier is None and plain is not None:
+            spectra[outlier_removed] = plain
+            continue
         reduce = (lambda A: A) if outlier is None else outlier.congruence
         K_red = reduce(K)
         spectra[outlier_removed] = {
             kind: eigensolve(K_red, reduce(M))
             for kind, M in masses.items()
         }
+        if outlier is None:
+            plain = spectra[outlier_removed]
     return system, spectra
 
 

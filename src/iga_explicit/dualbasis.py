@@ -8,17 +8,18 @@ positive definite (verified, not imposed), has local support, and every row of
 the product C = S G sums to one, so rowsum lumping of C yields the identity.
 
 On a clamped direction S comes from the SVD of the equilibrated constraint
-matrix A, assembled for all rows at once and held as its stored entries,
-at most 2 hw + 1 per row. When the knots are symmetric under
-x -> a + b - x, A commutes with the mirror of band entries and signed
+matrix A, assembled a chunk of rows at a time and held in its (row, window)
+layout, the 2 hw + 1 columns around each row. When the knots are symmetric
+under x -> a + b - x, A commutes with the mirror of band entries and signed
 constraints. Each side then has an orthogonal basis, mirror-even columns
 first, held as index maps (the columns each index enters, with their
-values), in which A is block-diagonal; the maps transform A's entries
-into both blocks, which are decomposed one at a time, and their factors
-are kept per block. The split is taken only when the measured coupling of
-the halves is round-off (at most 1e-12 of the largest entry); asymmetric
-meshes use identity bases and one dense block. The objective then picks S
-in all of the constraints' null space.
+values), in which A is block-diagonal; the mirror's index arithmetic on
+the window layout gives both blocks' entries, without a sort, and the
+blocks are filled and decomposed one at a time, their factors kept per
+block. The split is taken only when the measured coupling of the halves is
+round-off (at most 1e-12 of the largest entry); asymmetric meshes use
+identity bases and one dense block. The objective then picks S in all of
+the constraints' null space.
 
 A weighted Grammian calls its weight once, on all quadrature points.
 
@@ -48,6 +49,8 @@ from .splinecore import eval_basis, greville
 FEASIBILITY_TOL = 1e-9
 # cap on the iterative refinement of the filtered pseudo-inverse solution
 REFINEMENT_STEPS = 30
+# floats of the constraint moment windows filled at one time
+WINDOW_FLOATS = 1 << 16
 
 __all__ = [
     "BandedSymmetricMatrix",
@@ -140,7 +143,10 @@ def approximate_dual(space, halfwidth=None):
 
     The half-bandwidth defaults to the degree and may not be below it.
     Duality constraints that are infeasible at that width, and a result that
-    is not SPD (checked by Cholesky), are reported as errors.
+    is not SPD, are reported as errors. A clamped S is checked by its banded
+    Cholesky factor, which later solves reuse; a periodic one by its symbol,
+    the exact eigenvalues of a symmetric circulant, and factored only when
+    first solved with. Either way S's bands are read-only on return.
     """
     p = space.degree
     hw = p if halfwidth is None else int(halfwidth)
@@ -149,13 +155,14 @@ def approximate_dual(space, halfwidth=None):
     if space.periodic:
         G = grammian(space)
         S, diagnostics = _periodic_dual(space, G, hw), {}
+        S.bands.flags.writeable = False
     else:
         G, S, diagnostics = _clamped_dual(space, hw)
-    if not S.is_spd():
-        raise NumericalError(
-            "approximate dual coefficient matrix is not SPD "
-            f"(halfwidth {hw}, smallest eigenvalue {S.smallest_eigenvalue():.3e})"
-        )
+        if not S.is_spd():
+            raise NumericalError(
+                "approximate dual coefficient matrix is not SPD "
+                f"(halfwidth {hw}, smallest eigenvalue {S.smallest_eigenvalue():.3e})"
+            )
     return ApproximateDualBasis(space, S, hw, G, MappingProxyType(diagnostics))
 
 
@@ -173,10 +180,8 @@ def _clamped_dual(space, hw):
     """
     n = space.dimension
     p = space.degree
-    n_el = space.n_elements
     a, b = space.domain
-    hbar = (b - a) / n_el
-    grev = greville(space)
+    hbar = (b - a) / space.n_elements
     rows = np.arange(n)[:, None]
 
     # band entry (i, i + d) is unknown start[i] + d; column j = r - hw + t of
@@ -190,65 +195,21 @@ def _clamped_dual(space, hw):
     cols = np.clip(cols, 0, n - 1)
     ids = start[np.minimum(rows, cols)] + np.abs(rows - cols)
 
-    # moments of the local polynomials against the window columns, by the
-    # p+1 Gauss points (exact for degree 2p) of the elements whose first
-    # function lies in [r - hw - p, r + hw]; columns padded by p on each side
-    # take those elements' other functions, slots past the last element weigh 0
     xq, wq = element_quadrature(space, p + 1)
     ev = eval_basis(space, xq)
     G = _grammian(space, wq, ev)
-    xq, wq = xq.reshape(n_el, p + 1), wq.reshape(n_el, p + 1)
-    first = ev.first_index[:: p + 1]
-    n_win = 2 * hw + p + 1
-    el = np.searchsorted(first, rows - hw - p) + np.arange(n_win)
-    live = el < n_el
-    el = np.minimum(el, n_el - 1)
-    live &= first[el] <= rows + hw
-    loc = (xq[el] - grev[:, None, None]) / hbar
-    powers = np.stack([loc**m for m in range(p + 1)], axis=-1)
-    at = np.clip(first[el] - rows + hw + p, 0, width + p - 1)[..., None] + np.arange(p + 1)
-    window = np.zeros((n, n_win, p + 1, width + 2 * p))
-    window[rows[..., None, None], np.arange(n_win)[:, None, None], np.arange(p + 1)[:, None],
-           at[:, :, None]] = (np.where(live[..., None], wq[el], 0.0)[..., None]
-                              * ev.values[:, 0].reshape(n_el, p + 1, p + 1)[el])
-    Mloc = powers.reshape(n, -1, p + 1).transpose(0, 2, 1) @ window.reshape(n, n_win * (p + 1), -1)
     # constraint (r, m) has vals[r, m, t] in column ids[r, t] of its window,
-    # zero outside; A holds the entries inside as row r * (p+1) + m of a CSR
-    # matrix, and the dense (p+1)n x ns matrix is never formed
-    vals = np.where(inside[:, None, :], Mloc[:, :, p : p + width] / hbar, 0.0)
+    # zero outside; the dense (p+1)n x ns matrix A is never formed
+    vals, rhs = _constraint_rows(space, hw, xq, wq, ev)
 
     def constraints(s):
         return (vals * s[ids][:, None, :]).sum(axis=2).ravel()
 
-    # de Boor-Fix coefficient of ((x - g_r)/h)^m for basis function r.
-    # psi is expanded around g_r (its roots cluster there), which keeps the
-    # coefficients h-scaled and avoids cancellation; then
-    # psi^(p-m)(g_r) = (p-m)! * [coefficient of u^(p-m)], with the
-    # coefficients multiplied out root by root as np.poly does
-    roots = space.knot_vector.knots[rows + 1 + np.arange(p)] - grev[:, None]
-    cpoly = np.repeat(np.eye(1, p + 1), n, axis=0)
-    for k in range(p):
-        cpoly[:, 1 : k + 2] -= roots[:, k : k + 1] * cpoly[:, : k + 1]
-    m = np.arange(p + 1)
-    fact = np.array([math.factorial(k) for k in m], dtype=float)
-    rhs = ((-1.0) ** m * fact * fact[::-1] / (fact[p] * hbar**m) * cpoly).ravel()
-
-    # equilibrate constraint rows so the residual filter acts on O(1) data
-    rownorm = np.maximum(np.abs(vals).max(axis=2), 1e-300)
-    vals /= rownorm[..., None]
-    rhs /= rownorm.ravel()
-
-    # A as its entries (row, column, value), row r * (p+1) + m
-    con, t = np.nonzero(np.broadcast_to(inside[:, None, :], vals.shape).reshape(-1, width))
-    A = (con, ids[con // (p + 1), t], vals.reshape(-1, width)[con, t])
-    # the mirror x -> a + b - x maps constraint (r, m) to (n-1-r, m) with
-    # sign (-1)^m, since ((x - g_r)/h)^m changes sign, and band entry (i, d)
-    # to (n-1-i-d, d)
-    r, m = np.divmod(np.arange(n * (p + 1)), p + 1)
+    # the mirror x -> a + b - x maps band entry (i, d) to (n-1-i-d, d)
     entry_row = np.repeat(np.arange(n), counts)
     entry_off = np.arange(ns) - start[entry_row]
-    Qr, Qc, factors, split = _mirror_svd(A, (n * (p + 1), ns), (n - 1 - r) * (p + 1) + m,
-                                         (-1.0) ** m, start[n - 1 - entry_row - entry_off] + entry_off)
+    Qr, Qc, factors, split = _mirror_svd(vals, ids, inside,
+                                         start[n - 1 - entry_row - entry_off] + entry_off)
     # the singular values of all blocks, sorted, set only the thresholds and
     # the diagnostics
     sv = np.sort(np.concatenate([s for _, _, _, s, _ in factors]))[::-1]
@@ -342,49 +303,129 @@ def _clamped_dual(space, hw):
     return G, S, diagnostics
 
 
-def _mirror_svd(A, shape, row_mirror, row_sign, col_mirror):
-    """SVD of the constraint matrix A, given by its entries (rows, columns,
-    values) and shape, block-diagonalized by the mirror x -> a + b - x when A
-    has that symmetry.
+def _constraint_rows(space, hw, xq, wq, ev):
+    """The equilibrated duality constraints and their right-hand sides:
+    vals (n, p+1, 2hw+1), constraint (r, m) on the window columns
+    r - hw .. r + hw of row r, zero outside the matrix, and rhs, row
+    r * (p+1) + m. xq, wq and ev are the p+1 Gauss points of every element,
+    their weights and the basis evaluated there.
 
-    The mirror maps row k to row_mirror[k] with sign row_sign[k] and column
-    c to col_mirror[c]. In the orthogonal bases Qr and Qc of _mirror_basis,
-    C = Qr^T A Qc is block-diagonal when A commutes with the mirror. C is
-    formed from the bases' index maps, rows first, then columns; each entry
-    is a sum of at most two terms at either step, added from +0 as a sparse
-    product adds them. The coupling blocks of C are measured, not assumed
-    zero; when they exceed 1e-12 max|A| (an asymmetric mesh), the bases are
-    the identity and A is decomposed as one dense block. Each block is
-    factored in its own memory; one that is not finite or whose SVD does not
-    converge is a NumericalError. Returns Qr and Qc, per block (row slice,
-    column slice, u, s, vt), with vt square on a block with fewer rows than
-    columns, and the block shapes and coupling.
+    The moments of the local polynomials against the window columns come
+    from the elements whose first function lies in [r - hw - p, r + hw]
+    (the p+1 Gauss points are exact for degree 2p). Each row's moments are
+    one product of its powers with its moment window, whose columns are
+    padded by p on each side to take those elements' other functions; slots
+    past the last element weigh 0. The windows are filled and multiplied a
+    chunk of rows at a time, through one flat index.
     """
-    nr, nc = shape
-    Qr, re = _mirror_basis(row_mirror, row_sign)
+    n = space.dimension
+    p = space.degree
+    n_el = space.n_elements
+    a, b = space.domain
+    hbar = (b - a) / n_el
+    grev = greville(space)
+    rows = np.arange(n)[:, None]
+    width = 2 * hw + 1
+    cols = rows - hw + np.arange(width)
+    inside = (cols >= 0) & (cols < n)
+
+    xq, wq = xq.reshape(n_el, p + 1), wq.reshape(n_el, p + 1)
+    values = ev.values[:, 0].reshape(n_el, p + 1, p + 1)
+    first = ev.first_index[:: p + 1]
+    n_win = 2 * hw + p + 1
+    n_col = width + 2 * p
+    el = np.searchsorted(first, rows - hw - p) + np.arange(n_win)
+    live = el < n_el
+    el = np.minimum(el, n_el - 1)
+    live &= first[el] <= rows + hw
+    # the weight of Gauss point k of row r's element slot s times function f
+    # of that element goes to window[r, s, k, at[r, s, f]]; flat holds those
+    # places in a chunk's windows, laid out one after another
+    at = np.clip(first[el] - rows + hw + p, 0, width + p - 1)[..., None] + np.arange(p + 1)
+    slot_point = (np.arange(n_win)[:, None] * (p + 1) + np.arange(p + 1)) * n_col
+    row_size = n_win * (p + 1) * n_col
+    chunk = max(1, WINDOW_FLOATS // row_size)
+    Mloc = np.empty((n, p + 1, n_col))
+    for lo in range(0, n, chunk):
+        r = slice(lo, lo + chunk)
+        m_rows = len(el[r])
+        loc = (xq[el[r]] - grev[r, None, None]) / hbar
+        powers = np.stack([loc**m for m in range(p + 1)], axis=-1)
+        flat = (slot_point[..., None] + at[r, :, None]
+                + (np.arange(m_rows) * row_size)[:, None, None, None])
+        window = np.zeros(m_rows * row_size)
+        window[flat.ravel()] = (np.where(live[r, :, None], wq[el[r]], 0.0)[..., None]
+                                * values[el[r]]).ravel()
+        Mloc[r] = powers.reshape(m_rows, -1, p + 1).transpose(0, 2, 1) @ window.reshape(
+            m_rows, n_win * (p + 1), n_col)
+    vals = np.where(inside[:, None, :], Mloc[:, :, p : p + width] / hbar, 0.0)
+
+    # de Boor-Fix coefficient of ((x - g_r)/h)^m for basis function r.
+    # psi is expanded around g_r (its roots cluster there), which keeps the
+    # coefficients h-scaled and avoids cancellation; then
+    # psi^(p-m)(g_r) = (p-m)! * [coefficient of u^(p-m)], with the
+    # coefficients multiplied out root by root as np.poly does
+    roots = space.knot_vector.knots[rows + 1 + np.arange(p)] - grev[:, None]
+    cpoly = np.repeat(np.eye(1, p + 1), n, axis=0)
+    for k in range(p):
+        cpoly[:, 1 : k + 2] -= roots[:, k : k + 1] * cpoly[:, : k + 1]
+    m = np.arange(p + 1)
+    fact = np.array([math.factorial(k) for k in m], dtype=float)
+    rhs = ((-1.0) ** m * fact * fact[::-1] / (fact[p] * hbar**m) * cpoly).ravel()
+
+    # equilibrate constraint rows so the residual filter acts on O(1) data
+    rownorm = np.maximum(np.abs(vals).max(axis=2), 1e-300)
+    vals /= rownorm[..., None]
+    rhs /= rownorm.ravel()
+    return vals, rhs
+
+
+def _mirror_svd(vals, ids, inside, col_mirror):
+    """SVD of the constraint matrix A, given in its (row, window) layout
+    (vals, ids and inside of _clamped_dual; row r * (p+1) + m) with the
+    mirror of its columns, block-diagonalized by the mirror x -> a + b - x
+    when A has that symmetry.
+
+    The mirror maps constraint (r, m) to (n-1-r, m) with sign (-1)^m, since
+    ((x - g_r)/h)^m changes sign, and column c to col_mirror[c]; window
+    slot t of row r goes to slot 2hw - t of row n-1-r. In the orthogonal
+    bases Qr and Qc of _mirror_basis, C = Qr^T A Qc is block-diagonal when A
+    commutes with the mirror. Its entries come straight from the window
+    layout by that index arithmetic (_mirror_entries): T = Qr^T A first,
+    then T Qc, each entry a sum of at most two terms added from +0, as a
+    sparse product adds them. The coupling blocks of C are measured, not
+    assumed zero; when they exceed 1e-12 max|A| (an asymmetric mesh), the
+    bases are the identity and A is decomposed as one dense block. Each
+    block is filled and factored in its own memory; one that is not finite
+    or whose SVD does not converge is a NumericalError. Returns Qr and Qc,
+    per block (row slice, column slice, u, s, vt), with vt square on a block
+    with fewer rows than columns, and the block shapes and coupling.
+    """
+    n, q, width = vals.shape
+    nr, nc = n * q, len(col_mirror)
+    r, m = np.divmod(np.arange(nr), q)
+    Qr, re = _mirror_basis((n - 1 - r) * q + m, (-1.0) ** m)
     Qc, ce = _mirror_basis(col_mirror, np.ones(nc))
-    (slots, coefs), (cslots, ccoefs) = Qr, Qc
-    k, c, a = A
-    # entry (k, c) of A adds coefs[k] a to T = Qr^T A at (slots[k], c), and
-    # entry (ti, tc) of T adds t ccoefs[tc] to C at (ti, cslots[tc])
-    ti, tc, t = _summed(slots[k], c[:, None], coefs[k] * a[:, None], nc)
-    i, j, C = _summed(ti[:, None], cslots[tc], t[:, None] * ccoefs[tc], nc)
-    del ti, tc, t  # only C is needed from here on
-    coupling = np.abs(C[(i < re) != (j < ce)]).max(initial=0.0) / np.abs(a).max()
-    blocks = [(slice(0, re), slice(0, ce)), (slice(re, nr), slice(ce, nc))]
+    quads = _mirror_entries(vals, ids, inside, Qc[0][:, 0])
+    cross = [np.abs(c).max(initial=0.0) for key in ((0, 1), (1, 0)) for _, _, c in quads[key]]
+    coupling = np.max(cross) / np.abs(vals).max(where=inside[:, None], initial=0.0)
+    blocks = [((slice(0, re), slice(0, ce)), quads[0, 0]),
+              ((slice(re, nr), slice(ce, nc)), quads[1, 1])]
+    del quads  # only the diagonal blocks' entries are needed from here on
     # the blocks must return as many singular triplets as one SVD of A
     if coupling > 1e-12 or (re - ce) * (nr - re - nc + ce) < 0:
         # the trivial mirror: every index fixed, an identity basis
         Qr, _ = _mirror_basis(np.arange(nr), np.ones(nr))
         Qc, _ = _mirror_basis(np.arange(nc), np.ones(nc))
-        i, j, C = A
-        blocks = [(slice(0, nr), slice(0, nc))]
+        r, t = np.nonzero(inside)
+        blocks = [((slice(0, nr), slice(0, nc)),
+                   [(r[:, None] * q + np.arange(q), ids[r, t, None], vals[r, :, t])])]
     factors, shapes = [], []
-    for rows, cols in blocks:
+    for (rows, cols), entries in blocks:
         # Fortran order lets LAPACK factor B where it is, with no copy
         B = np.zeros((rows.stop - rows.start, cols.stop - cols.start), order="F")
-        at = (i >= rows.start) & (i < rows.stop) & (j >= cols.start) & (j < cols.stop)
-        B[i[at] - rows.start, j[at] - cols.start] = C[at]
+        for i, j, c in entries:
+            B[i, j] = c
         shapes.append(B.shape)
         try:
             u, s, vt = scipy.linalg.svd(B, full_matrices=B.shape[0] < B.shape[1], overwrite_a=True)
@@ -400,13 +441,60 @@ def _mirror_svd(A, shape, row_mirror, row_sign, col_mirror):
     return Qr, Qc, factors, {"block_shapes": shapes, "coupling": coupling}
 
 
-def _summed(rows, cols, terms, n_cols):
-    """Entries (rows, columns, values) of the matrix whose terms sit at
-    (rows, cols), broadcast with ``terms``: the terms at one place summed
-    from +0 in their order."""
-    rows, cols = np.broadcast_arrays(rows, cols)
-    at, place = np.unique((rows * n_cols + cols).ravel(), return_inverse=True)
-    return *np.divmod(at, n_cols), np.bincount(place, weights=terms.ravel())
+def _mirror_entries(vals, ids, inside, col):
+    """The entries of C = Qr^T A Qc for the mirror bases of _mirror_svd, per
+    quadrant (row parity, column parity), 0 even and 1 odd: a list of
+    (rows, columns, values) inside the quadrant's block, broadcast against
+    each other. col[c] is column c's place in its parity's block, the same
+    in both for a pair. _mirror_basis numbers the constraints of the row
+    pairs r < n-1-r as r * (p+1) + m in both parities, and the centre's
+    constraint (n // 2, m) after them, m // 2-th in its parity.
+
+    Slot t of row r pairs column ids[r, t] with its mirror in slot 2hw - t
+    of row n-1-r; there T is 0 + sq a from constraint (r, m) and
+    0 + coef b from (n-1-r, m). Only at t* = n-1-2r+hw, column n-1-r, do
+    both constraints meet one column, which is its own mirror, and T adds
+    both in that order. The lower of two paired columns, which leads the
+    pair, is row r's below t*. The centre's constraints are their own
+    mirrors with sign (-1)^m, so T is 0 + 1 v + 0 v there, and its slot
+    t < hw leads the pair of slot 2hw - t.
+    """
+    n, q, width = vals.shape
+    hw = width // 2
+    h = n // 2
+    sq = np.sqrt(0.5)
+    ccoef = np.array([sq, -sq])[:, None, None]  # of the pair's second column
+
+    r, t = np.nonzero(inside[:h])
+    fixed_at = n - 1 - 2 * r + hw
+    pair, fixed = t != fixed_at, t == fixed_at
+    Ta = 0.0 + sq * vals[r, :, t]
+    Tb = 0.0 + sq * (-1.0) ** np.arange(q) * np.array([1.0, -1.0])[:, None, None] * vals[
+        n - 1 - r, :, 2 * hw - t]
+    rows, cols = r[:, None] * q + np.arange(q), col[ids[r, t], None]
+    lead = (t < fixed_at)[pair, None]
+    Ta_p, Tb_p = Ta[pair], Tb[:, pair]
+    lo, hi = np.where(lead, Ta_p, Tb_p), np.where(lead, Tb_p, Ta_p)
+    C = (0.0 + lo * sq)[:, None] + hi[:, None] * ccoef
+    # Ta is never -0, so Ta + Tb adds the same as Ta + coef b
+    Tf = Ta[fixed] + Tb[:, fixed]
+    Cf = (0.0 + Tf * 1.0) + Tf * 0.0
+    at_pair, at_fixed = (rows[pair], cols[pair]), (rows[fixed], cols[fixed])
+    quads = {(rho, gamma): [(*at_pair, C[rho, gamma])] for rho in (0, 1) for gamma in (0, 1)}
+    for rho in (0, 1):
+        quads[rho, 0].append((*at_fixed, Cf[rho]))
+    if n % 2:
+        T = (0.0 + 1.0 * vals[h]) + 0.0 * vals[h]
+        t = np.flatnonzero(inside[h, :hw])
+        C = (0.0 + T[:, t] * sq) + T[:, 2 * hw - t] * ccoef
+        Cf = (0.0 + T[:, hw] * 1.0) + T[:, hw] * 0.0
+        rows, cols = h * q + np.arange(q) // 2, col[ids[h, t]]
+        for rho in (0, 1):
+            at = rows[rho::2]
+            for gamma in (0, 1):
+                quads[rho, gamma].append((at[:, None], cols, C[gamma, rho::2]))
+            quads[rho, 0].append((at, col[ids[h, hw]], Cf[rho::2]))
+    return quads
 
 
 def _mirror_basis(mirror, sign):
@@ -506,9 +594,14 @@ class ConstrainedDual:
         if not constrained:
             self.S = S
             return
-        unit = np.zeros((n, len(constrained)))
-        unit[constrained, range(len(constrained))] = 1.0
-        columns = S.matvec(unit)
+        # S's constrained columns from its bands: entry (k + d, k) of the
+        # left end and (k - d, k) of the right one is bands[d, min(row, k)],
+        # added to +0 as a product with unit vectors sums it
+        d = np.arange(S.halfwidth + 1)
+        columns = np.zeros((n, len(constrained)))
+        for a, k in enumerate(constrained):
+            rows = k + d if k == 0 else k - d
+            columns[rows, a] = 0.0 + S.bands[d, np.minimum(rows, k)]
         S_fc = columns[lo:hi]
         X = np.linalg.solve(columns[constrained], S_fc.T).T  # S_fc S_cc^{-1}
         self.S = S.submatrix(lo, hi)

@@ -236,14 +236,15 @@ def power_max_frequency(apply_fn, n, tol=1e-10, max_iterations=1000):
     returned ``sqrt(|theta| * (1 + tol))`` does not fall below it. M^{-1} K
     is normal only in the mass inner product (Galerkin, lumped) or not at all
     (customized), where the bound gains an eigenvector condition number. The
-    margin still suffices: on the annulus meshes the converged Ritz values
-    deviate from the dense eigenvalues by at most 7e-13 in omega, seventy
-    times less than the margin of ``tol / 2`` in omega, and
-    ``test_max_frequency_bounds_the_dense_oracle`` checks it for every mass
-    kind. Below ARPACK's minimum dimension (n <= 2) the eigenvalues are
-    dense, with the same margin. Raises NumericalError on a non-finite
-    apply, and on non-convergence, reporting the Ritz estimate on the span of
-    the last ``ARNOLDI_VECTORS`` vectors applied.
+    margin still suffices, though its share grows with the mesh: the
+    converged Ritz value lies below the exact omega by 1.3e-11 relative at
+    p=5, n_r=123 (Galerkin, against the exact Fourier-block eigenvalues),
+    inside the margin of ``tol / 2`` = 5e-11 in omega with 73% of it left,
+    and ``test_max_frequency_bounds_the_dense_oracle`` checks it for every
+    mass kind on small meshes. Below ARPACK's minimum dimension (n <= 2) the
+    eigenvalues are dense, with the same margin. Raises NumericalError on a
+    non-finite apply, and on non-convergence, reporting the Ritz estimate on
+    the span of the last ``ARNOLDI_VECTORS`` vectors applied.
     """
     if n <= 2:
         columns = _finite(np.column_stack([apply_fn(e) for e in np.eye(n)]))

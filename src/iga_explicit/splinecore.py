@@ -158,23 +158,24 @@ def _ders_basis(knots, p, mu, x, nd):
 
     The recurrence (Piegl and Tiller, The NURBS Book, Alg. A2.3) runs on all
     points at once; its control flow depends on p and nd only, so each point
-    gets the same operations in the same order as if evaluated alone.
+    gets the same operations in the same order as if evaluated alone. The
+    values' inner loop over r < j runs at once over r too: its term
+    saved_r = left[j - r + 1] temp_{r-1} needs only the previous column.
     """
     m = len(x)
     ndu = np.empty((p + 1, p + 1, m))
     left = np.empty((p + 1, m))
     right = np.empty((p + 1, m))
     ndu[0, 0] = 1.0
+    saved = np.zeros((p, m))  # saved[r] of the recurrence, 0 at r = 0
     for j in range(1, p + 1):
         left[j] = x - knots[mu + 1 - j]
         right[j] = knots[mu + j] - x
-        saved = 0.0
-        for r in range(j):
-            ndu[j, r] = right[r + 1] + left[j - r]
-            temp = ndu[r, j - 1] / ndu[j, r]
-            ndu[r, j] = saved + right[r + 1] * temp
-            saved = left[j - r] * temp
-        ndu[j, j] = saved
+        ndu[j, :j] = right[1 : j + 1] + left[j:0:-1]
+        temp = ndu[:j, j - 1] / ndu[j, :j]
+        saved[1:j] = left[j:1:-1] * temp[:-1]
+        ndu[:j, j] = saved[:j] + right[1 : j + 1] * temp
+        ndu[j, j] = left[1] * temp[-1]
 
     ders = np.zeros((nd + 1, p + 1, m))
     ders[0] = ndu[:, p]

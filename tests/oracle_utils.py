@@ -15,11 +15,14 @@ dense operators the Kronecker and banded ones are checked against. The CSR
 route oracles assemble the stiffness kernel and the run operator through
 scipy.sparse (a full-space CSR build restricted by fancy indexing, CSR
 blocks per term) for the direct by-fill builds to be checked against. The
-weight gradient's four-term sum, the copying cross approximation and the
-numpy SVD of the clamped dual's mirror blocks are the forms the in-place
-ones must reproduce bit for bit, as the loop-built outlier end block is for
-the indexed one.
+weight gradient's four-term sum, the copying cross approximation, the
+clamped dual's mirror blocks from scipy.sparse products with their numpy
+SVD, and its constraint rows built row by row are the forms the in-place
+and array ones must reproduce bit for bit, as the loop-built outlier end
+block is for the indexed one.
 """
+
+import math
 
 import numpy as np
 import scipy.sparse as sp
@@ -192,34 +195,143 @@ def copying_separate(grid, bound):
     raise NumericalError("stiffness coefficient grid did not separate")
 
 
-def numpy_mirror_svd(A, shape, row_mirror, row_sign, col_mirror):
-    """The clamped dual's mirror-block constraint SVD with numpy's SVD, which
-    factors a private copy of each block: what ``dualbasis._mirror_svd``, which
-    factors each block in its own memory, must reproduce bit for bit."""
-    from iga_explicit.dualbasis import _mirror_basis, _summed
+def constraint_matrix(vals, ids, inside, n_cols):
+    """The clamped dual's constraint matrix A as CSR, row r * (p+1) + m,
+    from its (row, window) layout: vals[r, m, t] in column ids[r, t] where
+    the window slot is inside the matrix."""
+    n, q, _ = vals.shape
+    r, t = np.nonzero(inside)
+    rows = r[:, None] * q + np.arange(q)
+    cols = np.broadcast_to(ids[r, t, None], rows.shape)
+    return sp.csr_matrix((vals[r, :, t].ravel(), (rows.ravel(), cols.ravel())),
+                         shape=(n * q, n_cols))
 
-    nr, nc = shape
-    Qr, re = _mirror_basis(row_mirror, row_sign)
+
+def index_map_matrix(maps):
+    """The matrix Q of ``dualbasis._mirror_basis``'s index maps as CSR: row
+    k has coefs[k] in columns slots[k] (a fixed point's two entries, 1 and
+    0, summed)."""
+    slots, coefs = maps
+    n = len(slots)
+    return sp.csr_matrix((coefs.ravel(), (np.repeat(np.arange(n), 2), slots.ravel())),
+                         shape=(n, n))
+
+
+def sparse_mirror_blocks(vals, ids, inside, col_mirror):
+    """C = (Qr^T A) Qc of the clamped dual's mirror bases, formed with
+    scipy.sparse products, dense, with the row and column counts (re, ce)
+    of its even block: the sums ``dualbasis._mirror_svd`` forms from A's
+    window layout."""
+    from iga_explicit.dualbasis import _mirror_basis
+
+    n, q, _ = vals.shape
+    nr, nc = n * q, len(col_mirror)
+    r, m = np.divmod(np.arange(nr), q)
+    Qr, re = _mirror_basis((n - 1 - r) * q + m, (-1.0) ** m)
     Qc, ce = _mirror_basis(col_mirror, np.ones(nc))
-    (slots, coefs), (cslots, ccoefs) = Qr, Qc
-    k, c, a = A
-    ti, tc, t = _summed(slots[k], c[:, None], coefs[k] * a[:, None], nc)
-    i, j, C = _summed(ti[:, None], cslots[tc], t[:, None] * ccoefs[tc], nc)
-    coupling = np.abs(C[(i < re) != (j < ce)]).max(initial=0.0) / np.abs(a).max()
+    T = (index_map_matrix(Qr).T.tocsr() @ constraint_matrix(vals, ids, inside, nc)).tocsr()
+    T.sort_indices()
+    return (T @ index_map_matrix(Qc)).toarray(), re, ce
+
+
+def numpy_mirror_svd(vals, ids, inside, col_mirror):
+    """The clamped dual's mirror-block constraint SVD with C from scipy.sparse
+    products and numpy's SVD, which factors a private copy of each block:
+    what ``dualbasis._mirror_svd``, which fills each block from A's window
+    layout and factors it in its own memory, must reproduce bit for bit."""
+    from iga_explicit.dualbasis import _mirror_basis
+
+    n, q, _ = vals.shape
+    nr, nc = n * q, len(col_mirror)
+    r, m = np.divmod(np.arange(nr), q)
+    Qr, _ = _mirror_basis((n - 1 - r) * q + m, (-1.0) ** m)
+    Qc, _ = _mirror_basis(col_mirror, np.ones(nc))
+    C, re, ce = sparse_mirror_blocks(vals, ids, inside, col_mirror)
+    A = constraint_matrix(vals, ids, inside, nc)
+    cross = np.concatenate([C[:re, ce:].ravel(), C[re:, :ce].ravel()])
+    coupling = np.abs(cross).max(initial=0.0) / np.abs(A.data).max()
     blocks = [(slice(0, re), slice(0, ce)), (slice(re, nr), slice(ce, nc))]
     if coupling > 1e-12 or (re - ce) * (nr - re - nc + ce) < 0:
         Qr, _ = _mirror_basis(np.arange(nr), np.ones(nr))
         Qc, _ = _mirror_basis(np.arange(nc), np.ones(nc))
-        i, j, C = A
+        C = A.toarray()
         blocks = [(slice(0, nr), slice(0, nc))]
     factors, shapes = [], []
     for rows, cols in blocks:
-        B = np.zeros((rows.stop - rows.start, cols.stop - cols.start))
-        at = (i >= rows.start) & (i < rows.stop) & (j >= cols.start) & (j < cols.stop)
-        B[i[at] - rows.start, j[at] - cols.start] = C[at]
+        B = C[rows, cols]
         shapes.append(B.shape)
         factors.append((rows, cols, *np.linalg.svd(B, full_matrices=B.shape[0] < B.shape[1])))
     return Qr, Qc, factors, {"block_shapes": shapes, "coupling": coupling}
+
+
+def loop_constraint_rows(space, hw):
+    """The clamped dual's equilibrated constraint rows (n, p+1, 2hw+1) and
+    their de Boor-Fix right-hand sides, row by row with scalar loops: each
+    row's moment window and powers filled element by element, multiplied
+    as one (p+1) x K by K x (2hw+2p+1) product, and the roots of the
+    de Boor-Fix polynomial multiplied out one at a time. What
+    ``dualbasis._constraint_rows`` must reproduce bit for bit. Powers go
+    through numpy's power ufunc on one-element arrays, as the package's
+    arrays take them (its SIMD loops need not round as the C library's pow
+    does), with a scalar exponent for the local powers and an array one for
+    the de Boor-Fix scale, as the package's expressions have them (numpy
+    squares for a scalar exponent of 2)."""
+    from iga_explicit.quadrature import element_quadrature
+    from iga_explicit.splinecore import eval_basis, greville
+
+    p, n, n_el = space.degree, space.dimension, space.n_elements
+    a, b = space.domain
+    hbar = (b - a) / n_el
+    knots = space.knot_vector.knots
+    grev = greville(space)
+    xq, wq = element_quadrature(space, p + 1)
+    ev = eval_basis(space, xq)
+    xq, wq = xq.reshape(n_el, p + 1), wq.reshape(n_el, p + 1)
+    values = ev.values[:, 0].reshape(n_el, p + 1, p + 1)
+    first = ev.first_index[:: p + 1]
+    width, n_win = 2 * hw + 1, 2 * hw + p + 1
+    fact = [float(math.factorial(k)) for k in range(p + 1)]
+
+    def power(x, m):
+        return (np.full(1, x) ** m)[0]
+
+    vals = np.zeros((n, p + 1, width))
+    rhs = np.zeros((n, p + 1))
+    for r in range(n):
+        # the n_win elements from the first whose first function is at
+        # least r - hw - p; those past the last element or starting after
+        # r + hw weigh nothing, and take the last element's points
+        e0 = next((e for e in range(n_el) if first[e] >= r - hw - p), n_el)
+        powers = np.zeros((n_win * (p + 1), p + 1))
+        window = np.zeros((n_win * (p + 1), width + 2 * p))
+        for s in range(n_win):
+            e = min(e0 + s, n_el - 1)
+            live = e0 + s < n_el and first[e] <= r + hw
+            for k in range(p + 1):
+                u = (xq[e, k] - grev[r]) / hbar
+                for m in range(p + 1):
+                    powers[s * (p + 1) + k, m] = power(u, m)
+                for f in range(p + 1 if live else 0):
+                    window[s * (p + 1) + k, first[e] - r + hw + p + f] = wq[e, k] * values[e, k, f]
+        moments = powers.T @ window
+        for m in range(p + 1):
+            for t in range(width):
+                if 0 <= r - hw + t < n:
+                    vals[r, m, t] = moments[m, p + t] / hbar
+        coefs = [1.0] + [0.0] * p
+        for k in range(p):
+            root = knots[r + 1 + k] - grev[r]
+            for i in range(k + 1, 0, -1):
+                coefs[i] -= root * coefs[i - 1]
+        for m in range(p + 1):
+            exponent = np.full(1, m)
+            rhs[r, m] = (power(-1.0, exponent) * fact[m] * fact[p - m]
+                         / (fact[p] * power(hbar, exponent)) * coefs[m])
+        for m in range(p + 1):
+            norm = max(max(abs(v) for v in vals[r, m]), 1e-300)
+            vals[r, m] /= norm
+            rhs[r, m] /= norm
+    return vals, rhs.ravel()
 
 
 def loop_outlier_end_block(space, x_end, lo, m, p, K, left):

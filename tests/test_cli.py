@@ -170,6 +170,20 @@ def test_run_stability_ratios(tmp_path, monkeypatch):
     )
 
 
+@pytest.mark.parametrize("degree, solves", [(2, 3), (3, 6)])
+def test_stability_solves_each_string_problem_once(degree, solves, tmp_path, monkeypatch):
+    # three mass kinds, with and without outlier removal; below degree 3 no
+    # constraint exists, and the outlier-removed rows take the plain spectra
+    import iga_explicit.cli as cli_mod
+
+    calls = []
+    eigensolve = cli_mod.eigensolve
+    monkeypatch.setattr(cli_mod, "eigensolve", lambda *args: calls.append(1) or eigensolve(*args))
+    run_stability(build_config("stability", {}, {"degree": degree, "n": 40,
+                                                 "output_dir": str(tmp_path)}))
+    assert len(calls) == solves
+
+
 def test_run_annulus_smoke(tmp_path, monkeypatch):
     duals = count_dual_builds(monkeypatch)
     cfg = build_config(

@@ -8,7 +8,15 @@ import sys
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from oracle_utils import gauss_panels, loop_grammian_bands, naive_all_values, spline_l2_error
+from oracle_utils import (
+    constraint_matrix,
+    gauss_panels,
+    loop_constraint_rows,
+    loop_grammian_bands,
+    naive_all_values,
+    sparse_mirror_blocks,
+    spline_l2_error,
+)
 
 from iga_explicit.banded import circulant_symbols
 from iga_explicit.dualbasis import (
@@ -21,7 +29,13 @@ from iga_explicit.dualbasis import (
 )
 from iga_explicit.errors import NumericalError
 from iga_explicit.quadrature import element_quadrature, moments
-from iga_explicit.splinecore import PERIODIC, make_space, monomial_coefficients, uniform_space
+from iga_explicit.splinecore import (
+    PERIODIC,
+    eval_basis,
+    make_space,
+    monomial_coefficients,
+    uniform_space,
+)
 
 
 def test_grammian_degree0_is_diag_h():
@@ -312,16 +326,74 @@ def test_clamped_dual_interior_matches_periodic_stencil(degree, n):
     assert np.max(np.abs(row - want)) <= 1e-6 * np.max(np.abs(want))
 
 
-def unsplit_svd(A, shape, *mirror):
-    """The constraint SVD as one dense block of A, given by its entries, in
-    identity bases, whatever the mirror symmetry."""
-    rows, cols, vals = A
-    dense = np.zeros(shape)
-    dense[rows, cols] = vals
+def unsplit_svd(vals, ids, inside, col_mirror):
+    """The constraint SVD as one dense block of A, from its window layout,
+    in identity bases, whatever the mirror symmetry."""
+    dense = constraint_matrix(vals, ids, inside, len(col_mirror)).toarray()
+    shape = dense.shape
     svd = np.linalg.svd(dense, full_matrices=shape[0] < shape[1])
     block = (slice(None), slice(None), *svd)
     Qr, Qc = (_mirror_basis(np.arange(n), np.ones(n))[0] for n in shape)
     return Qr, Qc, [block], {"block_shapes": [shape], "coupling": float("nan")}
+
+
+def same_bits(a, b):
+    """Equal arrays, sign bits of zeros included."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def oracle_meshes(degree):
+    """(space, mirror symmetric): a uniform mesh of odd and one of even
+    dimension, and an asymmetric one."""
+    return [(uniform_space(13 - degree % 2, degree), True),
+            (uniform_space(14 - degree % 2, degree), True),
+            (make_space([0.0, 0.1, 0.35, 0.5, 0.8, 1.0, 1.1, 1.4, 1.5], degree), False)]
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])
+def test_constraint_rows_match_the_row_loop_oracle(degree):
+    from iga_explicit.dualbasis import _constraint_rows
+
+    for space, _ in oracle_meshes(degree):
+        xq, wq = element_quadrature(space, degree + 1)
+        ev = eval_basis(space, xq)
+        for hw in range(degree, 2 * degree + 1):
+            vals, rhs = _constraint_rows(space, hw, xq, wq, ev)
+            want_vals, want_rhs = loop_constraint_rows(space, hw)
+            assert same_bits(vals, want_vals), (space.dimension, hw)
+            assert same_bits(rhs, want_rhs), (space.dimension, hw)
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])
+def test_mirror_blocks_match_sparse_products(degree, monkeypatch):
+    import scipy.linalg
+
+    from iga_explicit import dualbasis
+
+    layouts, blocks = [], []
+    mirror_svd, svd = dualbasis._mirror_svd, scipy.linalg.svd
+    monkeypatch.setattr(dualbasis, "_mirror_svd",
+                        lambda *layout: layouts.append(layout) or mirror_svd(*layout))
+    monkeypatch.setattr(scipy.linalg, "svd",
+                        lambda B, **kwargs: blocks.append(B.copy()) or svd(B, **kwargs))
+    for space, symmetric in oracle_meshes(degree):
+        for hw in range(degree, 2 * degree + 1):
+            del layouts[:], blocks[:]
+            diagnostics = approximate_dual(space, hw).diagnostics
+            [layout] = layouts
+            C, re, ce = sparse_mirror_blocks(*layout)
+            assert diagnostics["mirror_split"] == symmetric
+            if symmetric:
+                want = [C[:re, :ce], C[re:, ce:]]
+                cross = np.concatenate([C[:re, ce:].ravel(), C[re:, :ce].ravel()])
+                assert same_bits(diagnostics["mirror_coupling"],
+                                 np.abs(cross).max() / np.abs(layout[0]).max())
+            else:
+                # the identity-basis path: A itself
+                want = [constraint_matrix(*layout[:3], len(layout[3])).toarray()]
+            assert len(blocks) == len(want)
+            assert all(same_bits(B, W) for B, W in zip(blocks, want)), (space.dimension, hw)
 
 
 def band_entry_mirror(n, hw):
@@ -489,12 +561,14 @@ def test_block_svd_that_does_not_converge_is_a_numerical_error(monkeypatch):
 def test_non_finite_block_is_a_numerical_error():
     from iga_explicit.dualbasis import _mirror_svd
 
-    rows, cols = np.nonzero(np.ones((4, 3)))
-    vals = np.arange(12.0)
-    vals[5] = np.nan
-    identity = np.arange(4), np.ones(4), np.arange(3)
-    with pytest.raises(NumericalError, match="the 4 x 3 block failed: .*infs or NaNs"):
-        _mirror_svd((rows, cols, vals), (4, 3), *identity)
+    # two rows of two constraints, halfwidth 1: unknowns (0, 0), (0, 1),
+    # (1, 0), of which the mirror swaps the first and the last
+    vals = np.arange(12.0).reshape(2, 2, 3)
+    vals[0, 1, 2] = np.nan
+    inside = np.array([[False, True, True], [True, True, False]])
+    ids = np.array([[0, 0, 1], [1, 2, 2]])
+    with pytest.raises(NumericalError, match="the 2 x 2 block failed: .*infs or NaNs"):
+        _mirror_svd(vals, ids, inside, np.array([2, 1, 0]))
 
 
 @pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])
