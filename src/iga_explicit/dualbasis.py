@@ -31,6 +31,7 @@ each constrained end, so the inverse of S is never formed.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -92,12 +93,25 @@ def _grammian(space, wq, ev):
     n = space.dimension
     hw = min(p, n - 1) if not space.periodic else p
     # every pair a <= b of the functions alive at a point adds to band b - a
-    # of row indices[a]; np.add.at sums in the order of a loop over points
+    # of row indices[a]; bincount sums from +0 in the order of a loop over
+    # points, as np.add.at did
     vals = ev.values[:, 0]
-    a, b = np.triu_indices(p + 1)
-    bands = np.zeros((hw + 1, n))
-    np.add.at(bands, (b - a, ev.indices[:, a]), wq[:, None] * vals[:, a] * vals[:, b])
-    return BandedSymmetricMatrix(n, hw, periodic=space.periodic, bands=bands)
+    a, b = _upper_pairs(p)
+    at = (b - a) * n + ev.indices[:, a]
+    bands = np.bincount(at.ravel(), (wq[:, None] * vals[:, a] * vals[:, b]).ravel(),
+                        minlength=(hw + 1) * n)
+    return BandedSymmetricMatrix(n, hw, periodic=space.periodic,
+                                 bands=bands.reshape(hw + 1, n))
+
+
+@functools.cache
+def _upper_pairs(p):
+    """The index pairs a <= b of p + 1 functions, as np.triu_indices gives
+    them, read-only."""
+    pairs = np.triu_indices(p + 1)
+    for index in pairs:
+        index.flags.writeable = False
+    return pairs
 
 
 def exact_dual_coeffs(space, cap=512):
@@ -350,7 +364,11 @@ def _constraint_rows(space, hw, xq, wq, ev):
         r = slice(lo, lo + chunk)
         m_rows = len(el[r])
         loc = (xq[el[r]] - grev[r, None, None]) / hbar
-        powers = np.stack([loc**m for m in range(p + 1)], axis=-1)
+        # the powers of each distinct coordinate (bit pattern), one scalar
+        # exponent at a time, gathered back
+        distinct, back = np.unique(loc.view(np.int64), return_inverse=True)
+        distinct = distinct.view(float)
+        powers = np.stack([distinct**m for m in range(p + 1)], axis=-1)[back]
         flat = (slot_point[..., None] + at[r, :, None]
                 + (np.arange(m_rows) * row_size)[:, None, None, None])
         window = np.zeros(m_rows * row_size)

@@ -9,6 +9,7 @@ wraparound on a uniform knot extension and support only maximal smoothness.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -19,13 +20,15 @@ PERIODIC = "periodic"
 
 @dataclass(frozen=True)
 class KnotVector:
-    """Non-decreasing knot sequence with a polynomial degree."""
+    """Non-decreasing knot sequence with a polynomial degree. The knots are
+    a read-only copy of the array passed in."""
 
     knots: np.ndarray
     degree: int
 
     def __post_init__(self):
-        knots = np.asarray(self.knots, dtype=float)
+        knots = np.array(self.knots, dtype=float)
+        knots.flags.writeable = False
         object.__setattr__(self, "knots", knots)
         if self.degree < 0:
             raise ValueError("degree must be non-negative")
@@ -40,7 +43,8 @@ class SplineSpace:
     For clamped spaces ``dimension = len(knots) - degree - 1``. For periodic
     spaces the knot vector is the uniform extension of the base partition and
     ``dimension`` equals the number of elements; basis indices wrap modulo the
-    dimension.
+    dimension. ``breakpoints`` and ``grammian`` are computed on first access
+    and kept read-only.
     """
 
     knot_vector: KnotVector
@@ -61,17 +65,27 @@ class SplineSpace:
         k = self.knot_vector.knots
         return float(k[p]), float(k[len(k) - p - 1])
 
-    @property
+    @cached_property
     def breakpoints(self):
-        a, b = self.domain
-        k = self.knot_vector.knots
         p = self.degree
-        interior = k[p : len(k) - p]
-        return np.unique(interior)
+        k = self.knot_vector.knots
+        bps = np.unique(k[p : len(k) - p])
+        bps.flags.writeable = False
+        return bps
 
     @property
     def n_elements(self):
         return len(self.breakpoints) - 1
+
+    @cached_property
+    def grammian(self):
+        """The unweighted Grammian at p + 1 Gauss points per element
+        (``dualbasis.grammian``), shared by every mass built on this space."""
+        from . import dualbasis  # which builds on this module
+
+        G = dualbasis.grammian(self)
+        G.bands.flags.writeable = False
+        return G
 
 
 @dataclass(frozen=True)
@@ -97,6 +111,8 @@ def make_space(breakpoints, degree, regularity=None, boundary_kind=CLAMPED):
     bps = np.asarray(breakpoints, dtype=float)
     if bps.ndim != 1 or len(bps) < 2:
         raise ValueError("need at least two breakpoints")
+    if not np.isfinite(bps).all():
+        raise ValueError("breakpoints must be finite")
     if np.any(np.diff(bps) <= 0.0):
         raise ValueError("breakpoints must be strictly increasing")
     p = int(degree)
@@ -108,34 +124,31 @@ def make_space(breakpoints, degree, regularity=None, boundary_kind=CLAMPED):
         # piecewise constants: interior knots appear once, no continuity choices
         if regularity is not None:
             raise ValueError("degree-0 splines admit no interior continuity")
-        regs = [-1] * n_interior
+        regs = np.full(n_interior, -1)
     elif regularity is None:
-        regs = [p - 1] * n_interior
+        regs = np.full(n_interior, p - 1)
     elif np.ndim(regularity) == 0:
-        regs = [int(regularity)] * n_interior
+        regs = np.full(n_interior, int(regularity))
     else:
-        regs = [int(r) for r in regularity]
+        regs = np.array([int(r) for r in regularity], dtype=int)
         if len(regs) != n_interior:
             raise ValueError("one regularity value per interior breakpoint required")
-    if p >= 1:
-        for r in regs:
-            if not 0 <= r <= p - 1:
-                raise ValueError(f"regularity {r} outside [0, {p - 1}]")
+    bad = (regs < 0) | (regs > p - 1)
+    if p >= 1 and bad.any():
+        raise ValueError(f"regularity {regs[bad][0]} outside [0, {p - 1}]")
 
     if boundary_kind == CLAMPED:
-        parts = [np.full(p + 1, bps[0])]
-        for k in range(1, len(bps) - 1):
-            parts.append(np.full(p - regs[k - 1], bps[k]))
-        parts.append(np.full(p + 1, bps[-1]))
-        knots = np.concatenate(parts)
+        # each breakpoint repeated by its multiplicity: p + 1 at the ends
+        knots = np.repeat(bps, np.concatenate([[p + 1], p - regs, [p + 1]]))
         dim = len(knots) - p - 1
         return SplineSpace(KnotVector(knots, p), CLAMPED, dim)
 
     if boundary_kind == PERIODIC:
         h = np.diff(bps)
-        if not np.allclose(h, h[0], rtol=1e-12, atol=1e-14):
+        # np.allclose(h, h[0], rtol=1e-12, atol=1e-14), evaluated directly
+        if not np.all(np.abs(h - h[0]) <= 1e-14 + 1e-12 * abs(h[0])):
             raise ValueError("periodic spaces require a uniform partition")
-        if any(r != p - 1 for r in regs):
+        if np.any(regs != p - 1):
             raise ValueError("periodic spaces require maximal smoothness")
         n_el = len(bps) - 1
         if n_el <= 2 * p:
@@ -164,13 +177,14 @@ def _ders_basis(knots, p, mu, x, nd):
     """
     m = len(x)
     ndu = np.empty((p + 1, p + 1, m))
-    left = np.empty((p + 1, m))
-    right = np.empty((p + 1, m))
+    # the knot differences of every level, one gather and one subtraction
+    # each (row 0 is not read)
+    j = np.arange(p + 1)[:, None]
+    left = x - knots[mu + 1 - j]
+    right = knots[mu + j] - x
     ndu[0, 0] = 1.0
     saved = np.zeros((p, m))  # saved[r] of the recurrence, 0 at r = 0
     for j in range(1, p + 1):
-        left[j] = x - knots[mu + 1 - j]
-        right[j] = knots[mu + j] - x
         ndu[j, :j] = right[1 : j + 1] + left[j:0:-1]
         temp = ndu[:j, j - 1] / ndu[j, :j]
         saved[1:j] = left[j:1:-1] * temp[:-1]

@@ -11,7 +11,10 @@ function by the resolvent, the general forms that the package's polynomial
 step must reproduce for linear systems; the allocating polynomial step is
 the one its in-place accumulation must reproduce bit for bit. The matrix helpers before them (column-major
 flattening, band storage of a dense matrix, the dense Petrov mass) build the
-dense operators the Kronecker and banded ones are checked against. The CSR
+dense operators the Kronecker and banded ones are checked against. The
+scalar Cox-de Boor levels, the clamped knots built one breakpoint at a time
+and the Grammian summed by np.add.at are the forms the array ones must
+reproduce bit for bit. The CSR
 route oracles assemble the stiffness kernel and the run operator through
 scipy.sparse (a full-space CSR build restricted by fancy indexing, CSR
 blocks per term) for the direct by-fill builds to be checked against. The
@@ -53,6 +56,84 @@ def naive_all_values(space, x):
             out[j % space.dimension] += v
         return out
     return vals
+
+
+def scalar_ders_basis(knots, p, mu, x, nd):
+    """The non-vanishing B-splines and derivatives up to order nd at one
+    point x of span mu, (nd + 1, p + 1): Piegl and Tiller's Alg. A2.3 on
+    Python floats, one knot difference per level as the book forms them.
+    What ``splinecore._ders_basis`` must reproduce bit for bit."""
+    knots = [float(k) for k in knots]
+    left, right = [0.0] * (p + 1), [0.0] * (p + 1)
+    ndu = [[0.0] * (p + 1) for _ in range(p + 1)]
+    ndu[0][0] = 1.0
+    for j in range(1, p + 1):
+        left[j] = x - knots[mu + 1 - j]
+        right[j] = knots[mu + j] - x
+        saved = 0.0
+        for r in range(j):
+            ndu[j][r] = right[r + 1] + left[j - r]
+            temp = ndu[r][j - 1] / ndu[j][r]
+            ndu[r][j] = saved + right[r + 1] * temp
+            saved = left[j - r] * temp
+        ndu[j][j] = saved
+    ders = np.zeros((nd + 1, p + 1))
+    ders[0] = [ndu[r][p] for r in range(p + 1)]
+    for r in range(p + 1):
+        s1, s2 = 0, 1
+        a = [[0.0] * (p + 1) for _ in range(2)]
+        a[0][0] = 1.0
+        for k in range(1, nd + 1):
+            d = 0.0
+            rk, pk = r - k, p - k
+            if r >= k:
+                a[s2][0] = a[s1][0] / ndu[pk + 1][rk]
+                d = a[s2][0] * ndu[rk][pk]
+            j1 = 1 if rk >= -1 else -rk
+            j2 = k - 1 if r - 1 <= pk else p - r
+            for j in range(j1, j2 + 1):
+                a[s2][j] = (a[s1][j] - a[s1][j - 1]) / ndu[pk + 1][rk + j]
+                d += a[s2][j] * ndu[rk + j][pk]
+            if r <= pk:
+                a[s2][k] = -a[s1][k - 1] / ndu[pk + 1][r]
+                d += a[s2][k] * ndu[r][pk]
+            ders[k, r] = d
+            s1, s2 = s2, s1
+    fac = float(p)
+    for k in range(1, nd + 1):
+        ders[k] *= fac
+        fac *= p - k
+    return ders
+
+
+def full_clamped_knots(breakpoints, p, regularity):
+    """Clamped knots built one breakpoint at a time: p + 1 copies of each
+    end and p - regularity of each interior breakpoint."""
+    parts = [np.full(p + 1, breakpoints[0])]
+    for k in range(1, len(breakpoints) - 1):
+        parts.append(np.full(p - regularity[k - 1], breakpoints[k]))
+    parts.append(np.full(p + 1, breakpoints[-1]))
+    return np.concatenate(parts)
+
+
+def add_at_grammian_bands(space, weight=None, points_per_element=None):
+    """Band storage of the Grammian of ``dualbasis.grammian``, summed by
+    np.add.at over the (band, row) index of every point's pairs a <= b."""
+    from iga_explicit.quadrature import element_quadrature
+    from iga_explicit.splinecore import eval_basis
+
+    p, n = space.degree, space.dimension
+    if points_per_element is None:
+        points_per_element = p + 1 if weight is None else p + 2
+    xq, wq = element_quadrature(space, points_per_element)
+    if weight is not None:
+        wq = wq * weight(xq)
+    ev = eval_basis(space, xq)
+    vals = ev.values[:, 0]
+    a, b = np.triu_indices(p + 1)
+    bands = np.zeros((p + 1 if space.periodic else min(p, n - 1) + 1, n))
+    np.add.at(bands, (b - a, ev.indices[:, a]), wq[:, None] * vals[:, a] * vals[:, b])
+    return bands
 
 
 def gauss_panels(f, a, b, n_panels=64, n_pts=12):

@@ -466,6 +466,21 @@ def test_string_spectra_ignore_outlier_removal_below_degree_3():
     assert all(np.array_equal(spectra[True][kind], freqs) for kind, freqs in spectra[False].items())
 
 
+def test_string_spectra_build_the_unweighted_grammian_once(monkeypatch):
+    # the Galerkin and the lumped system read the space's one Grammian; the
+    # customized one builds its own with its dual
+    from iga_explicit import assembly, dualbasis
+    from iga_explicit.cli import string_spectra
+
+    builds = []
+    grammian = dualbasis.grammian
+    counting = (lambda *args, **kwargs: builds.append(args) or grammian(*args, **kwargs))
+    monkeypatch.setattr(dualbasis, "grammian", counting)
+    monkeypatch.setattr(assembly, "grammian", counting)
+    string_spectra(3, 30)
+    assert len(builds) == 1
+
+
 @pytest.mark.parametrize("p", [3, 4, 5])
 def test_string_spectra_reduce_by_the_explicit_congruence(p):
     # the outlier-reduced string K and M, bit for bit as T^T X T

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from oracle_utils import (
+    add_at_grammian_bands,
     constraint_matrix,
     gauss_panels,
     loop_constraint_rows,
@@ -70,6 +71,27 @@ def test_grammian_matches_point_loop(degree, kind):
     assert np.array_equal(grammian(space).bands, loop_grammian_bands(space))
     assert np.array_equal(grammian(space, weight=weight).bands,
                           loop_grammian_bands(space, weight=weight))
+
+
+@pytest.mark.parametrize("degree", [0, 1, 3, 5])
+@pytest.mark.parametrize("kind", ["clamped", PERIODIC])
+def test_grammian_matches_the_add_at_sum(degree, kind):
+    space = uniform_space(11, degree, 0.3, 1.9, boundary_kind=kind)
+
+    def weight(x):
+        return 1.0 + x * x
+
+    for w in (None, weight):
+        for points in (None, degree + 3):
+            assert same_bits(grammian(space, w, points).bands,
+                             add_at_grammian_bands(space, w, points)), (w, points)
+
+
+def test_a_space_keeps_one_read_only_unweighted_grammian():
+    space = uniform_space(9, 3, boundary_kind=PERIODIC)
+    G = space.grammian
+    assert space.grammian is G and not G.bands.flags.writeable
+    assert same_bits(G.bands, grammian(space).bands)
 
 
 def test_grammian_names_the_first_non_positive_weight():
@@ -474,10 +496,11 @@ def one_blas_thread(code):
 
 
 # Peak RSS growth of the p=3 clamped dual on 250 functions, in MB, 1.1 times
-# its measured 19.7 (halfwidth 3) and 37.2 MB (halfwidth 6) on one BLAS
-# thread (numpy 2.4.6, scipy 1.17.1). numpy's SVD, which factors a copy of
-# each mirror block and copies its factors out, peaked at 25.5 and 44.3 MB.
-CLAMPED_DUAL_RSS_MB = {3: 22.0, 6: 41.0}
+# its measured 16.9 (halfwidth 3) and 33.7 MB (halfwidth 6) on one BLAS
+# thread (numpy 2.4.6, scipy 1.17.1; the largest of three runs each). numpy's
+# SVD, which factors a copy of each mirror block and copies its factors out,
+# peaked at 25.5 and 44.3 MB.
+CLAMPED_DUAL_RSS_MB = {3: 18.7, 6: 37.1}
 
 
 @pytest.mark.parametrize("halfwidth", [3, 6])

@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from oracle_utils import naive_all_values
+from oracle_utils import full_clamped_knots, naive_all_values, scalar_ders_basis
 
 from iga_explicit.splinecore import (
     CLAMPED,
     PERIODIC,
+    KnotVector,
     eval_basis,
     greville,
     make_space,
@@ -37,6 +38,10 @@ def test_reduced_regularity_knot_count():
 def test_make_space_errors():
     with pytest.raises(ValueError):
         make_space([0.0, 0.6, 0.5, 1.0], 2)
+    with pytest.raises(ValueError, match="finite"):
+        make_space([0.0, 0.5, np.inf], 2)
+    with pytest.raises(ValueError, match="finite"):
+        make_space([np.nan, 0.5, 1.0], 2, boundary_kind=PERIODIC)
     with pytest.raises(ValueError):
         make_space([0.0, 0.5, 1.0], 2, regularity=[2])
     with pytest.raises(ValueError):
@@ -252,3 +257,96 @@ def test_periodic_requires_maximal_smoothness():
 def test_unknown_boundary_kind():
     with pytest.raises(ValueError):
         make_space([0.0, 1.0], 2, boundary_kind="open")
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def test_a_built_space_is_immutable():
+    knots = np.array([0.0, 0.0, 0.0, 0.25, 0.5, 0.75, 1.0, 1.0, 1.0])
+    kv = KnotVector(knots, 2)
+    assert kv.knots is not knots and not np.shares_memory(kv.knots, knots)
+    knots[3] = 0.3  # the caller's array stays the caller's
+    assert kv.knots[3] == 0.25
+    space = uniform_space(4, 2)
+    with pytest.raises(ValueError, match="read-only"):
+        space.knot_vector.knots[3] = 0.3
+    assert_allclose(space.breakpoints, [0.0, 0.25, 0.5, 0.75, 1.0])
+
+
+@pytest.mark.parametrize("kind", [CLAMPED, PERIODIC])
+def test_breakpoints_are_computed_once_and_read_only(kind):
+    space = uniform_space(6, 2, boundary_kind=kind)
+    bps = space.breakpoints
+    assert space.breakpoints is bps and not bps.flags.writeable
+    assert space.n_elements == 6
+    knots = space.knot_vector.knots
+    assert same_bits(bps, np.unique(knots[2 : len(knots) - 2]))
+    with pytest.raises(ValueError, match="read-only"):
+        bps[0] = -1.0
+
+
+def oracle_breakpoints(degree):
+    """(breakpoints, regularity) triples: uniform, reduced regularity at
+    every interior breakpoint, and non-uniform with one per breakpoint."""
+    uniform = np.linspace(0.0, 1.0, 7)
+    rough = np.array([-0.3, 0.1, 0.35, 0.5, 0.8, 1.7])
+    regs = [None] * 3 if degree == 0 else [
+        None, 0, [(k * 2) % degree for k in range(4)]]
+    return [(uniform, regs[0]), (uniform, regs[1]), (rough, regs[2])]
+
+
+@pytest.mark.parametrize("degree", range(6))
+def test_clamped_knots_repeat_each_breakpoint_by_its_multiplicity(degree):
+    for bps, regularity in oracle_breakpoints(degree):
+        n_interior = len(bps) - 2
+        if regularity is None:
+            regs = [degree - 1] * n_interior
+        else:
+            regs = list(np.broadcast_to(regularity, n_interior))
+        space = make_space(bps, degree, regularity)
+        want = full_clamped_knots(bps, degree, regs)
+        assert same_bits(space.knot_vector.knots, want), (bps, regularity)
+        assert space.dimension == len(want) - degree - 1
+
+
+def test_periodic_uniformity_is_the_allclose_test():
+    accepted = []
+    h0 = 0.1
+    tol = 1e-14 + 1e-12 * h0
+    for shift in np.linspace(0.5, 1.5, 41) * tol:
+        for at in (1, 4, 8):
+            bps = h0 * np.arange(11)
+            bps[at] += shift
+            h = np.diff(bps)
+            want = bool(np.allclose(h, h[0], rtol=1e-12, atol=1e-14))
+            try:
+                make_space(bps, 2, boundary_kind=PERIODIC)
+                got = True
+            except ValueError as exc:
+                assert "uniform" in str(exc)
+                got = False
+            assert got == want, (shift, at)
+            accepted.append(got)
+    assert any(accepted) and not all(accepted)
+
+
+@pytest.mark.parametrize("degree", range(1, 6))
+@pytest.mark.parametrize("kind", [CLAMPED, PERIODIC])
+def test_ders_basis_matches_the_scalar_levels(degree, kind):
+    from iga_explicit.splinecore import _ders_basis
+
+    space = (make_space([0.0, 0.1, 0.35, 0.5, 0.8, 1.0, 1.1, 1.4, 1.5, 2.0], degree)
+             if kind == CLAMPED else uniform_space(2 * degree + 3, degree, 0.2, 1.7, kind))
+    knots = space.knot_vector.knots
+    # both ends and three inner points of every element, with its span
+    lo, hi = space.breakpoints[:-1], space.breakpoints[1:]
+    t = np.r_[0.0, np.random.default_rng(degree).uniform(size=3), 1.0]
+    x = (lo[:, None] + t * (hi - lo)[:, None]).ravel()
+    mu = np.repeat(np.searchsorted(knots, lo, side="right") - 1, len(t))
+    for nd in range(degree + 1):
+        values = _ders_basis(knots, degree, mu, x, nd)
+        for xi, mi, v in zip(x, mu, values):
+            assert same_bits(v, scalar_ders_basis(knots, degree, mi, xi, nd)), (xi, nd)
