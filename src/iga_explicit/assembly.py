@@ -415,9 +415,7 @@ class DiscreteSystem:
         the test mode on the full space. The weight c cancels against the
         dual test functions B/c, which leaves the parametric Grammians the
         dual bases are built from; the B-splines themselves see the separable
-        weight c1(x1) in direction 0. An unweighted Grammian at the space's
-        own p + 1 points is the space's (``SplineSpace.grammian``), built
-        once for all systems on that space.
+        weight c1(x1) in direction 0.
 
         Every factor is an ``InverseFactor``, whose inverse is stored by its
         fill (``by_fill``), whatever the kind. Galerkin-consistent: the
@@ -432,8 +430,7 @@ class DiscreteSystem:
             grams = [dual.G for dual in self.duals]
         else:
             weights = [self.radial_weight()] + [None] * (self.ndim - 1)
-            grams = [space.grammian if w is None and self.mass_points == space.degree + 1
-                     else grammian(space, weight=w, points_per_element=self.mass_points)
+            grams = [grammian(space, weight=w, points_per_element=self.mass_points)
                      for space, w in zip(self.spaces, weights)]
         free = [slice(*self.free_range(k)) for k in range(self.ndim)]
         if self.mass_kind == "rowsum_lumped":

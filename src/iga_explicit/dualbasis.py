@@ -71,10 +71,17 @@ def grammian(space, weight=None, points_per_element=None):
     ``weight`` is called once, on the array of all quadrature points, and its
     result must broadcast to that array. A weight that is not positive and
     finite at some point is an error naming the first such point.
+
+    The unweighted Grammian at the space's own p + 1 points per element is
+    built once per space and kept on it with read-only bands: every system on
+    the space shares it.
     """
     p = space.degree
     if points_per_element is None:
         points_per_element = p + 1 if weight is None else p + 2
+    own = weight is None and points_per_element == p + 1
+    if own and "_grammian" in vars(space):
+        return space._grammian
     xq, wq = element_quadrature(space, points_per_element)
     if weight is not None:
         wx = np.broadcast_to(weight(xq), xq.shape)
@@ -84,7 +91,11 @@ def grammian(space, weight=None, points_per_element=None):
             raise ValueError(f"{'non-positive' if v <= 0.0 else 'non-finite'} weight {v} "
                              f"at quadrature point {x}")
         wq = wq * wx
-    return _grammian(space, wq, eval_basis(space, xq))
+    G = _grammian(space, wq, eval_basis(space, xq))
+    if own:
+        G.bands.flags.writeable = False
+        object.__setattr__(space, "_grammian", G)  # the space is frozen
+    return G
 
 
 def _grammian(space, wq, ev):

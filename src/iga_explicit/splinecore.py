@@ -43,8 +43,8 @@ class SplineSpace:
     For clamped spaces ``dimension = len(knots) - degree - 1``. For periodic
     spaces the knot vector is the uniform extension of the base partition and
     ``dimension`` equals the number of elements; basis indices wrap modulo the
-    dimension. ``breakpoints`` and ``grammian`` are computed on first access
-    and kept read-only.
+    dimension. ``breakpoints`` are computed on first access and kept
+    read-only.
     """
 
     knot_vector: KnotVector
@@ -76,16 +76,6 @@ class SplineSpace:
     @property
     def n_elements(self):
         return len(self.breakpoints) - 1
-
-    @cached_property
-    def grammian(self):
-        """The unweighted Grammian at p + 1 Gauss points per element
-        (``dualbasis.grammian``), shared by every mass built on this space."""
-        from . import dualbasis  # which builds on this module
-
-        G = dualbasis.grammian(self)
-        G.bands.flags.writeable = False
-        return G
 
 
 @dataclass(frozen=True)

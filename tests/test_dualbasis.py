@@ -31,6 +31,7 @@ from iga_explicit.dualbasis import (
 from iga_explicit.errors import NumericalError
 from iga_explicit.quadrature import element_quadrature, moments
 from iga_explicit.splinecore import (
+    CLAMPED,
     PERIODIC,
     eval_basis,
     make_space,
@@ -87,11 +88,15 @@ def test_grammian_matches_the_add_at_sum(degree, kind):
                              add_at_grammian_bands(space, w, points)), (w, points)
 
 
-def test_a_space_keeps_one_read_only_unweighted_grammian():
-    space = uniform_space(9, 3, boundary_kind=PERIODIC)
-    G = space.grammian
-    assert space.grammian is G and not G.bands.flags.writeable
-    assert same_bits(G.bands, grammian(space).bands)
+@pytest.mark.parametrize("kind", [CLAMPED, PERIODIC])
+def test_a_space_keeps_one_read_only_unweighted_grammian(kind):
+    space = uniform_space(9, 3, boundary_kind=kind)
+    G = grammian(space)
+    assert grammian(space, points_per_element=4) is G and not G.bands.flags.writeable
+    assert same_bits(G.bands, loop_grammian_bands(space))
+    # a weight or another point count builds a new, writable Grammian
+    for other in (grammian(space, weight=lambda x: 1.0 + x), grammian(space, points_per_element=5)):
+        assert other is not G and other.bands.flags.writeable
 
 
 def test_grammian_names_the_first_non_positive_weight():
