@@ -183,9 +183,9 @@ class DiscreteSystem:
     ``spaces`` holds one (1D problems) or two univariate spline spaces.
     ``dirichlet`` gives per-direction (left, right) flags; periodic directions
     cannot be constrained. The wave-speed-squared coefficient ``kappa``
-    multiplies the stiffness form. The density ``rho``
-    is 1 by default without a map; a map brings its own (``GeometryMap.rho``)
-    and takes no other. Both must be positive and finite.
+    multiplies the stiffness form; it must be positive and finite. The
+    weight c = det(F) carries no density: a constant density is run by
+    dividing kappa by it.
 
     A system is fixed once built: its inputs (``INPUTS``) cannot be assigned
     again, and its test mode and quadrature orders are read-only properties.
@@ -193,7 +193,7 @@ class DiscreteSystem:
     stiffness kernel) is a ``cached_property``, built once.
     """
 
-    INPUTS = frozenset({"spaces", "geometry", "mass_kind", "kappa", "rho", "dirichlet",
+    INPUTS = frozenset({"spaces", "geometry", "mass_kind", "kappa", "dirichlet",
                         "dual_halfwidth"})
 
     def __init__(
@@ -202,7 +202,6 @@ class DiscreteSystem:
         geometry=None,
         mass_kind="customized",
         kappa=1.0,
-        rho=None,
         dirichlet=None,
         dual_halfwidth=None,
     ):
@@ -218,11 +217,6 @@ class DiscreteSystem:
         self.kappa = float(kappa)
         if not 0.0 < self.kappa < np.inf:
             raise ValueError(f"kappa must be positive and finite, got {kappa!r}")
-        if geometry is not None and rho is not None:
-            raise ValueError("rho comes from the geometry map; pass it to the map")
-        self.rho = float(geometry.rho if geometry is not None else 1.0 if rho is None else rho)
-        if not 0.0 < self.rho < np.inf:
-            raise ValueError(f"rho must be positive and finite, got {self.rho!r}")
         if np.ndim(dual_halfwidth) and len(dual_halfwidth) != len(self.spaces):
             raise ValueError(
                 f"dual_halfwidth has {len(dual_halfwidth)} entries for "
@@ -335,13 +329,12 @@ class DiscreteSystem:
         return out
 
     def quadrature_grid(self):
-        """Tensor quadrature weights W, det(F) and the weight c = det(F) rho
-        on the quadrature grid (det(F) = 1 and c = rho without a map)."""
+        """Tensor quadrature weights W and the weight c = det(F) on the
+        quadrature grid (c = 1 without a map)."""
         W = reduce(np.multiply.outer, [self.tables(k)[1] for k in range(self.ndim)])
         if self.geometry is None:
-            return W, 1.0, self.rho
-        g = self.geometry_grids()
-        return W, g["det"], g["c"]
+            return W, 1.0
+        return W, self.geometry_grids()["c"]
 
     def evaluate(self, func, physical=False):
         """Values of a callable on the tensor quadrature grid: at the mapped
@@ -364,7 +357,7 @@ class DiscreteSystem:
         """Geometry factors at the tensor quadrature grid of a 2D system.
 
         The map sees the two axes as (n1, 1) and (1, n2) operands and is
-        evaluated once: one Jacobian, from which A and c = det(F) rho follow,
+        evaluated once: one Jacobian, from which A and c = det(F) follow,
         and, for the dual test functions B/c only, one Jacobian gradient,
         from which the gradient of c ("grad_c") follows. A and grad_c, which
         only the stiffness kernel reads, are dropped once it is built.
@@ -385,9 +378,9 @@ class DiscreteSystem:
             raise NumericalError("non-positive Jacobian determinant at quadrature point")
         Finv = _inv2(F, det)
         del F
-        grids = {"det": det, "c": det * geo.rho}
+        grids = {"c": det}
         if self.test_mode == "dual":
-            grids["grad_c"] = weight_gradient(geo.rho, det, Finv, geo.jacobian_gradient(x1, x2))
+            grids["grad_c"] = weight_gradient(det, Finv, geo.jacobian_gradient(x1, x2))
         # kappa * det(F) * F^{-1} F^{-T}, symmetric 2x2 per point
         A11 = self.kappa * det * (Finv[0, 0] ** 2 + Finv[0, 1] ** 2)
         A12 = self.kappa * det * (Finv[0, 0] * Finv[1, 0] + Finv[0, 1] * Finv[1, 1])
@@ -429,7 +422,8 @@ class DiscreteSystem:
         if self.test_mode == "dual":
             grams = [dual.G for dual in self.duals]
         else:
-            weights = [self.radial_weight()] + [None] * (self.ndim - 1)
+            radial = self.geometry.radial_weight if self.geometry else None
+            weights = [radial] + [None] * (self.ndim - 1)
             grams = [grammian(space, weight=w, points_per_element=self.mass_points)
                      for space, w in zip(self.spaces, weights)]
         free = [slice(*self.free_range(k)) for k in range(self.ndim)]
@@ -448,14 +442,6 @@ class DiscreteSystem:
                 InverseFactor(cd.S.n, cd.S.to_coo, cd.S.dense_inverse)
                 for cd in self.constrained_duals]
         return MassOperator(factors, KroneckerOperator(projection))
-
-    def radial_weight(self):
-        """Separable part c1(x1) of the weight field (c2 must be constant 1),
-        array-valued: the map's ``radial_weight``, checked once per map; the
-        constant density without a map, None for a unit density."""
-        if self.geometry is None:
-            return (lambda x: self.rho) if self.rho != 1.0 else None
-        return self.geometry.radial_weight
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +489,7 @@ def _stiffness_form(system):
     (kappa I without a map). In dual mode the gradient of 1/c adds
     ``R_b = -W sum_a c_a A_ab / c^2`` between values and derivatives along b.
     """
-    W, _, c = system.quadrature_grid()
+    W, c = system.quadrature_grid()
     axes = range(system.ndim)
     if system.geometry is None:
         A, grad_c = system.kappa * np.eye(system.ndim), np.zeros(system.ndim)
@@ -725,7 +711,7 @@ def moments(system, func_param):
     The weight c cancels against the dual test functions B/c, leaving the
     parametric moments <B_i, v>; the B-splines themselves give <B_i, c v>.
     """
-    W, _, c = system.quadrature_grid()
+    W, c = system.quadrature_grid()
     vals = system.evaluate(func_param)
     if system.test_mode == "standard":
         vals = vals * c

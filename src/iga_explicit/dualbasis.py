@@ -171,7 +171,8 @@ def approximate_dual(space, halfwidth=None):
     is not SPD, are reported as errors. A clamped S is checked by its banded
     Cholesky factor, which later solves reuse; a periodic one by its symbol,
     the exact eigenvalues of a symmetric circulant, and factored only when
-    first solved with. Either way S's bands are read-only on return.
+    first solved with. The bands of S and G are read-only on return: a
+    write would change every mass built from them.
     """
     p = space.degree
     hw = p if halfwidth is None else int(halfwidth)
@@ -180,7 +181,6 @@ def approximate_dual(space, halfwidth=None):
     if space.periodic:
         G = grammian(space)
         S, diagnostics = _periodic_dual(space, G, hw), {}
-        S.bands.flags.writeable = False
     else:
         G, S, diagnostics = _clamped_dual(space, hw)
         if not S.is_spd():
@@ -188,6 +188,8 @@ def approximate_dual(space, halfwidth=None):
                 "approximate dual coefficient matrix is not SPD "
                 f"(halfwidth {hw}, smallest eigenvalue {S.smallest_eigenvalue():.3e})"
             )
+    for M in (S, G):
+        M.bands.flags.writeable = False
     return ApproximateDualBasis(space, S, hw, G, MappingProxyType(diagnostics))
 
 
@@ -609,6 +611,7 @@ class ConstrainedDual:
     S_ff - S_fc S_cc^{-1} S_cf of the constrained block c, one or two ends.
     S_fc is nonzero only within the halfwidth of an end, so the correction
     stays inside the band of S_ff. Without constraints the view holds S.
+    Either way the bands of the view's S are read-only.
     """
 
     def __init__(self, parent, left=False, right=False):
@@ -637,6 +640,7 @@ class ConstrainedDual:
         m = hi - lo
         for d in range(self.S.halfwidth + 1):
             self.S.bands[d, : m - d] -= np.einsum("ia,ia->i", X[: m - d], S_fc[d:])
+        self.S.bands.flags.writeable = False
 
     def apply(self, x):
         """Apply to a full-length moment vector; constrained entries are zero."""

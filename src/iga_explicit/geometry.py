@@ -1,9 +1,9 @@
 """Geometric mappings from the parametric unit square, with analytic Jacobians,
-Jacobian gradients, and the scalar weight field c = det(F) * rho."""
+Jacobian gradients, and the scalar weight field c = det(F)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -19,22 +19,16 @@ class GeometryMap:
     with the tensor components in the leading axes: ``value -> (2, ...)``,
     ``jacobian -> (2, 2, ...)``, ``jacobian_gradient -> (2, 2, 2, ...)`` where
     the trailing index of the gradient is the parametric differentiation
-    direction. ``rho`` is a constant density, positive and finite.
+    direction.
     """
 
     value: callable
     jacobian: callable
     jacobian_gradient: callable
-    rho: float = 1.0
-    name: str = "map"
-
-    def __post_init__(self):
-        if not 0.0 < self.rho < np.inf:
-            raise ValueError(f"rho must be positive and finite, got {self.rho!r}")
 
     @cached_property
     def radial_weight(self):
-        """The weight c = det(F) rho as an array-valued function of x1 alone,
+        """The weight c = det(F) as an array-valued function of x1 alone,
         c(x1, 0), for a map whose weight does not vary along x2.
 
         The checks run once per map, on first use: ``weight_field``'s
@@ -49,8 +43,8 @@ class GeometryMap:
         return lambda x: c_fn(np.asarray(x, float), 0.0)
 
 
-def identity_map(rho=1.0):
-    """Identity mapping; F = I, gradient = 0, c = rho."""
+def identity_map():
+    """Identity mapping; F = I, gradient = 0, c = 1."""
 
     def value(x1, x2):
         x1, x2 = np.broadcast_arrays(np.asarray(x1, float), np.asarray(x2, float))
@@ -67,10 +61,10 @@ def identity_map(rho=1.0):
         x1, x2 = np.broadcast_arrays(np.asarray(x1, float), np.asarray(x2, float))
         return np.zeros((2, 2, 2) + x1.shape)
 
-    return GeometryMap(value, jacobian, jacobian_gradient, rho=rho, name="identity")
+    return GeometryMap(value, jacobian, jacobian_gradient)
 
 
-def annulus_map(a, b, rho=1.0):
+def annulus_map(a, b):
     """Polar map of the unit square onto the annulus a <= r <= b.
 
     x1 is the radial coordinate (r = a + (b-a) x1) and x2 the angular one
@@ -115,11 +109,11 @@ def annulus_map(a, b, rho=1.0):
         dF[1, 1, 1] = -(two_pi**2) * r * s
         return dF
 
-    return GeometryMap(value, jacobian, jacobian_gradient, rho=rho, name="annulus")
+    return GeometryMap(value, jacobian, jacobian_gradient)
 
 
 def weight_field(geo):
-    """The weight c = det(F) * rho and its parametric gradient.
+    """The weight c = det(F) and its parametric gradient.
 
     The gradient of det(F) uses Jacobi's formula,
     d(det F) = det(F) * tr(F^{-1} dF). Positivity of det(F) is checked on a
@@ -130,21 +124,19 @@ def weight_field(geo):
     if np.min(det) <= 0.0:
         raise ValueError(f"non-positive Jacobian determinant (min {np.min(det):.3e})")
 
-    rho = geo.rho
-
     def c_fn(x1, x2):
-        return _det2(geo.jacobian(x1, x2)) * rho
+        return _det2(geo.jacobian(x1, x2))
 
     def grad_c_fn(x1, x2):
         F = geo.jacobian(x1, x2)
         det = _det2(F)
-        return weight_gradient(rho, det, _inv2(F, det), geo.jacobian_gradient(x1, x2))
+        return weight_gradient(det, _inv2(F, det), geo.jacobian_gradient(x1, x2))
 
     return c_fn, grad_c_fn
 
 
-def weight_gradient(rho, det, Finv, dF):
-    """The parametric gradient of c = det(F) rho by Jacobi's formula, from
+def weight_gradient(det, Finv, dF):
+    """The parametric gradient of c = det(F) by Jacobi's formula, from
     det(F), F^{-1} and the Jacobian gradient dF at the same points.
 
     Each trace is summed in place in its row of the result, in the order
@@ -157,7 +149,7 @@ def weight_gradient(rho, det, Finv, dF):
         trace += Finv[0, 1] * dF[1, 0, k]
         trace += Finv[1, 0] * dF[0, 1, k]
         trace += Finv[1, 1] * dF[1, 1, k]
-        trace *= rho * det
+        trace *= det
     return out
 
 

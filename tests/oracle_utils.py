@@ -228,13 +228,18 @@ def petrov_mass_dense(system):
     """Dense Petrov mass of a 2D system, assembled by quadrature with
     explicit geometry factors.
 
-    Entries are b(dual_test_i / c, B_j) evaluated with the rho det(F) / c
-    factor carried through the quadrature loop; the result is analytically
-    geometry-independent, which is the point of the construction.
+    Entries are b(dual_test_i / c, B_j) evaluated with the det(F) / c
+    factor carried through the quadrature loop, det(F) from the map's
+    Jacobian; the result is analytically geometry-independent, which is the
+    point of the construction.
     """
+    from iga_explicit.geometry import _det2
+
     E1, E2 = (system.tables(k)[2] for k in range(2))
-    W, det, c = system.quadrature_grid()
-    W = W * (system.rho * det / c)
+    x1, x2 = (system.tables(k)[0] for k in range(2))
+    det = _det2(system.geometry.jacobian(x1[:, None], x2[None, :]))
+    W, c = system.quadrature_grid()
+    W = W * (det / c)
     L1 = E1 @ system.duals[0].S.to_dense()  # columns are dual function values
     L2 = E2 @ system.duals[1].S.to_dense()
     T1 = np.einsum("qa,qc->qac", L1, E1.toarray())
@@ -244,8 +249,8 @@ def petrov_mass_dense(system):
     return M.transpose(1, 0, 3, 2).reshape(n1 * n2, n1 * n2)
 
 
-def four_term_weight_gradient(rho, det, Finv, dF):
-    """The parametric gradient of c = det(F) rho by Jacobi's formula, each
+def four_term_weight_gradient(det, Finv, dF):
+    """The parametric gradient of c = det(F) by Jacobi's formula, each
     trace one expression of its four products."""
     out = np.empty((2,) + np.shape(det))
     for k in range(2):
@@ -255,7 +260,7 @@ def four_term_weight_gradient(rho, det, Finv, dF):
             + Finv[1, 0] * dF[0, 1, k]
             + Finv[1, 1] * dF[1, 1, k]
         )
-        out[k] = rho * det * trace
+        out[k] = det * trace
     return out
 
 
@@ -477,7 +482,7 @@ def csr_stiffness_kernel(system):
     n0, m = system.full_shape[0], int(np.prod(system.full_shape[1:]))
     form = _stiffness_form(DiscreteSystem(
         system.spaces, system.geometry, system.mass_kind, system.kappa,
-        None if system.geometry else system.rho, system.dirichlet, system.dual_halfwidth))
+        system.dirichlet, system.dual_halfwidth))
     bound = SEPARATION_TOL * max(np.max(np.abs(grid)) for grid, _, _ in form)
     groups = {}
     for grid, test, trial in form:
@@ -513,7 +518,8 @@ def csr_factor_inverses(system):
     free = [slice(*system.free_range(k)) for k in range(system.ndim)]
     if system.mass_kind == "customized":
         return [csr_by_fill(cd.S.to_coo().tocsr()) for cd in system.constrained_duals]
-    weights = [system.radial_weight()] + [None] * (system.ndim - 1)
+    radial = system.geometry.radial_weight if system.geometry else None
+    weights = [radial] + [None] * (system.ndim - 1)
     grams = [grammian(space, weight=w, points_per_element=system.mass_points)
              for space, w in zip(system.spaces, weights)]
     if system.mass_kind == "rowsum_lumped":

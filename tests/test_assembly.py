@@ -155,10 +155,10 @@ def test_geometry_grids_of_the_form_are_dropped_once_the_kernel_is_built(kind):
     system = make_system_2d(p=3, nel1=6, nel2=12, mass_kind=kind)
     grids = system.geometry_grids()
     dual = {"grad_c"} if kind == "customized" else set()
-    assert set(grids) == {"det", "c", "A", "X", "Y"} | dual
+    assert set(grids) == {"c", "A", "X", "Y"} | dual
     kernel = system.stiffness_kernel
     assert system.geometry_grids() is grids
-    assert set(grids) == {"det", "c", "X", "Y"}
+    assert set(grids) == {"c", "X", "Y"}
     assert system.stiffness_kernel is kernel
     # the kept grids serve the moments and the error norms
     project_initial(system, lambda x1, x2: x1 * (1.0 - x1) * np.cos(2.0 * np.pi * x2))
@@ -178,7 +178,7 @@ def test_tables_match_point_loop(degree):
 
 
 @pytest.mark.parametrize("attribute", ["stiffness_points", "mass_points", "test_mode", "mass_kind",
-                                       "kappa", "rho", "dirichlet", "geometry", "spaces",
+                                       "kappa", "dirichlet", "geometry", "spaces",
                                        "dual_halfwidth"])
 def test_quadrature_orders_are_read_only(attribute):
     system = make_system_2d(p=3)
@@ -317,7 +317,7 @@ def test_lumped_mass_diag_positive_and_partition():
                             dirichlet_radial=False)
     diag = dense_kron(mass_operator(system).factors).sum(axis=1)
     assert np.min(diag) > 0
-    # total lumped mass equals the weighted domain measure rho * |Omega|
+    # total lumped mass equals the weighted domain measure |Omega|
     c_fn, _ = weight_field(system.geometry)
     total = diag.sum()
     a, b = 2.0, 5.0
@@ -343,19 +343,19 @@ def test_stiffness_constant_in_kernel():
     assert np.max(np.abs(r)) <= 1e-10
 
 
-def dense_stiffness_oracle_1d(system, mode):
-    """Dense 1D stiffness by direct quadrature loops; independent assembly path."""
+def dense_stiffness_oracle_1d(system):
+    """Dense 1D stiffness by direct quadrature loops; independent assembly path.
+    The weight c is 1 in 1D, so both test modes share it."""
     from iga_explicit.quadrature import element_quadrature
 
     (space,) = system.spaces
     n = space.dimension
-    scale = system.kappa / system.rho if mode == "dual" else system.kappa
     K = np.zeros((n, n))
     for x, w in zip(*element_quadrature(space, system.stiffness_points)):
         ev = eval_basis(space, x, max_deriv=1)
         for a, i in enumerate(ev.indices):
             for b, j in enumerate(ev.indices):
-                K[i, j] += scale * w * ev.values[1, a] * ev.values[1, b]
+                K[i, j] += system.kappa * w * ev.values[1, a] * ev.values[1, b]
     return K
 
 
@@ -364,9 +364,9 @@ def dense_stiffness_oracle_1d(system, mode):
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_stiffness_1d_matches_dense_oracle(p, periodic, mode):
     space = uniform_space(16, p, boundary_kind=PERIODIC) if periodic else uniform_space(16, p)
-    system = DiscreteSystem([space], mass_kind=KIND_OF_MODE[mode], kappa=1.7, rho=2.5,
+    system = DiscreteSystem([space], mass_kind=KIND_OF_MODE[mode], kappa=1.7,
                             dirichlet=[(not periodic,) * 2])
-    K = dense_stiffness_oracle_1d(system, mode)
+    K = dense_stiffness_oracle_1d(system)
     free = slice(*system.free_range(0))
     assembled = assembled_stiffness_1d(system).toarray()
     assert np.max(np.abs(assembled - K[free, free])) <= 1e-12 * np.max(np.abs(K))
@@ -474,8 +474,8 @@ def test_stacked_kernel_matches_per_term_sum_and_dense_stiffness(ndim, mode):
     rng = np.random.default_rng(9)
     kind = KIND_OF_MODE[mode]
     if ndim == 1:
-        system = DiscreteSystem([uniform_space(12, 3)], mass_kind=kind, kappa=1.7, rho=2.5)
-        dense = dense_stiffness_oracle_1d(system, mode)
+        system = DiscreteSystem([uniform_space(12, 3)], mass_kind=kind, kappa=1.7)
+        dense = dense_stiffness_oracle_1d(system)
     else:
         system = make_system_2d(p=3, nel1=3, nel2=8, mass_kind=kind, dirichlet_radial=False)
         dense = dense_stiffness_oracle(system, mode)
@@ -640,7 +640,7 @@ def test_stiffness_apply_adds_the_stored_entries_it_multiplies(n_el, sparse):
     # fill: 7 nonzeros per row, dense at 13 free functions, CSR at 201
     system = DiscreteSystem([uniform_space(n_el, 3)], dirichlet=[(True, True)])
     free = slice(*system.free_range(0))
-    K = dense_stiffness_oracle_1d(system, system.test_mode)
+    K = dense_stiffness_oracle_1d(system)
     kernel = system.stiffness_kernel
     assert sp.issparse(kernel.outer) == sparse
     assert kernel.outer.shape == (system.n_free,) * 2 and kernel.inner.shape == (1, 1)
@@ -711,23 +711,6 @@ def test_dual_halfwidth_length_must_match_the_directions(ndim, halfwidths):
 def test_non_positive_kappa_is_rejected(kappa):
     with pytest.raises(ValueError, match="kappa"):
         DiscreteSystem([uniform_space(8, 3)], kappa=kappa)
-
-
-@pytest.mark.parametrize("rho", [0.0, -1.0, float("nan"), float("inf")])
-def test_non_positive_or_non_finite_rho_is_rejected(rho):
-    with pytest.raises(ValueError, match="rho"):
-        DiscreteSystem([uniform_space(8, 3)], rho=rho)
-
-
-def test_rho_comes_from_the_map_when_there_is_one():
-    spaces = [uniform_space(8, 3), uniform_space(16, 3, boundary_kind=PERIODIC)]
-    assert DiscreteSystem([uniform_space(8, 3)]).rho == 1.0
-    assert DiscreteSystem([uniform_space(8, 3)], rho=2.5).rho == 2.5
-    assert DiscreteSystem(spaces, geometry=annulus_map(1.0, 2.0, rho=1.3)).rho == 1.3
-    with pytest.raises(ValueError, match="rho"):
-        DiscreteSystem(spaces, geometry=annulus_map(1.0, 2.0), rho=5.0)
-    with pytest.raises(ValueError, match="rho"):  # a map checks only the sign of its own
-        DiscreteSystem(spaces, geometry=annulus_map(1.0, 2.0, rho=float("nan")))
 
 
 def test_storage_scaling_sqrt_n():
@@ -827,9 +810,25 @@ def flipped_map():
     return linear_map(lambda x1, x2: [[0.0, 1.0], [1.0, 0.0]])
 
 
+def sheared_map():
+    """c = det(F) = 1 + x2 / 2 > 0, not a function of x1 alone."""
+    return linear_map(lambda x1, x2: [[1.0 + 0.5 * x2, 0.5 * x1], [0.0, 1.0]])
+
+
 def test_weight_field_rejects_flipped_map():
     with pytest.raises(ValueError):
         weight_field(flipped_map())
+
+
+def test_the_customized_mass_builds_on_a_weight_varying_along_x2():
+    # the dual test functions B/c cancel c and never read its radial part
+    # c1(x1), which the B-spline masses need (next test)
+    spaces = [uniform_space(6, 3), uniform_space(12, 3, boundary_kind=PERIODIC)]
+    system = DiscreteSystem(spaces, geometry=sheared_map(), mass_kind="customized")
+    grid = np.random.default_rng(6).normal(size=system.free_shape)
+    S = [cd.S.to_dense() for cd in system.constrained_duals]
+    assert_allclose(grid_to_vec(mass_operator(system).solve(grid)),
+                    np.kron(S[1], S[0]) @ grid_to_vec(grid), rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("kind", ["galerkin_consistent", "rowsum_lumped"])
@@ -838,11 +837,10 @@ def test_mass_build_checks_the_map_once_and_rejects_unsupported_ones(kind):
     # map raises ValueError and a weight varying along x2 NumericalError,
     # which the CLI reports with exit codes 2 and 3
     spaces = [uniform_space(6, 3), uniform_space(12, 3, boundary_kind=PERIODIC)]
-    # c = det(F) = 1 + x2 / 2 > 0, not a function of x1 alone
-    sheared = linear_map(lambda x1, x2: [[1.0 + 0.5 * x2, 0.5 * x1], [0.0, 1.0]])
-    for geometry, error in ((flipped_map(), ValueError), (sheared, NumericalError)):
+    for geometry, error, message in ((flipped_map(), ValueError, "non-positive Jacobian"),
+                                     (sheared_map(), NumericalError, "not separable")):
         for _ in range(2):  # a failed check is not cached
-            with pytest.raises(error):
+            with pytest.raises(error, match=message):
                 mass_operator(DiscreteSystem(spaces, geometry=geometry, mass_kind=kind))
     from dataclasses import replace
 

@@ -99,6 +99,17 @@ def test_a_space_keeps_one_read_only_unweighted_grammian(kind):
         assert other is not G and other.bands.flags.writeable
 
 
+def test_duals_and_their_constrained_views_are_read_only():
+    # a write to S or G would change every customized mass built from them
+    for kind in (CLAMPED, PERIODIC):
+        dual = approximate_dual(uniform_space(20, 3, boundary_kind=kind))
+        ends = [(True, True), (True, False)] if kind == CLAMPED else []
+        views = [constrain_dual(dual, *e).S for e in [(False, False)] + ends]
+        for matrix in (dual.S, dual.G, *views):
+            with pytest.raises(ValueError, match="read-only"):
+                matrix.bands[0, 0] = 1.0
+
+
 def test_grammian_names_the_first_non_positive_weight():
     space = uniform_space(4, 2)
     # one midpoint per element: 0.125, 0.375, 0.625, 0.875

@@ -337,7 +337,7 @@ def test_outlier_reduced_solve_is_factored_once(kind, monkeypatch):
     if kind == "customized":
         M0, M1 = (np.linalg.inv(cd.S.to_dense()) for cd in system.constrained_duals)
     else:
-        G0 = grammian(system.spaces[0], weight=system.radial_weight(),
+        G0 = grammian(system.spaces[0], weight=system.geometry.radial_weight,
                       points_per_element=system.mass_points)
         G1 = grammian(system.spaces[1], points_per_element=system.mass_points)
         if kind == "galerkin_consistent":
@@ -394,7 +394,7 @@ def test_outlier_projection_uses_the_reduced_projection(kind):
     y = con.project_initial(membrane_field)
     lo, hi = system.free_range(0)
     # each kind's own projection factors P0, P1 and moment test functions
-    weight = None if kind == "customized" else system.radial_weight()
+    weight = None if kind == "customized" else system.geometry.radial_weight
     G0 = grammian(system.spaces[0], weight=weight, points_per_element=system.mass_points)
     G1 = grammian(system.spaces[1], points_per_element=system.mass_points)
     if kind == "rowsum_lumped":

@@ -1,4 +1,4 @@
-"""Geometric mappings, Jacobians, and the weight field c = det(F) rho."""
+"""Geometric mappings, Jacobians, and the weight field c = det(F)."""
 
 import numpy as np
 import pytest
@@ -29,12 +29,12 @@ def fd_jacobian(geo, x1, x2, h=1e-6):
 
 
 def test_identity_map_basics():
-    geo = identity_map(rho=2.0)
+    geo = identity_map()
     F = geo.jacobian(0.3, 0.7)
     assert_allclose(F, np.eye(2))
     assert_allclose(geo.jacobian_gradient(0.3, 0.7), np.zeros((2, 2, 2)))
     c, grad_c = weight_field(geo)
-    assert c(0.2, 0.9) == pytest.approx(2.0)
+    assert c(0.2, 0.9) == 1.0
     assert_allclose(grad_c(0.2, 0.9), np.zeros(2), atol=0)
 
 
@@ -74,7 +74,7 @@ def test_annulus_jacobian_gradient_matches_finite_differences():
 
 
 def test_weight_gradient_matches_finite_differences():
-    geo = annulus_map(1.0, 3.0, rho=1.7)
+    geo = annulus_map(1.0, 3.0)
     c, grad_c = weight_field(geo)
     rng = np.random.default_rng(2)
     h = 1e-6
@@ -116,14 +116,6 @@ def test_invalid_radii():
         annulus_map(0.0, 2.0)
 
 
-@pytest.mark.parametrize("make", [identity_map, lambda rho: annulus_map(1.0, 2.0, rho=rho)],
-                         ids=["identity", "annulus"])
-def test_maps_reject_a_density_that_is_not_positive_and_finite(make):
-    for rho in (0.0, -1.0, float("nan"), float("inf")):
-        with pytest.raises(ValueError, match=rf"rho must be positive and finite, got {rho!r}$"):
-            make(rho)
-
-
 def test_vectorized_evaluation_shapes():
     geo = annulus_map(1.0, 2.0)
     x1 = np.linspace(0, 1, 4)[:, None] * np.ones((1, 3))
@@ -148,7 +140,7 @@ def test_annulus_map_broadcasts_axis_operands_and_scalars():
 def annulus_system(p=3, n_r=8, geometry=None, mass_kind="customized"):
     return DiscreteSystem(
         [uniform_space(n_r, p), uniform_space(2 * n_r, p, boundary_kind=PERIODIC)],
-        geometry=geometry or annulus_map(2.0, 5.0, rho=1.3),
+        geometry=geometry or annulus_map(2.0, 5.0),
         mass_kind=mass_kind,
         kappa=2.5,
         dirichlet=[(True, True), (False, False)],
@@ -168,8 +160,9 @@ def test_geometry_grids_match_full_grid_evaluation_exactly(p, n_r):
     A = [[system.kappa * det * (Finv[a, 0] * Finv[b, 0] + Finv[a, 1] * Finv[b, 1])
           for b in range(2)] for a in range(2)]
     XY = geo.value(X1, X2)
-    want = {"det": det, "c": c_fn(X1, X2), "grad_c": grad_c_fn(X1, X2),
-            "X": XY[0], "Y": XY[1]}
+    # the one weight grid is det(F) itself
+    assert np.array_equal(c_fn(X1, X2), det)
+    want = {"c": det, "grad_c": grad_c_fn(X1, X2), "X": XY[0], "Y": XY[1]}
     for key, value in want.items():
         assert np.array_equal(g[key], value), key
     for a in range(2):
@@ -181,20 +174,20 @@ def test_weight_gradient_sums_in_place_bit_for_bit():
     # the in-place traces against one four-term expression each, on the
     # annulus at scalar points, on an (n1, 1) x (1, n2) grid and on random
     # factors of every component
-    geo = annulus_map(2.0, 5.0, rho=1.3)
+    geo = annulus_map(2.0, 5.0)
     xs = np.linspace(0.0, 1.0, 23)
     points = [(x1, x2) for x1 in (0.0, 0.37, 1.0) for x2 in (0.0, 0.61, 0.999)]
     points.append((xs[:, None], xs[None, ::-1] ** 2))
     for x1, x2 in points:
         F = geo.jacobian(x1, x2)
         det = _det2(F)
-        args = (geo.rho, det, _inv2(F, det), geo.jacobian_gradient(x1, x2))
+        args = (det, _inv2(F, det), geo.jacobian_gradient(x1, x2))
         got, want = weight_gradient(*args), four_term_weight_gradient(*args)
         assert got.shape == want.shape == (2,) + np.shape(x1 + x2)
         assert np.array_equal(got, want)
     rng = np.random.default_rng(5)
     for shape in ((), (7,), (5, 9)):
-        args = (1.7, rng.standard_normal(shape), rng.standard_normal((2, 2) + shape),
+        args = (rng.standard_normal(shape), rng.standard_normal((2, 2) + shape),
                 rng.standard_normal((2, 2, 2) + shape))
         assert weight_gradient(*args).tobytes() == four_term_weight_gradient(*args).tobytes()
 
@@ -217,7 +210,7 @@ def test_map_is_evaluated_once_on_the_quadrature_grid():
         for seen in shapes.values():
             seen.clear()
         system = annulus_system(geometry=GeometryMap(
-            geo.value, counted("jacobian"), counted("jacobian_gradient"), rho=geo.rho),
+            geo.value, counted("jacobian"), counted("jacobian_gradient")),
             mass_kind=mass_kind)
         quad_shape = tuple(len(system.tables(k)[0]) for k in range(2))
         # everything an annulus run evaluates on the quadrature grid
